@@ -24,24 +24,6 @@ let grid_of = function
   | 512 -> Grid.m512
   | n -> Grid.of_pe_count n
 
-(* Engine selection rides on MESA_ENGINE (read per execution by
-   {!Engine.execute}), so one flag covers every run the subcommand makes —
-   including those behind the controller and the fuzzer. *)
-let engine_arg =
-  let doc =
-    "Accelerator engine: $(b,event) (wake-list scheduler, the default) or \
-     $(b,reference) (the legacy per-node scan, kept as a bit-identical \
-     oracle). Equivalent to setting MESA_ENGINE."
-  in
-  Arg.(
-    value
-    & opt (some (enum [ ("event", "event"); ("reference", "reference") ])) None
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let set_engine = function
-  | None -> ()
-  | Some e -> Unix.putenv "MESA_ENGINE" e
-
 let find_kernel name =
   match Workloads.find name with
   | k -> Ok k
@@ -225,8 +207,7 @@ let run_cmd =
         (fun e -> `Msg ("bad --inject spec: " ^ e))
         (Result.map Option.some (Fault.spec_of_string ~seed:fault_seed s))
   in
-  let run name pes no_opt no_iter inject fault_seed stats_json trace_out engine =
-    set_engine engine;
+  let run name pes no_opt no_iter inject fault_seed stats_json trace_out =
     Result.bind (find_kernel name) (fun (k : Kernel.t) ->
         Result.bind (parse_inject fault_seed inject) (fun inject ->
         let grid = grid_of pes in
@@ -318,7 +299,7 @@ let run_cmd =
     Term.(
       term_result
         (const run $ kernel_arg $ grid_arg $ no_opt $ no_iter $ inject_arg
-       $ fault_seed $ stats_json $ trace_out $ engine_arg))
+       $ fault_seed $ stats_json $ trace_out))
 
 (* ---------------- profile ---------------- *)
 
@@ -572,46 +553,6 @@ let imap_cmd =
     (Cmd.info "imap" ~doc:"Show the Figure 8 instruction-mapping FSM timing diagram")
     Term.(term_result (const run $ kernel_arg))
 
-(* ---------------- anneal ---------------- *)
-
-let anneal_cmd =
-  let proposals =
-    Arg.(value & opt int 2000 & info [ "proposals" ] ~doc:"Annealing proposals.")
-  in
-  let seed =
-    Arg.(
-      value
-      & opt int 0x5A5A
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "PRNG seed for the annealer's proposal/acceptance draws; runs \
-             with the same seed are bit-identical.")
-  in
-  let run name pes proposals seed =
-    Result.bind (find_kernel name) (fun k ->
-        let grid = grid_of pes in
-        let dfg = Runner.dfg_of_kernel k in
-        let model = Perf_model.create dfg in
-        match Mapper.map ~grid ~kind:Interconnect.Mesh_noc model with
-        | Error e -> Error (`Msg e)
-        | Ok greedy ->
-          let refined, stats =
-            Mapper_anneal.refine ~seed ~proposals ~grid ~kind:Interconnect.Mesh_noc
-              ~model greedy
-          in
-          Format.printf "%a@." Placement.pp refined;
-          Printf.printf
-            "greedy %.1f -> annealed %.1f modeled cycles (%d/%d proposals accepted, %d improving)\n"
-            stats.Mapper_anneal.initial_latency stats.Mapper_anneal.final_latency
-            stats.Mapper_anneal.accepted stats.Mapper_anneal.proposals
-            stats.Mapper_anneal.improved;
-          Ok ())
-  in
-  Cmd.v
-    (Cmd.info "anneal"
-       ~doc:"Refine Algorithm 1's placement with simulated annealing (future-work mapper)")
-    Term.(term_result (const run $ kernel_arg $ grid_arg $ proposals $ seed))
-
 (* ---------------- bench ---------------- *)
 
 let bench_cmd =
@@ -805,16 +746,6 @@ let dse_cmd =
             "Restore completed points from --checkpoint before sweeping; the \
              final result is bit-identical to an uninterrupted run.")
   in
-  let budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget" ] ~docv:"N"
-          ~doc:
-            "Cap the sweep at $(docv) points: greedy exploration from \
-             deterministic seeds, expanding to lattice neighbours of the \
-             current Pareto frontier.")
-  in
   let stop_after =
     Arg.(
       value
@@ -913,7 +844,7 @@ let dse_cmd =
       | _ -> Error "expected ROWSxCOLS")
     | None -> Error "expected ROWSxCOLS"
   in
-  let run kernels grids ports kinds l1 l2 jobs checkpoint resume budget
+  let run kernels grids ports kinds l1 l2 jobs checkpoint resume
       stop_after strategy defect frontier_out max_frac out trace_out top =
     let d = Dse.default_spec in
     let ( let* ) = Result.bind in
@@ -932,7 +863,7 @@ let dse_cmd =
       | Some "inverted-rank" -> Ok (Some Dse.Inverted_rank)
       | Some d -> Error (`Msg (Printf.sprintf "unknown defect %S (inverted-rank)" d))
     in
-    let spec = { Dse.kernels; grids; ports; kinds; l1_kb; l2_kb; budget } in
+    let spec = { Dse.kernels; grids; ports; kinds; l1_kb; l2_kb } in
     match Dse.run ?jobs ?checkpoint ~resume ?stop_after ~strategy ?defect spec with
     | Error e -> Error (`Msg e)
     | Ok r ->
@@ -992,7 +923,7 @@ let dse_cmd =
     Term.(
       term_result
         (const run $ kernels $ grids $ ports $ kinds $ l1 $ l2 $ jobs
-       $ checkpoint $ resume $ budget $ stop_after $ strategy_arg $ defect_arg
+       $ checkpoint $ resume $ stop_after $ strategy_arg $ defect_arg
        $ frontier_out $ max_frac $ out $ trace_out $ top))
 
 let fuzz_cmd =
@@ -1042,8 +973,7 @@ let fuzz_cmd =
       & info [ "replay" ] ~docv:"FILE"
           ~doc:"Re-run one corpus entry instead of a campaign.")
   in
-  let run seed count jobs corpus max_shrink defect replay engine =
-    set_engine engine;
+  let run seed count jobs corpus max_shrink defect replay =
     let ( let* ) = Result.bind in
     let* defect =
       match defect with
@@ -1123,8 +1053,7 @@ let fuzz_cmd =
           automatic shrinking of failures to a minimal corpus")
     Term.(
       term_result
-        (const run $ seed $ count $ jobs $ corpus $ max_shrink $ defect $ replay
-       $ engine_arg))
+        (const run $ seed $ count $ jobs $ corpus $ max_shrink $ defect $ replay))
 
 let socket_arg =
   Arg.(
@@ -1779,119 +1708,46 @@ let telemetry_check_cmd =
              confirmed and swapped into the warm translation memo.")
   in
   let run frames_path stats_path require_oracle require_refine =
-    let parse_line i line =
-      match Json.of_string line with
-      | Error e -> Error (Printf.sprintf "line %d: %s" (i + 1) e)
-      | Ok j ->
-        Result.map_error
-          (fun e -> Printf.sprintf "line %d: %s" (i + 1) e)
-          (Telemetry.frame_of_json j)
+    let ( let* ) = Result.bind in
+    let* lines =
+      match In_channel.with_open_text frames_path In_channel.input_lines with
+      | lines -> Ok (List.filter (fun l -> String.trim l <> "") lines)
+      | exception Sys_error e -> Error (`Msg ("cannot read " ^ e))
     in
-    match In_channel.with_open_text frames_path In_channel.input_lines with
-    | exception Sys_error e -> Error (`Msg ("cannot read " ^ e))
-    | lines -> (
-      let lines = List.filter (fun l -> String.trim l <> "") lines in
-      let parsed = List.mapi parse_line lines in
-      let frames =
-        List.filter_map (function Ok f -> Some f | Error _ -> None) parsed
-      in
-      let failures = ref [] in
-      let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-      List.iter
-        (function Error e -> fail "unparseable frame: %s" e | Ok _ -> ())
-        parsed;
-      (match frames with
-      | [] -> fail "no frames in %s" frames_path
-      | first :: _ ->
-        (* Per-watcher frame sequence is gap-free and monotone; the hub
-           clock and the shed-tick counter never go backwards. *)
-        List.iteri
-          (fun i (f : Telemetry.frame) ->
-            if f.Telemetry.f_seq <> first.Telemetry.f_seq + i then
-              fail "frame %d: seq %d, expected %d" i f.Telemetry.f_seq
-                (first.Telemetry.f_seq + i))
-          frames;
-        ignore
-          (List.fold_left
-             (fun (prev : Telemetry.frame) (f : Telemetry.frame) ->
-               if f.Telemetry.f_at_ms < prev.Telemetry.f_at_ms then
-                 fail "frame %d: at_ms went backwards" f.Telemetry.f_seq;
-               if f.Telemetry.f_dropped < prev.Telemetry.f_dropped then
-                 fail "frame %d: dropped went backwards" f.Telemetry.f_seq;
-               f)
-             first (List.tl frames));
-        let last = List.nth frames (List.length frames - 1) in
-        (* Closure: a watcher's baseline starts empty, so per-outcome
-           deltas summed over the whole stream telescope to the final
-           totals — if a frame was lost or fabricated, the sum breaks. *)
-        let delta_sum name =
-          List.fold_left
-            (fun acc (f : Telemetry.frame) ->
-              match List.assoc_opt name f.Telemetry.f_outcomes with
-              | Some (r : Telemetry.outcome_row) -> acc + r.Telemetry.o_delta
-              | None -> acc)
-            0 frames
-        in
-        List.iter
-          (fun (name, (r : Telemetry.outcome_row)) ->
-            let sum = delta_sum name in
-            if sum <> r.Telemetry.o_total then
-              fail "outcome %s: summed deltas %d <> final total %d" name sum
-                r.Telemetry.o_total)
-          last.Telemetry.f_outcomes;
-        let last_total path =
-          Option.value ~default:0
-            (List.assoc_opt path last.Telemetry.f_totals)
-        in
-        (match stats_path with
-        | None -> ()
-        | Some path -> (
-          match read_json path with
-          | Error (`Msg e) -> fail "%s" e
-          | Ok j -> (
-            match Stats.of_json j with
-            | Error e -> fail "%s: %s" path e
-            | Ok snap ->
-              List.iter
-                (fun (name, (r : Telemetry.outcome_row)) ->
-                  let stat =
-                    Option.value ~default:0
-                      (Stats.find_int snap ("service.outcomes." ^ name))
-                  in
-                  if stat <> r.Telemetry.o_total then
-                    fail
-                      "outcome %s: stream total %d <> stats snapshot %d"
-                      name r.Telemetry.o_total stat)
-                last.Telemetry.f_outcomes)));
-        let gate_counter path required =
-          if required then begin
-            let n =
-              match stats_path with
-              | None -> last_total path
-              | Some sp -> (
-                match read_json sp with
-                | Ok j -> (
-                  match Stats.of_json j with
-                  | Ok snap ->
-                    Option.value ~default:0 (Stats.find_int snap path)
-                  | Error _ -> last_total path)
-                | Error _ -> last_total path)
-            in
-            if n < 1 then fail "gate: %s = %d (must be > 0)" path n
-          end
-        in
-        gate_counter "telemetry.oracle_refreshes" require_oracle;
-        gate_counter "telemetry.refine_accepts" require_refine);
-      match List.rev !failures with
-      | [] ->
-        Printf.printf
-          "telemetry-check: OK (%d frame(s), deltas close against totals%s)\n"
-          (List.length frames)
-          (if stats_path = None then "" else " and the stats snapshot");
-        Ok ()
-      | fs ->
-        List.iter prerr_endline fs;
-        exit 1)
+    let* stats =
+      match stats_path with
+      | None -> Ok None
+      | Some path ->
+        let* j = read_json path in
+        Result.map Option.some
+          (Result.map_error (fun e -> `Msg (path ^ ": " ^ e)) (Stats.of_json j))
+    in
+    let parsed =
+      List.mapi
+        (fun i line ->
+          Result.map_error
+            (Printf.sprintf "unparseable frame: line %d: %s" (i + 1))
+            (Result.bind (Json.of_string line) Telemetry.frame_of_json))
+        lines
+    in
+    let frames, unparsed =
+      List.partition_map (function Ok f -> Either.Left f | Error e -> Either.Right e) parsed
+    in
+    let require =
+      (if require_oracle then [ "telemetry.oracle_refreshes" ] else [])
+      @ if require_refine then [ "telemetry.refine_accepts" ] else []
+    in
+    match (unparsed, Telemetry.check ?stats ~require frames) with
+    | [], Ok () ->
+      Printf.printf
+        "telemetry-check: OK (%d frame(s), deltas close against totals%s)\n"
+        (List.length frames)
+        (if stats = None then "" else " and the stats snapshot");
+      Ok ()
+    | unparsed, r ->
+      List.iter prerr_endline
+        (unparsed @ match r with Ok () -> [] | Error fs -> fs);
+      exit 1
   in
   Cmd.v
     (Cmd.info "telemetry-check"
@@ -1911,4 +1767,4 @@ let () =
   let doc = "MESA: microarchitecture extensions for spatial architecture generation" in
   let info = Cmd.info "mesa_cli" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
-       [ list_cmd; disasm_cmd; dfg_cmd; map_cmd; schedule_cmd; imap_cmd; anneal_cmd; run_cmd; profile_cmd; profile_diff_cmd; stats_diff_cmd; bench_cmd; refine_cmd; dse_cmd; fuzz_cmd; serve_cmd; loadgen_cmd; watch_cmd; top_cmd; trace_cmd; telemetry_check_cmd ]))
+       [ list_cmd; disasm_cmd; dfg_cmd; map_cmd; schedule_cmd; imap_cmd; run_cmd; profile_cmd; profile_diff_cmd; stats_diff_cmd; bench_cmd; refine_cmd; dse_cmd; fuzz_cmd; serve_cmd; loadgen_cmd; watch_cmd; top_cmd; trace_cmd; telemetry_check_cmd ]))

@@ -22,24 +22,6 @@ let default_op_latency (dfg : Dfg.t) j =
 let default_mem_latency =
   float_of_int Hierarchy.default_config.Hierarchy.l1.Cache.hit_latency
 
-(* Arrival dependencies in exactly the engine's fold order: operand sources,
-   hidden value, guards, and (for stores) the memory-order link. *)
-let deps_of (dfg : Dfg.t) =
-  Array.map
-    (fun nd ->
-      let ds = ref [] in
-      Array.iter
-        (function Dfg.Node i -> ds := i :: !ds | Dfg.Reg_in _ -> ())
-        nd.Dfg.srcs;
-      (match nd.Dfg.hidden with
-      | Some (Dfg.Node i) -> ds := i :: !ds
-      | Some (Dfg.Reg_in _) | None -> ());
-      List.iter (fun (b, _) -> ds := b :: !ds) nd.Dfg.guards;
-      if Isa.is_store nd.Dfg.instr then
-        Option.iter (fun s -> ds := s :: !ds) nd.Dfg.prev_store;
-      Array.of_list (List.rev !ds))
-    dfg.Dfg.nodes
-
 let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
     ~(config : Accel_config.t) ~(dfg : Dfg.t) () =
   let n = Dfg.node_count dfg in
@@ -56,7 +38,7 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
   let cls_of = Array.map (fun nd -> Isa.op_class nd.Dfg.instr) nodes in
   let is_mem = Array.map (fun nd -> Isa.is_memory nd.Dfg.instr) nodes in
   let is_load = Array.map (fun nd -> Isa.is_load nd.Dfg.instr) nodes in
-  let deps = deps_of dfg in
+  let deps = Dfg.arrival_deps dfg in
   let carried_nodes =
     Dfg.loop_carried dfg
     |> List.filter_map (fun (_, _, src) ->
@@ -313,7 +295,7 @@ let predicted_activity ~(config : Accel_config.t) ~(dfg : Dfg.t) ~iterations
   let act = Activity.create () in
   let pl = config.Accel_config.placement in
   let n = Dfg.node_count dfg in
-  let deps = deps_of dfg in
+  let deps = Dfg.arrival_deps dfg in
   let forwarded = Array.make n false in
   List.iter (fun (load, _) -> forwarded.(load) <- true) config.Accel_config.forwarding;
   let int_ops = ref 0

@@ -1,11 +1,11 @@
 (* The event-driven engine core.
 
-   The legacy engine ([Engine_reference]) re-derives everything on every
-   fabric iteration: it re-walks each node's dependence list through the
-   placement tables, re-folds arrival times from scratch, scans the
-   iteration's store list linearly on every access, and allocates closures
-   and pairs along the way. This implementation compiles the loop once and
-   then advances an event clock:
+   The legacy engine (the test-only [Engine_reference] oracle) re-derives
+   everything on every fabric iteration: it re-walks each node's dependence
+   list through the placement tables, re-folds arrival times from scratch,
+   scans the iteration's store list linearly on every access, and allocates
+   closures and pairs along the way. This implementation compiles the loop
+   once and then advances an event clock:
 
    - the firing schedule is static — nodes are topologically indexed and a
      node's wake condition is "all compiled in-edges done", so the wake list
@@ -28,8 +28,8 @@
    Stats observes with the same values in the same order, same Activity
    counts, same Attribution charges, same fault strikes — so cycle counts,
    memory checksums and profiler bucket sums are bit-identical to
-   [Engine_reference.execute]. The differential qcheck harness and
-   `mesa_cli --engine reference` enforce this. *)
+   [Engine_reference.execute]. The differential qcheck harness enforces
+   this. *)
 
 type detection = Engine_core.detection = {
   d_kinds : Fault.kind list;
@@ -67,7 +67,6 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
     let grid = pl.Placement.grid in
     let nodes = dfg.Dfg.nodes in
     let mem = machine.Machine.mem in
-    let debug = Sys.getenv_opt "MESA_ENGINE_DEBUG" <> None in
     (* ------------------------------------------------------------------
        Compilation: static per-node tables, built once per execution. *)
     let cls_of = Array.map (fun nd -> Isa.op_class nd.Dfg.instr) nodes in
@@ -85,22 +84,7 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
        arrival fold visits them: operand sources, hidden value, guards,
        memory-order link. Each edge carries its source node, the static
        transfer latency, and its router slice (-1 = PE-local). *)
-    let deps_of =
-      Array.map
-        (fun nd ->
-          let ds = ref [] in
-          Array.iter
-            (function Dfg.Node i -> ds := i :: !ds | Dfg.Reg_in _ -> ())
-            nd.Dfg.srcs;
-          (match nd.Dfg.hidden with
-          | Some (Dfg.Node i) -> ds := i :: !ds
-          | Some (Dfg.Reg_in _) | None -> ());
-          List.iter (fun (b, _) -> ds := b :: !ds) nd.Dfg.guards;
-          if Isa.is_store nd.Dfg.instr then
-            Option.iter (fun s -> ds := s :: !ds) nd.Dfg.prev_store;
-          Array.of_list (List.rev !ds))
-        nodes
-    in
+    let deps_of = Dfg.arrival_deps dfg in
     let ebase =
       Array.mapi
         (fun j deps ->
@@ -639,9 +623,6 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
           | _ -> ())
         done;
         let iter_latency = Array.fold_left Float.max 0.0 completes in
-        if debug && !iterations < 40 then
-          Printf.eprintf "iter=%d inst=%d start=%.1f lat=%.1f fu=%.1f\n" !iterations
-            inst iter_start iter_latency !fu_bound;
         incr iterations;
         act.Activity.iterations <- act.Activity.iterations + 1;
         end_time := Float.max !end_time (iter_start +. iter_latency);
@@ -758,27 +739,11 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
       ~finally:(fun () -> Engine_core.scratch_park !acquired)
       (fun () -> try Ok (run ()) with Exec_fail msg -> Error msg))
 
-(* Engine selection: the event-driven core unless the caller (or the
-   MESA_ENGINE environment variable, checked per call so CLI flags can set
-   it) asks for the legacy reference oracle. *)
-let engine_of_env () =
-  match Sys.getenv_opt "MESA_ENGINE" with
-  | Some "reference" -> `Reference
-  | Some _ | None -> `Event
-
 let execute ?max_iterations ?stop_after ?fault ?watchdog_window ?attribution
-    ?engine ~config ~dfg ~machine ~hier () =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_env ()
-  in
+    ~config ~dfg ~machine ~hier () =
   let r =
-    match engine with
-    | `Event ->
-      execute_event ?max_iterations ?stop_after ?fault ?watchdog_window
-        ?attribution ~config ~dfg ~machine ~hier ()
-    | `Reference ->
-      Engine_reference.execute ?max_iterations ?stop_after ?fault
-        ?watchdog_window ?attribution ~config ~dfg ~machine ~hier ()
+    execute_event ?max_iterations ?stop_after ?fault ?watchdog_window
+      ?attribution ~config ~dfg ~machine ~hier ()
   in
   (match r with Ok res -> Sim_meter.add res.cycles | Error _ -> ());
   r

@@ -63,7 +63,6 @@ val execute :
   ?fault:Fault.t ->
   ?watchdog_window:int ->
   ?attribution:Attribution.t ->
-  ?engine:[ `Event | `Reference ] ->
   config:Accel_config.t ->
   dfg:Dfg.t ->
   machine:Machine.t ->
@@ -73,16 +72,14 @@ val execute :
 (** Run the loop whose live-ins are taken from [machine]'s current register
     state.
 
-    [engine] selects the implementation: [`Event] (default) is the
-    event-driven core — compiled static schedule, memoized steady-state
-    arrival folds, batched time jumps; [`Reference] is the legacy
-    node-scan oracle ({!Engine_reference}), kept for differential testing.
-    Both are bit-identical in every observable (cycles, memory, registers,
-    stats snapshots, attribution sums); the default can be overridden
-    per-process with the [MESA_ENGINE] environment variable
-    ([reference] / [event]), read at each call. Every successful execution
-    also adds its window's cycle count to {!Sim_meter}. On success the machine holds the post-loop architectural state
-    (registers, PC at the loop's exit address) and [machine.mem] holds every
+    This is the event-driven core: compiled static schedule, memoized
+    steady-state arrival folds, batched time jumps. It is bit-identical in
+    every observable (cycles, memory, registers, stats snapshots,
+    attribution sums) to the frozen node-scan oracle [Engine_reference],
+    which lives in the test tree for differential testing. Every successful
+    execution also adds its window's cycle count to {!Sim_meter}. On success
+    the machine holds the post-loop architectural state (registers, PC at
+    the loop's exit address) and [machine.mem] holds every
     store's effect. Fails (leaving partial memory effects) if the placement
     is invalid for the DFG. Exceeding [max_iterations] (default 4 million)
     pauses like [stop_after] but flags [budget_exhausted] so the caller can

@@ -1,6 +1,6 @@
 (* State shared by the two engine implementations: the event-driven core
    (`Engine`) and the legacy all-nodes-every-cycle oracle
-   (`Engine_reference`). Both return the same result record and park their
+   (`Engine_reference`, a test-only library under test/oracle). Both return the same result record and park their
    contention tables in the same domain-local scratch pool, so differential
    tests can swap implementations without touching any caller. *)
 

@@ -1,5 +1,5 @@
 (** Types and scratch state shared by the event-driven engine ({!Engine})
-    and the legacy reference oracle ({!Engine_reference}). See {!Engine} for
+    and the legacy reference oracle ([Engine_reference], test-only). See {!Engine} for
     the full field documentation — callers use that module; this one exists
     so both implementations return literally the same record types. *)
 

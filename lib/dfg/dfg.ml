@@ -51,6 +51,17 @@ let data_preds t i =
   in
   match nd.hidden with Some (Node p) -> p :: from_srcs | Some (Reg_in _) | None -> from_srcs
 
+let arrival_deps t =
+  Array.map
+    (fun nd ->
+      let ds = ref [] in
+      Array.iter (function Node i -> ds := i :: !ds | Reg_in _ -> ()) nd.srcs;
+      (match nd.hidden with Some (Node i) -> ds := i :: !ds | Some (Reg_in _) | None -> ());
+      List.iter (fun (b, _) -> ds := b :: !ds) nd.guards;
+      if Isa.is_store nd.instr then Option.iter (fun s -> ds := s :: !ds) nd.prev_store;
+      Array.of_list (List.rev !ds))
+    t.nodes
+
 let children t =
   let out = Array.make (node_count t) [] in
   List.iter (fun (i, j, _) -> out.(i) <- j :: out.(i)) (edges t);

@@ -63,6 +63,12 @@ val data_preds : t -> int -> int list
 (** Producer nodes feeding node [i] through register data edges (including
     the hidden-value edge). *)
 
+val arrival_deps : t -> int array array
+(** For each node, the producers its arrival time waits on, in the timing
+    fold's order: operand sources, hidden value, guards, then (stores only)
+    the store-order link. The one dependency order the engine and the cost
+    model share. *)
+
 val children : t -> int list array
 (** For each node, the nodes consuming its output via any edge kind. *)
 

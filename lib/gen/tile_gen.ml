@@ -97,7 +97,7 @@ let gen_guard rng scope body =
   let c = match Prng.int rng 3 with 0 -> Lt | 1 -> Ne | _ -> Ge in
   If (c, e1, Iconst (Prng.int rng 4), body)
 
-let generate ~seed =
+let draw ~seed =
   let rng = Prng.create seed in
   let mode = match Prng.int rng 3 with 0 -> Ints | 1 -> Floats | _ -> Mixed in
   let depth = 1 + Prng.int rng 3 in
@@ -203,6 +203,17 @@ let generate ~seed =
     arrays;
     body = [ nest ];
   }
+
+(* About one draw in 3,000 builds an expression that needs more scratch
+   slots than the DSL allows. Such a draw is replaced by one from a seed
+   derived from it, keeping the caller's seed and name, so every valid draw
+   is unchanged and the result is still a pure function of [seed]. *)
+let rec generate ~seed =
+  let spec = draw ~seed in
+  if validate spec = Ok () then spec
+  else
+    let next = Int64.to_int (Prng.bits64 (Prng.create seed)) in
+    { (generate ~seed:next) with sname = spec.sname; seed }
 
 (* -------------------- shrinking -------------------- *)
 

@@ -28,7 +28,6 @@ type spec = {
   kinds : Interconnect.kind list;
   l1_kb : int list;
   l2_kb : int list;
-  budget : int option;
 }
 
 type strategy = Exhaustive | Guided
@@ -67,7 +66,6 @@ let default_spec =
     kinds = [ Interconnect.Mesh_noc ];
     l1_kb = [ 64 ];
     l2_kb = [ 8192 ];
-    budget = None;
   }
 
 (* Deduplicate preserving first-occurrence order: the axes must be sets for
@@ -76,14 +74,6 @@ let default_spec =
 let dedup xs =
   List.rev
     (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
-
-let axes_of_spec s =
-  ( Array.of_list (dedup s.kernels),
-    Array.of_list (dedup s.grids),
-    Array.of_list (dedup s.ports),
-    Array.of_list (dedup s.kinds),
-    Array.of_list (dedup s.l1_kb),
-    Array.of_list (dedup s.l2_kb) )
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -123,43 +113,22 @@ let validate_spec s =
         if p >= 1 then Ok () else Error (Printf.sprintf "spec: bad port count %d" p))
       (Ok ()) s.ports
   in
-  let* () =
-    List.fold_left
-      (fun acc kb ->
-        let* () = acc in
-        if is_pow2 kb then Ok ()
-        else Error (Printf.sprintf "spec: L1/L2 capacity %d KB is not a power of two" kb))
-      (Ok ()) (s.l1_kb @ s.l2_kb)
-  in
-  match s.budget with
-  | Some b when b < 1 -> Error "spec: budget must be at least 1"
-  | _ -> Ok ()
+  List.fold_left
+    (fun acc kb ->
+      let* () = acc in
+      if is_pow2 kb then Ok ()
+      else Error (Printf.sprintf "spec: L1/L2 capacity %d KB is not a power of two" kb))
+    (Ok ()) (s.l1_kb @ s.l2_kb)
 
 let points_of_spec s =
-  let kernels, grids, ports, kinds, l1s, l2s = axes_of_spec s in
-  let acc = ref [] in
-  Array.iter
-    (fun kernel ->
-      Array.iter
-        (fun (rows, cols) ->
-          Array.iter
-            (fun mem_ports ->
-              Array.iter
-                (fun kind ->
-                  Array.iter
-                    (fun l1_kb ->
-                      Array.iter
-                        (fun l2_kb ->
-                          acc :=
-                            { kernel; rows; cols; mem_ports; kind; l1_kb; l2_kb }
-                            :: !acc)
-                        l2s)
-                    l1s)
-                kinds)
-            ports)
-        grids)
-    kernels;
-  List.rev !acc
+  let axis xs f = List.concat_map f (dedup xs) in
+  axis s.kernels (fun kernel ->
+      axis s.grids (fun (rows, cols) ->
+          axis s.ports (fun mem_ports ->
+              axis s.kinds (fun kind ->
+                  axis s.l1_kb (fun l1_kb ->
+                      axis s.l2_kb (fun l2_kb ->
+                          [ { kernel; rows; cols; mem_ports; kind; l1_kb; l2_kb } ]))))))
 
 (* ------------------------------------------------------------------ *)
 (* Point measurement.                                                  *)
@@ -380,7 +349,6 @@ let spec_to_json s =
       ("kinds", Json.List (List.map (fun k -> Json.String (kind_to_string k)) s.kinds));
       ("l1_kb", Json.List (List.map (fun k -> Json.Int k) s.l1_kb));
       ("l2_kb", Json.List (List.map (fun k -> Json.Int k) s.l2_kb));
-      ("budget", match s.budget with None -> Json.Null | Some b -> Json.Int b);
     ]
 
 let spec_of_json j =
@@ -415,10 +383,7 @@ let spec_of_json j =
   in
   let* l1_kb = get_list "l1_kb" (function Json.Int k -> Ok k | _ -> Error "bad l1") in
   let* l2_kb = get_list "l2_kb" (function Json.Int k -> Ok k | _ -> Error "bad l2") in
-  let budget =
-    match Json.member "budget" j with Some (Json.Int b) -> Some b | _ -> None
-  in
-  Ok { kernels; grids; ports; kinds; l1_kb; l2_kb; budget }
+  Ok { kernels; grids; ports; kinds; l1_kb; l2_kb }
 
 let checkpoint_to_json ?(strategy = Exhaustive) spec outcomes =
   Json.Assoc
@@ -475,70 +440,6 @@ let write_checkpoint ?strategy path spec outcomes =
   output_char oc '\n';
   close_out oc;
   Sys.rename tmp path
-
-(* ------------------------------------------------------------------ *)
-(* Budgeted greedy exploration: deterministic seeds, then expansion to
-   the lattice neighbours of the current frontier.                     *)
-
-let index_of arr v =
-  let n = Array.length arr in
-  let rec go i = if i >= n then None else if arr.(i) = v then Some i else go (i + 1) in
-  go 0
-
-let seeds_of_axes (kernels, grids, ports, kinds, l1s, l2s) =
-  let mid a = (Array.length a - 1) / 2 in
-  let last a = Array.length a - 1 in
-  let point ik (ig, ip, ikd, i1, i2) =
-    let rows, cols = grids.(ig) in
-    {
-      kernel = kernels.(ik);
-      rows;
-      cols;
-      mem_ports = ports.(ip);
-      kind = kinds.(ikd);
-      l1_kb = l1s.(i1);
-      l2_kb = l2s.(i2);
-    }
-  in
-  let per_kernel ik =
-    [
-      point ik (0, 0, 0, 0, 0);
-      point ik (last grids, last ports, last kinds, last l1s, last l2s);
-      point ik (mid grids, mid ports, mid kinds, mid l1s, mid l2s);
-    ]
-  in
-  List.concat_map per_kernel (List.init (Array.length kernels) Fun.id) |> dedup
-
-let neighbours_of_point ((kernels, grids, ports, kinds, l1s, l2s) as _axes) p =
-  match
-    ( index_of kernels p.kernel,
-      index_of grids (p.rows, p.cols),
-      index_of ports p.mem_ports,
-      index_of kinds p.kind,
-      index_of l1s p.l1_kb,
-      index_of l2s p.l2_kb )
-  with
-  | Some _, Some ig, Some ip, Some ikd, Some i1, Some i2 ->
-    let mk (ig, ip, ikd, i1, i2) =
-      let rows, cols = grids.(ig) in
-      { p with rows; cols; mem_ports = ports.(ip); kind = kinds.(ikd);
-               l1_kb = l1s.(i1); l2_kb = l2s.(i2) }
-    in
-    let dim len i delta = let j = i + delta in if j >= 0 && j < len then Some j else None in
-    List.filter_map Fun.id
-      [
-        Option.map (fun j -> mk (j, ip, ikd, i1, i2)) (dim (Array.length grids) ig (-1));
-        Option.map (fun j -> mk (j, ip, ikd, i1, i2)) (dim (Array.length grids) ig 1);
-        Option.map (fun j -> mk (ig, j, ikd, i1, i2)) (dim (Array.length ports) ip (-1));
-        Option.map (fun j -> mk (ig, j, ikd, i1, i2)) (dim (Array.length ports) ip 1);
-        Option.map (fun j -> mk (ig, ip, j, i1, i2)) (dim (Array.length kinds) ikd (-1));
-        Option.map (fun j -> mk (ig, ip, j, i1, i2)) (dim (Array.length kinds) ikd 1);
-        Option.map (fun j -> mk (ig, ip, ikd, j, i2)) (dim (Array.length l1s) i1 (-1));
-        Option.map (fun j -> mk (ig, ip, ikd, j, i2)) (dim (Array.length l1s) i1 1);
-        Option.map (fun j -> mk (ig, ip, ikd, i1, j)) (dim (Array.length l2s) i2 (-1));
-        Option.map (fun j -> mk (ig, ip, ikd, i1, j)) (dim (Array.length l2s) i2 1);
-      ]
-  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Guided search surrogate: the analytical cost model prices a lattice
@@ -641,12 +542,6 @@ let run ?jobs ?checkpoint ?(resume = false) ?stop_after ?(strategy = Exhaustive)
     ?defect spec =
   let ( let* ) = Result.bind in
   let* () = validate_spec spec in
-  let* () =
-    match (strategy, spec.budget) with
-    | Guided, Some _ ->
-      Error "spec: the guided strategy sets its own budget; drop the spec's"
-    | _ -> Ok ()
-  in
   let* prior = load_checkpoint ~strategy ~resume ~checkpoint spec in
   let known : (point, outcome) Hashtbl.t = Hashtbl.create 97 in
   List.iter (fun o -> Hashtbl.replace known o.point o) prior;
@@ -720,9 +615,9 @@ let run ?jobs ?checkpoint ?(resume = false) ?stop_after ?(strategy = Exhaustive)
           slots;
         not !stopped
       in
-      match (strategy, spec.budget) with
-      | Exhaustive, None -> ignore (eval_batch all_points)
-      | Guided, _ ->
+      match strategy with
+      | Exhaustive -> ignore (eval_batch all_points)
+      | Guided ->
         (* Surrogate-ranked successive halving. One engine-measured seed per
            kernel calibrates the model's cycles-per-iteration; the model
            then prices every remaining point, candidates are ranked by the
@@ -854,30 +749,7 @@ let run ?jobs ?checkpoint ?(resume = false) ?stop_after ?(strategy = Exhaustive)
             end
           end
         in
-        halve order (max 1 ((List.length order + 3) / 4))
-      | Exhaustive, Some budget ->
-        let axes = axes_of_spec spec in
-        let scheduled = Hashtbl.create 97 in
-        let total = ref 0 in
-        let rec round batch =
-          let batch =
-            List.filter (fun p -> not (Hashtbl.mem scheduled p)) (dedup batch)
-          in
-          let room = budget - !total in
-          if room > 0 && batch <> [] then begin
-            let chosen = take room batch in
-            List.iter (fun p -> Hashtbl.replace scheduled p ()) chosen;
-            total := !total + List.length chosen;
-            if eval_batch chosen then
-              let front = frontier (List.rev !outcomes_rev) in
-              let next =
-                List.concat_map (fun o -> neighbours_of_point axes o.point) front
-                |> List.sort_uniq compare
-              in
-              round next
-          end
-        in
-        round (seeds_of_axes axes));
+        halve order (max 1 ((List.length order + 3) / 4)));
   let outcomes = List.rev !outcomes_rev in
   Ok
     {
@@ -961,7 +833,6 @@ let experiment ?jobs () =
       kinds = [ Interconnect.Mesh_noc ];
       l1_kb = [ 64 ];
       l2_kb = [ 8192 ];
-      budget = None;
     }
   in
   match run ?jobs spec with
@@ -988,7 +859,6 @@ let guided_experiment ?jobs () =
       kinds = [ Interconnect.Mesh_noc ];
       l1_kb = [ 64 ];
       l2_kb = [ 8192 ];
-      budget = None;
     }
   in
   match (run ?jobs spec, run ?jobs ~strategy:Guided spec) with

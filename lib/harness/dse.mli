@@ -3,13 +3,14 @@
 
     A {!spec} names the axes of the sweep — kernel subset, grid geometries,
     cache-port counts, interconnect backends, L1/L2 capacities — and the
-    explorer measures every combination (or, with a [budget], a greedy
-    subset expanding around the current Pareto frontier). Point enumeration
-    is a pure function of the spec and every measurement is deterministic,
-    so two runs of the same spec are bit-identical — including a run that
-    was killed and resumed from its checkpoint, at any [jobs] value: points
-    fan out across a {!Pool} but results are assembled in submission order,
-    and the checkpoint always holds a prefix of that order.
+    explorer measures every combination, or with the [Guided] strategy a
+    cost-model-ranked subset that reaches the same Pareto frontier. Point
+    enumeration is a pure function of the spec and every measurement is
+    deterministic, so two runs of the same spec are bit-identical —
+    including a run that was killed and resumed from its checkpoint, at any
+    [jobs] value: points fan out across a {!Pool} but results are assembled
+    in submission order, and the checkpoint always holds a prefix of that
+    order.
 
     Each point runs the kernel's hot loop on the engine (translation shared
     through {!Runner}'s memo: the LDFG once per kernel, the placement once
@@ -52,10 +53,7 @@ type outcome = {
 
 (** The sweep specification. Every axis list is deduplicated in user order;
     the exhaustive point list is the cartesian product, kernels outermost,
-    L2 innermost. [budget = Some n] switches to capped greedy exploration:
-    deterministic seeds (lattice corners and centre per kernel), then
-    repeated expansion to the lattice neighbours of the current frontier
-    until the budget or the reachable space is exhausted. *)
+    L2 innermost. *)
 type spec = {
   kernels : string list;
   grids : (int * int) list;     (** (rows, cols) *)
@@ -63,19 +61,18 @@ type spec = {
   kinds : Interconnect.kind list;
   l1_kb : int list;
   l2_kb : int list;
-  budget : int option;
 }
 
 val default_spec : spec
 (** nn/kmeans/bfs over 4x4..16x8 grids, 2/4/8 ports, the mesh+NoC backend,
-    64 KB L1, 8 MB L2, no budget. *)
+    64 KB L1, 8 MB L2. *)
 
 val validate_spec : spec -> (unit, string) result
 (** Kernels exist, axes non-empty, geometries/ports/capacities positive
     (capacities must keep the cache geometry valid: power-of-two KB). *)
 
 val points_of_spec : spec -> point list
-(** The exhaustive enumeration (pure; ignores [budget]). *)
+(** The exhaustive enumeration (pure). *)
 
 val evaluate : point -> outcome
 (** Measure one point (deterministic; safe to call from pool workers). *)
@@ -85,8 +82,7 @@ val kind_of_string : string -> (Interconnect.kind, string) result
 
 (** {2 Search strategies} *)
 
-(** How the lattice is explored. [Exhaustive] measures every point (or the
-    spec's greedy [budget] subset). [Guided] measures one calibration seed
+(** How the lattice is explored. [Exhaustive] measures every point. [Guided] measures one calibration seed
     per kernel, prices every remaining point with the analytical
     {!Cost_model} surrogate, and runs surrogate-ranked successive halving
     with τ-dominance pruning — stopping once every unmeasured candidate is
@@ -145,7 +141,7 @@ type result = {
   strategy : strategy;
   outcomes : outcome list;  (** assembly order: enumeration order for
                                 exhaustive sweeps, evaluation order for
-                                budgeted/guided ones *)
+                                guided ones *)
   front : outcome list;
   complete : bool;          (** false when [stop_after] cut the run short *)
   evaluated : int;          (** points measured fresh by this run *)
@@ -176,8 +172,8 @@ val run :
     different spec or strategy is an error. [stop_after n] returns after [n]
     fresh measurements (the test suite's deterministic stand-in for a kill).
     [jobs] sizes the worker pool; the result is bit-identical for any value.
-    [strategy] defaults to [Exhaustive]; [Guided] rejects specs with a
-    [budget] (it sets its own: at most half the lattice is measured).
+    [strategy] defaults to [Exhaustive]; [Guided] measures at most half
+    the lattice.
     [defect] injects a search defect for mutation tests. *)
 
 val result_to_json : result -> Json.t

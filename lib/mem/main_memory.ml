@@ -60,14 +60,6 @@ let load_word t addr =
   check t addr 4;
   Int32.to_int (Bytes.get_int32_le t.data addr)
 
-let load_dword t addr =
-  check t addr 8;
-  Bytes.get_int64_le t.data addr
-
-let store_dword t addr v =
-  check t addr 8;
-  Bytes.set_int64_le t.data addr v
-
 let store_byte t addr v =
   check t addr 1;
   Bytes.set t.data addr (Char.chr (v land 0xFF))

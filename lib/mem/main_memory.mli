@@ -36,13 +36,9 @@ val load_half_u : t -> int -> int
 val load_word : t -> int -> int
 (** Sign-extended 32-bit word. *)
 
-val load_dword : t -> int -> int64
-(** 64-bit doubleword (for the RV64I interpreter). *)
-
 val store_byte : t -> int -> int -> unit
 val store_half : t -> int -> int -> unit
 val store_word : t -> int -> int -> unit
-val store_dword : t -> int -> int64 -> unit
 
 val load_float32 : t -> int -> float
 (** Read 4 bytes as an IEEE-754 single; the result is exactly representable

@@ -504,3 +504,63 @@ let frame_of_json j =
   let* f_deltas = int_assoc "deltas" j in
   let* f_totals = int_assoc "totals" j in
   Ok { f_seq; f_at_ms; f_dropped; f_outcomes; f_kernels; f_deltas; f_totals }
+
+(* ---------------- stream validation ---------------- *)
+
+let check ?stats ?(require = []) frames =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  (match frames with
+  | [] -> fail "no frames"
+  | first :: rest ->
+    (* Per-watcher frame sequence is gap-free and monotone; the hub clock
+       and the shed-tick counter never go backwards. *)
+    List.iteri
+      (fun i f ->
+        if f.f_seq <> first.f_seq + i then
+          fail "frame %d: seq %d, expected %d" i f.f_seq (first.f_seq + i))
+      frames;
+    let last =
+      List.fold_left
+        (fun prev f ->
+          if f.f_at_ms < prev.f_at_ms then fail "frame %d: at_ms went backwards" f.f_seq;
+          if f.f_dropped < prev.f_dropped then
+            fail "frame %d: dropped went backwards" f.f_seq;
+          f)
+        first rest
+    in
+    (* Closure: a watcher's baseline starts empty, so per-outcome deltas
+       summed over the whole stream telescope to the final totals — if a
+       frame was lost or fabricated, the sum breaks. *)
+    List.iter
+      (fun (name, r) ->
+        let sum =
+          List.fold_left
+            (fun acc f ->
+              match List.assoc_opt name f.f_outcomes with
+              | Some r -> acc + r.o_delta
+              | None -> acc)
+            0 frames
+        in
+        if sum <> r.o_total then
+          fail "outcome %s: summed deltas %d <> final total %d" name sum r.o_total;
+        match stats with
+        | None -> ()
+        | Some snap ->
+          let stat =
+            Option.value ~default:0 (Stats.find_int snap ("service.outcomes." ^ name))
+          in
+          if stat <> r.o_total then
+            fail "outcome %s: stream total %d <> stats snapshot %d" name r.o_total stat)
+      last.f_outcomes;
+    List.iter
+      (fun path ->
+        let n =
+          Option.value ~default:0
+            (match stats with
+            | Some snap -> Stats.find_int snap path
+            | None -> List.assoc_opt path last.f_totals)
+        in
+        if n < 1 then fail "gate: %s = %d (must be > 0)" path n)
+      require);
+  match List.rev !failures with [] -> Ok () | fs -> Error fs

@@ -165,3 +165,16 @@ val note_missed : watcher -> int -> unit
 val next_frame : t -> watcher -> Stats.snapshot -> frame
 (** Build the watcher's next frame against [snapshot] (the service's
     current stats) and advance its baseline. *)
+
+(** {2 Stream validation} *)
+
+val check :
+  ?stats:Stats.snapshot -> ?require:string list -> frame list ->
+  (unit, string list) result
+(** Validate a recorded watch stream: the frame sequence is gap-free, the
+    clock and shed counters never go backwards, and the per-outcome deltas
+    summed over the stream equal the last frame's totals. With [stats] (the
+    daemon's final snapshot) those totals must also equal its
+    [service.outcomes.*] counters. Each counter path in [require] must be
+    at least 1, read from [stats] when given, else from the last frame's
+    totals. An empty stream fails. [Error] lists every failure found. *)

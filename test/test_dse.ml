@@ -27,7 +27,6 @@ let points_of_spec_shape () =
       kinds = [ Interconnect.Mesh_noc ];
       l1_kb = [ 64 ];
       l2_kb = [ 1024; 8192 ];
-      budget = None;
     }
   in
   let pts = Dse.points_of_spec spec in
@@ -52,9 +51,7 @@ let spec_validation () =
   check Alcotest.bool "bad grid rejected" false
     (ok { Dse.default_spec with Dse.grids = [ (0, 4) ] });
   check Alcotest.bool "non-pow2 cache rejected" false
-    (ok { Dse.default_spec with Dse.l1_kb = [ 48 ] });
-  check Alcotest.bool "zero budget rejected" false
-    (ok { Dse.default_spec with Dse.budget = Some 0 })
+    (ok { Dse.default_spec with Dse.l1_kb = [ 48 ] })
 
 (* -------------------- point evaluation -------------------- *)
 
@@ -191,8 +188,7 @@ let gen_checkpoint =
     list_size (1 -- 2) gen_kind >>= fun kinds ->
     list_size (1 -- 2) (oneofl [ 16; 64 ]) >>= fun l1_kb ->
     list_size (1 -- 2) (oneofl [ 1024; 8192 ]) >>= fun l2_kb ->
-    opt (int_range 1 20) >>= fun budget ->
-    return { Dse.kernels; grids; ports; kinds; l1_kb; l2_kb; budget }
+    return { Dse.kernels; grids; ports; kinds; l1_kb; l2_kb }
   in
   triple spec
     (oneofl [ Dse.Exhaustive; Dse.Guided ])
@@ -237,7 +233,6 @@ let small_spec =
     kinds = [ Interconnect.Mesh_noc ];
     l1_kb = [ 64 ];
     l2_kb = [ 8192 ];
-    budget = None;
   }
 
 let result_text r = Json.to_string ~indent:2 (Dse.result_to_json r)
@@ -292,31 +287,6 @@ let mismatched_checkpoint_rejected () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "checkpoint from a different spec must be rejected")
 
-let budget_run_is_deterministic () =
-  let spec =
-    {
-      Dse.kernels = [ "nn" ];
-      grids = [ (4, 4); (8, 4); (8, 8); (16, 8) ];
-      ports = [ 2; 4; 8 ];
-      kinds = [ Interconnect.Mesh_noc ];
-      l1_kb = [ 64 ];
-      l2_kb = [ 8192 ];
-      budget = Some 6;
-    }
-  in
-  let a = run_exn ~jobs:1 spec and b = run_exn ~jobs:4 spec in
-  check Alcotest.bool "budget respected" true (List.length a.Dse.outcomes <= 6);
-  check Alcotest.bool "budget explores something" true (a.Dse.outcomes <> []);
-  check Alcotest.string "greedy trajectory deterministic" (result_text a)
-    (result_text b);
-  (* Interrupt + resume must replay the same trajectory: restored points
-     count against the budget exactly like fresh ones. *)
-  with_ckpt_file (fun ckpt ->
-      let _ = run_exn ~jobs:2 ~checkpoint:ckpt ~stop_after:2 spec in
-      let resumed = run_exn ~jobs:2 ~checkpoint:ckpt ~resume:true spec in
-      check Alcotest.string "budgeted resume bit-identical" (result_text a)
-        (result_text resumed))
-
 (* -------------------- guided strategy -------------------- *)
 
 (* The pinned sub-space the guided strategy is gated on (also the CI smoke
@@ -331,7 +301,6 @@ let guided_spec =
     kinds = [ Interconnect.Mesh_noc ];
     l1_kb = [ 64 ];
     l2_kb = [ 8192 ];
-    budget = None;
   }
 
 let front_labels (r : Dse.result) =
@@ -412,12 +381,7 @@ let guided_guardrails () =
       match Dse.run ~checkpoint:ckpt ~resume:true guided_spec with
       | Error _ -> ()
       | Ok _ ->
-        Alcotest.fail "exhaustive resume from a guided checkpoint must be rejected");
-  match
-    Dse.run ~strategy:Dse.Guided { guided_spec with Dse.budget = Some 4 }
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "guided strategy with a spec budget must be rejected"
+        Alcotest.fail "exhaustive resume from a guided checkpoint must be rejected")
 
 let stats_and_timeline () =
   let r = run_exn ~jobs:2 small_spec in
@@ -455,8 +419,6 @@ let suites =
         Alcotest.test_case "jobs value immaterial" `Slow jobs_value_is_immaterial;
         Alcotest.test_case "mismatched checkpoint rejected" `Quick
           mismatched_checkpoint_rejected;
-        Alcotest.test_case "budgeted run deterministic" `Slow
-          budget_run_is_deterministic;
         Alcotest.test_case "guided reaches frontier cheaply" `Slow
           guided_reaches_frontier_cheaply;
         Alcotest.test_case "inverted rank misses frontier" `Slow

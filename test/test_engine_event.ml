@@ -1,6 +1,6 @@
 (* Differential pinning of the event-driven engine against the legacy
-   reference engine ({!Engine_reference}, kept as a test-only oracle behind
-   [?engine:`Reference]).
+   reference engine ({!Engine_reference}, the test-only oracle library in
+   test/oracle).
 
    The event core memoizes steady-state arrival folds, batches fault clock
    advances and indexes store-to-load disambiguation — all pure
@@ -38,6 +38,10 @@ type observation = {
   o_attr_cycles : int;
 }
 
+let execute = function
+  | `Event -> Engine.execute
+  | `Reference -> Engine_reference.execute
+
 let run_one ~engine ?fault_spec (d : draw) =
   let k = Gen.arch_case_kernel d.arch in
   let grid =
@@ -57,7 +61,7 @@ let run_one ~engine ?fault_spec (d : draw) =
     let fault = Option.map (fun spec -> Fault.create ~grid spec) fault_spec in
     let hier = Hierarchy.create Hierarchy.default_config in
     let out =
-      match Engine.execute ~engine ~attribution ?fault ~config ~dfg ~machine ~hier () with
+      match execute engine ~attribution ?fault ~config ~dfg ~machine ~hier () with
       | Error e -> Alcotest.failf "%s: %s" k.Kernel.name e
       | Ok res ->
         Some

@@ -1,131 +1,5 @@
 let check = Alcotest.check
 
-(* -------------------- bitstream codec -------------------- *)
-
-let full_config_of (k : Kernel.t) =
-  let dfg = Runner.dfg_of_kernel k in
-  let model = Perf_model.create dfg in
-  let placement =
-    Result.get_ok (Mapper.map ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc model)
-  in
-  let mo = Mem_opt.analyze dfg in
-  let ld =
-    Loop_opt.decide ~grid:Grid.m128 ~dfg
-      ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
-  in
-  ( dfg,
-    Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-      ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-      ~tiling:ld.Loop_opt.tiling ~pipelined:ld.Loop_opt.pipelined placement )
-
-let bitstream_roundtrip_all_kernels () =
-  List.iter
-    (fun (k : Kernel.t) ->
-      let dfg, config = full_config_of k in
-      let image = Bitstream.encode dfg config in
-      match Bitstream.decode image with
-      | Error e -> Alcotest.failf "%s: decode failed: %s" k.Kernel.name e
-      | Ok (dfg', config') ->
-        check Alcotest.bool (k.Kernel.name ^ " graph roundtrips") true (dfg = dfg');
-        check Alcotest.bool (k.Kernel.name ^ " placement roundtrips") true
-          (config'.Accel_config.placement.Placement.assign
-          = config.Accel_config.placement.Placement.assign);
-        check Alcotest.bool (k.Kernel.name ^ " options roundtrip") true
-          (config'.Accel_config.forwarding = config.Accel_config.forwarding
-          && config'.Accel_config.vector_groups = config.Accel_config.vector_groups
-          && config'.Accel_config.prefetched = config.Accel_config.prefetched
-          && config'.Accel_config.tiling = config.Accel_config.tiling
-          && config'.Accel_config.pipelined = config.Accel_config.pipelined))
-    (Workloads.all ())
-
-let bitstream_detects_corruption () =
-  let dfg, config = full_config_of (Workloads.find "nn") in
-  let image = Bitstream.encode dfg config in
-  check Alcotest.bool "starts with magic" true (image.(0) = Bitstream.magic);
-  (* Flip one bit anywhere: the checksum must catch it. *)
-  let corrupt = Array.copy image in
-  corrupt.(7) <- Int32.logxor corrupt.(7) 0x10l;
-  check Alcotest.bool "corruption rejected" true (Result.is_error (Bitstream.decode corrupt));
-  (* Truncation. *)
-  check Alcotest.bool "truncation rejected" true
-    (Result.is_error (Bitstream.decode (Array.sub image 0 (Array.length image / 2))));
-  (* Wrong magic. *)
-  let bad = Array.copy image in
-  bad.(0) <- 0l;
-  check Alcotest.bool "bad magic rejected" true (Result.is_error (Bitstream.decode bad))
-
-let bitstream_size_close_to_model () =
-  List.iter
-    (fun name ->
-      let k = Workloads.find name in
-      let dfg, config = full_config_of k in
-      let real = Bitstream.size_bits dfg config in
-      (* The analytic model charges per tiled instance; the codec stores one
-         instance plus graph metadata. They must agree within a small
-         factor for untiled images. *)
-      let untiled = { config with Accel_config.tiling = 1 } in
-      let modeled = Accel_config.bitstream_bits untiled dfg in
-      let real1 = Bitstream.size_bits dfg untiled in
-      check Alcotest.bool (name ^ " size plausible") true
-        (real > 0 && real1 <= 4 * modeled && modeled <= 4 * real1))
-    [ "nn"; "kmeans"; "btree" ]
-
-(* The decoded bitstream must drive the fabric to the same results as the
-   in-memory configuration: encode, decode, execute both, compare. *)
-let bitstream_execution_equivalence () =
-  let k = Workloads.nn ~n:400 () in
-  let dfg, config = full_config_of k in
-  let image = Bitstream.encode dfg config in
-  let dfg', config' = Result.get_ok (Bitstream.decode image) in
-  let run d c =
-    let mem = Main_memory.create () in
-    let machine = Kernel.prepare k mem in
-    let hier = Hierarchy.create Hierarchy.default_config in
-    match Engine.execute ~config:c ~dfg:d ~machine ~hier () with
-    | Ok res -> (res.Engine.cycles, mem)
-    | Error e -> Alcotest.fail e
-  in
-  let cyc1, mem1 = run dfg config in
-  let cyc2, mem2 = run dfg' config' in
-  check Alcotest.int "same cycles" cyc1 cyc2;
-  check Alcotest.bool "same memory" true (Main_memory.equal mem1 mem2)
-
-let bitstream_random_loops =
-  QCheck2.Test.make ~name:"bitstream roundtrip on random loops" ~count:60
-    ~print:Gen.loop_spec_print Gen.loop_spec (fun spec ->
-      let prog, _ = Gen.build_loop spec in
-      let code = Program.code prog in
-      let n_loop =
-        1
-        + (Array.to_list code
-          |> List.mapi (fun i x -> (i, x))
-          |> List.find (fun (_, x) ->
-                 match x with Isa.Branch (_, _, _, o) -> o < 0 | _ -> false)
-          |> fst)
-      in
-      let region =
-        {
-          Region.entry = Program.base prog;
-          back_branch_addr = Program.base prog + (4 * (n_loop - 1));
-          instrs = Array.sub code 0 n_loop;
-          pragma = None;
-          observed_iterations = 8;
-        }
-      in
-      match Ldfg.build region with
-      | Error _ -> false
-      | Ok dfg -> (
-        match Mapper.map ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc (Perf_model.create dfg) with
-        | Error _ -> false
-        | Ok placement -> (
-          let config = Accel_config.plain placement in
-          match Bitstream.decode (Bitstream.encode dfg config) with
-          | Ok (dfg', config') ->
-            dfg = dfg'
-            && config'.Accel_config.placement.Placement.assign
-               = placement.Placement.assign
-          | Error _ -> false)))
-
 (* -------------------- imap FSM -------------------- *)
 
 let fsm_matches_closed_form () =
@@ -167,83 +41,52 @@ let fsm_timing_diagram () =
     && String.exists (( = ) 'W') d);
   check Alcotest.string "state names" "reduce[3]" (Imap_fsm.state_name (Imap_fsm.Reduce 3))
 
-(* -------------------- annealing refinement -------------------- *)
+(* -------------------- schedule view -------------------- *)
 
-let anneal_never_worse () =
-  List.iter
-    (fun name ->
-      let dfg = Runner.dfg_of_kernel (Workloads.find name) in
-      let model = Perf_model.create dfg in
-      let greedy =
-        Result.get_ok (Mapper.map ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc model)
-      in
-      let refined, stats =
-        Mapper_anneal.refine ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc ~model greedy
-      in
-      check Alcotest.bool (name ^ " still valid") true
-        (Placement.validate dfg refined = Ok ());
-      check Alcotest.bool (name ^ " never worse") true
-        (stats.Mapper_anneal.final_latency
-        <= stats.Mapper_anneal.initial_latency +. 1e-9);
-      check Alcotest.bool (name ^ " model describes result") true
-        (Float.abs (Perf_model.iteration_latency model -. stats.Mapper_anneal.final_latency)
-        < 1e-6))
-    [ "nn"; "cfd"; "kmeans" ]
-
-let anneal_deterministic () =
-  let dfg = Runner.dfg_of_kernel (Workloads.find "cfd") in
-  let run () =
-    let model = Perf_model.create dfg in
-    let greedy =
-      Result.get_ok (Mapper.map ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc model)
-    in
-    let refined, _ =
-      Mapper_anneal.refine ~seed:99 ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc ~model greedy
-    in
-    refined.Placement.assign
-  in
-  check Alcotest.bool "same seed, same placement" true (run () = run ())
-
-let anneal_improves_bad_start () =
-  (* Scatter a placement deliberately (far corners) and expect the search
-     to claw back latency. *)
-  let dfg = Runner.dfg_of_kernel (Workloads.find "nn") in
+let schedule_slots_consistent () =
+  let dfg = Runner.dfg_of_kernel (Workloads.find "gaussian") in
   let model = Perf_model.create dfg in
-  let greedy =
+  let placement =
     Result.get_ok (Mapper.map ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc model)
   in
-  (* Build a bad-but-valid placement: compute nodes pushed to the far
-     (bottom-right) end of the array, scanning backwards for the first free
-     compatible PE. *)
-  let assign = Array.copy greedy.Placement.assign in
-  let coords = ref [] in
-  Grid.iter_coords Grid.m128 (fun c -> coords := c :: !coords);
-  let remaining = ref !coords (* bottom-right first *) in
+  let slots = Schedule_view.compute model placement in
+  check Alcotest.int "one slot per node" (Dfg.node_count dfg) (Array.length slots);
   Array.iteri
-    (fun i nd ->
-      if not (Isa.is_memory nd.Dfg.instr) then begin
-        let cls = Isa.op_class nd.Dfg.instr in
-        let rec take acc = function
-          | [] -> Alcotest.fail "no compatible PE left"
-          | c :: rest when Grid.supports Grid.m128 c cls ->
-            remaining := List.rev_append acc rest;
-            c
-          | c :: rest -> take (c :: acc) rest
-        in
-        assign.(i) <- Placement.Pe (take [] !remaining)
-      end)
-    dfg.Dfg.nodes;
-  let bad = Placement.make Grid.m128 Interconnect.Mesh_noc assign in
-  check Alcotest.bool "bad placement is valid" true (Placement.validate dfg bad = Ok ());
-  let _, stats =
-    Mapper_anneal.refine ~proposals:4000 ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc
-      ~model bad
+    (fun i s ->
+      check Alcotest.int "indexed" i s.Schedule_view.node;
+      check Alcotest.bool "duration = op latency" true
+        (Float.abs (s.Schedule_view.finish -. s.Schedule_view.start
+                    -. Perf_model.op_latency model i)
+        < 1e-9))
+    slots;
+  check (Alcotest.float 1e-9) "makespan = model latency"
+    (Perf_model.iteration_latency model)
+    (Schedule_view.makespan slots);
+  (* Dependencies never start before their producers finish. *)
+  Array.iteri
+    (fun j nd ->
+      Array.iter
+        (function
+          | Dfg.Node i ->
+            check Alcotest.bool "producer first" true
+              (slots.(i).Schedule_view.finish <= slots.(j).Schedule_view.start +. 1e-9)
+          | Dfg.Reg_in _ -> ())
+        nd.Dfg.srcs)
+    dfg.Dfg.nodes
+
+let schedule_gantt_renders () =
+  let dfg = Runner.dfg_of_kernel (Workloads.find "nn") in
+  let model = Perf_model.create dfg in
+  let placement =
+    Result.get_ok (Mapper.map ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc model)
   in
-  check Alcotest.bool "refinement improves a scattered start" true
-    (stats.Mapper_anneal.final_latency < stats.Mapper_anneal.initial_latency);
-  check Alcotest.bool "bookkeeping" true
-    (stats.Mapper_anneal.accepted >= stats.Mapper_anneal.improved
-    && stats.Mapper_anneal.proposals = 4000)
+  let slots = Schedule_view.compute model placement in
+  let g = Schedule_view.gantt dfg slots in
+  check Alcotest.bool "has bars" true (String.exists (( = ) '=') g);
+  check Alcotest.bool "mentions LS entries" true
+    (String.length g > 0
+    && String.split_on_char '\n' g
+       |> List.exists (fun l -> String.length l > 6 && String.sub l 5 2 = "LS"))
 
 (* -------------------- ablation -------------------- *)
 
@@ -312,14 +155,6 @@ let chart_rendering () =
 
 let suites =
   [
-    ( "bitstream",
-      [
-        Alcotest.test_case "roundtrip on all kernels" `Quick bitstream_roundtrip_all_kernels;
-        Alcotest.test_case "detects corruption" `Quick bitstream_detects_corruption;
-        Alcotest.test_case "size close to model" `Quick bitstream_size_close_to_model;
-        Alcotest.test_case "execution equivalence" `Quick bitstream_execution_equivalence;
-        QCheck_alcotest.to_alcotest bitstream_random_loops;
-      ] );
     ( "imap_fsm",
       [
         Alcotest.test_case "matches closed form" `Quick fsm_matches_closed_form;
@@ -327,11 +162,10 @@ let suites =
         Alcotest.test_case "reduction depth" `Quick fsm_reduction_depth;
         Alcotest.test_case "timing diagram" `Quick fsm_timing_diagram;
       ] );
-    ( "mapper_anneal",
+    ( "schedule_view",
       [
-        Alcotest.test_case "never worse" `Quick anneal_never_worse;
-        Alcotest.test_case "deterministic" `Quick anneal_deterministic;
-        Alcotest.test_case "improves a scattered start" `Quick anneal_improves_bad_start;
+        Alcotest.test_case "slots consistent" `Quick schedule_slots_consistent;
+        Alcotest.test_case "gantt renders" `Quick schedule_gantt_renders;
       ] );
     ( "ablation",
       [

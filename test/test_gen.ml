@@ -176,6 +176,17 @@ let generated_specs_are_valid =
       Tile_dsl.validate spec = Ok ()
       && Result.is_ok (Tile_lower.lower spec))
 
+(* Kernel seed 3681531913123123863 (case 406 of `fuzz --seed 6`) once drew
+   an expression needing 6 scratch slots; the fuzzer then reported a
+   failure its shrinker could not reproduce. *)
+let rejected_draw_is_redrawn () =
+  let seed = 3681531913123123863 in
+  let spec = Tile_gen.generate ~seed in
+  chk Alcotest.bool "validates" true (Tile_dsl.validate spec = Ok ());
+  chk Alcotest.bool "lowers" true (Result.is_ok (Tile_lower.lower spec));
+  chk Alcotest.int "keeps the caller's seed" seed spec.Tile_dsl.seed;
+  chk Alcotest.bool "deterministic" true (Tile_gen.generate ~seed = spec)
+
 let lowering_is_deterministic =
   QCheck2.Test.make ~name:"lowering is deterministic (byte-identical)" ~count:60
     ~print:string_of_int gen_seed (fun seed ->
@@ -322,6 +333,7 @@ let suites =
         Alcotest.test_case "tile / untile lowering" `Quick tile_lowering;
         Alcotest.test_case "validate rejects bad shapes" `Quick validate_rejects_bad_shapes;
         QCheck_alcotest.to_alcotest generated_specs_are_valid;
+        Alcotest.test_case "rejected draw is re-drawn" `Quick rejected_draw_is_redrawn;
         QCheck_alcotest.to_alcotest lowering_is_deterministic;
         QCheck_alcotest.to_alcotest json_roundtrip;
         QCheck_alcotest.to_alcotest programs_well_formed;

@@ -61,12 +61,14 @@ let execute_refined ~engine (r : Refine.report) (k : Kernel.t) =
   let attribution = Attribution.create ~grid () in
   Attribution.begin_window attribution ~at:0.0;
   let hier = Hierarchy.create Hierarchy.default_config in
+  let label, execute =
+    match engine with
+    | `Event -> ("event", Engine.execute)
+    | `Reference -> ("reference", Engine_reference.execute)
+  in
   let out =
-    match
-      Engine.execute ~engine ~attribution ~config ~dfg:r.Refine.dfg ~machine ~hier ()
-    with
-    | Error e -> Alcotest.failf "%s (%s engine): %s" k.Kernel.name
-        (match engine with `Event -> "event" | `Reference -> "reference") e
+    match execute ~attribution ~config ~dfg:r.Refine.dfg ~machine ~hier () with
+    | Error e -> Alcotest.failf "%s (%s engine): %s" k.Kernel.name label e
     | Ok res ->
       ( {
           o_res = res;

@@ -147,6 +147,71 @@ let watcher_deltas_close () =
     | None -> Alcotest.fail "ok row missing")
   done
 
+(* ---------------- stream validation ---------------- *)
+
+(* A four-frame watch stream over a registry whose [service.outcomes.ok]
+   and [telemetry.refine_accepts] counters move between frames, plus the
+   registry's final snapshot. *)
+let recorded_stream () =
+  let hub, now = manual_hub () in
+  let reg = Stats.registry () in
+  let og = Stats.subgroup (Stats.group reg "service") "outcomes" in
+  let ok = Stats.counter og "ok" in
+  let accepts = Stats.counter (Stats.group reg "telemetry") "refine_accepts" in
+  let w = Telemetry.watcher hub in
+  let frames =
+    List.init 4 (fun i ->
+        Stats.add ok (i + 1);
+        if i = 2 then Stats.incr accepts;
+        now := 100.0 *. float_of_int i;
+        Telemetry.next_frame hub w (Stats.snapshot reg))
+  in
+  (frames, Stats.snapshot reg)
+
+(* [r] must fail with a message containing [needle]. *)
+let rejected what needle r =
+  let contains s =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  match r with
+  | Ok () -> Alcotest.failf "%s accepted" what
+  | Error fs ->
+    if not (List.exists contains fs) then
+      Alcotest.failf "%s: no %S failure in [%s]" what needle (String.concat "; " fs)
+
+let check_accepts_clean_stream () =
+  let frames, stats = recorded_stream () in
+  match Telemetry.check ~stats ~require:[ "telemetry.refine_accepts" ] frames with
+  | Ok () -> ()
+  | Error fs -> Alcotest.failf "clean stream rejected: %s" (String.concat "; " fs)
+
+let check_rejects_bad_streams () =
+  let frames, stats = recorded_stream () in
+  let patch i f = List.mapi (fun j fr -> if j = i then f fr else fr) frames in
+  rejected "seq gap" "expected" (Telemetry.check (List.filteri (fun i _ -> i <> 1) frames));
+  rejected "clock going backwards" "at_ms went backwards"
+    (Telemetry.check (patch 2 (fun f -> { f with Telemetry.f_at_ms = 0.0 })));
+  rejected "forged delta" "summed deltas"
+    (Telemetry.check
+       (patch 1 (fun f ->
+            {
+              f with
+              Telemetry.f_outcomes =
+                List.map
+                  (fun (name, r) ->
+                    (name, { r with Telemetry.o_delta = r.Telemetry.o_delta + 1 }))
+                  f.Telemetry.f_outcomes;
+            })));
+  rejected "stream disagreeing with the stats snapshot" "stats snapshot"
+    (Telemetry.check ~stats (List.filteri (fun i _ -> i < 3) frames));
+  rejected "unmet gate" "gate: telemetry.oracle_refreshes"
+    (Telemetry.check ~stats ~require:[ "telemetry.oracle_refreshes" ] frames);
+  rejected "empty stream" "no frames" (Telemetry.check [])
+
 (* ---------------- slow-consumer shedding ---------------- *)
 
 let ring_sheds_forward () =
@@ -246,6 +311,10 @@ let suites =
         Alcotest.test_case "frame json roundtrip" `Quick frame_json_roundtrip;
         Alcotest.test_case "span json roundtrip" `Quick span_json_roundtrip;
         Alcotest.test_case "watcher delta closure" `Quick watcher_deltas_close;
+        Alcotest.test_case "check accepts a clean stream" `Quick
+          check_accepts_clean_stream;
+        Alcotest.test_case "check rejects gaps, clock, forgery, gates" `Quick
+          check_rejects_bad_streams;
         Alcotest.test_case "ring sheds forward" `Quick ring_sheds_forward;
         Alcotest.test_case "telemetry on/off bit-identity" `Slow
           telemetry_on_off_bit_identical;
