@@ -18,7 +18,15 @@
    reference kernels: the Algorithm-1 baseline cycles, the refined cycles
    (engine-confirmed, so never worse) and the accepted-move count. Any
    change to the cost model's ranking or the refinement search shows up
-   here as a diff. *)
+   here as a diff.
+
+   A "model" section pins the cost model's exact outputs: for every
+   registry kernel that maps at M-64, [Cost_model.estimate] and
+   [Cost_model.predicted_activity] under the refine configuration at the
+   refine horizon (what [Refine.run] scores), and again under the plain
+   configuration (no tiling, no pipelining) so the non-pipelined II rule
+   is pinned too. Floats print at round-trip precision, so any change to
+   the model's timing arithmetic shows up here as a diff. *)
 
 let generated_seeds = [ 101; 202; 303 ]
 let refined_kernels = [ "nn"; "kmeans"; "bfs"; "cfd"; "hotspot" ]
@@ -45,6 +53,39 @@ let entry_of options name prepare program check =
           match reject with None -> Json.Null | Some r -> Json.String r );
         ("mem_checksum", Json.Int (Main_memory.checksum mem));
       ] )
+
+let model_entry ~iterations dfg config =
+  let e = Cost_model.estimate ~config ~dfg ~iterations () in
+  let a =
+    Cost_model.predicted_activity ~config ~dfg ~iterations ~cycles:e.Cost_model.cycles
+  in
+  Json.Assoc
+    [
+      ("cycles", Json.Int e.Cost_model.cycles);
+      ("ii", Json.Float e.Cost_model.ii);
+      ("ii_rec", Json.Float e.Cost_model.ii_rec);
+      ("ii_mem", Json.Float e.Cost_model.ii_mem);
+      ("ii_fu", Json.Float e.Cost_model.ii_fu);
+      ("iter_latency", Json.Float e.Cost_model.iter_latency);
+      ("simulated", Json.Int e.Cost_model.simulated);
+      ("steady", Json.Bool e.Cost_model.steady);
+      ( "critical",
+        Json.String (String.concat " " (List.map string_of_int e.Cost_model.critical)) );
+      ( "activity",
+        Json.Assoc
+          [
+            ("int_ops", Json.Int a.Activity.int_ops);
+            ("fp_ops", Json.Int a.Activity.fp_ops);
+            ("mem_ops", Json.Int a.Activity.mem_ops);
+            ("branch_ops", Json.Int a.Activity.branch_ops);
+            ("disabled_ops", Json.Int a.Activity.disabled_ops);
+            ("forwarded_loads", Json.Int a.Activity.forwarded_loads);
+            ("local_transfers", Json.Int a.Activity.local_transfers);
+            ("noc_transfers", Json.Int a.Activity.noc_transfers);
+            ("iterations", Json.Int a.Activity.iterations);
+            ("cycles", Json.Int a.Activity.cycles);
+          ] );
+    ]
 
 let () =
   let options = Controller.default_options ~grid:Grid.m64 () in
@@ -88,5 +129,23 @@ let () =
               ] ))
       refined_kernels
   in
+  let model =
+    List.filter_map
+      (fun (k : Kernel.t) ->
+        match Refine.run ~max_rounds:0 k with
+        | Error _ -> None
+        | Ok r ->
+          let iterations = min r.Refine.iterations 128 in
+          let plain = Accel_config.plain r.Refine.config.Accel_config.placement in
+          Some
+            ( k.Kernel.name,
+              Json.Assoc
+                [
+                  ("refine", model_entry ~iterations r.Refine.dfg r.Refine.config);
+                  ("plain", model_entry ~iterations r.Refine.dfg plain);
+                ] ))
+      (Workloads.all ())
+  in
   print_string
-    (Json.to_string ~indent:2 (Json.Assoc (suite @ generated @ refined)))
+    (Json.to_string ~indent:2
+       (Json.Assoc (suite @ generated @ refined @ [ ("model", Json.Assoc model) ])))
