@@ -107,9 +107,9 @@ let find_free t start =
   done;
   free
 
-(* Allocation-free claim: the sub-slot lands in [last_slot] instead of a
-   returned pair, keeping the engine's per-access path tuple-free. *)
-let claim_issue t ready =
+(* Tuple-free claim: the sub-slot lands in [last_slot] instead of a
+   returned pair. *)
+let claim t ready =
   let start = int_of_float (Float.ceil ready) in
   let cycle = find_free t (max 0 start) in
   let i = probe t cycle in
@@ -133,10 +133,9 @@ let claim_issue t ready =
   Float.max ready (float_of_int cycle)
 
 let claim_slot t ready =
-  let issue = claim_issue t ready in
+  let issue = claim t ready in
   (issue, t.last_slot)
 
-let claim t ready = claim_issue t ready
 let last_slot t = t.last_slot
 let claimed t = t.claimed
 let busy_cycles t = t.occupied

@@ -15,17 +15,13 @@ val create : capacity:int -> t
 
 val claim : t -> float -> float
 (** [claim t ready] books a slot and returns the issue time (>= [ready]).
-    The queuing delay is [claim t ready -. ready]. *)
+    The queuing delay is [claim t ready -. ready]; the sub-slot taken is
+    left in {!last_slot}. *)
 
 val claim_slot : t -> float -> float * int
 (** Like {!claim}, additionally returning which of the [capacity] sub-slots
     of the issue cycle the claim took (0-based occupancy order) — the
     profiler uses it as a deterministic port index for timeline lanes. *)
-
-val claim_issue : t -> float -> float
-(** Allocation-free {!claim_slot}: returns the issue time and records the
-    sub-slot in {!last_slot} instead of building a pair — the event-driven
-    engine's hot-path entry point. *)
 
 val last_slot : t -> int
 (** Sub-slot taken by the most recent claim (0 before any claim). *)

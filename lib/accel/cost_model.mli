@@ -1,8 +1,9 @@
 (** Analytical cycle estimator over a placed DFG — the model side of
     model-guided mapping and search.
 
-    The estimator replays the engine's timing equations without executing
-    anything: Equation-2 arrival folds over the placement's transfer
+    The estimator runs the engine's timing equations — the {!Timing}
+    plane the engine itself is built on — without executing anything:
+    Equation-2 arrival folds over the placement's transfer
     latencies, capacity-1 router-slice occupancy for NoC injections,
     cache-port occupancy for memory issues, and the pipelined initiation
     interval bounded by loop-carried recurrences, memory-port throughput and
@@ -68,8 +69,12 @@ val predicted_activity :
 
 val op_oracle_of_measured : Stats.snapshot -> (int -> float)
 (** An [op_latency] oracle reading ["node.<i>.latency"] means out of an
-    engine window's measured snapshot, falling back to the static table for
-    unmeasured (or memory) nodes. *)
+    engine window's measured snapshot. A node with no samples costs 1
+    cycle, not its static-table latency. An engine window samples every
+    node on every firing, guarded-off ones included, so that fallback is
+    reached only when the snapshot comes from another loop (or holds no
+    iteration). Memory nodes never consult this oracle: {!estimate} prices
+    them through [mem_latency]. *)
 
 val mem_oracle_of_measured : Stats.snapshot -> (int -> float)
 (** A [mem_latency] oracle reading ["node.<i>.amat"] means with the window's
