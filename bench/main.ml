@@ -13,25 +13,10 @@
                   (default 1; the tables are bit-identical for any N)
      --json PATH  dump per-experiment timings as JSON (schema v2: wall
                   clock plus simulated_cycles / cycles_per_second)
-     --check PATH compare against a baseline JSON: simulated_cycles must
-                  match exactly, cycles_per_second may not regress >2x
+     --check PATH compare against a baseline JSON: every experiment run
+                  must have an entry, simulated_cycles must match exactly,
+                  cycles_per_second may not regress >2x
      --csv DIR    write each outcome as CSV *)
-
-let experiments : (string * (jobs:int option -> Experiments.outcome)) list =
-  [
-    ("fig11", fun ~jobs -> Experiments.fig11 ?jobs ());
-    ("fig12", fun ~jobs -> Experiments.fig12 ?jobs ());
-    ("fig13", fun ~jobs -> Experiments.fig13 ?jobs ());
-    ("fig14", fun ~jobs -> Experiments.fig14 ?jobs ());
-    ("fig15", fun ~jobs -> Experiments.fig15 ?jobs ());
-    ("fig16", fun ~jobs -> Experiments.fig16 ?jobs ());
-    ("table1", fun ~jobs -> Experiments.table1 ?jobs ());
-    ("table2", fun ~jobs -> Experiments.table2 ?jobs ());
-    ("ablation", fun ~jobs -> Ablation.experiment ?jobs ());
-    ("dse", fun ~jobs -> Dse.experiment ?jobs ());
-    ("dse-guided", fun ~jobs -> Dse.guided_experiment ?jobs ());
-    ("refine", fun ~jobs -> Refine.experiment ?jobs ());
-  ]
 
 (* Figure-style ASCII charts rendered next to the tables. *)
 (* Parse a "1.33x"-style ratio cell. [None] on anything malformed — a
@@ -88,10 +73,10 @@ let chart_of name (o : Experiments.outcome) =
    equality-gate on it while only tolerance-gating the wall clock. *)
 let timings : (string * float * int) list ref = ref []
 
-let run_experiment ?csv_dir ?jobs name f =
+let run_experiment ?csv_dir ?jobs name (f : Suite.experiment) =
   let t0 = Unix.gettimeofday () in
   let c0 = Sim_meter.read () in
-  let outcome = f ~jobs in
+  let outcome = f ?jobs () in
   let dt = Unix.gettimeofday () -. t0 in
   let cycles = Sim_meter.read () - c0 in
   timings := (name, dt, cycles) :: !timings;
@@ -148,9 +133,10 @@ let write_timings ~path ~jobs =
    baseline. [simulated_cycles] must match exactly (the simulation is
    deterministic — any drift is a correctness bug, not noise); the wall
    clock only fails when [cycles_per_second] drops more than 2x below the
-   baseline, a loose bound that survives shared CI runners. Experiments
-   absent from either side are skipped, as are baselines without cycle
-   fields (schema v1). *)
+   baseline, a loose bound that survives shared CI runners. An experiment
+   run here but absent from the baseline fails the check, so a stale
+   baseline cannot silently gate nothing; baselines without cycle fields
+   (schema v1) are not compared. *)
 let check_against ~path =
   let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("[check] " ^ s); true) fmt in
   let text = In_channel.with_open_text path In_channel.input_all in
@@ -174,7 +160,7 @@ let check_against ~path =
     List.iter
       (fun (name, dt, cycles) ->
         match lookup name with
-        | None -> ()
+        | None -> bad := fail "%s: no entry in the baseline" name || !bad
         | Some e ->
           let bint k = Json.member k e |> fun o -> Option.bind o Json.to_int in
           let bfloat k = Json.member k e |> fun o -> Option.bind o Json.to_float in
@@ -330,17 +316,17 @@ let () =
   in
   match args with
   | [] ->
-    List.iter (fun (name, f) -> run_experiment ?csv_dir ?jobs name f) experiments;
+    List.iter (fun (name, f) -> run_experiment ?csv_dir ?jobs name f) Suite.all;
     finish ();
     micro_benchmarks ()
   | [ "micro" ] -> micro_benchmarks ()
   | [ "list" ] ->
-    List.iter (fun (name, _) -> print_endline name) experiments;
+    List.iter (fun (name, _) -> print_endline name) Suite.all;
     print_endline "micro"
   | names ->
     List.iter
       (fun name ->
-        match List.assoc_opt name experiments with
+        match List.assoc_opt name Suite.all with
         | Some f -> run_experiment ?csv_dir ?jobs name f
         | None ->
           Printf.eprintf "unknown experiment %s (try: dune exec bench/main.exe -- list)\n"

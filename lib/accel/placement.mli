@@ -33,6 +33,10 @@ val transfer : t -> int -> int -> int
 
 val transfer_f : t -> int -> int -> float
 
+val seed_transfers : t -> Perf_model.t -> unit
+(** Install every DFG edge's {!transfer_f} as the performance model's
+    transfer estimate — the edge weights Algorithm 1 placed against. *)
+
 val route : t -> int -> int -> Interconnect.route
 
 val used_pes : t -> int

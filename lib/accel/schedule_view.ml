@@ -6,11 +6,7 @@ type slot = {
 }
 
 let compute (model : Perf_model.t) (placement : Placement.t) =
-  let dfg = Perf_model.graph model in
-  List.iter
-    (fun (i, j, _) ->
-      Perf_model.set_transfer_estimate model i j (Placement.transfer_f placement i j))
-    (Dfg.edges dfg);
+  Placement.seed_transfers placement model;
   let finish = Perf_model.completion_times model in
   Array.mapi
     (fun i f ->

@@ -28,22 +28,16 @@ type outcome =
   | Keep of float
   | Adopt of { config : Accel_config.t; latency : float; previous : float }
 
-let restore_estimates model placement =
-  List.iter
-    (fun (i, j, _) ->
-      Perf_model.set_transfer_estimate model i j (Placement.transfer_f placement i j))
-    (Dfg.edges (Perf_model.graph model))
-
 let step ~grid ~kind ~mapper ~model ~(current : Accel_config.t) =
   (* Compare both placements under the same analytic transfer model (with
      measured operation latencies): measured transfer samples embed the old
      placement's contention, which would bias the comparison toward any
      remap. *)
-  restore_estimates model current.Accel_config.placement;
+  Placement.seed_transfers current.Accel_config.placement model;
   let current_latency = Perf_model.iteration_latency model in
   match Mapper.map ~config:mapper ~grid ~kind model with
   | Error _ ->
-    restore_estimates model current.Accel_config.placement;
+    Placement.seed_transfers current.Accel_config.placement model;
     Keep current_latency
   | Ok placement ->
     let candidate_latency = Perf_model.iteration_latency model in
@@ -51,6 +45,6 @@ let step ~grid ~kind ~mapper ~model ~(current : Accel_config.t) =
       let config = { current with Accel_config.placement } in
       Adopt { config; latency = candidate_latency; previous = current_latency }
     else begin
-      restore_estimates model current.Accel_config.placement;
+      Placement.seed_transfers current.Accel_config.placement model;
       Keep current_latency
     end
