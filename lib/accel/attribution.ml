@@ -79,14 +79,12 @@ type lane = {
   sums : float array;        (* bucket_count float cycles *)
   mutable cursor : float;    (* window-relative last attributed time *)
   mutable w_ops : int;       (* firings charged this window *)
-  mutable fired : bool;      (* any firing over the whole run *)
   ring : ring;
 }
 
 (* State saved at [begin_window] so a faulted window can be discarded. *)
 type snapshot = {
   s_sums : float array array;
-  s_fired : bool array;
   s_ring : (int * int) array;       (* (head, len) per lane *)
   s_port_ring : (int * int) array;
   s_engine_cycles : int;
@@ -130,7 +128,6 @@ let create ?(ring = 256) ~(grid : Grid.t) () =
             sums = Array.make bucket_count 0.0;
             cursor = 0.0;
             w_ops = 0;
-            fired = false;
             ring = ring_create ring;
           });
     port_rings = Array.init (max 1 grid.Grid.mem_ports) (fun _ -> ring_create ring);
@@ -174,7 +171,6 @@ let begin_window t ~at =
     Some
       {
         s_sums = Array.map (fun ln -> Array.copy ln.sums) t.lanes;
-        s_fired = Array.map (fun ln -> ln.fired) t.lanes;
         s_ring = Array.map (fun ln -> (ln.ring.head, ln.ring.len)) t.lanes;
         s_port_ring = Array.map (fun r -> (r.head, r.len)) t.port_rings;
         s_engine_cycles = t.engine_cycles;
@@ -196,7 +192,6 @@ let abort_window t =
     Array.iteri
       (fun i ln ->
         Array.blit s.s_sums.(i) 0 ln.sums 0 bucket_count;
-        ln.fired <- s.s_fired.(i);
         let head, len = s.s_ring.(i) in
         ln.ring.head <- head;
         ln.ring.len <- len;
@@ -245,7 +240,6 @@ let charge_config t cycles =
 let charge_op t ~lane ~start ~noc_wait ~port_wait ~service ~long_op =
   let ln = t.lanes.(lane) in
   ln.w_ops <- ln.w_ops + 1;
-  ln.fired <- true;
   (if start > ln.cursor then begin
      (* Waiting for inputs: the portion attributable to NoC queueing on the
         critical input sits immediately before [start]; anything earlier is
@@ -375,8 +369,6 @@ let totals t =
     t.lanes;
   acc
 
-let lane_fired t lane = t.lanes.(lane).fired
-
 let lane_intervals t lane =
   List.map
     (fun iv -> (iv.i_start, iv.i_dur, bucket_of_index.(iv.i_bucket)))
@@ -386,7 +378,6 @@ let port_intervals t port =
   List.map (fun iv -> (iv.i_start, iv.i_dur)) (ring_to_list t.port_rings.(port))
 
 let port_count t = Array.length t.port_rings
-let noc_slice_count t = Array.length t.noc_claims_a
 let noc_claims t = Array.copy t.noc_claims_a
 let noc_busy t = Array.copy t.noc_busy_a
 let port_claims t = t.port_claims_n

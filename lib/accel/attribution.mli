@@ -134,9 +134,6 @@ val lane_buckets : t -> int -> int array
 val totals : t -> int array
 (** {!lane_buckets} summed over all lanes. *)
 
-val lane_fired : t -> int -> bool
-(** Whether the lane charged at least one firing over the whole run. *)
-
 val lane_intervals : t -> int -> (float * float * bucket) list
 (** The lane's ring-buffered recent intervals, oldest first, as
     [(absolute_start, duration, bucket)]. *)
@@ -146,7 +143,6 @@ val port_intervals : t -> int -> (float * float) list
     [(absolute_issue, service)]. *)
 
 val port_count : t -> int
-val noc_slice_count : t -> int
 val noc_claims : t -> int array
 val noc_busy : t -> int array
 val port_claims : t -> int

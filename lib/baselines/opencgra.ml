@@ -51,24 +51,16 @@ let try_ii (dfg : Dfg.t) (grid : Grid.t) ii =
   let used : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
   let slots = Array.make n (0, 0) in
   let finish = Array.make n 0 in
+  let deps = Dfg.arrival_deps dfg in
   let place j =
-    let nd = dfg.Dfg.nodes.(j) in
-    let preds =
-      let ds = ref [] in
-      Array.iter (function Dfg.Node i -> ds := i :: !ds | Dfg.Reg_in _ -> ()) nd.Dfg.srcs;
-      (match nd.Dfg.hidden with Some (Dfg.Node i) -> ds := i :: !ds | _ -> ());
-      List.iter (fun (b, _) -> ds := b :: !ds) nd.Dfg.guards;
-      Option.iter (fun s -> ds := s :: !ds) nd.Dfg.prev_store;
-      !ds
-    in
     let best = ref None in
     for pe = 0 to pes - 1 do
       let ready =
-        List.fold_left
+        Array.fold_left
           (fun acc i ->
             let ppe, _ = slots.(i) in
             max acc (finish.(i) + max 1 (dist ppe pe)))
-          0 preds
+          0 deps.(j)
       in
       (* First free modulo slot at or after [ready], within one full II
          wrap (after that the PE is provably full at every phase). *)
@@ -111,8 +103,6 @@ let schedule ?(max_ii = 128) dfg ~grid =
       | None -> search (ii + 1)
   in
   search (max 1 mii)
-
-let iteration_cycles s = float_of_int s.makespan
 
 let ipc dfg s =
   float_of_int (Dfg.node_count dfg) /. float_of_int (max 1 s.makespan)

@@ -27,10 +27,5 @@ val schedule : ?max_ii:int -> Dfg.t -> grid:Grid.t -> (schedule, string) result
     OpenCGRA configures FUs per need). Fails if no II up to [max_ii]
     (default 128) routes. *)
 
-val iteration_cycles : schedule -> float
-(** Cycles to execute one iteration (the schedule makespan) — the paper's
-    Figure 12 compares raw scheduling quality with MESA's optimizations
-    disabled, i.e. without iteration overlap on either side. *)
-
 val ipc : Dfg.t -> schedule -> float
 (** Per-iteration IPC: instructions over the one-iteration makespan. *)
