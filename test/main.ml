@@ -28,6 +28,7 @@ let () =
          Test_cse.suites;
          Test_fault.suites;
          Test_dse.suites;
+         Test_timing.suites;
          Test_cost_model.suites;
          Test_refine.suites;
          Test_profile.suites;
