@@ -6,22 +6,26 @@
     Timing lives in {!Cache} / {!Hierarchy}.
 
     All accesses are little-endian, matching RISC-V. Word values are exchanged
-    as native ints sign-extended from 32 bits. *)
+    as native ints sign-extended from 32 bits.
+
+    {b Page model.} Memory is a table of 4 KiB pages. Every page starts as
+    one shared, read-only zero page; the first store into a page gives it a
+    private zeroed page. An access that straddles a page boundary is served
+    byte by byte. Untouched pages are never allocated or scanned, so
+    {!create}, {!copy}, {!restore}, {!equal} and {!checksum} cost one table
+    slot per page plus work proportional to the pages that were stored to,
+    not to [size]. *)
 
 type t
 
 val create : ?size:int -> unit -> t
-(** [create ~size ()] allocates [size] bytes of zeroed memory (default
-    16 MiB). Reuses a buffer parked by {!release} when one of the exact size
-    is available — re-zeroed, so indistinguishable from a fresh
-    allocation. *)
+(** [create ~size ()] is [size] bytes of zeroed memory (default 16 MiB).
+    Only the page table is allocated; pages follow on first store. *)
 
 val release : t -> unit
-(** Park [t]'s backing buffer for reuse by a later {!create} of the same
-    size (any domain). The caller promises not to touch [t] afterwards —
-    harness hot paths call this after a measurement's memory is fully
-    consumed; ordinary callers may simply drop memories and let the GC
-    collect them. *)
+(** Drop every page, so [t] reads as freshly created memory again and its
+    pages can be collected. Never needed for correctness: a memory that
+    goes out of scope is collected as a whole. *)
 
 val size : t -> int
 
@@ -49,7 +53,8 @@ val store_float32 : t -> int -> float -> unit
 
 val copy : t -> t
 (** Deep copy; used to run the same initial state through the CPU reference
-    and the accelerator. *)
+    and the accelerator. Copies only the pages that were stored to; the two
+    memories never share a writable page. *)
 
 val restore : t -> from:t -> unit
 (** Overwrite [t]'s contents with a checkpoint previously taken by {!copy}
@@ -57,12 +62,15 @@ val restore : t -> from:t -> unit
     Used to roll back a fault-corrupted execution window. *)
 
 val equal : t -> t -> bool
-(** Byte-wise equality, for functional-equivalence checks. *)
+(** Byte-wise equality, for functional-equivalence checks. Memories of
+    different sizes are unequal. A page stored to but holding only zeros
+    equals an untouched one. *)
 
 val checksum : t -> int
 (** FNV-1a over the full contents, folded to a non-negative int — a compact
     fingerprint of final memory for golden tests. Platform-stable on any
-    64-bit build. *)
+    64-bit build. An untouched page is folded in one multiply, with the
+    same result as hashing its 4096 zero bytes. *)
 
 val blit_words : t -> int -> int array -> unit
 (** [blit_words t addr ws] stores consecutive words starting at [addr]. *)

@@ -35,13 +35,18 @@ let mem_float_roundtrip () =
     (Main_memory.load_float32 m 4)
 
 let mem_copy_equal () =
-  let m = Main_memory.create ~size:64 () in
+  let m = Main_memory.create ~size:65536 () in
   Main_memory.store_word m 8 42;
   let c = Main_memory.copy m in
   check Alcotest.bool "equal" true (Main_memory.equal m c);
   Main_memory.store_word c 8 43;
   check Alcotest.bool "diverged" false (Main_memory.equal m c);
-  check Alcotest.int "original untouched" 42 (Main_memory.load_word m 8)
+  check Alcotest.int "original untouched" 42 (Main_memory.load_word m 8);
+  let c = Main_memory.copy m in
+  Main_memory.store_word m 8 44;
+  Main_memory.store_word m 40000 9;
+  check Alcotest.int "copy keeps its stored page" 42 (Main_memory.load_word c 8);
+  check Alcotest.int "copy keeps its untouched page" 0 (Main_memory.load_word c 40000)
 
 let mem_blit_read () =
   let m = Main_memory.create ~size:256 () in
@@ -50,6 +55,206 @@ let mem_blit_read () =
   Main_memory.blit_floats m 64 [| 1.0; 2.5 |];
   check (Alcotest.array (Alcotest.float 0.0)) "floats" [| 1.0; 2.5 |]
     (Main_memory.read_floats m 64 2)
+
+(* The checksum of untouched memory, pinned to what the byte-at-a-time FNV
+   loop gives over 16 MiB of zeros. *)
+let mem_untouched_checksum () =
+  check Alcotest.int "16 MiB of zeros" 0x2195bf0618222325
+    (Main_memory.checksum (Main_memory.create ()))
+
+let mem_zero_stores () =
+  let size = 65536 in
+  let fresh = Main_memory.create ~size () in
+  let m = Main_memory.create ~size () in
+  Main_memory.store_word m 4096 0;
+  Main_memory.store_byte m 8195 0;
+  Main_memory.store_word m 20000 77;
+  Main_memory.store_word m 20000 0;
+  check Alcotest.bool "equal to fresh" true (Main_memory.equal m fresh);
+  check Alcotest.bool "fresh equal to it" true (Main_memory.equal fresh m);
+  check Alcotest.int "same checksum" (Main_memory.checksum fresh) (Main_memory.checksum m);
+  check Alcotest.bool "sizes differ" false
+    (Main_memory.equal fresh (Main_memory.create ~size:(size + 1) ()))
+
+let mem_restore_isolated () =
+  let checkpoint = Main_memory.create ~size:65536 () in
+  Main_memory.store_word checkpoint 8 1;
+  let m = Main_memory.create ~size:65536 () in
+  Main_memory.store_word m 40000 5;
+  Main_memory.restore m ~from:checkpoint;
+  check Alcotest.int "restored" 1 (Main_memory.load_word m 8);
+  check Alcotest.int "page cleared" 0 (Main_memory.load_word m 40000);
+  Main_memory.store_word m 8 2;
+  check Alcotest.int "checkpoint not shared" 1 (Main_memory.load_word checkpoint 8);
+  Main_memory.restore m ~from:checkpoint;
+  check Alcotest.bool "equal to checkpoint" true (Main_memory.equal m checkpoint)
+
+(* Differential property: the paged memory against a flat [Bytes] model,
+   over random loads and stores of every width (page-straddling and
+   out-of-bounds addresses included), copy, restore, equal and checksum. *)
+
+type width = W8 | W16 | W32 | F32
+
+type mem_op =
+  | Store of width * int * int
+  | Store_f of int * float
+  | Load of width * bool * int
+  | Snapshot
+  | Restore
+  | Compare
+
+let width_bytes = function W8 -> 1 | W16 -> 2 | W32 | F32 -> 4
+let width_name = function W8 -> "8" | W16 -> "16" | W32 -> "32" | F32 -> "f32"
+
+let print_op = function
+  | Store (w, a, v) -> Printf.sprintf "st%s 0x%x %d" (width_name w) a v
+  | Store_f (a, f) -> Printf.sprintf "stf32 0x%x %h" a f
+  | Load (w, signed, a) -> Printf.sprintf "ld%s%s 0x%x" (width_name w) (if signed then "" else "u") a
+  | Snapshot -> "copy"
+  | Restore -> "restore"
+  | Compare -> "compare"
+
+let print_case (size, ops) =
+  Printf.sprintf "size %d: %s" size (String.concat "; " (List.map print_op ops))
+
+let gen_case =
+  let open QCheck2.Gen in
+  (* 16 MiB cases cost the most (the model allocates and hashes it all), so
+     they are drawn less often. *)
+  frequencyl [ (2, 64); (2, 4096); (2, 4097); (2, 65536); (1, 16 * 1024 * 1024) ]
+  >>= fun size ->
+  let pages = (size + 4095) / 4096 in
+  let addr =
+    frequency
+      [
+        (3, int_range 0 (min size 512 - 1));
+        (2, int_range 0 (size - 1));
+        ( 3,
+          (* near a page boundary, so wide accesses straddle it *)
+          oneof [ int_range 0 (pages - 1); oneofl [ 1; pages - 1 ] ] >>= fun p ->
+          int_range (-4) 3 >|= fun d -> (p * 4096) + d );
+        (1, int_range (size - 6) (size + 4));
+        (1, int_range (-8) (-1));
+      ]
+  in
+  let width = oneofl [ W8; W16; W32; F32 ] in
+  let float32 =
+    oneof
+      [
+        float_range (-1e6) 1e6;
+        oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1e-45; 3.5e38; 1e40 ];
+      ]
+  in
+  let op =
+    frequency
+      [
+        (4, map3 (fun w a v -> Store (w, a, v)) width addr int);
+        (1, map2 (fun a f -> Store_f (a, f)) addr float32);
+        (5, map3 (fun w s a -> Load (w, s, a)) width bool addr);
+        (1, return Snapshot);
+        (1, return Restore);
+        (1, return Compare);
+      ]
+  in
+  list_size (int_range 1 40) op >|= fun ops -> (size, ops)
+
+let fnv_bytes b =
+  let h = ref 0x3bf29ce484222325 in
+  for i = 0 to Bytes.length b - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3
+  done;
+  !h land max_int
+
+(* The outcome of one access, as bits: a value or the bounds error. *)
+let outcome f = match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
+
+let paged_vs_flat (size, ops) =
+  let m = Main_memory.create ~size () in
+  let flat = Bytes.make size '\000' in
+  let saved = ref None in
+  let in_bounds a w f =
+    if a < 0 || a + w > size then
+      invalid_arg (Printf.sprintf "Main_memory: access at 0x%x width %d out of bounds" a w)
+    else f ()
+  in
+  let agree what got want =
+    if got <> want then Alcotest.failf "%s diverges from the flat model" what
+  in
+  let compare_saved () =
+    match !saved with
+    | None -> ()
+    | Some (c, cflat) -> agree "equal" (Main_memory.equal m c) (Bytes.equal flat cflat)
+  in
+  List.iter
+    (function
+      | Store (w, a, v) ->
+        let paged () =
+          match w with
+          | W8 -> Main_memory.store_byte m a v
+          | W16 -> Main_memory.store_half m a v
+          | W32 -> Main_memory.store_word m a v
+          | F32 -> Main_memory.store_float32 m a (Int32.float_of_bits (Int32.of_int v))
+        in
+        let model () =
+          in_bounds a (width_bytes w) (fun () ->
+              match w with
+              | W8 -> Bytes.set_uint8 flat a (v land 0xFF)
+              | W16 -> Bytes.set_uint16_le flat a (v land 0xFFFF)
+              | W32 -> Bytes.set_int32_le flat a (Int32.of_int v)
+              | F32 ->
+                Bytes.set_int32_le flat a
+                  (Int32.bits_of_float (Int32.float_of_bits (Int32.of_int v))))
+        in
+        agree (print_op (Store (w, a, v))) (outcome paged) (outcome model)
+      | Store_f (a, f) ->
+        let paged () = Main_memory.store_float32 m a f in
+        let model () =
+          in_bounds a 4 (fun () -> Bytes.set_int32_le flat a (Int32.bits_of_float f))
+        in
+        agree (print_op (Store_f (a, f))) (outcome paged) (outcome model)
+      | Load (w, signed, a) ->
+        let bits_of_float f = Int64.to_int (Int64.bits_of_float f) in
+        let paged () =
+          match (w, signed) with
+          | W8, true -> Main_memory.load_byte m a
+          | W8, false -> Main_memory.load_byte_u m a
+          | W16, true -> Main_memory.load_half m a
+          | W16, false -> Main_memory.load_half_u m a
+          | W32, _ -> Main_memory.load_word m a
+          | F32, _ -> bits_of_float (Main_memory.load_float32 m a)
+        in
+        let model () =
+          in_bounds a (width_bytes w) (fun () ->
+              match (w, signed) with
+              | W8, true -> Bytes.get_int8 flat a
+              | W8, false -> Bytes.get_uint8 flat a
+              | W16, true -> Bytes.get_int16_le flat a
+              | W16, false -> Bytes.get_uint16_le flat a
+              | W32, _ -> Int32.to_int (Bytes.get_int32_le flat a)
+              | F32, _ -> bits_of_float (Int32.float_of_bits (Bytes.get_int32_le flat a)))
+        in
+        agree (print_op (Load (w, signed, a))) (outcome paged) (outcome model)
+      | Snapshot -> saved := Some (Main_memory.copy m, Bytes.copy flat)
+      | Restore -> (
+        match !saved with
+        | None -> ()
+        | Some (c, cflat) ->
+          Main_memory.restore m ~from:c;
+          Bytes.blit cflat 0 flat 0 size)
+      | Compare -> compare_saved ())
+    ops;
+  (* Checksums only once per case: the model's byte loop over 16 MiB is
+     the slowest step of the property. *)
+  compare_saved ();
+  agree "checksum" (Main_memory.checksum m) (fnv_bytes flat);
+  Option.iter
+    (fun (c, cflat) -> agree "snapshot checksum" (Main_memory.checksum c) (fnv_bytes cflat))
+    !saved;
+  true
+
+let mem_paged_vs_flat =
+  QCheck2.Test.make ~name:"paged memory matches a flat byte model" ~count:150
+    ~print:print_case gen_case paged_vs_flat
 
 (* -------------------- cache -------------------- *)
 
@@ -193,6 +398,10 @@ let suites =
         Alcotest.test_case "float roundtrip" `Quick mem_float_roundtrip;
         Alcotest.test_case "copy/equal" `Quick mem_copy_equal;
         Alcotest.test_case "blit/read" `Quick mem_blit_read;
+        Alcotest.test_case "untouched checksum" `Quick mem_untouched_checksum;
+        Alcotest.test_case "zero stores equal fresh" `Quick mem_zero_stores;
+        Alcotest.test_case "restore isolated from checkpoint" `Quick mem_restore_isolated;
+        QCheck_alcotest.to_alcotest mem_paged_vs_flat;
       ] );
     ( "cache",
       [
