@@ -192,8 +192,7 @@ let staged_controller () =
   let mem = Main_memory.create () in
   let machine = Kernel.prepare nn_small mem in
   let report = Controller.run nn_small.Kernel.program machine in
-  Hierarchy.release report.Controller.hier;
-  Main_memory.release mem
+  Hierarchy.release report.Controller.hier
 
 let staged_modulo_schedule () =
   (* fig12: OpenCGRA's modulo scheduler. *)
@@ -226,8 +225,7 @@ let staged_engine () =
   let machine = Kernel.prepare nn_small mem in
   let hier = Hierarchy.create Hierarchy.default_config in
   ignore (Engine.execute ~config ~dfg ~machine ~hier ());
-  Hierarchy.release hier;
-  Main_memory.release mem
+  Hierarchy.release hier
 
 let staged_mapper () =
   (* Algorithm 1, the latency-minimizing instruction mapping (fig16 pays

@@ -583,9 +583,7 @@ let check spec mem =
           (want.(!bad) land 0xFFFFFFFF)
       else arrays_ok rest
   in
-  let out = arrays_ok spec.arrays in
-  Main_memory.release ref_mem;
-  out
+  arrays_ok spec.arrays
 
 (* -------------------- printing -------------------- *)
 

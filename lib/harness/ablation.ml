@@ -57,7 +57,6 @@ let run_variant ?(grid = Grid.m128) variant (k : Kernel.t) =
     }
   in
   Hierarchy.release report.Controller.hier;
-  Main_memory.release mem;
   m
 
 let default_kernels () =

@@ -159,12 +159,10 @@ let run_case ?defect spec (f : fabric) =
       mem_checksum = Main_memory.checksum mem;
     }
   in
-  (* Passing cases dominate a fuzz run; recycle their buffers. Failing
+  (* Passing cases dominate a fuzz run; recycle their hierarchy. Failing
      cases bail out through [let*] above and leak, which is fine — they
      end the run. *)
   Hierarchy.release hier;
-  Main_memory.release mem;
-  Main_memory.release expected.Machine.mem;
   Ok out
 
 (* ------------------------------------------------------------------ *)

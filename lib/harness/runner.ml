@@ -21,17 +21,13 @@ let single_core (k : Kernel.t) =
   k.Kernel.setup mem;
   let machine = Kernel.prepare_slice k mem ~lo:0 ~hi:k.Kernel.n in
   let r = Cpu_run.run k.Kernel.program machine in
-  let m =
-    {
-      label = "1-core OoO";
-      cycles = r.Cpu_run.summary.Ooo_model.cycles;
-      energy_nj = Energy_model.cpu_energy_nj r.Cpu_run.summary;
-      checked = k.Kernel.check mem;
-      stats = summary_snapshot r.Cpu_run.summary;
-    }
-  in
-  Main_memory.release mem;
-  m
+  {
+    label = "1-core OoO";
+    cycles = r.Cpu_run.summary.Ooo_model.cycles;
+    energy_nj = Energy_model.cpu_energy_nj r.Cpu_run.summary;
+    checked = k.Kernel.check mem;
+    stats = summary_snapshot r.Cpu_run.summary;
+  }
 
 let multicore ?(cores = 16) (k : Kernel.t) =
   let mem = Main_memory.create () in
@@ -47,17 +43,13 @@ let multicore ?(cores = 16) (k : Kernel.t) =
       r.Multicore.summaries;
     Stats.snapshot reg
   in
-  let m =
-    {
-      label = Printf.sprintf "%d-core OoO" cores;
-      cycles = r.Multicore.cycles;
-      energy_nj = Energy_model.multicore_energy_nj r.Multicore.summaries;
-      checked = k.Kernel.check mem;
-      stats;
-    }
-  in
-  Main_memory.release mem;
-  m
+  {
+    label = Printf.sprintf "%d-core OoO" cores;
+    cycles = r.Multicore.cycles;
+    energy_nj = Energy_model.multicore_energy_nj r.Multicore.summaries;
+    checked = k.Kernel.check mem;
+    stats;
+  }
 
 let mesa ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true) ?mem_ports
     ?inject ?profile (k : Kernel.t) =
@@ -76,17 +68,14 @@ let mesa ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true) ?mem_ports
     +. accel.Energy_model.total_nj
     +. Energy_model.mesa_energy_nj ~busy_cycles:report.Controller.mesa_busy_cycles
   in
-  let m =
-    {
+  ( {
       label = grid.Grid.name;
       cycles = report.Controller.total_cycles;
       energy_nj;
       checked = k.Kernel.check mem;
       stats = report.Controller.stats;
-    }
-  in
-  Main_memory.release mem;
-  (m, report)
+    },
+    report )
 
 (* [mesa] for callers that drop the report: the report's hierarchy is
    recycled before returning, which keeps sweep loops off the allocator. *)
@@ -224,7 +213,6 @@ let execute_loop ?attribution ?(hier = Hierarchy.default_config) (k : Kernel.t)
       (Engine.execute ?attribution ~config ~dfg ~machine ~hier:h ())
   in
   Hierarchy.release h;
-  Main_memory.release mem;
   r
 
 let placement_of ?(kind = Interconnect.Mesh_noc) ~grid (k : Kernel.t) =
@@ -283,15 +271,11 @@ let dynaspam ?(config = Dynaspam.default_config) (k : Kernel.t) =
       (float_of_int cycles *. 0.175)
       +. ((base.energy_nj -. (float_of_int base.cycles *. 0.175)) *. 0.6)
     in
-    let m =
-      {
-        label = "DynaSpAM";
-        cycles;
-        energy_nj;
-        checked = k.Kernel.check mem;
-        stats = summary_snapshot r.Cpu_run.summary;
-      }
-    in
-    Main_memory.release mem;
-    m
+    {
+      label = "DynaSpAM";
+      cycles;
+      energy_nj;
+      checked = k.Kernel.check mem;
+      stats = summary_snapshot r.Cpu_run.summary;
+    }
   end

@@ -241,7 +241,6 @@ let controller_confirm t (k : Kernel.t) ~grid placement =
   let cycles = report.Controller.total_cycles in
   let verdict = k.Kernel.check mem in
   Hierarchy.release report.Controller.hier;
-  Main_memory.release mem;
   match verdict with Ok () -> Some cycles | Error _ -> None
 
 let refine_one t (j : refine_job) =
@@ -436,7 +435,6 @@ let fabric_exec t (k : Kernel.t) shard inject ~rerouted ~retries ~profiled =
     else None
   in
   Hierarchy.release report.Controller.hier;
-  Main_memory.release mem;
   (body, quarantines, verdict, measured)
 
 let cpu_exec (k : Kernel.t) ~rerouted ~retries =
@@ -458,9 +456,7 @@ let cpu_exec (k : Kernel.t) ~rerouted ~retries =
       latency_ms = 0.0;
     }
   in
-  let verdict = k.Kernel.check mem in
-  Main_memory.release mem;
-  (body, verdict)
+  (body, k.Kernel.check mem)
 
 let err kind message = Proto.Err { Proto.kind; message }
 

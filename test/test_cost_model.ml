@@ -55,7 +55,6 @@ let engine_and_model (d : draw) =
       | Ok res -> (res, config, dfg)
     in
     Hierarchy.release hier;
-    Main_memory.release mem;
     Some out
 
 (* {2 Property: bounded relative error on random draws, and the
@@ -216,7 +215,6 @@ let model_exact_on_compute_only =
               res.Engine.cycles est.Cost_model.cycles
         in
         Hierarchy.release hier;
-        Main_memory.release mem;
         out;
         true)
 
@@ -289,8 +287,7 @@ let model_tight_on_reference_kernels () =
           if err > 0.05 then
             Alcotest.failf "%s: model %d vs engine %d (%.1f%% off, limit 5%%)"
               k.Kernel.name est.Cost_model.cycles res.Engine.cycles (100.0 *. err));
-        Hierarchy.release hier;
-        Main_memory.release mem)
+        Hierarchy.release hier)
     (List.map Workloads.find reference_kernels)
 
 let suites =
