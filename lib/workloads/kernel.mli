@@ -20,7 +20,9 @@ type t = {
   fp : bool;         (** uses the FP pipeline *)
   n : int;           (** iteration count of the hot loop *)
   program : Program.t;
-  setup : Main_memory.t -> unit;  (** write the (seeded, deterministic) inputs *)
+  setup : Main_memory.t -> unit;
+      (** write the (seeded, deterministic) inputs, generated once by the
+          kernel's constructor *)
   args : lo:int -> hi:int -> (Reg.t * int) list;
       (** integer argument registers for the slice [lo, hi) *)
   fargs : (Reg.t * float) list;   (** FP argument registers *)

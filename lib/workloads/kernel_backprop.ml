@@ -47,6 +47,7 @@ let reference n =
       r32 (w.(i) +. r32 (g +. m)))
 
 let make ?(n = 2048) () =
+  let w, delta, x, oldw = inputs n in
   {
     Kernel.name = "backprop";
     description = "backprop: weight update with momentum (in place)";
@@ -56,7 +57,6 @@ let make ?(n = 2048) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let w, delta, x, oldw = inputs n in
         Main_memory.blit_floats mem w_base w;
         Main_memory.blit_floats mem delta_base delta;
         Main_memory.blit_floats mem x_base x;

@@ -50,6 +50,7 @@ let reference n =
   cost
 
 let make ?(n = 4096) () =
+  let src, dst, cost = inputs n in
   {
     Kernel.name = "bfs";
     description = "bfs: edge relaxation sweep (irregular, guarded stores)";
@@ -59,7 +60,6 @@ let make ?(n = 4096) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let src, dst, cost = inputs n in
         Main_memory.blit_words mem src_base src;
         Main_memory.blit_words mem dst_base dst;
         Main_memory.blit_words mem cost_base cost);

@@ -39,6 +39,7 @@ let reference n =
       Array.fold_left (fun acc k -> if k < queries.(i) then acc + 1 else acc) 0 node)
 
 let make ?(n = 2048) () =
+  let node, queries = inputs n in
   {
     Kernel.name = "btree";
     description = "b+tree: branchless child-slot probe over 8 separators";
@@ -48,7 +49,6 @@ let make ?(n = 2048) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let node, queries = inputs n in
         Main_memory.blit_words mem node_base node;
         Main_memory.blit_words mem keys_base queries);
     args =

@@ -57,6 +57,7 @@ let reference n =
       r32 (q +. rt))
 
 let make ?(n = 2048) () =
+  let d, e, vx, vy = inputs n in
   {
     Kernel.name = "cfd";
     description = "cfd: per-cell Euler flux (divide + sqrt heavy)";
@@ -66,7 +67,6 @@ let make ?(n = 2048) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let d, e, vx, vy = inputs n in
         Main_memory.blit_floats mem d_base d;
         Main_memory.blit_floats mem e_base e;
         Main_memory.blit_floats mem vx_base vx;

@@ -34,6 +34,7 @@ let reference n =
   Array.init n (fun i -> r32 (a.(i) -. r32 (p.(i) *. r32 ratio)))
 
 let make ?(n = 4096) () =
+  let a, p = inputs n in
   {
     Kernel.name = "gaussian";
     description = "gaussian elimination: row update against the pivot row";
@@ -43,7 +44,6 @@ let make ?(n = 4096) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let a, p = inputs n in
         Main_memory.blit_floats mem a_base a;
         Main_memory.blit_floats mem pivot_base p);
     args =

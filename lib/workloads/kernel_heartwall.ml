@@ -43,6 +43,7 @@ let reference n =
       r32 (s01 +. s23))
 
 let make ?(n = 2048) () =
+  let img = inputs n in
   {
     Kernel.name = "heartwall";
     description = "heartwall: 4-tap template correlation along the wall";
@@ -50,7 +51,7 @@ let make ?(n = 2048) () =
     fp = true;
     n;
     program = build_program ();
-    setup = (fun mem -> Main_memory.blit_floats mem img_base (inputs n));
+    setup = (fun mem -> Main_memory.blit_floats mem img_base img);
     args =
       (fun ~lo ~hi ->
         [

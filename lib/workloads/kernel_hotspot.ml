@@ -69,6 +69,7 @@ let reference () =
 let make ?n () =
   let n = Option.value n ~default:iterations in
   let n = min n iterations in
+  let temp, power = inputs () in
   {
     Kernel.name = "hotspot";
     description = "hotspot: 5-point thermal stencil (Jacobi step)";
@@ -78,7 +79,6 @@ let make ?n () =
     program = build_program ();
     setup =
       (fun mem ->
-        let temp, power = inputs () in
         Main_memory.blit_floats mem temp_base temp;
         Main_memory.blit_floats mem power_base power);
     args =

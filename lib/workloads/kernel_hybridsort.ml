@@ -36,6 +36,7 @@ let reference n =
   hist
 
 let make ?(n = 4096) () =
+  let samples = inputs n in
   {
     Kernel.name = "hybridsort";
     description = "hybridsort: bucket histogram (read-modify-write aliasing)";
@@ -43,7 +44,7 @@ let make ?(n = 4096) () =
     fp = false;
     n;
     program = build_program ();
-    setup = (fun mem -> Main_memory.blit_words mem samples_base (inputs n));
+    setup = (fun mem -> Main_memory.blit_words mem samples_base samples);
     args =
       (fun ~lo ~hi ->
         [

@@ -74,6 +74,7 @@ let reference n =
       !idx)
 
 let make ?(n = 2048) () =
+  let x, y = inputs n in
   {
     Kernel.name = "kmeans";
     description = "kmeans assignment: nearest of 4 centroids, unrolled";
@@ -83,7 +84,6 @@ let make ?(n = 2048) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let x, y = inputs n in
         Main_memory.blit_floats mem x_base x;
         Main_memory.blit_floats mem y_base y);
     args =

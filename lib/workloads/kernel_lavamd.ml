@@ -58,6 +58,7 @@ let reference n =
       r32 (inv +. rt))
 
 let make ?(n = 2048) () =
+  let x, y, z = inputs n in
   {
     Kernel.name = "lavamd";
     description = "lavaMD: 3-D pairwise particle force (div + sqrt)";
@@ -67,7 +68,6 @@ let make ?(n = 2048) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let x, y, z = inputs n in
         Main_memory.blit_floats mem x_base x;
         Main_memory.blit_floats mem y_base y;
         Main_memory.blit_floats mem z_base z);

@@ -45,6 +45,7 @@ let reference n =
       r32 (num /. den))
 
 let make ?(n = 2048) () =
+  let gx, gy = inputs n in
   {
     Kernel.name = "leukocyte";
     description = "leukocyte: normalized directional gradient products (GICOV)";
@@ -54,7 +55,6 @@ let make ?(n = 2048) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let gx, gy = inputs n in
         Main_memory.blit_floats mem gx_base gx;
         Main_memory.blit_floats mem gy_base gy);
     args =

@@ -33,6 +33,7 @@ let reference n =
   Array.init n (fun i -> r32 (a.(i) -. r32 (u.(i) *. r32 l_factor)))
 
 let make ?(n = 4096) () =
+  let a, u = inputs n in
   {
     Kernel.name = "lud";
     description = "lud: in-place LU inner row update";
@@ -42,7 +43,6 @@ let make ?(n = 4096) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let a, u = inputs n in
         Main_memory.blit_floats mem a_base a;
         Main_memory.blit_floats mem u_base u);
     args =

@@ -39,6 +39,7 @@ let reference n =
       |> List.fold_left ( + ) 0)
 
 let make ?(n = 4096) () =
+  let text = inputs n in
   {
     Kernel.name = "mummergpu";
     description = "mummergpu: 4-byte pattern match per text position";
@@ -50,7 +51,7 @@ let make ?(n = 4096) () =
       (fun mem ->
         Array.iteri
           (fun i byte -> Main_memory.store_byte mem (text_base + i) byte)
-          (inputs n));
+          text);
     args =
       (fun ~lo ~hi ->
         [

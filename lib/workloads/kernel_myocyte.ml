@@ -49,6 +49,7 @@ let reference n =
       r32 (y.(i) +. h))
 
 let make ?(n = 2048) () =
+  let y = inputs n in
   {
     Kernel.name = "myocyte";
     description = "myocyte: Euler ODE step with a Horner-form cubic RHS";
@@ -56,7 +57,7 @@ let make ?(n = 2048) () =
     fp = true;
     n;
     program = build_program ();
-    setup = (fun mem -> Main_memory.blit_floats mem y_base (inputs n));
+    setup = (fun mem -> Main_memory.blit_floats mem y_base y);
     args =
       (fun ~lo ~hi ->
         [

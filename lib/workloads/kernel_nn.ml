@@ -46,6 +46,7 @@ let reference n =
       r32 (sqrt (r32 (dx2 +. dy2))))
 
 let make ?(n = 4096) () =
+  let lat, lng = inputs n in
   {
     Kernel.name = "nn";
     description = "nearest neighbor: Euclidean distance to a target";
@@ -55,7 +56,6 @@ let make ?(n = 4096) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let lat, lng = inputs n in
         Main_memory.blit_floats mem lat_base lat;
         Main_memory.blit_floats mem lng_base lng);
     args =

@@ -43,6 +43,7 @@ let reference n =
   out
 
 let make ?(n = 4096) () =
+  let s, t = inputs n in
   {
     Kernel.name = "nw";
     description = "needleman-wunsch: running-max DP recurrence (carried dep)";
@@ -52,7 +53,6 @@ let make ?(n = 4096) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let s, t = inputs n in
         Main_memory.blit_words mem s_base s;
         Main_memory.blit_words mem t_base t);
     args =

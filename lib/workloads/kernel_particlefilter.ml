@@ -38,6 +38,7 @@ let reference n =
       r32 (1.0 /. den))
 
 let make ?(n = 2048) () =
+  let x = inputs n in
   {
     Kernel.name = "particlefilter";
     description = "particlefilter: likelihood weights (rational exp)";
@@ -45,7 +46,7 @@ let make ?(n = 2048) () =
     fp = true;
     n;
     program = build_program ();
-    setup = (fun mem -> Main_memory.blit_floats mem x_base (inputs n));
+    setup = (fun mem -> Main_memory.blit_floats mem x_base x);
     args =
       (fun ~lo ~hi ->
         [

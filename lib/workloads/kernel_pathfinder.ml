@@ -43,6 +43,7 @@ let reference n =
       m + w.(i))
 
 let make ?(n = 4096) () =
+  let src, w = inputs n in
   {
     Kernel.name = "pathfinder";
     description = "pathfinder: DP row step with 3-way min (predicated)";
@@ -52,7 +53,6 @@ let make ?(n = 4096) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let src, w = inputs n in
         Main_memory.blit_words mem src_base src;
         Main_memory.blit_words mem w_base w);
     args =

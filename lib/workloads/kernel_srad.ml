@@ -45,6 +45,7 @@ let reference n =
       r32 (img.(i) +. d))
 
 let make ?(n = 2048) () =
+  let img, grad = inputs n in
   {
     Kernel.name = "srad";
     description = "srad: diffusion-coefficient update step";
@@ -54,7 +55,6 @@ let make ?(n = 2048) () =
     program = build_program ();
     setup =
       (fun mem ->
-        let img, grad = inputs n in
         Main_memory.blit_floats mem img_base img;
         Main_memory.blit_floats mem grad_base grad);
     args =

@@ -47,6 +47,7 @@ let reference n =
       r32 (s01 +. s23))
 
 let make ?(n = 2048) () =
+  let pts = inputs n in
   {
     Kernel.name = "streamcluster";
     description = "streamcluster: 4-D squared distance to a center";
@@ -54,7 +55,7 @@ let make ?(n = 2048) () =
     fp = true;
     n;
     program = build_program ();
-    setup = (fun mem -> Main_memory.blit_floats mem pts_base (inputs n));
+    setup = (fun mem -> Main_memory.blit_floats mem pts_base pts);
     args =
       (fun ~lo ~hi ->
         [

@@ -1,4 +1,7 @@
-let all () =
+(* Built once at module initialisation: kernels are immutable values, and
+   every request, DSE point and refine pass looks them up by name. An eager
+   value (not a [Lazy.t]) is safe to read from several domains at once. *)
+let registry =
   [
     Kernel_backprop.make ();
     Kernel_bfs.make ();
@@ -25,12 +28,14 @@ let all () =
     Kernel_tiled_gemm.make ~t:4 ();
   ]
 
+let all () = registry
+
 let find name =
-  match List.find_opt (fun k -> k.Kernel.name = name) (all ()) with
+  match List.find_opt (fun k -> k.Kernel.name = name) registry with
   | Some k -> k
   | None -> raise Not_found
 
-let names () = List.map (fun k -> k.Kernel.name) (all ())
+let names () = List.map (fun k -> k.Kernel.name) registry
 
 let opencgra_compatible () =
   List.map find

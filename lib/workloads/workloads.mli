@@ -3,7 +3,8 @@
 val all : unit -> Kernel.t list
 (** The full kernel suite at default sizes, in alphabetical order: the 20
     Rodinia kernels plus the three tile-DSL-built ones (stencil_conv and
-    the two tiled_gemm variants). *)
+    the two tiled_gemm variants). Built once when the module is
+    initialised, so every call returns the same (immutable) kernels. *)
 
 val find : string -> Kernel.t
 (** Lookup by name. Raises [Not_found] on an unknown name. *)
