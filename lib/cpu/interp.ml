@@ -113,99 +113,131 @@ module Alu = struct
   let fmv_w_x v = Int32.float_of_bits (Int32.of_int v)
 end
 
+(* Execute [instr], fetched at [pc], and return the next pc. Ecall and
+   ebreak are the callers' to handle; a memory fault raises
+   [Invalid_argument]. [run] without a callback executes whole programs
+   through this alone and builds no events. *)
+let exec (m : Machine.t) pc instr =
+  let next = pc + 4 in
+  match instr with
+  | Isa.Rtype (op, rd, rs1, rs2) ->
+    Machine.set_x m rd (Alu.rtype op (Machine.get_x m rs1) (Machine.get_x m rs2));
+    next
+  | Isa.Itype (op, rd, rs1, imm) ->
+    Machine.set_x m rd (Alu.itype op (Machine.get_x m rs1) imm);
+    next
+  | Isa.Load (op, rd, base, off) ->
+    let addr = u32 (Machine.get_x m base + off) in
+    let v =
+      match op with
+      | LB -> Main_memory.load_byte m.mem addr
+      | LBU -> Main_memory.load_byte_u m.mem addr
+      | LH -> Main_memory.load_half m.mem addr
+      | LHU -> Main_memory.load_half_u m.mem addr
+      | LW -> Main_memory.load_word m.mem addr
+    in
+    Machine.set_x m rd v;
+    next
+  | Isa.Store (op, src, base, off) ->
+    let addr = u32 (Machine.get_x m base + off) in
+    let v = Machine.get_x m src in
+    (match op with
+    | SB -> Main_memory.store_byte m.mem addr v
+    | SH -> Main_memory.store_half m.mem addr v
+    | SW -> Main_memory.store_word m.mem addr v);
+    next
+  | Isa.Branch (op, rs1, rs2, off) ->
+    if Alu.branch_taken op (Machine.get_x m rs1) (Machine.get_x m rs2) then pc + off
+    else next
+  | Isa.Lui (rd, imm) ->
+    Machine.set_x m rd (s32 imm);
+    next
+  | Isa.Auipc (rd, imm) ->
+    Machine.set_x m rd (s32 (pc + imm));
+    next
+  | Isa.Jal (rd, off) ->
+    Machine.set_x m rd next;
+    pc + off
+  | Isa.Jalr (rd, base, off) ->
+    let target = u32 (Machine.get_x m base + off) land lnot 1 in
+    Machine.set_x m rd next;
+    target
+  | Isa.Ftype (op, fd, fs1, fs2) ->
+    Machine.set_f m fd (Alu.ftype op (Machine.get_f m fs1) (Machine.get_f m fs2));
+    next
+  | Isa.Fcmp (op, rd, fs1, fs2) ->
+    Machine.set_x m rd (Alu.fcmp op (Machine.get_f m fs1) (Machine.get_f m fs2));
+    next
+  | Isa.Flw (fd, base, off) ->
+    Machine.set_f m fd (Main_memory.load_float32 m.mem (u32 (Machine.get_x m base + off)));
+    next
+  | Isa.Fsw (fsrc, base, off) ->
+    Main_memory.store_float32 m.mem (u32 (Machine.get_x m base + off)) (Machine.get_f m fsrc);
+    next
+  | Isa.Fcvt_w_s (rd, fs1) ->
+    Machine.set_x m rd (Alu.fcvt_w_s (Machine.get_f m fs1));
+    next
+  | Isa.Fcvt_s_w (fd, rs1) ->
+    Machine.set_f m fd (Alu.fcvt_s_w (Machine.get_x m rs1));
+    next
+  | Isa.Fmv_x_w (rd, fs1) ->
+    Machine.set_x m rd (Alu.fmv_x_w (Machine.get_f m fs1));
+    next
+  | Isa.Fmv_w_x (fd, rs1) ->
+    Machine.set_f m fd (Alu.fmv_w_x (Machine.get_x m rs1));
+    next
+  | Isa.Ecall | Isa.Ebreak | Isa.Fence -> next
+
+(* The event's dynamic facts, read before [exec] writes the registers: a
+   load may overwrite its own base. *)
+let mem_addr_of (m : Machine.t) = function
+  | Isa.Load (_, _, base, off) | Isa.Store (_, _, base, off)
+  | Isa.Flw (_, base, off) | Isa.Fsw (_, base, off) ->
+    Some (u32 (Machine.get_x m base + off))
+  | _ -> None
+
+let taken_of (m : Machine.t) = function
+  | Isa.Branch (op, rs1, rs2, _) ->
+    if Alu.branch_taken op (Machine.get_x m rs1) (Machine.get_x m rs2) then Some true
+    else Some false
+  | _ -> None
+
 let step prog (m : Machine.t) =
   match Program.fetch prog m.pc with
   | None -> Error Exited
-  | Some instr -> begin
+  | Some (Isa.Ecall | Isa.Ebreak) -> Error Ecall_halt
+  | Some instr -> (
     let pc = m.pc in
-    let default_next = pc + 4 in
-    let x = Machine.get_x m and f = Machine.get_f m in
-    let finish ?mem_addr ?taken next_pc =
-      m.pc <- next_pc;
-      Ok { addr = pc; instr; mem_addr; taken; next_pc }
-    in
-    try
-      match instr with
-      | Isa.Rtype (op, rd, rs1, rs2) ->
-        Machine.set_x m rd (Alu.rtype op (x rs1) (x rs2));
-        finish default_next
-      | Isa.Itype (op, rd, rs1, imm) ->
-        Machine.set_x m rd (Alu.itype op (x rs1) imm);
-        finish default_next
-      | Isa.Load (op, rd, base, off) ->
-        let addr = u32 (x base + off) in
-        let v =
-          match op with
-          | LB -> Main_memory.load_byte m.mem addr
-          | LBU -> Main_memory.load_byte_u m.mem addr
-          | LH -> Main_memory.load_half m.mem addr
-          | LHU -> Main_memory.load_half_u m.mem addr
-          | LW -> Main_memory.load_word m.mem addr
-        in
-        Machine.set_x m rd v;
-        finish ~mem_addr:addr default_next
-      | Isa.Store (op, src, base, off) ->
-        let addr = u32 (x base + off) in
-        (match op with
-        | SB -> Main_memory.store_byte m.mem addr (x src)
-        | SH -> Main_memory.store_half m.mem addr (x src)
-        | SW -> Main_memory.store_word m.mem addr (x src));
-        finish ~mem_addr:addr default_next
-      | Isa.Branch (op, rs1, rs2, off) ->
-        let taken = Alu.branch_taken op (x rs1) (x rs2) in
-        finish ~taken (if taken then pc + off else default_next)
-      | Isa.Lui (rd, imm) ->
-        Machine.set_x m rd (s32 imm);
-        finish default_next
-      | Isa.Auipc (rd, imm) ->
-        Machine.set_x m rd (s32 (pc + imm));
-        finish default_next
-      | Isa.Jal (rd, off) ->
-        Machine.set_x m rd default_next;
-        finish (pc + off)
-      | Isa.Jalr (rd, base, off) ->
-        let target = u32 (x base + off) land lnot 1 in
-        Machine.set_x m rd default_next;
-        finish target
-      | Isa.Ftype (op, fd, fs1, fs2) ->
-        Machine.set_f m fd (Alu.ftype op (f fs1) (f fs2));
-        finish default_next
-      | Isa.Fcmp (op, rd, fs1, fs2) ->
-        Machine.set_x m rd (Alu.fcmp op (f fs1) (f fs2));
-        finish default_next
-      | Isa.Flw (fd, base, off) ->
-        let addr = u32 (x base + off) in
-        Machine.set_f m fd (Main_memory.load_float32 m.mem addr);
-        finish ~mem_addr:addr default_next
-      | Isa.Fsw (fsrc, base, off) ->
-        let addr = u32 (x base + off) in
-        Main_memory.store_float32 m.mem addr (f fsrc);
-        finish ~mem_addr:addr default_next
-      | Isa.Fcvt_w_s (rd, fs1) ->
-        Machine.set_x m rd (Alu.fcvt_w_s (f fs1));
-        finish default_next
-      | Isa.Fcvt_s_w (fd, rs1) ->
-        Machine.set_f m fd (Alu.fcvt_s_w (x rs1));
-        finish default_next
-      | Isa.Fmv_x_w (rd, fs1) ->
-        Machine.set_x m rd (Alu.fmv_x_w (f fs1));
-        finish default_next
-      | Isa.Fmv_w_x (fd, rs1) ->
-        Machine.set_f m fd (Alu.fmv_w_x (x rs1));
-        finish default_next
-      | Isa.Ecall | Isa.Ebreak -> Error Ecall_halt
-      | Isa.Fence -> finish default_next
-    with Invalid_argument msg -> Error (Fault msg)
-  end
+    match
+      let mem_addr = mem_addr_of m instr and taken = taken_of m instr in
+      let next_pc = exec m pc instr in
+      { addr = pc; instr; mem_addr; taken; next_pc }
+    with
+    | ev ->
+      m.pc <- ev.next_pc;
+      Ok ev
+    | exception Invalid_argument msg -> Error (Fault msg))
 
-let run ?(max_steps = 100_000_000) ?on_event prog m =
+let run ?(max_steps = 100_000_000) ?on_event prog (m : Machine.t) =
   let rec go retired =
     if retired >= max_steps then (Step_limit, retired)
     else
-      match step prog m with
-      | Ok ev ->
-        (match on_event with Some f -> f ev | None -> ());
-        go (retired + 1)
-      | Error halt -> (halt, retired)
+      match on_event with
+      | Some f -> (
+        match step prog m with
+        | Ok ev ->
+          f ev;
+          go (retired + 1)
+        | Error halt -> (halt, retired))
+      | None -> (
+        match Program.fetch prog m.pc with
+        | None -> (Exited, retired)
+        | Some (Isa.Ecall | Isa.Ebreak) -> (Ecall_halt, retired)
+        | Some instr -> (
+          match exec m m.pc instr with
+          | next_pc ->
+            m.pc <- next_pc;
+            go (retired + 1)
+          | exception Invalid_argument msg -> (Fault msg, retired)))
   in
   go 0

@@ -49,6 +49,8 @@ type t = {
   fp_free : int array;
   port_free : int array;
   commit_ring : int array; (* commit cycles of the last rob_size instrs *)
+  operand_ready : int -> Reg.t -> [ `Int | `Fp ] -> int;
+      (* Isa.fold_reads step over the ready arrays, built once per model *)
   mutable seq : int;
   mutable fetch_cycle : int;
   mutable fetched_this_cycle : int;
@@ -66,18 +68,24 @@ type t = {
 }
 
 let create cfg hier =
+  let int_ready = Array.make Reg.count 0 and fp_ready = Array.make Reg.count 0 in
   {
     cfg;
     hier;
     predictor = Predictor.create ();
-    int_ready = Array.make Reg.count 0;
-    fp_ready = Array.make Reg.count 0;
+    int_ready;
+    fp_ready;
     alu_free = Array.make cfg.alu_units 0;
     mul_free = Array.make cfg.mul_units 0;
     div_free = Array.make cfg.div_units 0;
     fp_free = Array.make cfg.fp_units 0;
     port_free = Array.make cfg.mem_ports 0;
     commit_ring = Array.make cfg.rob_size 0;
+    operand_ready =
+      (fun acc r file ->
+        match file with
+        | `Int -> max acc int_ready.(r)
+        | `Fp -> max acc fp_ready.(r));
     seq = 0;
     fetch_cycle = 0;
     fetched_this_cycle = 0;
@@ -132,14 +140,7 @@ let feed t (ev : Interp.event) =
   let cfg = t.cfg in
   let cls = Isa.op_class ev.instr in
   (* Operand readiness. *)
-  let ready =
-    List.fold_left
-      (fun acc (r, file) ->
-        match file with
-        | `Int -> max acc t.int_ready.(r)
-        | `Fp -> max acc t.fp_ready.(r))
-      0 (Isa.reads ev.instr)
-  in
+  let ready = Isa.fold_reads t.operand_ready 0 ev.instr in
   (* Structural constraints: fetch slot and ROB space. *)
   let fetched = fetch_time t in
   let rob_slot = t.commit_ring.(t.seq mod cfg.rob_size) in

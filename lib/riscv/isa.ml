@@ -90,24 +90,18 @@ let writes_fp = function
   | Jalr _ | Fcmp _ | Fsw _ | Fcvt_w_s _ | Fmv_x_w _ | Ecall | Ebreak | Fence ->
     None
 
-let reads = function
-  | Rtype (_, _, rs1, rs2) -> [ (rs1, `Int); (rs2, `Int) ]
-  | Itype (_, _, rs1, _) -> [ (rs1, `Int) ]
-  | Load (_, _, base, _) -> [ (base, `Int) ]
-  | Store (_, src, base, _) -> [ (src, `Int); (base, `Int) ]
-  | Branch (_, rs1, rs2, _) -> [ (rs1, `Int); (rs2, `Int) ]
-  | Lui (_, _) | Auipc (_, _) | Jal (_, _) -> []
-  | Jalr (_, base, _) -> [ (base, `Int) ]
-  | Ftype (FSQRT, _, fs1, _) -> [ (fs1, `Fp) ]
-  | Ftype (_, _, fs1, fs2) -> [ (fs1, `Fp); (fs2, `Fp) ]
-  | Fcmp (_, _, fs1, fs2) -> [ (fs1, `Fp); (fs2, `Fp) ]
-  | Flw (_, base, _) -> [ (base, `Int) ]
-  | Fsw (fsrc, base, _) -> [ (fsrc, `Fp); (base, `Int) ]
-  | Fcvt_w_s (_, fs1) -> [ (fs1, `Fp) ]
-  | Fcvt_s_w (_, rs1) -> [ (rs1, `Int) ]
-  | Fmv_x_w (_, fs1) -> [ (fs1, `Fp) ]
-  | Fmv_w_x (_, rs1) -> [ (rs1, `Int) ]
-  | Ecall | Ebreak | Fence -> []
+let fold_reads f acc = function
+  | Rtype (_, _, rs1, rs2) | Branch (_, rs1, rs2, _) -> f (f acc rs1 `Int) rs2 `Int
+  | Store (_, src, base, _) -> f (f acc src `Int) base `Int
+  | Itype (_, _, rs1, _) | Load (_, _, rs1, _) | Jalr (_, rs1, _) | Flw (_, rs1, _)
+  | Fcvt_s_w (_, rs1) | Fmv_w_x (_, rs1) ->
+    f acc rs1 `Int
+  | Lui (_, _) | Auipc (_, _) | Jal (_, _) | Ecall | Ebreak | Fence -> acc
+  | Ftype (FSQRT, _, fs1, _) | Fcvt_w_s (_, fs1) | Fmv_x_w (_, fs1) -> f acc fs1 `Fp
+  | Ftype (_, _, fs1, fs2) | Fcmp (_, _, fs1, fs2) -> f (f acc fs1 `Fp) fs2 `Fp
+  | Fsw (fsrc, base, _) -> f (f acc fsrc `Fp) base `Int
+
+let reads i = List.rev (fold_reads (fun acc r file -> (r, file) :: acc) [] i)
 
 let branch_offset = function
   | Branch (_, _, _, off) | Jal (_, off) -> Some off

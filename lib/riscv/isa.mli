@@ -92,6 +92,10 @@ val reads : t -> (Reg.t * [ `Int | `Fp ]) list
 (** Source registers in operand order, tagged with their file. [x0] is
     included when architecturally read. *)
 
+val fold_reads : ('a -> Reg.t -> [ `Int | `Fp ] -> 'a) -> 'a -> t -> 'a
+(** [fold_reads f init i] folds [f] over {!reads}[ i] in operand order
+    without building the list. *)
+
 val branch_offset : t -> int option
 (** Byte offset of a branch or jal, if this is one. *)
 
