@@ -24,7 +24,9 @@ val default_jobs : unit -> int
     is omitted. *)
 
 val create : ?jobs:int -> unit -> t
-(** Spawn a pool of [max 1 jobs] workers ([jobs = 1] spawns none). The pool
+(** Spawn a pool of [max 1 jobs] workers ([jobs = 1] spawns none), each
+    with an 8 MiB minor heap: fewer minor collections, each of which stops
+    every domain. The pool
     must be {!shutdown} (or created via {!with_pool}) or its domains leak
     until exit. Raises [Invalid_argument] on [jobs < 1]. *)
 
@@ -72,4 +74,9 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run the body, always [shutdown]. *)
 
 val run : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot [with_pool] + [map]. *)
+(** [map] over a one-shot pool in which the caller computes too: it and
+    [jobs - 1] spawned domains take the inputs in order from a shared
+    counter, so [jobs] domains work and none sits parked. Results come back
+    in input order, every task runs, and the earliest raising task's
+    exception is re-raised. [jobs = 1] runs everything on the caller.
+    Raises [Invalid_argument] on [jobs < 1]. *)

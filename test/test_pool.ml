@@ -51,6 +51,50 @@ let exception_propagates () =
             (fun () -> Pool.await bad)))
     [ 1; 4 ]
 
+(* Pool.run finishes every task before re-raising, and the earliest input's
+   exception wins whichever domain ran it. *)
+let run_raises_earliest_after_all_ran () =
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 in
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d earliest failure" jobs)
+        (Failure "3")
+        (fun () ->
+          ignore
+            (Pool.run ~jobs
+               (fun i ->
+                 Atomic.incr ran;
+                 if i = 3 || i = 7 then failwith (string_of_int i))
+               (List.init 10 Fun.id)));
+      check Alcotest.int (Printf.sprintf "jobs=%d every task ran" jobs) 10
+        (Atomic.get ran))
+    [ 1; 2; 4 ];
+  Alcotest.check_raises "jobs=0 rejected"
+    (Invalid_argument "Pool.run: jobs must be >= 1") (fun () ->
+      ignore (Pool.run ~jobs:0 Fun.id [ 1 ]))
+
+(* With jobs = 2 only one domain is spawned, so two tasks that wait for
+   each other can only both start if the caller computes too. The larger
+   minor heap stays with the spawned domain. *)
+let run_caller_computes () =
+  let size () = (Gc.get ()).Gc.minor_heap_size in
+  let before = size () in
+  let caller = Domain.self () in
+  let started = Atomic.make 0 in
+  let meet _ =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    (Atomic.get started = 2, Domain.self () = caller)
+  in
+  let got = Pool.run ~jobs:2 meet [ 0; 1 ] in
+  check Alcotest.bool "both tasks ran at once" true (List.for_all fst got);
+  check Alcotest.bool "one of them on the caller" true (List.exists snd got);
+  check Alcotest.int "caller minor heap unchanged" before (size ())
+
 let await_is_idempotent () =
   Pool.with_pool ~jobs:2 (fun pool ->
       let f = Pool.submit pool (fun () -> 7) in
@@ -190,6 +234,9 @@ let suites =
         Alcotest.test_case "out-of-order completion" `Quick out_of_order_completion;
         Alcotest.test_case "jobs=1 inline" `Quick jobs_one_runs_inline;
         Alcotest.test_case "exception propagation" `Quick exception_propagates;
+        Alcotest.test_case "run: earliest exception, all tasks run" `Quick
+          run_raises_earliest_after_all_ran;
+        Alcotest.test_case "run: caller computes" `Quick run_caller_computes;
         Alcotest.test_case "await idempotent" `Quick await_is_idempotent;
         Alcotest.test_case "shutdown semantics" `Quick submit_after_shutdown_rejected;
         Alcotest.test_case "default jobs" `Quick default_jobs_positive;
