@@ -191,8 +191,7 @@ let staged_controller () =
   (* fig11/fig14 backbone: a full monitored, translated, offloaded run. *)
   let mem = Main_memory.create () in
   let machine = Kernel.prepare nn_small mem in
-  let report = Controller.run nn_small.Kernel.program machine in
-  Hierarchy.release report.Controller.hier
+  ignore (Controller.run nn_small.Kernel.program machine)
 
 let staged_modulo_schedule () =
   (* fig12: OpenCGRA's modulo scheduler. *)
@@ -224,8 +223,7 @@ let staged_engine () =
   let mem = Main_memory.create () in
   let machine = Kernel.prepare nn_small mem in
   let hier = Hierarchy.create Hierarchy.default_config in
-  ignore (Engine.execute ~config ~dfg ~machine ~hier ());
-  Hierarchy.release hier
+  ignore (Engine.execute ~config ~dfg ~machine ~hier ())
 
 let staged_mapper () =
   (* Algorithm 1, the latency-minimizing instruction mapping (fig16 pays

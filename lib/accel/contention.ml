@@ -136,6 +136,14 @@ let claim_slot t ready =
   let issue = claim t ready in
   (issue, t.last_slot)
 
+let fold_from t ~from f acc =
+  let acc = ref acc in
+  for i = 0 to t.mask do
+    let key = t.keys.(i) in
+    if key <> 0 && key > from then acc := f (key - 1) t.cnt.(i) !acc
+  done;
+  !acc
+
 let last_slot t = t.last_slot
 let claimed t = t.claimed
 let busy_cycles t = t.occupied

@@ -23,6 +23,10 @@ val claim_slot : t -> float -> float * int
     of the issue cycle the claim took (0-based occupancy order) — the
     profiler uses it as a deterministic port index for timeline lanes. *)
 
+val fold_from : t -> from:int -> (int -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_from t ~from f acc] folds [f cycle claims] over every booked
+    cycle [>= from], in no particular order. *)
+
 val last_slot : t -> int
 (** Sub-slot taken by the most recent claim (0 before any claim). *)
 

@@ -45,15 +45,15 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
      can be extrapolated. Comparing schedules alone is NOT enough: on an
      exactly port-saturated loop the backlog drifts by a fraction of a
      cycle per round while the relative vectors repeat for many rounds.
-     [shadow] mirrors every booking the model makes ((table, cycle) ->
-     claims) so the pending set is observable. *)
+     The pending set is read straight from the timing state's contention
+     tables: every claim issues at the integer cycle it booked, and the
+     tables hold every booking since the first claim. *)
   let prev_completes = Array.init tiling (fun _ -> Array.make n Float.nan) in
   let prev_lat = Array.make tiling Float.nan in
   let prev_ii = Array.make tiling Float.nan in
   let stable = Array.make tiling false in
   let ran = Array.make tiling 0 in
-  let shadow : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  (* Detection pays a Hashtbl write per claim and a snapshot per round; on
+  (* Detection pays a comparison per iteration and a snapshot per round; on
      a loop that never settles (drifting backlog) that cost buys nothing,
      so give up after a bounded number of round boundaries and simulate
      the rest flat out. *)
@@ -65,34 +65,24 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
      exponential spacing keeps snapshot work logarithmic in the warmup
      length instead of paying a prune + sort at every boundary. *)
   let snap_at b = b > 0 && (b land (b - 1) = 0 || (b - 1) land (b - 2) = 0) in
-  let book tid issue =
-    if !detect then begin
-      let key = (tid, int_of_float issue) in
-      Hashtbl.replace shadow key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt shadow key))
-    end
-  in
   let max_pending = 1024 in
   let pending_snapshot frontier =
-    (* Prune bookings behind the frontier, then the pending multiset as a
-       sorted (table, cycle - frontier, claims) array — or [None] when the
-       backlog is too deep to be worth comparing. *)
-    let floor_c = int_of_float (Float.ceil frontier) in
-    let stale =
-      Hashtbl.fold
-        (fun ((_, c) as key) _ acc -> if c < floor_c then key :: acc else acc)
-        shadow []
+    (* The bookings at or beyond the frontier as a sorted (table,
+       cycle - frontier, claims) list — or [None] when the backlog is too
+       deep to be worth comparing. Table 0 is the ports, [1 + idx] router
+       [idx]. *)
+    let from = int_of_float (Float.ceil frontier) in
+    let pending tid table acc =
+      Contention.fold_from table ~from
+        (fun c claims acc -> (tid, float_of_int c -. frontier, claims) :: acc)
+        acc
     in
-    List.iter (Hashtbl.remove shadow) stale;
-    if Hashtbl.length shadow > max_pending then None
-    else begin
-      let xs =
-        Hashtbl.fold
-          (fun (tid, c) count acc -> (tid, float_of_int c -. frontier, count) :: acc)
-          shadow []
-      in
-      Some (List.sort compare xs)
-    end
+    let xs = ref (pending 0 st.Timing.ports []) in
+    Array.iteri
+      (fun idx -> Option.iter (fun table -> xs := pending (1 + idx) table !xs))
+      st.Timing.noc;
+    if List.compare_length_with !xs max_pending > 0 then None
+    else Some (List.sort compare !xs)
   in
   let prev_pending = ref None in
   let end_time = ref 0.0 in
@@ -102,10 +92,7 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
     let inst = !k mod tiling in
     if !detect && inst = 0 && !k > 0 then begin
       incr boundaries;
-      if !boundaries > max_boundaries then begin
-        detect := false;
-        Hashtbl.reset shadow
-      end
+      if !boundaries > max_boundaries then detect := false
       else if snap_at !boundaries then begin
         (* Round boundary: the frontier is the earliest next initiation —
            no claim in this or any later round can probe behind it. *)
@@ -139,10 +126,6 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
           Timing.mem_latency t st ~inst ~service:mem_latency j
         else op_latency j
       in
-      if !detect then
-        for c = 0 to st.Timing.nclaims - 1 do
-          book st.Timing.claim_tab.(c) st.Timing.claim_at.(c)
-        done;
       if t.Timing.long_op.(j) then fu := Float.max !fu oplat;
       completes.(j) <- st.Timing.arrival.(j) +. oplat
     done;

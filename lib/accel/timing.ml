@@ -109,8 +109,6 @@ type state = {
   lat : float array;
   mutable accesses : int;
   mutable nclaims : int;
-  claim_tab : int array;
-  claim_at : float array;
   claim_wait : float array;
   last : bounds;
 }
@@ -134,19 +132,14 @@ let start ?(acquire = fun capacity -> Contention.create ~capacity) t ~ports =
     lat = Array.make (max 1 maxdeg) 0.0;
     accesses = 0;
     nclaims = 0;
-    claim_tab = Array.make log_size 0;
-    claim_at = Array.make log_size 0.0;
     claim_wait = Array.make log_size 0.0;
     last = { latency = 0.0; rec_ = 0.0; mem = 0.0; fu = 0.0; ii = 0.0 };
   }
 
-(* Claim [table] at [ready]; log the claim and return its queueing delay. *)
-let[@inline] claim st table tab ready =
-  let issue = Contention.claim table ready in
-  let wait = issue -. ready in
+(* Claim [table] at [ready]; log the queueing delay and return it. *)
+let[@inline] claim st table ready =
+  let wait = Contention.claim table ready -. ready in
   let k = st.nclaims in
-  st.claim_tab.(k) <- tab;
-  st.claim_at.(k) <- issue;
   st.claim_wait.(k) <- wait;
   st.nclaims <- k + 1;
   wait
@@ -167,8 +160,7 @@ let[@inline] edge t st inst j i base slice =
   let c = st.completes.(i) in
   let lat =
     if slice < 0 then base
-    else base +. claim st (router t st inst slice) (1 + (inst * t.nslices) + slice)
-                   (st.next.(inst) +. c)
+    else base +. claim st (router t st inst slice) (st.next.(inst) +. c)
   in
   if c +. lat > st.arrival.(j) then begin
     st.arrival.(j) <- c +. lat;
@@ -195,7 +187,7 @@ let mem_latency t st ~inst ~service j =
   if t.is_load.(j) && t.forwarded.(j) then 2.0
   else if t.is_load.(j) && t.vector_member.(j) then 1.0
   else begin
-    let wait = claim st st.ports 0 (st.next.(inst) +. st.arrival.(j)) in
+    let wait = claim st st.ports (st.next.(inst) +. st.arrival.(j)) in
     wait +. service j
   end
 

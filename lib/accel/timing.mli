@@ -68,8 +68,6 @@ type state = {
   lat : float array;          (** per in-edge latency of the last {!fold} *)
   mutable accesses : int;     (** memory accesses this iteration *)
   mutable nclaims : int;      (** claims of the node firing in progress *)
-  claim_tab : int array;      (** 0 = ports, [1 + inst * nslices + slice] *)
-  claim_at : float array;     (** issue time *)
   claim_wait : float array;   (** issue minus ready: the queueing delay *)
   last : bounds;              (** the last {!initiate}d iteration *)
 }

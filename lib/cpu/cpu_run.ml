@@ -1,21 +1,16 @@
 type result = { halt : Interp.halt; summary : Ooo_model.summary }
 
 let run ?max_steps ?(config = Ooo_model.default_config) ?hierarchy prog machine =
-  let owned, hierarchy =
+  let hierarchy =
     match hierarchy with
-    | Some h -> (None, h)
-    | None ->
-      let h = Hierarchy.create Hierarchy.default_config in
-      (Some h, h)
+    | Some h -> h
+    | None -> Hierarchy.create Hierarchy.default_config
   in
   let model = Ooo_model.create config hierarchy in
   let halt, _retired =
     Interp.run ?max_steps ~on_event:(Ooo_model.feed model) prog machine
   in
   let r = { halt; summary = Ooo_model.summary model } in
-  (* The summary is plain counters: a hierarchy we created is fully
-     consumed and can be recycled. *)
-  Option.iter Hierarchy.release owned;
   Sim_meter.add r.summary.Ooo_model.cycles;
   r
 

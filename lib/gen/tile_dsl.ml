@@ -565,25 +565,29 @@ let eval spec mem =
   in
   run [] spec.body
 
-let check spec mem =
-  let ref_mem = Main_memory.create ~size:(Main_memory.size mem) () in
+let check spec =
+  let ref_mem = Main_memory.create () in
   setup spec ref_mem;
   eval spec ref_mem;
-  let rec arrays_ok = function
+  let expected =
+    List.map
+      (fun a -> (a, Main_memory.read_words ref_mem (base_of spec a.aname) a.elems))
+      spec.arrays
+  in
+  let rec arrays_ok mem = function
     | [] -> Ok ()
-    | a :: rest ->
+    | (a, want) :: rest ->
       let base = base_of spec a.aname in
       let got = Main_memory.read_words mem base a.elems in
-      let want = Main_memory.read_words ref_mem base a.elems in
       let bad = ref (-1) in
       Array.iteri (fun i w -> if !bad < 0 && w <> want.(i) then bad := i) got;
       if !bad >= 0 then
         err "%s[%d]: got 0x%08x want 0x%08x" a.aname !bad
           (got.(!bad) land 0xFFFFFFFF)
           (want.(!bad) land 0xFFFFFFFF)
-      else arrays_ok rest
+      else arrays_ok mem rest
   in
-  arrays_ok spec.arrays
+  fun mem -> arrays_ok mem expected
 
 (* -------------------- printing -------------------- *)
 

@@ -138,7 +138,9 @@ val eval : spec -> Main_memory.t -> unit
 
 val check : spec -> Main_memory.t -> (unit, string) result
 (** Compare every array region of [mem] word-by-word (NaN-safe) against a
-    fresh {!setup}+{!eval} run. *)
+    {!setup}+{!eval} run. The partial application [check spec] runs the
+    reference once; the closure only reads its result, so domains may share
+    it. *)
 
 (** {1 Serialization} *)
 

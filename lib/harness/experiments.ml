@@ -27,8 +27,8 @@ let fig11 ?jobs ?kernels () =
         |> List.map (fun k ->
                ( k,
                  Pool.submit pool (fun () -> Runner.multicore k),
-                 Pool.submit pool (fun () -> Runner.mesa_measure ~grid:Grid.m128 k),
-                 Pool.submit pool (fun () -> Runner.mesa_measure ~grid:Grid.m512 k) ))
+                 Pool.submit pool (fun () -> fst (Runner.mesa ~grid:Grid.m128 k)),
+                 Pool.submit pool (fun () -> fst (Runner.mesa ~grid:Grid.m512 k)) ))
         |> List.map (fun (k, b, m1, m5) ->
                (k, Pool.await b, Pool.await m1, Pool.await m5)))
   in
@@ -167,8 +167,7 @@ let fig13 ?jobs ?kernels () =
           interconnect_nj = !sum.Energy_model.interconnect_nj +. b.Energy_model.interconnect_nj;
           control_nj = !sum.Energy_model.control_nj +. b.Energy_model.control_nj +. mesa_nj;
           total_nj = !sum.Energy_model.total_nj +. b.Energy_model.total_nj +. mesa_nj;
-        };
-      Hierarchy.release report.Controller.hier)
+        })
     reports;
   let b = !sum in
   let pct part = 100.0 *. part /. b.Energy_model.total_nj in
@@ -242,9 +241,9 @@ let fig14 ?jobs ?kernels () =
                        ~config:{ Dynaspam.default_config with Dynaspam.window = 24 }
                        k),
                  Pool.submit pool (fun () ->
-                     Runner.mesa_measure ~grid:Grid.m64 ~iterative:false k),
+                     fst (Runner.mesa ~grid:Grid.m64 ~iterative:false k)),
                  Pool.submit pool (fun () ->
-                     Runner.mesa_measure ~grid:Grid.m64 ~iterative:true k) ))
+                     fst (Runner.mesa ~grid:Grid.m64 ~iterative:true k)) ))
         |> List.map (fun (k, b, d, x, y) ->
                (k, Pool.await b, Pool.await d, Pool.await x, Pool.await y)))
   in
@@ -275,7 +274,9 @@ let fig14 ?jobs ?kernels () =
 let fig15 ?jobs ?(n = 2048) () =
   let pe_counts = [ 16; 32; 64; 128; 256; 512 ] in
   let k = Workloads.nn ~n () in
-  let measure ?mem_ports pes = Runner.mesa_measure ~grid:(Grid.of_pe_count pes) ?mem_ports k in
+  let measure ?mem_ports pes =
+    fst (Runner.mesa ~grid:(Grid.of_pe_count pes) ?mem_ports k)
+  in
   let base_default, base_ideal, points =
     Pool.with_pool ?jobs (fun pool ->
         let bd = Pool.submit pool (fun () -> measure 16) in
@@ -326,7 +327,6 @@ let fig16 ?jobs ?(n = 2048) () =
   ignore (jobs : int option);  (* a single measurement; nothing to fan out *)
   let k = Workloads.nn ~n () in
   let _, report = Runner.mesa ~grid:Grid.m128 k in
-  Hierarchy.release report.Controller.hier;
   let grid = Grid.m128 in
   let accel = Energy_model.accel_energy ~grid report.Controller.activity in
   let iterations = report.Controller.activity.Activity.iterations in

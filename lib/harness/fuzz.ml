@@ -152,18 +152,12 @@ let run_case ?defect spec (f : fabric) =
         then Ok ()
         else Error "stall attribution does not close"
   in
-  let out =
+  Ok
     {
       cycles = report.Controller.total_cycles;
       offloads = report.Controller.offloads;
       mem_checksum = Main_memory.checksum mem;
     }
-  in
-  (* Passing cases dominate a fuzz run; recycle their hierarchy. Failing
-     cases bail out through [let*] above and leak, which is fine — they
-     end the run. *)
-  Hierarchy.release hier;
-  Ok out
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking.                                                          *)

@@ -77,13 +77,6 @@ let mesa ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true) ?mem_ports
     },
     report )
 
-(* [mesa] for callers that drop the report: the report's hierarchy is
-   recycled before returning, which keeps sweep loops off the allocator. *)
-let mesa_measure ?grid ?optimize ?iterative ?mem_ports ?inject ?profile k =
-  let m, report = mesa ?grid ?optimize ?iterative ?mem_ports ?inject ?profile k in
-  Hierarchy.release report.Controller.hier;
-  m
-
 (* ------------------------------------------------------------------ *)
 (* Translation memo. Building a kernel's hot-loop LDFG and running
    Algorithm 1 over it are pure functions of (kernel, grid, interconnect),
@@ -206,14 +199,9 @@ let execute_loop ?attribution ?(hier = Hierarchy.default_config) (k : Kernel.t)
     dfg config =
   let mem = Main_memory.create () in
   let machine = Kernel.prepare k mem in
-  let h = Hierarchy.create hier in
-  let r =
-    Result.map
-      (fun res -> (res, k.Kernel.check mem))
-      (Engine.execute ?attribution ~config ~dfg ~machine ~hier:h ())
-  in
-  Hierarchy.release h;
-  r
+  Result.map
+    (fun res -> (res, k.Kernel.check mem))
+    (Engine.execute ?attribution ~config ~dfg ~machine ~hier:(Hierarchy.create hier) ())
 
 let placement_of ?(kind = Interconnect.Mesh_noc) ~grid (k : Kernel.t) =
   let dfg = dfg_of_kernel k in
@@ -263,7 +251,6 @@ let dynaspam ?(config = Dynaspam.default_config) (k : Kernel.t) =
     let machine = Kernel.prepare_slice k mem ~lo:0 ~hi:k.Kernel.n in
     let hier = Hierarchy.create Hierarchy.default_config in
     let r = Cpu_run.run ~config:fabric_cpu ~hierarchy:hier k.Kernel.program machine in
-    Hierarchy.release hier;
     let cycles = r.Cpu_run.summary.Ooo_model.cycles + 300 in
     let energy_nj =
       (* Same dynamic work minus the frontend/rename share, plus static

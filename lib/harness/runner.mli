@@ -36,20 +36,9 @@ val mesa :
     arms a fault schedule for the run (the output check still validates
     bit-exact results after recovery); [profile] arms the cycle-attribution
     collector, returned in [report.attribution] (timing stays
-    bit-identical — see {!Profile.of_report}). *)
-
-val mesa_measure :
-  ?grid:Grid.t ->
-  ?optimize:bool ->
-  ?iterative:bool ->
-  ?mem_ports:int ->
-  ?inject:Fault.spec ->
-  ?profile:bool ->
-  Kernel.t ->
-  measurement
-(** {!mesa} for callers that only want the measurement: the report's cache
-    hierarchy is recycled ({!Hierarchy.release}) before returning, which
-    keeps sweep loops off the allocator. *)
+    bit-identical — see {!Profile.of_report}). The report owns a fresh
+    cache hierarchy and needs no release: callers that only want the
+    measurement take [fst]. *)
 
 val dfg_of_kernel : Kernel.t -> Dfg.t
 (** The kernel's hot-loop LDFG, for the analytic baselines (OpenCGRA /

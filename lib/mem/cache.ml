@@ -19,17 +19,16 @@ let config ~size_bytes ~ways ~line_bytes ~hit_latency =
 
 type outcome = Hit | Miss of { dirty_eviction : bool }
 
-(* Lines live in flat structure-of-arrays storage indexed by
-   [set * ways + way] — a large L2 is three int arrays instead of hundreds
-   of thousands of little heap records, so creating (and recycling) a
-   hierarchy per measurement is cheap and lookups walk contiguous memory.
-   [meta] packs the valid (bit 0) and dirty (bit 1) flags, which makes
-   {!invalidate_all} a single fill. *)
+(* Each set's lines live in one block of [3 * ways] ints laid out
+   [tags | meta | lru], where [meta] packs the valid (bit 0) and dirty
+   (bit 1) flags. A set gets its block on its first access; until then it
+   holds the shared zero-length [untouched] block and reads as all-invalid.
+   Creating a cache therefore costs only the [nsets] pointer array (16,384
+   slots for the 8 MiB L2), so a hierarchy per measurement is cheap, and
+   {!invalidate_all} just points every set back at [untouched]. *)
 type t = {
   cfg : config;
-  tags : int array;
-  meta : int array;
-  lru : int array;
+  sets : int array array;
   set_mask : int;
   line_shift : int;
   mutable clock : int;
@@ -38,18 +37,17 @@ type t = {
   mutable writebacks : int;
 }
 
+let untouched : int array = [||]
+
 let create cfg =
   let nsets = cfg.size_bytes / (cfg.ways * cfg.line_bytes) in
-  let nlines = nsets * cfg.ways in
   let line_shift =
     let rec go n acc = if n = 1 then acc else go (n lsr 1) (acc + 1) in
     go cfg.line_bytes 0
   in
   {
     cfg;
-    tags = Array.make nlines 0;
-    meta = Array.make nlines 0;
-    lru = Array.make nlines 0;
+    sets = Array.make nsets untouched;
     set_mask = nsets - 1;
     line_shift;
     clock = 0;
@@ -60,57 +58,64 @@ let create cfg =
 
 let geometry t = t.cfg
 
-(* First way holding a valid line with this tag, or -1. [base] is the
-   set's first line index. *)
-let find_way t base tag =
-  let ways = t.cfg.ways in
+(* First way of block [b] holding a valid line with this tag, or -1. *)
+let find_way ways b tag =
   let rec go i =
     if i = ways then -1
-    else if t.meta.(base + i) land 1 <> 0 && t.tags.(base + i) = tag then base + i
+    else if b.(ways + i) land 1 <> 0 && b.(i) = tag then i
     else go (i + 1)
   in
   go 0
 
 let access t addr ~write =
   t.clock <- t.clock + 1;
-  let line_addr = addr lsr t.line_shift in
-  let set = line_addr land t.set_mask in
-  let tag = line_addr in
-  let base = set * t.cfg.ways in
-  let i = find_way t base tag in
+  let tag = addr lsr t.line_shift in
+  let set = tag land t.set_mask in
+  let ways = t.cfg.ways in
+  let b =
+    let b = t.sets.(set) in
+    if Array.length b > 0 then b
+    else begin
+      let b = Array.make (3 * ways) 0 in
+      t.sets.(set) <- b;
+      b
+    end
+  in
+  let i = find_way ways b tag in
   if i >= 0 then begin
     t.hits <- t.hits + 1;
-    t.lru.(i) <- t.clock;
-    if write then t.meta.(i) <- t.meta.(i) lor 2;
+    b.((2 * ways) + i) <- t.clock;
+    if write then b.(ways + i) <- b.(ways + i) lor 2;
     Hit
   end
   else begin
     t.misses <- t.misses + 1;
     (* Choose an invalid way if any, else the LRU way (first strict minimum
-       in way order — the same victim the line-record implementation
-       picked). *)
-    let best = ref base in
-    for k = base to base + t.cfg.ways - 1 do
-      if t.meta.(k) land 1 = 0 then begin
-        if t.meta.(!best) land 1 <> 0 then best := k
+       in way order). *)
+    let best = ref 0 in
+    for k = 0 to ways - 1 do
+      if b.(ways + k) land 1 = 0 then begin
+        if b.(ways + !best) land 1 <> 0 then best := k
       end
-      else if t.meta.(!best) land 1 <> 0 && t.lru.(k) < t.lru.(!best) then best := k
+      else if
+        b.(ways + !best) land 1 <> 0 && b.((2 * ways) + k) < b.((2 * ways) + !best)
+      then best := k
     done;
     let v = !best in
-    let dirty_eviction = t.meta.(v) land 3 = 3 in
+    let dirty_eviction = b.(ways + v) land 3 = 3 in
     if dirty_eviction then t.writebacks <- t.writebacks + 1;
-    t.tags.(v) <- tag;
-    t.meta.(v) <- (if write then 3 else 1);
-    t.lru.(v) <- t.clock;
+    b.(v) <- tag;
+    b.(ways + v) <- (if write then 3 else 1);
+    b.((2 * ways) + v) <- t.clock;
     Miss { dirty_eviction }
   end
 
 let probe t addr =
-  let line_addr = addr lsr t.line_shift in
-  let set = line_addr land t.set_mask in
-  find_way t (set * t.cfg.ways) line_addr >= 0
+  let tag = addr lsr t.line_shift in
+  let b = t.sets.(tag land t.set_mask) in
+  Array.length b > 0 && find_way t.cfg.ways b tag >= 0
 
-let invalidate_all t = Array.fill t.meta 0 (Array.length t.meta) 0
+let invalidate_all t = Array.fill t.sets 0 (Array.length t.sets) untouched
 
 let hits t = t.hits
 let misses t = t.misses

@@ -4,7 +4,12 @@
     Write-back, write-allocate, LRU replacement. The model answers one
     question per access — hit or miss (and whether a dirty line was evicted) —
     and keeps the counters the evaluation needs (hit rate, AMAT inputs,
-    writeback traffic). *)
+    writeback traffic).
+
+    Storage is set-lazy: each set's lines are one block of [3 * ways] ints,
+    laid out [[tags | meta | lru]], allocated on the set's first access.
+    Until then the set shares one empty block and reads as all-invalid, so
+    {!create} costs only the per-set pointer array. *)
 
 type config = {
   size_bytes : int;   (** total capacity *)
@@ -34,7 +39,8 @@ val probe : t -> int -> bool
     counters. *)
 
 val invalidate_all : t -> unit
-(** Drop every line (e.g. at region boundaries in tests); statistics are
+(** Drop every line (e.g. at region boundaries in tests) by returning every
+    set to the shared empty block; statistics and the LRU clock are
     kept. *)
 
 (** {1 Statistics} *)
@@ -50,8 +56,8 @@ val reset_stats : t -> unit
 
 val reset : t -> unit
 (** Restore the cache to its freshly-created state: every line invalid,
-    statistics and the internal LRU clock zeroed. Recycling a cache through
-    [reset] is indistinguishable from {!create}. *)
+    statistics and the internal LRU clock zeroed. A reset cache is
+    indistinguishable from a {!create}d one. *)
 
 val register_stats : t -> Stats.group -> unit
 (** Expose hits/misses/writebacks/accesses/hit_rate as snapshot-time probes

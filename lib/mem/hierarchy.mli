@@ -25,14 +25,14 @@ val default_config : config
 type t
 
 val create : ?sharers:int -> config -> t
-(** A hierarchy with a private L1 and its own L2. [sharers] scales the L2
-    latency penalty (default 1 = no sharing). May return a hierarchy parked
-    by {!release} (fully reset — indistinguishable from fresh). *)
+(** A fresh hierarchy with a private L1 and its own L2. [sharers] scales
+    the L2 latency penalty (default 1 = no sharing). The caches are
+    set-lazy ({!Cache}), so building one per measurement is cheap. *)
 
 val release : t -> unit
-(** Reset [t] and park it for reuse by a later {!create} with an equal
-    config (any domain). The caller promises not to touch [t] afterwards.
-    No-op for {!create_shared} members, whose L2 is aliased by siblings. *)
+(** {!Cache.reset} both levels: every line invalid, statistics and LRU
+    clocks zeroed. On a {!create_shared} member this also resets the
+    shared L2. *)
 
 val create_shared : config -> cores:int -> t array
 (** [cores] hierarchies with private L1s over one shared L2 (and shared L2

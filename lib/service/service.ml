@@ -239,9 +239,7 @@ let controller_confirm t (k : Kernel.t) ~grid placement =
   let machine = Kernel.prepare k mem in
   let report = Controller.run ~options k.Kernel.program machine in
   let cycles = report.Controller.total_cycles in
-  let verdict = k.Kernel.check mem in
-  Hierarchy.release report.Controller.hier;
-  match verdict with Ok () -> Some cycles | Error _ -> None
+  match k.Kernel.check mem with Ok () -> Some cycles | Error _ -> None
 
 let refine_one t (j : refine_job) =
   let reject detail =
@@ -434,7 +432,6 @@ let fabric_exec t (k : Kernel.t) shard inject ~rerouted ~retries ~profiled =
       List.find_map (fun r -> r.Controller.measured) report.Controller.regions
     else None
   in
-  Hierarchy.release report.Controller.hier;
   (body, quarantines, verdict, measured)
 
 let cpu_exec (k : Kernel.t) ~rerouted ~retries =

@@ -37,9 +37,8 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
+let reference n (w, delta, x, oldw) =
   let r32 = Kernel.r32 in
-  let w, delta, x, oldw = inputs n in
   Array.init n (fun i ->
       let g = r32 (delta.(i) *. x.(i)) in
       let g = r32 (g *. r32 eta) in
@@ -48,6 +47,7 @@ let reference n =
 
 let make ?(n = 2048) () =
   let w, delta, x, oldw = inputs n in
+  let expected = reference n (w, delta, x, oldw) in
   {
     Kernel.name = "backprop";
     description = "backprop: weight update with momentum (in place)";
@@ -71,5 +71,5 @@ let make ?(n = 2048) () =
           (Reg.a4, w_base + (4 * hi));
         ]);
     fargs = [ (Reg.fa0, eta); (Reg.fa1, momentum) ];
-    check = (fun mem -> Kernel.check_floats mem ~addr:w_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_floats mem ~addr:w_base ~expected);
   }

@@ -40,8 +40,7 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
-  let src, dst, cost = inputs n in
+let reference n (src, dst, cost) =
   let cost = Array.copy cost in
   for e = 0 to n - 1 do
     let nc = cost.(src.(e)) + 1 in
@@ -51,6 +50,7 @@ let reference n =
 
 let make ?(n = 4096) () =
   let src, dst, cost = inputs n in
+  let expected = reference n (src, dst, cost) in
   {
     Kernel.name = "bfs";
     description = "bfs: edge relaxation sweep (irregular, guarded stores)";
@@ -72,5 +72,5 @@ let make ?(n = 4096) () =
           (Reg.a3, src_base + (4 * hi));
         ]);
     fargs = [];
-    check = (fun mem -> Kernel.check_words mem ~addr:cost_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_words mem ~addr:cost_base ~expected);
   }

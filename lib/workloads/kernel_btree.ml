@@ -33,13 +33,13 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
-  let node, queries = inputs n in
+let reference n (node, queries) =
   Array.init n (fun i ->
       Array.fold_left (fun acc k -> if k < queries.(i) then acc + 1 else acc) 0 node)
 
 let make ?(n = 2048) () =
   let node, queries = inputs n in
+  let expected = reference n (node, queries) in
   {
     Kernel.name = "btree";
     description = "b+tree: branchless child-slot probe over 8 separators";
@@ -60,5 +60,5 @@ let make ?(n = 2048) () =
           (Reg.a3, keys_base + (4 * hi));
         ]);
     fargs = [];
-    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected);
   }

@@ -33,9 +33,8 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
+let reference n img =
   let r32 = Kernel.r32 in
-  let img = inputs n in
   Array.init n (fun i ->
       let p k = r32 (img.(i + k) *. r32 template.(k)) in
       let s01 = r32 (p 0 +. p 1) in
@@ -44,6 +43,7 @@ let reference n =
 
 let make ?(n = 2048) () =
   let img = inputs n in
+  let expected = reference n img in
   {
     Kernel.name = "heartwall";
     description = "heartwall: 4-tap template correlation along the wall";
@@ -64,5 +64,5 @@ let make ?(n = 2048) () =
         (Reg.fa0, template.(0)); (Reg.fa1, template.(1));
         (Reg.fa2, template.(2)); (Reg.fa3, template.(3));
       ];
-    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected);
   }

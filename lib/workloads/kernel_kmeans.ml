@@ -53,9 +53,8 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
+let reference n (x, y) =
   let r32 = Kernel.r32 in
-  let x, y = inputs n in
   Array.init n (fun i ->
       let dist (cx, cy) =
         let dx = r32 (x.(i) -. r32 cx) in
@@ -75,6 +74,7 @@ let reference n =
 
 let make ?(n = 2048) () =
   let x, y = inputs n in
+  let expected = reference n (x, y) in
   {
     Kernel.name = "kmeans";
     description = "kmeans assignment: nearest of 4 centroids, unrolled";
@@ -99,5 +99,5 @@ let make ?(n = 2048) () =
         (List.mapi
            (fun c (cx, cy) -> [ (Reg.fs0 + c, cx); (Reg.fs4 + c, cy) ])
            (Array.to_list centroids));
-    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected);
   }

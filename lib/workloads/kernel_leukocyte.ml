@@ -36,9 +36,8 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
+let reference n (gx, gy) =
   let r32 = Kernel.r32 in
-  let gx, gy = inputs n in
   Array.init n (fun i ->
       let num = r32 (r32 (gx.(i) *. gy.(i)) +. r32 (gx.(i + 1) *. gy.(i + 1))) in
       let den = r32 (r32 (r32 (gx.(i) *. gx.(i)) +. r32 (gy.(i) *. gy.(i))) +. 1.0) in
@@ -46,6 +45,7 @@ let reference n =
 
 let make ?(n = 2048) () =
   let gx, gy = inputs n in
+  let expected = reference n (gx, gy) in
   {
     Kernel.name = "leukocyte";
     description = "leukocyte: normalized directional gradient products (GICOV)";
@@ -66,5 +66,5 @@ let make ?(n = 2048) () =
           (Reg.a3, gx_base + (4 * hi));
         ]);
     fargs = [ (Reg.fa0, 1.0) ];
-    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected);
   }

@@ -27,13 +27,13 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
+let reference n (a, u) =
   let r32 = Kernel.r32 in
-  let a, u = inputs n in
   Array.init n (fun i -> r32 (a.(i) -. r32 (u.(i) *. r32 l_factor)))
 
 let make ?(n = 4096) () =
   let a, u = inputs n in
+  let expected = reference n (a, u) in
   {
     Kernel.name = "lud";
     description = "lud: in-place LU inner row update";
@@ -53,5 +53,5 @@ let make ?(n = 4096) () =
           (Reg.a2, a_base + (4 * hi));
         ]);
     fargs = [ (Reg.fa0, l_factor) ];
-    check = (fun mem -> Kernel.check_floats mem ~addr:a_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_floats mem ~addr:a_base ~expected);
   }

@@ -31,8 +31,7 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
-  let text = inputs n in
+let reference n text =
   Array.init n (fun i ->
       Array.to_list pattern
       |> List.mapi (fun k p -> if text.(i + k) = p then 1 else 0)
@@ -40,6 +39,7 @@ let reference n =
 
 let make ?(n = 4096) () =
   let text = inputs n in
+  let expected = reference n text in
   {
     Kernel.name = "mummergpu";
     description = "mummergpu: 4-byte pattern match per text position";
@@ -60,5 +60,5 @@ let make ?(n = 4096) () =
           (Reg.a2, text_base + hi);
         ]);
     fargs = [];
-    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected);
   }

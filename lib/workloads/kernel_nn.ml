@@ -35,9 +35,8 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
+let reference n (lat, lng) =
   let r32 = Kernel.r32 in
-  let lat, lng = inputs n in
   Array.init n (fun i ->
       let dx = r32 (lat.(i) -. r32 target_lat) in
       let dy = r32 (lng.(i) -. r32 target_lng) in
@@ -47,6 +46,7 @@ let reference n =
 
 let make ?(n = 4096) () =
   let lat, lng = inputs n in
+  let expected = reference n (lat, lng) in
   {
     Kernel.name = "nn";
     description = "nearest neighbor: Euclidean distance to a target";
@@ -67,5 +67,5 @@ let make ?(n = 4096) () =
           (Reg.a3, lat_base + (4 * hi));
         ]);
     fargs = [ (Reg.fa0, target_lat); (Reg.fa1, target_lng) ];
-    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected);
   }

@@ -32,8 +32,7 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
-  let s, t = inputs n in
+let reference n (s, t) =
   let out = Array.make n 0 in
   let prev = ref 0 in
   for i = 0 to n - 1 do
@@ -44,6 +43,7 @@ let reference n =
 
 let make ?(n = 4096) () =
   let s, t = inputs n in
+  let expected = reference n (s, t) in
   {
     Kernel.name = "nw";
     description = "needleman-wunsch: running-max DP recurrence (carried dep)";
@@ -65,5 +65,5 @@ let make ?(n = 4096) () =
           (Reg.a3, s_base + (4 * hi));
         ]);
     fargs = [];
-    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected);
   }

@@ -28,9 +28,8 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
+let reference n x =
   let r32 = Kernel.r32 in
-  let x = inputs n in
   Array.init n (fun i ->
       let u = r32 (x.(i) *. x.(i)) in
       let u2 = r32 (r32 (u *. u) *. 0.5) in
@@ -39,6 +38,7 @@ let reference n =
 
 let make ?(n = 2048) () =
   let x = inputs n in
+  let expected = reference n x in
   {
     Kernel.name = "particlefilter";
     description = "particlefilter: likelihood weights (rational exp)";
@@ -55,5 +55,5 @@ let make ?(n = 2048) () =
           (Reg.a2, x_base + (4 * hi));
         ]);
     fargs = [ (Reg.fa0, 1.0); (Reg.fa1, 0.5) ];
-    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected);
   }

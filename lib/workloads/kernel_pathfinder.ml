@@ -36,14 +36,14 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
-  let src, w = inputs n in
+let reference n (src, w) =
   Array.init n (fun i ->
       let m = min src.(i + 1) (min src.(i) src.(i + 2)) in
       m + w.(i))
 
 let make ?(n = 4096) () =
   let src, w = inputs n in
+  let expected = reference n (src, w) in
   {
     Kernel.name = "pathfinder";
     description = "pathfinder: DP row step with 3-way min (predicated)";
@@ -64,5 +64,5 @@ let make ?(n = 4096) () =
           (Reg.a3, src_base + (4 * (hi + 1)));
         ]);
     fargs = [];
-    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_words mem ~addr:out_base ~expected);
   }

@@ -33,9 +33,8 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
+let reference n (img, grad) =
   let r32 = Kernel.r32 in
-  let img, grad = inputs n in
   Array.init n (fun i ->
       let g2 = r32 (grad.(i) *. grad.(i)) in
       let den = r32 (1.0 +. g2) in
@@ -46,6 +45,7 @@ let reference n =
 
 let make ?(n = 2048) () =
   let img, grad = inputs n in
+  let expected = reference n (img, grad) in
   {
     Kernel.name = "srad";
     description = "srad: diffusion-coefficient update step";
@@ -66,5 +66,5 @@ let make ?(n = 2048) () =
           (Reg.a3, img_base + (4 * hi));
         ]);
     fargs = [ (Reg.fa0, 1.0); (Reg.fa1, lambda) ];
-    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected);
   }

@@ -36,9 +36,8 @@ let build_program () =
   Asm.ecall b;
   Asm.assemble b
 
-let reference n =
+let reference n pts =
   let r32 = Kernel.r32 in
-  let pts = inputs n in
   Array.init n (fun i ->
       let d k = r32 (pts.((4 * i) + k) -. r32 center.(k)) in
       let sq k = r32 (d k *. d k) in
@@ -48,6 +47,7 @@ let reference n =
 
 let make ?(n = 2048) () =
   let pts = inputs n in
+  let expected = reference n pts in
   {
     Kernel.name = "streamcluster";
     description = "streamcluster: 4-D squared distance to a center";
@@ -65,5 +65,5 @@ let make ?(n = 2048) () =
         ]);
     fargs =
       [ (Reg.fa0, center.(0)); (Reg.fa1, center.(1)); (Reg.fa2, center.(2)); (Reg.fa3, center.(3)) ];
-    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected:(reference n));
+    check = (fun mem -> Kernel.check_floats mem ~addr:out_base ~expected);
   }

@@ -49,13 +49,9 @@ let engine_and_model (d : draw) =
     let mem = Main_memory.create () in
     let machine = Kernel.prepare k mem in
     let hier = Hierarchy.create Hierarchy.default_config in
-    let out =
-      match Engine.execute ~config ~dfg ~machine ~hier () with
-      | Error e -> Alcotest.failf "%s: %s" k.Kernel.name e
-      | Ok res -> (res, config, dfg)
-    in
-    Hierarchy.release hier;
-    Some out
+    match Engine.execute ~config ~dfg ~machine ~hier () with
+    | Error e -> Alcotest.failf "%s: %s" k.Kernel.name e
+    | Ok res -> Some (res, config, dfg)
 
 (* {2 Property: bounded relative error on random draws, and the
    extrapolation fast path is observationally identical.} *)
@@ -203,19 +199,15 @@ let model_exact_on_compute_only =
         Machine.set_args machine [ (Reg.t0, 0); (Reg.a3, c.iterations) ];
         Machine.set_fargs machine [ (Reg.ft0, 1.5); (Reg.ft1, -0.25); (Reg.ft2, 3.0) ];
         let hier = Hierarchy.create Hierarchy.default_config in
-        let out =
-          match Engine.execute ~config ~dfg ~machine ~hier () with
-          | Error e -> Alcotest.failf "engine rejected compute-only loop: %s" e
-          | Ok res ->
-            let est =
-              Cost_model.estimate ~config ~dfg ~iterations:res.Engine.iterations ()
-            in
-            check Alcotest.int
-              (print_compute_loop c ^ ": model cycles = engine cycles")
-              res.Engine.cycles est.Cost_model.cycles
-        in
-        Hierarchy.release hier;
-        out;
+        (match Engine.execute ~config ~dfg ~machine ~hier () with
+        | Error e -> Alcotest.failf "engine rejected compute-only loop: %s" e
+        | Ok res ->
+          let est =
+            Cost_model.estimate ~config ~dfg ~iterations:res.Engine.iterations ()
+          in
+          check Alcotest.int
+            (print_compute_loop c ^ ": model cycles = engine cycles")
+            res.Engine.cycles est.Cost_model.cycles);
         true)
 
 (* {2 Purity: same input, same estimate, and no simulation-meter writes.}
@@ -286,8 +278,7 @@ let model_tight_on_reference_kernels () =
           let err = Float.abs (float_of_int est.Cost_model.cycles -. engine) /. engine in
           if err > 0.05 then
             Alcotest.failf "%s: model %d vs engine %d (%.1f%% off, limit 5%%)"
-              k.Kernel.name est.Cost_model.cycles res.Engine.cycles (100.0 *. err));
-        Hierarchy.release hier)
+              k.Kernel.name est.Cost_model.cycles res.Engine.cycles (100.0 *. err)))
     (List.map Workloads.find reference_kernels)
 
 let suites =

@@ -60,32 +60,28 @@ let run_one ~engine ?fault_spec (d : draw) =
     Attribution.begin_window attribution ~at:0.0;
     let fault = Option.map (fun spec -> Fault.create ~grid spec) fault_spec in
     let hier = Hierarchy.create Hierarchy.default_config in
-    let out =
-      match execute engine ~attribution ?fault ~config ~dfg ~machine ~hier () with
-      | Error e -> Alcotest.failf "%s: %s" k.Kernel.name e
-      | Ok res ->
-        Some
-          (Ok
-             ( {
-                 o_res = res;
-                 o_mem_checksum = Main_memory.checksum mem;
-                 o_stats_json = Json.to_string (Stats.to_json res.Engine.measured);
-                 o_attr_totals = Attribution.totals attribution;
-                 o_attr_cycles = Attribution.total_cycles attribution;
-               },
-               machine ))
-      | exception exn when fault <> None ->
-        (* A wild corrupted address escaping mid-firing is documented
-           behavior; both engines must blow up at the same point with the
-           same partial memory image and a corrupted-window flag. *)
-        Some
-          (Error
-             ( Printexc.to_string exn,
-               Main_memory.checksum mem,
-               Option.fold ~none:false ~some:Fault.window_corrupted fault ))
-    in
-    Hierarchy.release hier;
-    out
+    match execute engine ~attribution ?fault ~config ~dfg ~machine ~hier () with
+    | Error e -> Alcotest.failf "%s: %s" k.Kernel.name e
+    | Ok res ->
+      Some
+        (Ok
+           ( {
+               o_res = res;
+               o_mem_checksum = Main_memory.checksum mem;
+               o_stats_json = Json.to_string (Stats.to_json res.Engine.measured);
+               o_attr_totals = Attribution.totals attribution;
+               o_attr_cycles = Attribution.total_cycles attribution;
+             },
+             machine ))
+    | exception exn when fault <> None ->
+      (* A wild corrupted address escaping mid-firing is documented
+         behavior; both engines must blow up at the same point with the
+         same partial memory image and a corrupted-window flag. *)
+      Some
+        (Error
+           ( Printexc.to_string exn,
+             Main_memory.checksum mem,
+             Option.fold ~none:false ~some:Fault.window_corrupted fault ))
 
 let same_detection (a : Engine.detection option) (b : Engine.detection option) =
   match (a, b) with

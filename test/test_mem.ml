@@ -317,6 +317,184 @@ let cache_config_validation () =
     (Invalid_argument "Cache.config: line size must be a power of two") (fun () ->
       ignore (Cache.config ~size_bytes:1024 ~ways:2 ~line_bytes:48 ~hit_latency:1))
 
+(* The flat reference for the set-lazy cache: the structure-of-arrays
+   implementation it replaced, with every line allocated up front and
+   indexed [set * ways + way]. *)
+module Flat_cache = struct
+  type t = {
+    ways : int;
+    tags : int array;
+    meta : int array;
+    lru : int array;
+    set_mask : int;
+    line_shift : int;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable writebacks : int;
+  }
+
+  let create (cfg : Cache.config) =
+    let nsets = cfg.size_bytes / (cfg.ways * cfg.line_bytes) in
+    let nlines = nsets * cfg.ways in
+    let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
+    {
+      ways = cfg.ways;
+      tags = Array.make nlines 0;
+      meta = Array.make nlines 0;
+      lru = Array.make nlines 0;
+      set_mask = nsets - 1;
+      line_shift = log2 cfg.line_bytes 0;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      writebacks = 0;
+    }
+
+  let find_way t base tag =
+    let rec go i =
+      if i = t.ways then -1
+      else if t.meta.(base + i) land 1 <> 0 && t.tags.(base + i) = tag then base + i
+      else go (i + 1)
+    in
+    go 0
+
+  let access t addr ~write =
+    t.clock <- t.clock + 1;
+    let line_addr = addr lsr t.line_shift in
+    let base = (line_addr land t.set_mask) * t.ways in
+    let i = find_way t base line_addr in
+    if i >= 0 then begin
+      t.hits <- t.hits + 1;
+      t.lru.(i) <- t.clock;
+      if write then t.meta.(i) <- t.meta.(i) lor 2;
+      Cache.Hit
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let best = ref base in
+      for k = base to base + t.ways - 1 do
+        if t.meta.(k) land 1 = 0 then begin
+          if t.meta.(!best) land 1 <> 0 then best := k
+        end
+        else if t.meta.(!best) land 1 <> 0 && t.lru.(k) < t.lru.(!best) then best := k
+      done;
+      let v = !best in
+      let dirty_eviction = t.meta.(v) land 3 = 3 in
+      if dirty_eviction then t.writebacks <- t.writebacks + 1;
+      t.tags.(v) <- line_addr;
+      t.meta.(v) <- (if write then 3 else 1);
+      t.lru.(v) <- t.clock;
+      Cache.Miss { dirty_eviction }
+    end
+
+  let probe t addr =
+    let line_addr = addr lsr t.line_shift in
+    find_way t ((line_addr land t.set_mask) * t.ways) line_addr >= 0
+
+  let invalidate_all t = Array.fill t.meta 0 (Array.length t.meta) 0
+
+  let reset_stats t =
+    t.hits <- 0;
+    t.misses <- 0;
+    t.writebacks <- 0
+
+  let reset t =
+    invalidate_all t;
+    reset_stats t;
+    t.clock <- 0
+end
+
+type cache_op =
+  | Read of int
+  | Write of int
+  | Probe of int
+  | Invalidate_all
+  | Reset
+  | Reset_stats
+
+let print_cache_op = function
+  | Read a -> Printf.sprintf "rd 0x%x" a
+  | Write a -> Printf.sprintf "wr 0x%x" a
+  | Probe a -> Printf.sprintf "probe 0x%x" a
+  | Invalidate_all -> "invalidate"
+  | Reset -> "reset"
+  | Reset_stats -> "reset_stats"
+
+let cache_geometries =
+  [
+    ("tiny", Cache.config ~size_bytes:512 ~ways:2 ~line_bytes:64 ~hit_latency:1);
+    ("L1", Hierarchy.default_config.Hierarchy.l1);
+    ("L2", Hierarchy.default_config.Hierarchy.l2);
+  ]
+
+let gen_cache_case =
+  let open QCheck2.Gen in
+  oneofl cache_geometries >>= fun (name, (cfg : Cache.config)) ->
+  let nsets = cfg.size_bytes / (cfg.ways * cfg.line_bytes) in
+  (* Mostly a few hot sets with more tags than ways, so lines hit, evict
+     and write back; sometimes any address at all. *)
+  let addr =
+    frequency
+      [
+        ( 5,
+          map3
+            (fun set tag off -> (((tag * nsets) + set) * cfg.line_bytes) + off)
+            (int_range 0 (min nsets 3 - 1))
+            (int_range 0 (cfg.ways + 2))
+            (int_range 0 (cfg.line_bytes - 1)) );
+        (1, int_range 0 0x3fff_ffff);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (6, map (fun a -> Read a) addr);
+        (4, map (fun a -> Write a) addr);
+        (2, map (fun a -> Probe a) addr);
+        (1, return Invalidate_all);
+        (1, return Reset);
+        (1, return Reset_stats);
+      ]
+  in
+  list_size (int_range 1 120) op >|= fun ops -> (name, cfg, ops)
+
+let print_cache_case (name, _, ops) =
+  Printf.sprintf "%s: %s" name (String.concat "; " (List.map print_cache_op ops))
+
+let lazy_vs_flat (_, cfg, ops) =
+  let c = Cache.create cfg and f = Flat_cache.create cfg in
+  List.iter
+    (fun op ->
+      let what = print_cache_op op in
+      (match op with
+      | Read a | Write a ->
+        let write = match op with Write _ -> true | _ -> false in
+        if Cache.access c a ~write <> Flat_cache.access f a ~write then
+          Alcotest.failf "%s: outcome diverges from the flat model" what
+      | Probe a ->
+        if Cache.probe c a <> Flat_cache.probe f a then
+          Alcotest.failf "%s: probe diverges from the flat model" what
+      | Invalidate_all ->
+        Cache.invalidate_all c;
+        Flat_cache.invalidate_all f
+      | Reset ->
+        Cache.reset c;
+        Flat_cache.reset f
+      | Reset_stats ->
+        Cache.reset_stats c;
+        Flat_cache.reset_stats f);
+      if
+        (Cache.hits c, Cache.misses c, Cache.writebacks c)
+        <> (f.Flat_cache.hits, f.misses, f.writebacks)
+      then Alcotest.failf "%s: counters diverge from the flat model" what)
+    ops;
+  true
+
+let cache_lazy_vs_flat =
+  QCheck2.Test.make ~name:"set-lazy cache matches the flat model" ~count:200
+    ~print:print_cache_case gen_cache_case lazy_vs_flat
+
 (* -------------------- hierarchy -------------------- *)
 
 let hierarchy_latency_bounds () =
@@ -343,6 +521,23 @@ let hierarchy_shared_l2 () =
   check Alcotest.bool "sibling faster than DRAM" true (sibling < cold);
   check Alcotest.bool "sibling slower than its own L1" true
     (sibling > Hierarchy.min_latency hs.(1))
+
+let hierarchy_independent () =
+  let a = Hierarchy.create Hierarchy.default_config in
+  let b = Hierarchy.create Hierarchy.default_config in
+  ignore (Hierarchy.store_latency a 4096);
+  check Alcotest.int "a counted its access" 1 (Cache.accesses (Hierarchy.l2 a));
+  check Alcotest.int "b's L1 untouched" 0 (Cache.accesses (Hierarchy.l1 b));
+  check Alcotest.int "b's L2 untouched" 0 (Cache.accesses (Hierarchy.l2 b));
+  check Alcotest.bool "line not in b" false (Cache.probe (Hierarchy.l1 b) 4096);
+  let hs = Hierarchy.create_shared Hierarchy.default_config ~cores:2 in
+  ignore (Hierarchy.load_latency hs.(0) 4096);
+  check Alcotest.int "sibling sees the shared L2 miss" 1
+    (Cache.misses (Hierarchy.l2 hs.(1)));
+  check Alcotest.int "sibling's L1 is private" 0 (Cache.accesses (Hierarchy.l1 hs.(1)));
+  Hierarchy.release a;
+  check Alcotest.int "release resets the counters" 0 (Cache.accesses (Hierarchy.l2 a));
+  check Alcotest.bool "release drops the lines" false (Cache.probe (Hierarchy.l1 a) 4096)
 
 let hierarchy_sharing_penalty () =
   let solo = Hierarchy.create Hierarchy.default_config in
@@ -388,6 +583,31 @@ let contention_reset () =
   check Alcotest.int "cleared" 0 (Contention.claimed c);
   check Alcotest.bool "slot free again" true (Contention.claim c 0.0 < 1.0)
 
+let contention_fold_from () =
+  (* Capacity 2 over ~1,000 distinct cycles: the table grows past its
+     initial 1,024 slots (at 640 occupied), so the fold also sees the
+     rehashed layout. *)
+  let c = Contention.create ~capacity:2 in
+  let rng = Prng.create 11 in
+  let model = Hashtbl.create 1024 in
+  for _ = 1 to 1600 do
+    let cycle = int_of_float (Contention.claim c (float_of_int (Prng.int rng 1000))) in
+    Hashtbl.replace model cycle (1 + Option.value ~default:0 (Hashtbl.find_opt model cycle))
+  done;
+  let booked = List.of_seq (Hashtbl.to_seq model) in
+  let last = List.fold_left (fun m (cy, _) -> max m cy) 0 booked in
+  check Alcotest.bool "more than 640 distinct cycles" true (List.length booked > 640);
+  List.iter
+    (fun from ->
+      let want = List.sort compare (List.filter (fun (cy, _) -> cy >= from) booked) in
+      let got =
+        List.sort compare (Contention.fold_from c ~from (fun cy n acc -> (cy, n) :: acc) [])
+      in
+      check
+        Alcotest.(list (pair int int))
+        (Printf.sprintf "bookings from %d" from) want got)
+    [ -5; 0; 1; 377; last / 2; last; last + 1; last + 100 ]
+
 let suites =
   [
     ( "main_memory",
@@ -412,6 +632,7 @@ let suites =
         Alcotest.test_case "probe side-effect-free" `Quick cache_probe_no_side_effect;
         Alcotest.test_case "invalidate" `Quick cache_invalidate;
         Alcotest.test_case "config validation" `Quick cache_config_validation;
+        QCheck_alcotest.to_alcotest cache_lazy_vs_flat;
       ] );
     ( "hierarchy",
       [
@@ -419,6 +640,7 @@ let suites =
         Alcotest.test_case "warm hits" `Quick hierarchy_warm_hits;
         Alcotest.test_case "shared L2" `Quick hierarchy_shared_l2;
         Alcotest.test_case "sharing penalty" `Quick hierarchy_sharing_penalty;
+        Alcotest.test_case "independent instances" `Quick hierarchy_independent;
       ] );
     ( "contention",
       [
@@ -427,5 +649,6 @@ let suites =
         Alcotest.test_case "late claim no blocking" `Quick contention_late_claim_no_blocking;
         Alcotest.test_case "capacity per cycle" `Quick contention_capacity_per_cycle;
         Alcotest.test_case "reset" `Quick contention_reset;
+        Alcotest.test_case "fold_from" `Quick contention_fold_from;
       ] );
   ]

@@ -66,21 +66,17 @@ let execute_refined ~engine (r : Refine.report) (k : Kernel.t) =
     | `Event -> ("event", Engine.execute)
     | `Reference -> ("reference", Engine_reference.execute)
   in
-  let out =
-    match execute ~attribution ~config ~dfg:r.Refine.dfg ~machine ~hier () with
-    | Error e -> Alcotest.failf "%s (%s engine): %s" k.Kernel.name label e
-    | Ok res ->
-      ( {
-          o_res = res;
-          o_mem_checksum = Main_memory.checksum mem;
-          o_stats_json = Json.to_string (Stats.to_json res.Engine.measured);
-          o_attr_totals = Attribution.totals attribution;
-          o_attr_cycles = Attribution.total_cycles attribution;
-        },
-        machine )
-  in
-  Hierarchy.release hier;
-  out
+  match execute ~attribution ~config ~dfg:r.Refine.dfg ~machine ~hier () with
+  | Error e -> Alcotest.failf "%s (%s engine): %s" k.Kernel.name label e
+  | Ok res ->
+    ( {
+        o_res = res;
+        o_mem_checksum = Main_memory.checksum mem;
+        o_stats_json = Json.to_string (Stats.to_json res.Engine.measured);
+        o_attr_totals = Attribution.totals attribution;
+        o_attr_cycles = Attribution.total_cycles attribution;
+      },
+      machine )
 
 let refined_placement_differential () =
   List.iter

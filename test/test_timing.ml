@@ -20,6 +20,7 @@ let one_iteration t st =
       if t.Timing.kind.(j) <> Timing.Mem_op then t.Timing.cls_lat.(j)
       else begin
         let before = st.Timing.nclaims in
+        let port_claims = Contention.claimed st.Timing.ports in
         let lat = Timing.mem_latency t st ~inst:0 ~service:(fun _ -> service) j in
         let load = t.Timing.is_load.(j) in
         if load && t.Timing.forwarded.(j) then check (Alcotest.float 0.) "forwarded" 2.0 lat
@@ -28,7 +29,8 @@ let one_iteration t st =
         else begin
           incr claims;
           check Alcotest.int "one port claim" (before + 1) st.Timing.nclaims;
-          check Alcotest.int "logged on the ports" 0 st.Timing.claim_tab.(before);
+          check Alcotest.int "booked on the ports" (port_claims + 1)
+            (Contention.claimed st.Timing.ports);
           check (Alcotest.float 0.) "queueing plus service"
             (st.Timing.claim_wait.(before) +. service) lat
         end;
