@@ -14,9 +14,18 @@ let kernel_arg =
   let doc = "Benchmark kernel name (see `mesa_cli list`)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
 
+(* Counts that must be at least 1, rejected while parsing arguments. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let grid_arg =
   let doc = "Accelerator configuration: 64, 128 or 512 PEs." in
-  Arg.(value & opt int 128 & info [ "grid" ] ~docv:"PES" ~doc)
+  Arg.(value & opt positive_int 128 & info [ "grid" ] ~docv:"PES" ~doc)
 
 let grid_of = function
   | 64 -> Grid.m64
@@ -30,23 +39,33 @@ let find_kernel name =
   | exception Not_found ->
     Error (`Msg (Printf.sprintf "unknown kernel %S; try `mesa_cli list`" name))
 
+let ( let* ) = Result.bind
+
+let open_text path =
+  try Ok (open_out path) with Sys_error e -> Error (`Msg ("cannot write " ^ e))
+
 let write_text path contents =
+  let* oc = open_text path in
   try
-    let oc = open_out path in
     output_string oc contents;
     output_char oc '\n';
     close_out oc;
     Ok ()
   with Sys_error e -> Error (`Msg ("cannot write " ^ e))
 
-(* Write [json] to [path] when one was given, and say so. *)
-let dump what path json =
+(* Open the streaming output [path], if one was given. *)
+let open_text_opt = function
+  | None -> Ok None
+  | Some path -> Result.map Option.some (open_text path)
+
+(* Write [text] to [path] when one was given, and say so. *)
+let dump_text what path text =
   match path with
   | None -> Ok ()
   | Some f ->
-    Result.map
-      (fun () -> Printf.printf "%s written to %s\n" what f)
-      (write_text f (Json.to_string ~indent:2 json))
+    Result.map (fun () -> Printf.printf "%s written to %s\n" what f) (write_text f text)
+
+let dump what path json = dump_text what path (Json.to_string ~indent:2 json)
 
 let read_json path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -382,7 +401,6 @@ let profile_diff_cmd =
              --tolerance noc_stall=20.")
   in
   let run before after max_regress tolerances =
-    let ( let* ) = Result.bind in
     let load path =
       let* j = read_json path in
       Result.map_error (fun e -> `Msg (path ^ ": " ^ e)) (Profile.of_json j)
@@ -443,7 +461,6 @@ let stats_diff_cmd =
              cpu.cycles).")
   in
   let run before after max_regress paths =
-    let ( let* ) = Result.bind in
     let load path =
       let* j = read_json path in
       Result.map_error (fun e -> `Msg (path ^ ": " ^ e)) (Stats.of_json j)
@@ -635,7 +652,6 @@ let refine_cmd =
               | Error e -> Error (`Msg (what ^ ": " ^ e))
               | Ok p -> dump what path (Profile.to_json p))
           in
-          let ( let* ) = Result.bind in
           let* () = dump "report" json_out (Refine.report_to_json r) in
           let* () = dump_profile "profile" profile_out r.Refine.placement in
           dump_profile "baseline profile" baseline_profile_out r.Refine.baseline)
@@ -680,7 +696,7 @@ let dse_cmd =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "jobs" ] ~docv:"N"
           ~doc:"Worker domains; the result is bit-identical for any value.")
   in
@@ -800,7 +816,6 @@ let dse_cmd =
   let run kernels grids ports kinds l1 l2 jobs checkpoint resume
       stop_after strategy defect frontier_out max_frac out trace_out top =
     let d = Dse.default_spec in
-    let ( let* ) = Result.bind in
     let* kernels = parse_list "kernel" (fun t -> Ok t) d.Dse.kernels kernels in
     let* grids = parse_list "grid" grid_tok d.Dse.grids grids in
     let* ports = parse_list "port count" int_tok d.Dse.ports ports in
@@ -818,6 +833,7 @@ let dse_cmd =
     in
     let spec = { Dse.kernels; grids; ports; kinds; l1_kb; l2_kb } in
     match Dse.run ?jobs ?checkpoint ~resume ?stop_after ~strategy ?defect spec with
+    | exception Sys_error e -> Error (`Msg ("cannot write checkpoint " ^ e))
     | Error e -> Error (`Msg e)
     | Ok r ->
       Tables.print (Dse.table ?top r);
@@ -836,26 +852,13 @@ let dse_cmd =
             (Dse.point_label o.Dse.point)
             o.Dse.perf o.Dse.perf_per_watt)
         r.Dse.front;
-      let write path json =
-        let oc = open_out path in
-        output_string oc (Json.to_string ~indent:2 json);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "written %s\n" path
+      let* () = dump "result" out (Dse.result_to_json r) in
+      let* () = dump "trace" trace_out (Trace.to_chrome_json r.Dse.timeline) in
+      let* () =
+        List.map (fun (o : Dse.outcome) -> Dse.point_label o.Dse.point) r.Dse.front
+        |> List.sort compare |> String.concat "\n"
+        |> dump_text "frontier" frontier_out
       in
-      Option.iter (fun p -> write p (Dse.result_to_json r)) out;
-      Option.iter (fun p -> write p (Trace.to_chrome_json r.Dse.timeline)) trace_out;
-      Option.iter
-        (fun p ->
-          let labels =
-            List.sort compare
-              (List.map (fun (o : Dse.outcome) -> Dse.point_label o.Dse.point) r.Dse.front)
-          in
-          let oc = open_out p in
-          List.iter (fun l -> output_string oc (l ^ "\n")) labels;
-          close_out oc;
-          Printf.printf "written %s\n" p)
-        frontier_out;
       (match max_frac with
       | Some x
         when float_of_int r.Dse.measured
@@ -894,7 +897,7 @@ let fuzz_cmd =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "jobs" ] ~docv:"N"
           ~doc:"Worker domains; the summary is bit-identical for any value.")
   in
@@ -927,7 +930,6 @@ let fuzz_cmd =
           ~doc:"Re-run one corpus entry instead of a campaign.")
   in
   let run seed count jobs corpus max_shrink defect replay =
-    let ( let* ) = Result.bind in
     let* defect =
       match defect with
       | None -> Ok None
@@ -1308,13 +1310,7 @@ let loadgen_cmd =
     | r ->
       let text = Json.to_string (Loadgen.result_to_json r) in
       print_endline text;
-      (match out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        output_char oc '\n';
-        close_out oc);
+      let* () = Option.fold ~none:(Ok ()) ~some:(fun path -> write_text path text) out in
       let counter p = Option.value ~default:0 (Loadgen.find_service_counter r p) in
       let internal =
         Option.value ~default:0 (List.assoc_opt "internal" r.Loadgen.outcomes)
@@ -1425,11 +1421,11 @@ let watch_cmd =
              input `mesa_cli telemetry-check` gates on.")
   in
   let run socket interval_ms frames out =
+    let* out_oc = open_text_opt out in
     match connect_daemon socket with
     | exception Unix.Unix_error (err, _, _) ->
       Error (`Msg (socket ^ ": " ^ Unix.error_message err))
     | fd, ic, oc ->
-      let out_oc = Option.map open_out out in
       send_request oc
         (Proto.Watch (Proto.watch_request ~interval_ms ?frames ~id:1 ()));
       let emit text =
@@ -1564,11 +1560,11 @@ let trace_cmd =
              line-delimited span JSON. Buffers until the stream ends.")
   in
   let run socket spans out perfetto =
+    let* out_oc = if perfetto then Ok None else open_text_opt out in
     match connect_daemon socket with
     | exception Unix.Unix_error (err, _, _) ->
       Error (`Msg (socket ^ ": " ^ Unix.error_message err))
     | fd, ic, oc ->
-      let out_oc = if perfetto then None else Option.map open_out out in
       send_request oc (Proto.Trace (Proto.trace_request ?spans ~id:2 ()));
       let collected = ref [] in
       let r =
@@ -1597,23 +1593,16 @@ let trace_cmd =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       (match r with
       | Error e -> Error (`Msg e)
-      | Ok n ->
-        if perfetto then begin
-          let doc =
-            Trace.to_string
-              (List.rev_map Telemetry.to_trace_span !collected)
-          in
-          match out with
-          | None ->
-            print_string doc;
-            print_newline ()
-          | Some path -> (
-            match write_text path doc with
-            | Ok () -> Printf.eprintf "trace: %d span(s) -> %s\n%!" n path
-            | Error (`Msg e) -> failwith e)
-        end
-        else Printf.eprintf "trace: %d span(s)\n%!" n;
-        Ok ())
+      | Ok n when perfetto -> (
+        let doc =
+          Trace.to_string (List.rev_map Telemetry.to_trace_span !collected)
+        in
+        match out with
+        | None -> Ok (print_endline doc)
+        | Some path ->
+          let* () = write_text path doc in
+          Ok (Printf.eprintf "trace: %d span(s) -> %s\n%!" n path))
+      | Ok n -> Ok (Printf.eprintf "trace: %d span(s)\n%!" n))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1661,7 +1650,6 @@ let telemetry_check_cmd =
              confirmed and swapped into the warm translation memo.")
   in
   let run frames_path stats_path require_oracle require_refine =
-    let ( let* ) = Result.bind in
     let* lines =
       match In_channel.with_open_text frames_path In_channel.input_lines with
       | lines -> Ok (List.filter (fun l -> String.trim l <> "") lines)

@@ -84,13 +84,14 @@ let grow t =
 
 (* First cycle >= [start] with spare capacity. Walks the skip chain of full
    cycles (iteratively, then compresses the whole chain to the answer so
-   the next claim lands in O(1)). *)
+   the next claim lands in O(1)). [walk] is top-level so that a claim
+   allocates no closure. *)
+let rec walk t c =
+  let i = probe t c in
+  if t.keys.(i) <> 0 && t.cnt.(i) >= t.capacity then walk t t.nxt.(i) else c
+
 let find_free t start =
-  let rec walk c =
-    let i = probe t c in
-    if t.keys.(i) <> 0 && t.cnt.(i) >= t.capacity then walk t.nxt.(i) else c
-  in
-  let free = walk start in
+  let free = walk t start in
   (* Path compression: repoint every full cycle on the chain at the answer. *)
   let c = ref start in
   while
@@ -109,8 +110,7 @@ let find_free t start =
 
 (* Tuple-free claim: the sub-slot lands in [last_slot] instead of a
    returned pair. *)
-let claim t ready =
-  let start = int_of_float (Float.ceil ready) in
+let claim_cycle t start =
   let cycle = find_free t (max 0 start) in
   let i = probe t cycle in
   let used =
@@ -130,7 +130,10 @@ let claim t ready =
   (* Keep the load factor under 5/8 so probes stay short (after all slot
      writes: growing rehashes and would invalidate [i]). *)
   if t.occupied * 8 > (t.mask + 1) * 5 then grow t;
-  Float.max ready (float_of_int cycle)
+  cycle
+
+let claim t ready =
+  Float.max ready (float_of_int (claim_cycle t (int_of_float (Float.ceil ready))))
 
 let claim_slot t ready =
   let issue = claim t ready in

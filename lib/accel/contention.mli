@@ -18,6 +18,11 @@ val claim : t -> float -> float
     The queuing delay is [claim t ready -. ready]; the sub-slot taken is
     left in {!last_slot}. *)
 
+val claim_cycle : t -> int -> int
+(** [claim_cycle t start] is {!claim} at the integer cycle [start]: it
+    returns the issue cycle. Ints cross the call unboxed, so a claim in a
+    hot loop allocates nothing. *)
+
 val claim_slot : t -> float -> float * int
 (** Like {!claim}, additionally returning which of the [capacity] sub-slots
     of the issue cycle the claim took (0-based occupancy order) — the

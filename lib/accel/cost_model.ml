@@ -85,7 +85,13 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
     else Some (List.sort compare !xs)
   in
   let prev_pending = ref None in
-  let end_time = ref 0.0 in
+  let fire ~inst j =
+    st.Timing.firing.oplat <-
+      (if t.Timing.kind.(j) = Timing.Mem_op then
+         Timing.mem_latency t st ~inst ~service:mem_latency j
+       else op_latency j)
+  in
+  let last = st.Timing.last in
   let steady = ref false in
   let k = ref 0 in
   while !k < iterations && not !steady do
@@ -117,21 +123,8 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
       end
     end;
     if not !steady then begin
-    let iter_start = inst_next.(inst) in
-    let fu = ref 1.0 in
-    for j = 0 to n - 1 do
-      Timing.fold t st ~inst j;
-      let oplat =
-        if t.Timing.kind.(j) = Timing.Mem_op then
-          Timing.mem_latency t st ~inst ~service:mem_latency j
-        else op_latency j
-      in
-      if t.Timing.long_op.(j) then fu := Float.max !fu oplat;
-      completes.(j) <- st.Timing.arrival.(j) +. oplat
-    done;
-    Timing.initiate t st ~inst ~fu:!fu;
-    let iter_latency = st.Timing.last.latency and ii = st.Timing.last.ii in
-    end_time := Float.max !end_time (iter_start +. iter_latency);
+    Timing.step t st ~inst ~fire;
+    let iter_latency = last.latency and ii = last.ii in
     (* Fixed-point bookkeeping for this instance. *)
     let same =
       ran.(inst) > 0
@@ -161,7 +154,7 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
       if k0 < iterations then begin
         let m = ((iterations - 1 - k0) / tiling) + 1 in
         let last_start = inst_next.(j) +. (float_of_int (m - 1) *. prev_ii.(j)) in
-        end_time := Float.max !end_time (last_start +. prev_lat.(j))
+        last.makespan <- Float.max last.makespan (last_start +. prev_lat.(j))
       end
     done
   end;
@@ -173,9 +166,8 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
     let rec walk j acc = if j < 0 then acc else walk st.Timing.argmax.(j) (j :: acc) in
     walk !best []
   in
-  let last = st.Timing.last in
   {
-    cycles = int_of_float (Float.ceil !end_time);
+    cycles = int_of_float (Float.ceil last.makespan);
     iter_latency = last.latency;
     ii = last.ii;
     ii_rec = last.rec_;

@@ -16,11 +16,10 @@
    - time advances in batched jumps: per-instance initiation clocks jump by
      a whole II per iteration, and the contention tables skip runs of full
      cycles via union-find pointers rather than stepping cycle by cycle;
-   - steady-state arrival folds are memoized: a node whose guard status is
-     unchanged and whose producers' completion times did not move this
-     iteration keeps its previous arrival instead of re-folding (memory and
-     NoC-fed nodes never replay — cache state and router claims are side
-     effects the replay must not skip);
+   - each iteration is one {!Timing.step} over the compiled arrays, and
+     this module supplies only its per-node [fire]; every node folds every
+     iteration, since skipping a fold would still observe every edge and
+     so saves only a few float maxes;
    - store-to-load disambiguation uses a word-indexed, generation-stamped
      table reused across iterations instead of a per-iteration list scan.
 
@@ -56,10 +55,6 @@ let s32 = Engine_core.s32
 (* Fibonacci multiplicative hash for the store-disambiguation table. *)
 let[@inline] word_hash w mask = (w * 0x2545F4914F6CDD1D) land max_int land mask
 
-(* The per-firing operation latency and its port-queue share, in an
-   all-float record so that updating them allocates nothing. *)
-type firing = { mutable oplat : float; mutable pq : float }
-
 let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
     ?(watchdog_window = 512) ?attribution ~(config : Accel_config.t)
     ~(dfg : Dfg.t) ~(machine : Machine.t) ~(hier : Hierarchy.t) () =
@@ -82,7 +77,6 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
     in
     (* Cycle attribution: pure observation — charging never feeds back into
        timing, so a profiled run is bit-identical to an unprofiled one. *)
-    let prof = Option.is_some attribution in
     let lane_of =
       match attribution with
       | None -> [||]
@@ -126,11 +120,7 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       c
     in
     let st = Timing.start ~acquire sched ~ports:effective_ports in
-    (* [arrival] persists across iterations and doubles as the fold memo: a
-       node replays when no producer's completion moved this iteration. *)
-    let completes = st.Timing.completes and arrival = st.Timing.arrival in
-    let changed = Array.make n false in
-    let dis_prev = Array.make n false in
+    let arrival = st.Timing.arrival and firing = st.Timing.firing in
     (* Word-indexed store-to-load disambiguation table (replaces the
        reference engine's per-iteration association list). Generation
        stamps make clearing an O(1) counter bump; slots only fill within a
@@ -223,17 +213,18 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
         ehist.(j).(d) <- Some h;
         Stats.observe h lat
     in
-    (* Per-firing cursor state, hoisted so the hot closures below are
-       built once per execution rather than once per node firing. *)
-    let cur_inst = ref 0 in
+    (* Cursor state, hoisted so the hot closures below are built once per
+       execution rather than once per node firing: the memory access in
+       flight, this iteration's fault strikes and the first corruption. *)
     let cur_load = ref false in
     let cur_addr = ref 0 in
-    let fire = { oplat = 1.0; pq = 0.0 } in
+    let strikes = ref [] in
+    let first_corrupt = ref None in
     (* Dynamic (alias) dependence: a load waiting on a same-word store
        discovered this iteration. *)
-    let dep_dyn i j =
+    let dep_dyn ~inst i j =
       let before = st.Timing.nclaims in
-      let lat = Timing.alias sched st ~inst:!cur_inst i j in
+      let lat = Timing.alias sched st ~inst i j in
       if st.Timing.nclaims = before then
         act.Activity.local_transfers <- act.Activity.local_transfers + 1
       else begin
@@ -253,17 +244,17 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
         float_of_int (Hierarchy.min_latency hier)
       else float_of_int cache
     in
-    let mem_access j ~load ~addr =
+    let mem_access ~inst j ~load ~addr =
       (* Dynamic disambiguation: an aliasing earlier store forwards
          through the LSU broadcast; wait for it. *)
       if load then begin
         let s = store_lookup addr in
-        if s >= 0 then dep_dyn s j
+        if s >= 0 then dep_dyn ~inst s j
       end;
       cur_load := load;
       cur_addr := addr;
       let before = st.Timing.nclaims in
-      let lat = Timing.mem_latency sched st ~inst:!cur_inst ~service j in
+      let lat = Timing.mem_latency sched st ~inst ~service j in
       if st.Timing.nclaims = before then begin
         if load && sched.Timing.forwarded.(j) then
           act.Activity.forwarded_loads <- act.Activity.forwarded_loads + 1
@@ -272,15 +263,14 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
         let queue = st.Timing.claim_wait.(before) in
         Stats.observe port_queue queue;
         Stats.observe amat.(j) lat;
-        fire.pq <- queue;
         match attribution with
         | Some a ->
           Attribution.note_port_access a ~port:(Contention.last_slot st.Timing.ports)
-            ~issue:(st.Timing.next.(!cur_inst) +. arrival.(j) +. queue)
+            ~issue:(st.Timing.next.(inst) +. arrival.(j) +. queue)
             ~service:(lat -. queue)
         | None -> ()
       end;
-      fire.oplat <- lat
+      firing.oplat <- lat
     in
     let corrupt_latch j ~value ~stuck =
       let nd = nodes.(j) in
@@ -302,206 +292,153 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       end
       else false
     in
+    (* One node firing, after [Timing.step] folded its arrival: guards,
+       edge and claim observations, values, memory and aliasing, the
+       operation latency, attribution and faults. *)
+    let fire ~inst j =
+      let nd = nodes.(j) in
+      (* Guard evaluation: a branch node's value is 1 when taken. *)
+      let gs = guards_of.(j) in
+      let ng = Array.length gs in
+      let disabled =
+        if ng = 0 then false
+        else begin
+          let d = ref false in
+          let k = ref 0 in
+          while (not !d) && !k < ng do
+            let b, dis = gs.(!k) in
+            if (vx.(b) <> 0) = dis then d := true;
+            incr k
+          done;
+          !d
+        end
+      in
+      (* Observe the fold: per-edge latencies and router-claim queueing. *)
+      let ndeps = Array.length sched.Timing.deps.(j) in
+      let claims = st.Timing.nclaims in
+      act.Activity.local_transfers <- act.Activity.local_transfers + ndeps - claims;
+      act.Activity.noc_transfers <- act.Activity.noc_transfers + claims;
+      for d = 0 to ndeps - 1 do
+        observe_edge j d st.Timing.lat.(d)
+      done;
+      for c = 0 to claims - 1 do
+        Stats.observe noc_queue st.Timing.claim_wait.(c)
+      done;
+      (* Functional execution + operation latency. *)
+      if disabled then begin
+        firing.oplat <- 1.0;
+        act.Activity.disabled_ops <- act.Activity.disabled_ops + 1;
+        (match (Isa.writes_int nd.Dfg.instr, nd.Dfg.hidden) with
+        | Some _, Some h -> vx.(j) <- val_i h
+        | Some _, None -> vx.(j) <- 0
+        | None, _ -> ());
+        (match (Isa.writes_fp nd.Dfg.instr, nd.Dfg.hidden) with
+        | Some _, Some h -> vf.(j) <- val_f h
+        | Some _, None -> vf.(j) <- 0.0
+        | None, _ -> ());
+        if sched.Timing.kind.(j) = Timing.Branch_op then vx.(j) <- 0
+      end
+      else begin
+        Timing.count act sched.Timing.kind.(j) 1;
+        firing.oplat <- sched.Timing.cls_lat.(j);
+        match nd.Dfg.instr with
+        | Isa.Rtype (op, _, _, _) ->
+          vx.(j) <- Interp.Alu.rtype op (val_i nd.Dfg.srcs.(0)) (val_i nd.Dfg.srcs.(1))
+        | Isa.Itype (op, _, _, imm) ->
+          vx.(j) <- Interp.Alu.itype op (val_i nd.Dfg.srcs.(0)) imm
+        | Isa.Lui (_, imm) -> vx.(j) <- s32 imm
+        | Isa.Auipc (_, imm) -> vx.(j) <- s32 (nd.Dfg.addr + imm)
+        | Isa.Load (op, _, _, off) ->
+          let addr = u32 (val_i nd.Dfg.srcs.(0) + off) in
+          vx.(j) <- Interp.Alu.load op mem addr;
+          mem_access ~inst j ~load:true ~addr
+        | Isa.Flw (_, _, off) ->
+          let addr = u32 (val_i nd.Dfg.srcs.(0) + off) in
+          vf.(j) <- Main_memory.load_float32 mem addr;
+          mem_access ~inst j ~load:true ~addr
+        | Isa.Store (op, _, _, off) ->
+          let addr = u32 (val_i nd.Dfg.srcs.(1) + off) in
+          Interp.Alu.store op mem addr (val_i nd.Dfg.srcs.(0));
+          store_record j addr;
+          mem_access ~inst j ~load:false ~addr
+        | Isa.Fsw (_, _, off) ->
+          let addr = u32 (val_i nd.Dfg.srcs.(1) + off) in
+          Main_memory.store_float32 mem addr (val_f nd.Dfg.srcs.(0));
+          store_record j addr;
+          mem_access ~inst j ~load:false ~addr
+        | Isa.Branch (op, _, _, _) ->
+          let taken =
+            Interp.Alu.branch_taken op (val_i nd.Dfg.srcs.(0)) (val_i nd.Dfg.srcs.(1))
+          in
+          vx.(j) <- (if taken then 1 else 0)
+        | Isa.Ftype (op, _, _, _) ->
+          let a = val_f nd.Dfg.srcs.(0) in
+          let b = if Array.length nd.Dfg.srcs > 1 then val_f nd.Dfg.srcs.(1) else 0.0 in
+          vf.(j) <- Interp.Alu.ftype op a b
+        | Isa.Fcmp (op, _, _, _) ->
+          vx.(j) <- Interp.Alu.fcmp op (val_f nd.Dfg.srcs.(0)) (val_f nd.Dfg.srcs.(1))
+        | Isa.Fcvt_w_s (_, _) -> vx.(j) <- Interp.Alu.fcvt_w_s (val_f nd.Dfg.srcs.(0))
+        | Isa.Fcvt_s_w (_, _) -> vf.(j) <- Interp.Alu.fcvt_s_w (val_i nd.Dfg.srcs.(0))
+        | Isa.Fmv_x_w (_, _) -> vx.(j) <- Interp.Alu.fmv_x_w (val_f nd.Dfg.srcs.(0))
+        | Isa.Fmv_w_x (_, _) -> vf.(j) <- Interp.Alu.fmv_w_x (val_i nd.Dfg.srcs.(0))
+        | Isa.Jal _ | Isa.Jalr _ | Isa.Ecall | Isa.Ebreak | Isa.Fence ->
+          raise
+            (Exec_fail
+               (Printf.sprintf "node %d (%s) not executable on the fabric" j
+                  (Format.asprintf "%a" Isa.pp nd.Dfg.instr)))
+      end;
+      let oplat = firing.oplat in
+      Stats.observe node_lat.(j) oplat;
+      let iter_start = st.Timing.next.(inst) in
+      (match attribution with
+      | Some a ->
+        Attribution.charge_op a ~lane:lane_of.(j)
+          ~start:(iter_start +. arrival.(j))
+          ~noc_wait:(arrival.(j) -. st.Timing.uncontended.(j))
+          ~port_wait:firing.port_wait
+          ~service:(oplat -. firing.port_wait)
+          ~long_op:sched.Timing.long_op.(j)
+      | None -> ());
+      (* Fault application: the latch corrupts after the node fires, so
+         same-iteration consumers already see the bad value. *)
+      match (fault, pe_coord.(j)) with
+      | Some f, Some c ->
+        let applied =
+          match List.find_opt (fun (d, _, _) -> d = c) (Fault.dead f) with
+          | Some (_, k, v) ->
+            if corrupt_latch j ~value:v ~stuck:true then Some k else None
+          | None -> (
+            match List.find_opt (fun s -> s.Fault.s_coord = c) !strikes with
+            | Some s ->
+              if corrupt_latch j ~value:s.Fault.s_value ~stuck:false then
+                Some Fault.Transient_pe
+              else None
+            | None -> None)
+        in
+        (match applied with
+        | Some k ->
+          Fault.note_corruption f k;
+          if !first_corrupt = None then first_corrupt := Some iter_start
+        | None -> ())
+      | _ -> ()
+    in
     let run () =
       let iterations = ref 0 in
-      let end_time = ref 0.0 in
       let exit_reached = ref false in
       let paused = ref false in
       let budget_hit = ref false in
       let watchdog_fired = ref false in
-      let first_corrupt = ref None in
       let corrupt_iters = ref 0 in
       while not !exit_reached do
         let inst = !iterations mod sched.Timing.tiling in
-        let iter_start = st.Timing.next.(inst) in
-        cur_inst := inst;
         incr cur_gen;
-        let strikes =
-          match fault with None -> [] | Some f -> (Fault.tick f).Fault.strikes
-        in
-        let first = !iterations = 0 in
-        let fu_bound = ref 1.0 in
-        for j = 0 to n - 1 do
-          let nd = nodes.(j) in
-          (* Guard evaluation: a branch node's value is 1 when taken. *)
-          let gs = guards_of.(j) in
-          let ng = Array.length gs in
-          let disabled =
-            if ng = 0 then false
-            else begin
-              let d = ref false in
-              let k = ref 0 in
-              while (not !d) && !k < ng do
-                let b, dis = gs.(!k) in
-                if (vx.(b) <> 0) = dis then d := true;
-                incr k
-              done;
-              !d
-            end
-          in
-          let deps = sched.Timing.deps.(j) in
-          let ndeps = Array.length deps in
-          (* Replay decision: the arrival fold is pure arithmetic over the
-             producers' completion times and static transfer latencies, so
-             the previous arrival stands when none of them moved. Memory
-             nodes (stateful hierarchy + port claims), NoC-fed nodes
-             (router-slice claims) and guard flips always recompute. *)
-          let dirty =
-            first || sched.Timing.kind.(j) = Timing.Mem_op || sched.Timing.has_noc.(j)
-            || disabled <> dis_prev.(j)
-            ||
-            let d = ref false in
-            let k = ref 0 in
-            while (not !d) && !k < ndeps do
-              if changed.(deps.(!k)) then d := true;
-              incr k
-            done;
-            !d
-          in
-          if dirty then begin
-            (* Arrival of inputs (Equation 2, with contention). *)
-            Timing.fold sched st ~inst j;
-            let claims = st.Timing.nclaims in
-            act.Activity.local_transfers <- act.Activity.local_transfers + ndeps - claims;
-            act.Activity.noc_transfers <- act.Activity.noc_transfers + claims;
-            for d = 0 to ndeps - 1 do
-              observe_edge j d st.Timing.lat.(d)
-            done;
-            for c = 0 to claims - 1 do
-              Stats.observe noc_queue st.Timing.claim_wait.(c)
-            done
-          end
-          else begin
-            (* Replay: same edge observations (all PE-local, static
-               latency), memoized fold result. *)
-            act.Activity.local_transfers <- act.Activity.local_transfers + ndeps;
-            let bases = sched.Timing.base.(j) in
-            for d = 0 to ndeps - 1 do
-              observe_edge j d bases.(d)
-            done;
-            if prof then st.Timing.uncontended.(j) <- arrival.(j)
-          end;
-          (* Functional execution + operation latency. *)
-          fire.pq <- 0.0;
-          if disabled then begin
-            fire.oplat <- 1.0;
-            act.Activity.disabled_ops <- act.Activity.disabled_ops + 1;
-            (match (Isa.writes_int nd.Dfg.instr, nd.Dfg.hidden) with
-            | Some _, Some h -> vx.(j) <- val_i h
-            | Some _, None -> vx.(j) <- 0
-            | None, _ -> ());
-            (match (Isa.writes_fp nd.Dfg.instr, nd.Dfg.hidden) with
-            | Some _, Some h -> vf.(j) <- val_f h
-            | Some _, None -> vf.(j) <- 0.0
-            | None, _ -> ());
-            if sched.Timing.kind.(j) = Timing.Branch_op then vx.(j) <- 0
-          end
-          else begin
-            Timing.count act sched.Timing.kind.(j) 1;
-            fire.oplat <- sched.Timing.cls_lat.(j);
-            match nd.Dfg.instr with
-            | Isa.Rtype (op, _, _, _) ->
-              vx.(j) <- Interp.Alu.rtype op (val_i nd.Dfg.srcs.(0)) (val_i nd.Dfg.srcs.(1))
-            | Isa.Itype (op, _, _, imm) ->
-              vx.(j) <- Interp.Alu.itype op (val_i nd.Dfg.srcs.(0)) imm
-            | Isa.Lui (_, imm) -> vx.(j) <- s32 imm
-            | Isa.Auipc (_, imm) -> vx.(j) <- s32 (nd.Dfg.addr + imm)
-            | Isa.Load (op, _, _, off) ->
-              let addr = u32 (val_i nd.Dfg.srcs.(0) + off) in
-              vx.(j) <-
-                (match op with
-                | LB -> Main_memory.load_byte mem addr
-                | LBU -> Main_memory.load_byte_u mem addr
-                | LH -> Main_memory.load_half mem addr
-                | LHU -> Main_memory.load_half_u mem addr
-                | LW -> Main_memory.load_word mem addr);
-              mem_access j ~load:true ~addr
-            | Isa.Flw (_, _, off) ->
-              let addr = u32 (val_i nd.Dfg.srcs.(0) + off) in
-              vf.(j) <- Main_memory.load_float32 mem addr;
-              mem_access j ~load:true ~addr
-            | Isa.Store (op, _, _, off) ->
-              let addr = u32 (val_i nd.Dfg.srcs.(1) + off) in
-              let v = val_i nd.Dfg.srcs.(0) in
-              (match op with
-              | SB -> Main_memory.store_byte mem addr v
-              | SH -> Main_memory.store_half mem addr v
-              | SW -> Main_memory.store_word mem addr v);
-              store_record j addr;
-              mem_access j ~load:false ~addr
-            | Isa.Fsw (_, _, off) ->
-              let addr = u32 (val_i nd.Dfg.srcs.(1) + off) in
-              Main_memory.store_float32 mem addr (val_f nd.Dfg.srcs.(0));
-              store_record j addr;
-              mem_access j ~load:false ~addr
-            | Isa.Branch (op, _, _, _) ->
-              let taken =
-                Interp.Alu.branch_taken op (val_i nd.Dfg.srcs.(0)) (val_i nd.Dfg.srcs.(1))
-              in
-              vx.(j) <- (if taken then 1 else 0)
-            | Isa.Ftype (op, _, _, _) ->
-              let a = val_f nd.Dfg.srcs.(0) in
-              let b = if Array.length nd.Dfg.srcs > 1 then val_f nd.Dfg.srcs.(1) else 0.0 in
-              vf.(j) <- Interp.Alu.ftype op a b
-            | Isa.Fcmp (op, _, _, _) ->
-              vx.(j) <- Interp.Alu.fcmp op (val_f nd.Dfg.srcs.(0)) (val_f nd.Dfg.srcs.(1))
-            | Isa.Fcvt_w_s (_, _) -> vx.(j) <- Interp.Alu.fcvt_w_s (val_f nd.Dfg.srcs.(0))
-            | Isa.Fcvt_s_w (_, _) -> vf.(j) <- Interp.Alu.fcvt_s_w (val_i nd.Dfg.srcs.(0))
-            | Isa.Fmv_x_w (_, _) -> vx.(j) <- Interp.Alu.fmv_x_w (val_f nd.Dfg.srcs.(0))
-            | Isa.Fmv_w_x (_, _) -> vf.(j) <- Interp.Alu.fmv_w_x (val_i nd.Dfg.srcs.(0))
-            | Isa.Jal _ | Isa.Jalr _ | Isa.Ecall | Isa.Ebreak | Isa.Fence ->
-              raise
-                (Exec_fail
-                   (Printf.sprintf "node %d (%s) not executable on the fabric" j
-                      (Format.asprintf "%a" Isa.pp nd.Dfg.instr)))
-          end;
-          let oplat = fire.oplat in
-          Stats.observe node_lat.(j) oplat;
-          let long_op = sched.Timing.long_op.(j) in
-          if long_op then fu_bound := Float.max !fu_bound oplat;
-          let comp = arrival.(j) +. oplat in
-          changed.(j) <- comp <> completes.(j);
-          completes.(j) <- comp;
-          dis_prev.(j) <- disabled;
-          (match attribution with
-          | Some a ->
-            Attribution.charge_op a ~lane:lane_of.(j)
-              ~start:(iter_start +. arrival.(j))
-              ~noc_wait:(arrival.(j) -. st.Timing.uncontended.(j))
-              ~port_wait:fire.pq
-              ~service:(oplat -. fire.pq)
-              ~long_op
-          | None -> ());
-          (* Fault application: the latch corrupts after the node fires, so
-             same-iteration consumers already see the bad value. *)
-          (match (fault, pe_coord.(j)) with
-          | Some f, Some c ->
-            let applied =
-              match List.find_opt (fun (d, _, _) -> d = c) (Fault.dead f) with
-              | Some (_, k, v) ->
-                if corrupt_latch j ~value:v ~stuck:true then Some k else None
-              | None -> (
-                match List.find_opt (fun s -> s.Fault.s_coord = c) strikes with
-                | Some s ->
-                  if corrupt_latch j ~value:s.Fault.s_value ~stuck:false then
-                    Some Fault.Transient_pe
-                  else None
-                | None -> None)
-            in
-            (match applied with
-            | Some k ->
-              Fault.note_corruption f k;
-              if !first_corrupt = None then first_corrupt := Some iter_start
-            | None -> ())
-          | _ -> ())
-        done;
-        (* Initiation of this instance's next iteration: the event clock
-           jumps a whole II at once. *)
-        Timing.initiate sched st ~inst ~fu:!fu_bound;
+        strikes := (match fault with None -> [] | Some f -> (Fault.tick f).Fault.strikes);
+        (* One iteration; its initiation jumps the instance's event clock a
+           whole II at once. *)
+        Timing.step sched st ~inst ~fire;
         let b = st.Timing.last in
         incr iterations;
         act.Activity.iterations <- act.Activity.iterations + 1;
-        end_time := Float.max !end_time (iter_start +. b.Timing.latency);
         Stats.observe ii_achieved b.Timing.ii;
         (match attribution with
         | Some a ->
@@ -546,7 +483,8 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       Array.iter (fun (r, src) -> Machine.set_x machine r (val_i src)) live_out_x;
       Array.iter (fun (r, src) -> Machine.set_f machine r (val_f src)) live_out_f;
       machine.Machine.pc <- (if !paused then dfg.Dfg.entry_addr else dfg.Dfg.exit_addr);
-      act.Activity.cycles <- int_of_float (Float.ceil !end_time);
+      let makespan = st.Timing.last.Timing.makespan in
+      act.Activity.cycles <- int_of_float (Float.ceil makespan);
       (* Window-end profiler readouts: per-slice NoC contention (tiled
          instances fold onto their physical slice), shared-port totals, and
          the closing charge of every lane's uncovered tail. *)
@@ -564,11 +502,11 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       let detection =
         match fault with
         | Some f when Fault.window_corrupted f ->
-          let fc = Option.value !first_corrupt ~default:!end_time in
+          let fc = Option.value !first_corrupt ~default:makespan in
           Some
             {
               d_kinds = Fault.window_kinds f;
-              d_latency = max 0 (int_of_float (Float.ceil (!end_time -. fc)));
+              d_latency = max 0 (int_of_float (Float.ceil (makespan -. fc)));
               d_watchdog = !watchdog_fired;
             }
         | Some _ | None -> None

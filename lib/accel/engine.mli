@@ -72,8 +72,8 @@ val execute :
 (** Run the loop whose live-ins are taken from [machine]'s current register
     state.
 
-    This is the event-driven core: compiled static schedule, memoized
-    steady-state arrival folds, batched time jumps. It is bit-identical in
+    This is the event-driven core: compiled static schedule driven one
+    iteration at a time through {!Timing.step}, batched time jumps. It is bit-identical in
     every observable (cycles, memory, registers, stats snapshots,
     attribution sums) to the frozen node-scan oracle [Engine_reference],
     which lives in the test tree for differential testing. Every successful

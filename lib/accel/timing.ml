@@ -94,7 +94,10 @@ type bounds = {
   mutable mem : float;
   mutable fu : float;
   mutable ii : float;
+  mutable makespan : float;
 }
+
+type firing = { mutable oplat : float; mutable port_wait : float }
 
 type state = {
   ports : Contention.t;
@@ -110,6 +113,7 @@ type state = {
   mutable accesses : int;
   mutable nclaims : int;
   claim_wait : float array;
+  firing : firing;
   last : bounds;
 }
 
@@ -133,12 +137,15 @@ let start ?(acquire = fun capacity -> Contention.create ~capacity) t ~ports =
     accesses = 0;
     nclaims = 0;
     claim_wait = Array.make log_size 0.0;
-    last = { latency = 0.0; rec_ = 0.0; mem = 0.0; fu = 0.0; ii = 0.0 };
+    firing = { oplat = 0.0; port_wait = 0.0 };
+    last = { latency = 0.0; rec_ = 0.0; mem = 0.0; fu = 0.0; ii = 0.0; makespan = 0.0 };
   }
 
-(* Claim [table] at [ready]; log the queueing delay and return it. *)
+(* Claim [table] at [ready]; log the queueing delay and return it. This is
+   [Contention.claim] with the float arithmetic on this side of the call. *)
 let[@inline] claim st table ready =
-  let wait = Contention.claim table ready -. ready in
+  let cycle = Contention.claim_cycle table (int_of_float (Float.ceil ready)) in
+  let wait = Float.max ready (float_of_int cycle) -. ready in
   let k = st.nclaims in
   st.claim_wait.(k) <- wait;
   st.nclaims <- k + 1;
@@ -188,13 +195,21 @@ let mem_latency t st ~inst ~service j =
   else if t.is_load.(j) && t.vector_member.(j) then 1.0
   else begin
     let wait = claim st st.ports (st.next.(inst) +. st.arrival.(j)) in
+    st.firing.port_wait <- wait;
     wait +. service j
   end
 
 let initiate t st ~inst ~fu =
   let b = st.last in
-  let latency = Array.fold_left Float.max 0.0 st.completes in
+  (* A loop, not [Array.fold_left Float.max]: the closure would box every
+     partial maximum. *)
+  let latency = ref 0.0 in
+  for j = 0 to t.n - 1 do
+    latency := Float.max !latency st.completes.(j)
+  done;
+  let latency = !latency in
   b.latency <- latency;
+  b.makespan <- Float.max b.makespan (st.next.(inst) +. latency);
   if t.pipelined then begin
     let r = ref 1.0 in
     for k = 0 to Array.length t.carried - 1 do
@@ -214,6 +229,18 @@ let initiate t st ~inst ~fu =
   end;
   st.accesses <- 0;
   st.next.(inst) <- st.next.(inst) +. b.ii
+
+let step t st ~inst ~fire =
+  let fu = ref 1.0 in
+  for j = 0 to t.n - 1 do
+    fold t st ~inst j;
+    st.firing.port_wait <- 0.0;
+    fire ~inst j;
+    let oplat = st.firing.oplat in
+    if t.long_op.(j) then fu := Float.max !fu oplat;
+    st.completes.(j) <- st.arrival.(j) +. oplat
+  done;
+  initiate t st ~inst ~fu:!fu
 
 let router_use t st =
   Array.to_list st.noc

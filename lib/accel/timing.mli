@@ -6,11 +6,12 @@
     A loop is compiled once into a static schedule ({!t}); an execution
     then owns a mutable {!state}: the contention tables, the per-instance
     initiation clocks, the per-node completion and arrival vectors, and
-    the claims of the node firing in progress. Per node firing the caller
-    runs {!fold} (Equation 2 over the compiled in-edges, with router-slice
-    claims), prices the operation ({!mem_latency} for memory nodes, its
-    own oracle otherwise), and writes [completes]; per iteration it calls
-    {!initiate} (the II rule). *)
+    the claims of the node firing in progress. Each iteration is one
+    {!step}: per node it runs {!fold} (Equation 2 over the compiled
+    in-edges, with router-slice claims), then the caller's [fire], which
+    prices the operation ({!mem_latency} for memory nodes, its own oracle
+    otherwise) into [firing], then the iterative-unit bound and
+    [completes]; it ends with {!initiate} (the II rule). *)
 
 (** Activity class of a node's enabled firing. *)
 type kind = Int_op | Fp_op | Mem_op | Branch_op | Not_fabric
@@ -50,6 +51,16 @@ type bounds = {
   mutable mem : float;      (** port-throughput bound; 0 unpipelined *)
   mutable fu : float;       (** iterative-unit bound; 0 unpipelined *)
   mutable ii : float;
+  mutable makespan : float;
+      (** latest absolute completion of any iteration initiated so far *)
+}
+
+(** The node firing in progress. An all-float record, so updating it
+    allocates nothing. *)
+type firing = {
+  mutable oplat : float;      (** operation latency, set by the caller *)
+  mutable port_wait : float;  (** its port-queue share: set by
+                                  {!mem_latency} on a claim, else 0 *)
 }
 
 type state = {
@@ -69,6 +80,7 @@ type state = {
   mutable accesses : int;     (** memory accesses this iteration *)
   mutable nclaims : int;      (** claims of the node firing in progress *)
   claim_wait : float array;   (** issue minus ready: the queueing delay *)
+  firing : firing;
   last : bounds;              (** the last {!initiate}d iteration *)
 }
 
@@ -93,16 +105,27 @@ val mem_latency :
   t -> state -> inst:int -> service:(int -> float) -> int -> float
 (** The memory-issue rule for node [j] at its arrival, counted as one of
     the iteration's accesses: a forwarded load costs 2, a vector-group
-    member 1; any other access claims a cache port (appended to the log)
-    and costs the queueing delay plus [service j]. *)
+    member 1; any other access claims a cache port (appended to the log,
+    its queueing delay also in [firing.port_wait]) and costs the queueing
+    delay plus [service j]. *)
 
 val initiate : t -> state -> inst:int -> fu:float -> unit
 (** The II rule, once per iteration after every node completed: fills
-    [last], advances instance [inst]'s clock by the II and restarts the
-    access count. Pipelined, the II is the largest of the loop-carried
+    [last] (raising its [makespan] to the iteration's end), advances
+    instance [inst]'s clock by the II and restarts the access count.
+    Pipelined, the II is the largest of the loop-carried
     recurrence, the iteration's memory accesses over the port count, and
     [fu] (the slowest iterative-unit firing); otherwise it is the iteration
     latency plus one. *)
+
+val step : t -> state -> inst:int -> fire:(inst:int -> int -> unit) -> unit
+(** One iteration of instance [inst]: for each node [j] in order, {!fold}
+    it, call [fire ~inst j] (which must set [firing.oplat]; [port_wait]
+    starts at 0), bound the II by [oplat] if [j] is an iterative unit and
+    set [completes.(j)] to its arrival plus [oplat]; then {!initiate}.
+    Beyond what [fire] allocates, a step allocates one boxed float (the
+    [fu] it passes to {!initiate}) and each router table on its first
+    claim: nothing per node firing. *)
 
 val router_use : t -> state -> (int * int * int) list
 (** [(slice, claims, busy cycles)] of every router table created, in

@@ -111,6 +111,20 @@ module Alu = struct
   let fcvt_s_w v = r32 (float_of_int v)
   let fmv_x_w f = s32 (Int32.to_int (Int32.bits_of_float f))
   let fmv_w_x v = Int32.float_of_bits (Int32.of_int v)
+
+  let load (op : Isa.lop) mem addr =
+    match op with
+    | LB -> Main_memory.load_byte mem addr
+    | LBU -> Main_memory.load_byte_u mem addr
+    | LH -> Main_memory.load_half mem addr
+    | LHU -> Main_memory.load_half_u mem addr
+    | LW -> Main_memory.load_word mem addr
+
+  let store (op : Isa.sop) mem addr v =
+    match op with
+    | SB -> Main_memory.store_byte mem addr v
+    | SH -> Main_memory.store_half mem addr v
+    | SW -> Main_memory.store_word mem addr v
 end
 
 (* Execute [instr], fetched at [pc], and return the next pc. Ecall and
@@ -127,24 +141,10 @@ let exec (m : Machine.t) pc instr =
     Machine.set_x m rd (Alu.itype op (Machine.get_x m rs1) imm);
     next
   | Isa.Load (op, rd, base, off) ->
-    let addr = u32 (Machine.get_x m base + off) in
-    let v =
-      match op with
-      | LB -> Main_memory.load_byte m.mem addr
-      | LBU -> Main_memory.load_byte_u m.mem addr
-      | LH -> Main_memory.load_half m.mem addr
-      | LHU -> Main_memory.load_half_u m.mem addr
-      | LW -> Main_memory.load_word m.mem addr
-    in
-    Machine.set_x m rd v;
+    Machine.set_x m rd (Alu.load op m.mem (u32 (Machine.get_x m base + off)));
     next
   | Isa.Store (op, src, base, off) ->
-    let addr = u32 (Machine.get_x m base + off) in
-    let v = Machine.get_x m src in
-    (match op with
-    | SB -> Main_memory.store_byte m.mem addr v
-    | SH -> Main_memory.store_half m.mem addr v
-    | SW -> Main_memory.store_word m.mem addr v);
+    Alu.store op m.mem (u32 (Machine.get_x m base + off)) (Machine.get_x m src);
     next
   | Isa.Branch (op, rs1, rs2, off) ->
     if Alu.branch_taken op (Machine.get_x m rs1) (Machine.get_x m rs2) then pc + off

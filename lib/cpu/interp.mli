@@ -55,4 +55,11 @@ module Alu : sig
   val fcvt_s_w : int -> float
   val fmv_x_w : float -> int
   val fmv_w_x : int -> float
+
+  val load : Isa.lop -> Main_memory.t -> int -> int
+  (** [load op mem addr]: the width-[op] load at [addr], sign- or
+      zero-extended as [op] says. *)
+
+  val store : Isa.sop -> Main_memory.t -> int -> int -> unit
+  (** [store op mem addr v]: the low bytes of [v] that [op] stores. *)
 end

@@ -1,15 +1,17 @@
-(* `mesa_cli fuzz --replay` on a missing or malformed corpus file must
-   fail with a one-line diagnostic and a non-zero exit — never a raw
-   backtrace. argv: mesa_cli path. *)
+(* Bad input on the `mesa_cli` command line — a missing or malformed
+   `fuzz --replay` corpus file, an unwritable output path, a non-positive
+   count — must fail with a one-line diagnostic and a non-zero exit, never
+   an uncaught exception or a raw backtrace. Cmdliner follows an argument
+   error with its usage hint ("Usage: ..." and "Try ..."), which is not
+   counted as a diagnostic. argv: mesa_cli path. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
-let run_replay cli file =
-  let stderr_file = Filename.temp_file "replay-smoke" ".err" in
+let run cli args =
+  let stderr_file = Filename.temp_file "cli-smoke" ".err" in
   let code =
     Sys.command
-      (Filename.quote_command cli ~stdout:Filename.null ~stderr:stderr_file
-         [ "fuzz"; "--replay"; file ])
+      (Filename.quote_command cli ~stdout:Filename.null ~stderr:stderr_file args)
   in
   let ic = open_in stderr_file in
   let len = in_channel_length ic in
@@ -18,12 +20,22 @@ let run_replay cli file =
   Sys.remove stderr_file;
   (code, err)
 
-let check_case cli ~label file =
-  let code, err = run_replay cli file in
+let starts_with prefix l =
+  String.length l >= String.length prefix
+  && String.sub l 0 (String.length prefix) = prefix
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let check_case cli (label, args) =
+  let code, err = run cli args in
   if code = 0 then fail "%s: expected a non-zero exit, got 0" label;
   let lines =
     List.filter
-      (fun l -> String.trim l <> "")
+      (fun l ->
+        String.trim l <> "" && not (starts_with "Usage: " l || starts_with "Try '" l))
       (String.split_on_char '\n' err)
   in
   (match lines with
@@ -31,34 +43,38 @@ let check_case cli ~label file =
   | _ ->
     fail "%s: expected exactly one diagnostic line, got %d:\n%s" label
       (List.length lines) err);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun marker ->
       List.iter
         (fun l ->
           if contains l marker then
-            fail "%s: diagnostic looks like a backtrace: %s" label l)
+            fail "%s: diagnostic looks like a crash: %s" label l)
         lines)
-    [ "Raised at"; "Raised by"; "Called from"; "Fatal error" ];
+    [ "uncaught exception"; "Raised at"; "Raised by"; "Called from"; "Fatal error" ];
   Printf.printf "%s: exit %d, %s\n" label code (List.hd lines)
+
+let temp_json contents =
+  let path = Filename.temp_file "cli-smoke" ".json" in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  path
 
 let () =
   let cli = Sys.argv.(1) in
-  check_case cli ~label:"missing corpus file" "no-such-corpus-entry.json";
-  let malformed = Filename.temp_file "replay-smoke" ".json" in
-  let oc = open_out malformed in
-  output_string oc "{ this is not json\n";
-  close_out oc;
-  check_case cli ~label:"malformed corpus file" malformed;
-  let nospec = Filename.temp_file "replay-smoke" ".json" in
-  let oc = open_out nospec in
-  output_string oc "{\"note\": \"valid json, not a corpus entry\"}\n";
-  close_out oc;
-  check_case cli ~label:"json without spec/fabric" nospec;
+  let malformed = temp_json "{ this is not json\n" in
+  let nospec = temp_json "{\"note\": \"valid json, not a corpus entry\"}\n" in
+  List.iter (check_case cli)
+    [
+      ("missing corpus file", [ "fuzz"; "--replay"; "no-such-corpus-entry.json" ]);
+      ("malformed corpus file", [ "fuzz"; "--replay"; malformed ]);
+      ("json without spec/fabric", [ "fuzz"; "--replay"; nospec ]);
+      ("unwritable dse --out", [ "dse"; "--out"; "/nonexistent/x.json" ]);
+      ("unwritable dse --frontier-out", [ "dse"; "--frontier-out"; "/nonexistent/x.txt" ]);
+      ("map --grid 0", [ "map"; "nn"; "--grid"; "0" ]);
+      ("fuzz --jobs 0", [ "fuzz"; "--jobs"; "0" ]);
+      ("dse --jobs 0", [ "dse"; "--jobs"; "0" ]);
+    ];
   Sys.remove malformed;
   Sys.remove nospec;
-  print_endline "replay smoke ok"
+  print_endline "cli smoke ok"

@@ -176,39 +176,48 @@ let build_compute_loop (c : compute_loop) =
   Asm.ecall b;
   Asm.assemble b
 
+(* [c] placed on its drawn grid and run on the engine: the DFG, the
+   configuration and the engine's result, or [None] when the body is too
+   wide for the grid. *)
+let run_compute_loop (c : compute_loop) =
+  let prog = build_compute_loop c in
+  let dfg =
+    match dfg_of_program prog with
+    | Ok dfg -> dfg
+    | Error e -> Alcotest.failf "compute-only loop rejected by LDFG: %s" e
+  in
+  let grid = Grid.make ~rows:c.rows ~cols:c.cols ~mem_ports:c.ports () in
+  match Mapper.map ~grid ~kind:Interconnect.Mesh_noc (Perf_model.create dfg) with
+  | Error _ -> None
+  | Ok placement ->
+    let config =
+      Accel_config.with_opts ~tiling:c.cl_tiling ~pipelined:c.cl_pipelined placement
+    in
+    let mem = Main_memory.create () in
+    let machine = Machine.create ~pc:(Program.entry prog) mem in
+    Machine.set_args machine [ (Reg.t0, 0); (Reg.a3, c.iterations) ];
+    Machine.set_fargs machine [ (Reg.ft0, 1.5); (Reg.ft1, -0.25); (Reg.ft2, 3.0) ];
+    let hier = Hierarchy.create Hierarchy.default_config in
+    (match Engine.execute ~config ~dfg ~machine ~hier () with
+    | Error e -> Alcotest.failf "engine rejected compute-only loop: %s" e
+    | Ok res -> Some (dfg, config, res))
+
 let model_exact_on_compute_only =
   QCheck2.Test.make
     ~name:"compute-only loops: model cycle-exact against the engine" ~count:25
     ~print:print_compute_loop gen_compute_loop
     (fun c ->
-      let prog = build_compute_loop c in
-      let dfg =
-        match dfg_of_program prog with
-        | Ok dfg -> dfg
-        | Error e -> Alcotest.failf "compute-only loop rejected by LDFG: %s" e
-      in
-      let grid = Grid.make ~rows:c.rows ~cols:c.cols ~mem_ports:c.ports () in
-      match Mapper.map ~grid ~kind:Interconnect.Mesh_noc (Perf_model.create dfg) with
-      | Error _ -> true (* body too wide for the drawn grid: nothing to compare *)
-      | Ok placement ->
-        let config =
-          Accel_config.with_opts ~tiling:c.cl_tiling ~pipelined:c.cl_pipelined placement
-        in
-        let mem = Main_memory.create () in
-        let machine = Machine.create ~pc:(Program.entry prog) mem in
-        Machine.set_args machine [ (Reg.t0, 0); (Reg.a3, c.iterations) ];
-        Machine.set_fargs machine [ (Reg.ft0, 1.5); (Reg.ft1, -0.25); (Reg.ft2, 3.0) ];
-        let hier = Hierarchy.create Hierarchy.default_config in
-        (match Engine.execute ~config ~dfg ~machine ~hier () with
-        | Error e -> Alcotest.failf "engine rejected compute-only loop: %s" e
-        | Ok res ->
+      (* A body too wide for the drawn grid has nothing to compare. *)
+      Option.iter
+        (fun (dfg, config, res) ->
           let est =
             Cost_model.estimate ~config ~dfg ~iterations:res.Engine.iterations ()
           in
           check Alcotest.int
             (print_compute_loop c ^ ": model cycles = engine cycles")
-            res.Engine.cycles est.Cost_model.cycles);
-        true)
+            res.Engine.cycles est.Cost_model.cycles)
+        (run_compute_loop c);
+      true)
 
 (* {2 Purity: same input, same estimate, and no simulation-meter writes.}
 

@@ -2,17 +2,18 @@
    reference engine ({!Engine_reference}, the test-only oracle library in
    test/oracle).
 
-   The event core memoizes steady-state arrival folds, batches fault clock
-   advances and indexes store-to-load disambiguation — all pure
-   restructurings, so *every* observable must stay bit-identical: cycles,
-   iterations, memory contents, architectural registers, the full measured
-   stats snapshot (per-node latency and per-edge transfer histograms,
-   contention queues, achieved II), and the attribution bucket sums. *)
+   The event core drives a compiled schedule through {!Timing.step},
+   batches fault clock advances and indexes store-to-load disambiguation —
+   all pure restructurings, so *every* observable must stay bit-identical:
+   cycles, iterations, memory contents, architectural registers, the full
+   measured stats snapshot (per-node latency and per-edge transfer
+   histograms, contention queues, achieved II), and the attribution bucket
+   sums. *)
 
 let check = Alcotest.check
 
 (* One draw: a random workload on a random fabric (test/gen.ml axes) with a
-   random tiling / pipelining choice so the memoized steady-state path, the
+   random tiling / pipelining choice so the pipelined steady state, the
    multi-instance clock and the plain serial path are all exercised. *)
 type draw = { arch : Gen.arch_case; tiling : int; pipelined : bool }
 
@@ -126,13 +127,12 @@ let engines_bit_identical =
 
 (* {2 Fault injection across a batched time jump.}
 
-   In steady state the event engine replays memoized arrival folds and the
-   fault clock advances through {!Fault.tick}'s batched fast path (no event
-   due -> no list traversal). The schedule below strikes at iterations 100
-   and 300 — both deep inside the memoized regime of a pipelined, tiled nn
-   run — so each strike lands *after* a batched quiet stretch and must
-   flip the engine back onto the dirty path at exactly the reference
-   iteration. Detection metadata, the corrupted memory image and the cycle
+   In steady state the fault clock advances through {!Fault.tick}'s
+   batched fast path (no event due -> no list traversal). The schedule
+   below strikes at iterations 100 and 300 — both deep inside the steady
+   state of a pipelined, tiled nn run — so each strike lands *after* a
+   batched quiet stretch and must corrupt its latch at exactly the
+   reference iteration. Detection metadata, the corrupted memory image and the cycle
    count must all match the reference engine exactly. *)
 
 let fault_crosses_batched_jump () =

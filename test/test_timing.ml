@@ -94,5 +94,86 @@ let rules_hold () =
            ]))
     [ "nn"; "kmeans"; "bfs"; "cfd"; "hotspot" ]
 
+(* {2 One step, three ways to run it.}
+
+   On compute-only loops (no memory, no guards) [Timing.step] priced by the
+   static class latencies is the whole timing model, so its makespan must
+   equal both the cost model's fully simulated estimate and the engine's
+   cycles; and it must allocate nothing per node firing. *)
+
+(* An explicit two-argument closure: [step]'s call to it allocates
+   nothing, where a partial application of a four-argument function would. *)
+let fire_cls t st =
+  let fire ~inst:_ j = st.Timing.firing.oplat <- t.Timing.cls_lat.(j) in
+  fire
+
+let step_makespan t ~ports ~iterations =
+  let st = Timing.start t ~ports in
+  let fire = fire_cls t st in
+  for k = 0 to iterations - 1 do
+    Timing.step t st ~inst:(k mod t.Timing.tiling) ~fire
+  done;
+  int_of_float (Float.ceil st.Timing.last.Timing.makespan)
+
+let step_matches_both_callers =
+  QCheck2.Test.make ~name:"step = cost model = engine on compute-only loops"
+    ~count:25 ~print:Test_cost_model.print_compute_loop
+    Test_cost_model.gen_compute_loop (fun c ->
+      Option.iter
+        (fun (dfg, (config : Accel_config.t), res) ->
+          let iterations = res.Engine.iterations in
+          let t = Timing.compile ~config ~dfg in
+          let stepped =
+            step_makespan t ~ports:config.placement.Placement.grid.Grid.mem_ports
+              ~iterations
+          in
+          let est = Cost_model.estimate ~config ~dfg ~iterations ~extrapolate:false () in
+          let label = Test_cost_model.print_compute_loop c in
+          check Alcotest.int (label ^ ": step = engine") res.Engine.cycles stepped;
+          check Alcotest.int (label ^ ": step = cost model") est.Cost_model.cycles stepped)
+        (Test_cost_model.run_compute_loop c);
+      true)
+
+(* Words allocated per [step], over many steps of loops from fixed seeds:
+   [initiate]'s boxed [fu] argument is the only allocation, so the count
+   stays at that constant whatever the node count and NoC traffic. *)
+let step_allocation () =
+  let rec placed seed =
+    let c =
+      QCheck2.Gen.generate1 ~rand:(Random.State.make [| seed |])
+        Test_cost_model.gen_compute_loop
+    in
+    match Test_cost_model.run_compute_loop c with
+    | Some (dfg, config, _) -> Timing.compile ~config ~dfg
+    | None -> placed (seed + 1000)
+  in
+  let steps = 1000 in
+  List.iter
+    (fun seed ->
+      let t = placed seed in
+      let st = Timing.start t ~ports:2 in
+      let fire = fire_cls t st in
+      let run () =
+        for k = 0 to steps - 1 do
+          Timing.step t st ~inst:(k mod t.Timing.tiling) ~fire
+        done
+      in
+      (* Warm up: router tables are created on their first claim. *)
+      run ();
+      let before = Gc.minor_words () in
+      run ();
+      let per_step = (Gc.minor_words () -. before) /. float_of_int steps in
+      if per_step > 4.0 then
+        Alcotest.failf "seed %d (%d nodes): %.2f minor words per step" seed t.Timing.n
+          per_step)
+    (List.init 20 Fun.id)
+
 let suites =
-  [ ("timing", [ Alcotest.test_case "issue and II rules" `Quick rules_hold ]) ]
+  [
+    ( "timing",
+      [
+        Alcotest.test_case "issue and II rules" `Quick rules_hold;
+        QCheck_alcotest.to_alcotest step_matches_both_callers;
+        Alcotest.test_case "step allocates nothing per node" `Quick step_allocation;
+      ] );
+  ]
