@@ -123,10 +123,7 @@ let write_timings ~path ~jobs =
                ts) );
       ]
   in
-  let oc = open_out path in
-  output_string oc (Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
+  Json.write_file path json;
   Printf.printf "[wrote %s]\n%!" path
 
 (* --check BASELINE.json: compare this run against a committed schema-v2
@@ -139,10 +136,9 @@ let write_timings ~path ~jobs =
    (schema v1) are not compared. *)
 let check_against ~path =
   let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("[check] " ^ s); true) fmt in
-  let text = In_channel.with_open_text path In_channel.input_all in
-  match Json.of_string text with
+  match Json.read_file path with
   | Error e ->
-    Printf.eprintf "[check] cannot parse %s: %s\n" path e;
+    Printf.eprintf "[check] %s\n" e;
     exit 1
   | Ok base ->
     let base_exps =

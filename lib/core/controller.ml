@@ -713,3 +713,35 @@ let run ?options ?hier ?stats prog machine =
 let speedup ~baseline_cycles report =
   if report.total_cycles = 0 then 0.0
   else float_of_int baseline_cycles /. float_of_int report.total_cycles
+
+let render ?(faults = false) report =
+  let b = Buffer.create 512 in
+  Printf.bprintf b
+    "MESA breakdown: cpu %d + accel %d + overhead %d cycles; %d offload(s); translation busy %d cycles\n"
+    report.cpu_cycles report.accel_cycles report.overhead_cycles report.offloads
+    report.mesa_busy_cycles;
+  List.iter
+    (fun r ->
+      if r.accepted then begin
+        Printf.bprintf b
+          "region 0x%x: %d instrs, tiling x%d, %d iterations on fabric, %d reconfiguration(s)\n"
+          r.entry r.size r.tiling r.accel_iterations r.reconfigurations;
+        if r.faults_detected > 0 || r.reject_reason <> None then
+          Printf.bprintf b
+            "  faults: %d detected, %d retried, %d remap(s), %d quarantine(s)%s\n"
+            r.faults_detected r.fault_retries r.fault_remaps r.quarantines
+            (match r.reject_reason with
+            | Some why -> "; aborted: " ^ why
+            | None -> "")
+      end
+      else
+        Printf.bprintf b "region 0x%x rejected: %s\n" r.entry
+          (Option.value r.reject_reason ~default:"?"))
+    report.regions;
+  (if faults then
+     let g p = Option.value (Stats.find_int report.stats ("faults." ^ p)) ~default:0 in
+     Printf.bprintf b
+       "fault summary: %d injected, %d detected, %d retried, %d remapped, %d quarantined, %d config upset(s)\n"
+       (g "injected") (g "detected") (g "retried") (g "remapped")
+       (g "quarantined") (g "config_upsets"));
+  Buffer.contents b

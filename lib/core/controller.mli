@@ -133,3 +133,8 @@ val run :
     the same tree. *)
 
 val speedup : baseline_cycles:int -> report -> float
+
+val render : ?faults:bool -> report -> string
+(** The run summary `mesa_cli run` prints: the cycle breakdown, one line
+    per region (accepted regions with their fault recovery, rejected ones
+    with the reason) and, with [faults], the fault-injection totals. *)

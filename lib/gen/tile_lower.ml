@@ -20,10 +20,6 @@ type defect = Store_skew
 
 let defect_to_string Store_skew = "store-skew"
 
-let defect_of_string = function
-  | "store-skew" -> Ok Store_skew
-  | s -> Error (Printf.sprintf "unknown defect %S (store-skew)" s)
-
 let int_scratch = [| Reg.t4; Reg.t5; Reg.t6; Reg.a6; Reg.a7 |]
 let fp_scratch = [| Reg.ft3; Reg.ft4; Reg.ft5; Reg.ft6; Reg.ft7 |]
 let itmp_reg = [| Reg.t1; Reg.t2; Reg.t3 |]

@@ -35,7 +35,6 @@ type built = {
 type defect = Store_skew
 
 val defect_to_string : defect -> string
-val defect_of_string : string -> (defect, string) result
 
 val lower : ?defect:defect -> Tile_dsl.spec -> (built, string) result
 (** Validate, then emit. Lowering is deterministic: equal specs produce

@@ -34,25 +34,30 @@ type strategy = Exhaustive | Guided
 
 type defect = Inverted_rank
 
-let strategy_to_string = function
-  | Exhaustive -> "exhaustive"
-  | Guided -> "guided"
+let strategies = [ ("exhaustive", Exhaustive); ("guided", Guided) ]
+let defects = [ ("inverted-rank", Inverted_rank) ]
 
-let strategy_of_string = function
-  | "exhaustive" -> Ok Exhaustive
-  | "guided" -> Ok Guided
-  | s -> Error (Printf.sprintf "unknown strategy %S (exhaustive|guided)" s)
+let kinds =
+  [
+    ("mesh_noc", Interconnect.Mesh_noc);
+    ("hier_rows", Interconnect.Hierarchical_rows);
+    ("pure_mesh", Interconnect.Pure_mesh);
+  ]
 
-let kind_to_string = function
-  | Interconnect.Mesh_noc -> "mesh_noc"
-  | Interconnect.Hierarchical_rows -> "hier_rows"
-  | Interconnect.Pure_mesh -> "pure_mesh"
+let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
 
-let kind_of_string = function
-  | "mesh_noc" -> Ok Interconnect.Mesh_noc
-  | "hier_rows" -> Ok Interconnect.Hierarchical_rows
-  | "pure_mesh" -> Ok Interconnect.Pure_mesh
-  | s -> Error (Printf.sprintf "unknown interconnect %S (mesh_noc|hier_rows|pure_mesh)" s)
+let of_name what table s =
+  match List.assoc_opt s table with
+  | Some v -> Ok v
+  | None ->
+    Error
+      (Printf.sprintf "unknown %s %S (%s)" what s
+         (String.concat "|" (List.map fst table)))
+
+let strategy_to_string = name_in strategies
+let strategy_of_string = of_name "strategy" strategies
+let kind_to_string = name_in kinds
+let kind_of_string = of_name "interconnect" kinds
 
 let point_label (p : point) =
   Printf.sprintf "%s@%dx%d p%d %s L1:%dK L2:%dK" p.kernel p.rows p.cols
@@ -415,14 +420,6 @@ let checkpoint_of_json j =
   in
   Ok (spec, strategy, outcomes)
 
-let write_checkpoint ?strategy path spec outcomes =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (Json.to_string ~indent:2 (checkpoint_to_json ?strategy spec outcomes));
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
-
 (* ------------------------------------------------------------------ *)
 (* Guided search surrogate: the analytical cost model prices a lattice
    point without running the engine, so ranking the whole lattice costs
@@ -497,11 +494,11 @@ let load_checkpoint ~strategy ~resume ~checkpoint spec =
     | None -> Error "resume requires a checkpoint path"
     | Some path when not (Sys.file_exists path) -> Ok []
     | Some path -> (
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Result.bind (Json.of_string text) checkpoint_of_json with
-      | Error e -> Error (Printf.sprintf "checkpoint %s: %s" path e)
+      let of_json j =
+        Result.map_error (fun e -> path ^ ": " ^ e) (checkpoint_of_json j)
+      in
+      match Result.bind (Json.read_file path) of_json with
+      | Error e -> Error ("checkpoint " ^ e)
       | Ok (sp, st, outs) ->
         if sp <> spec then
           Error (Printf.sprintf "checkpoint %s was produced by a different spec" path)
@@ -556,7 +553,8 @@ let run ?jobs ?checkpoint ?(resume = false) ?stop_after ?(strategy = Exhaustive)
       :: !timeline;
     clock := !clock + max 1 o.cycles;
     (match checkpoint with
-    | Some path -> write_checkpoint ~strategy path spec (List.rev !outcomes_rev)
+    | Some path ->
+      Json.write_file path (checkpoint_to_json ~strategy spec (List.rev !outcomes_rev))
     | None -> ());
     match stop_after with
     | Some k when !fresh >= k -> stopped := true
@@ -797,6 +795,33 @@ let table ?top r =
     rows;
   t
 
+let render ?top r =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Tables.render (table ?top r));
+  Printf.bprintf b
+    "\n%d point(s): %d measured fresh, %d restored, %d on the Pareto frontier%s\n"
+    (List.length r.outcomes) r.evaluated r.restored (List.length r.front)
+    (if r.complete then "" else " [interrupted by --stop-after]");
+  Printf.bprintf b "engine-measured %d of %d lattice point(s) (%.1f%%)\n"
+    r.measured r.exhaustive_count
+    (100.0 *. float_of_int r.measured /. float_of_int (max 1 r.exhaustive_count));
+  List.iter
+    (fun o ->
+      Printf.bprintf b "  frontier: %-40s perf %.3f it/kc, %.3f it/kc/W\n"
+        (point_label o.point) o.perf o.perf_per_watt)
+    r.front;
+  Buffer.contents b
+
+let frontier_labels r =
+  List.sort compare (List.map (fun o -> point_label o.point) r.front)
+
+let check_max_frac x r =
+  if float_of_int r.measured > x *. float_of_int r.exhaustive_count then
+    Error
+      (Printf.sprintf "measured %d of %d lattice points, exceeding --max-frac %g"
+         r.measured r.exhaustive_count x)
+  else Ok ()
+
 let experiment ?jobs () =
   let spec =
     {
@@ -837,9 +862,6 @@ let guided_experiment ?jobs () =
   match (run ?jobs spec, run ?jobs ~strategy:Guided spec) with
   | Error e, _ | _, Error e -> failwith ("guided dse experiment: " ^ e)
   | Ok ex, Ok gd ->
-    let labels r =
-      List.sort compare (List.map (fun o -> point_label o.point) r.front)
-    in
     {
       Experiments.table = table gd;
       summary =
@@ -848,6 +870,6 @@ let guided_experiment ?jobs () =
           ("guided_measured", float_of_int gd.measured);
           ( "evaluated_fraction",
             float_of_int gd.measured /. float_of_int (max 1 gd.exhaustive_count) );
-          ("frontier_match", if labels ex = labels gd then 1.0 else 0.0);
+          ("frontier_match", if frontier_labels ex = frontier_labels gd then 1.0 else 0.0);
         ];
     }

@@ -77,6 +77,10 @@ val points_of_spec : spec -> point list
 val evaluate : point -> outcome
 (** Measure one point (deterministic; safe to call from pool workers). *)
 
+val kinds : (string * Interconnect.kind) list
+(** The interconnect backends by name: [mesh_noc], [hier_rows],
+    [pure_mesh]. *)
+
 val kind_to_string : Interconnect.kind -> string
 val kind_of_string : string -> (Interconnect.kind, string) result
 
@@ -96,8 +100,9 @@ type strategy = Exhaustive | Guided
     cap alone) is what finds the frontier cheaply. *)
 type defect = Inverted_rank
 
-val strategy_to_string : strategy -> string
-val strategy_of_string : string -> (strategy, string) result
+val strategies : (string * strategy) list
+val defects : (string * defect) list
+(** The strategies and defects by name, as `mesa_cli dse` spells them. *)
 
 val predict_point :
   scale:float -> point -> (float * float, string) result
@@ -184,6 +189,17 @@ val result_to_json : result -> Json.t
 
 val table : ?top:int -> result -> Tables.t
 (** The ranked table ([top] rows, default all), frontier points starred. *)
+
+val render : ?top:int -> result -> string
+(** {!table}, then the point counts, the measured share of the lattice and
+    one line per frontier point — what `mesa_cli dse` prints. *)
+
+val frontier_labels : result -> string list
+(** The frontier's point labels, sorted: plain-diffable between runs. *)
+
+val check_max_frac : float -> result -> (unit, string) Stdlib.result
+(** The guided-search efficiency gate: [Error] when more than fraction [x]
+    of the exhaustive lattice was engine-measured. *)
 
 val experiment : ?jobs:int -> unit -> Experiments.outcome
 (** The bench-harness entry: a small fixed sweep (nn and kmeans across four

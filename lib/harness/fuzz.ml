@@ -299,25 +299,39 @@ let failure_to_json ~master_seed f =
 let write_corpus ~dir ~master_seed f =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (Printf.sprintf "fail-%04d.json" f.index) in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~indent:2 (failure_to_json ~master_seed f));
-  output_string oc "\n";
-  close_out oc;
+  Json.write_file path (failure_to_json ~master_seed f);
   path
+
+let report ~corpus ~seed s =
+  let b = Buffer.create 512 in
+  Printf.bprintf b
+    "fuzz: seed %d, %d case(s), %d offloaded, %d offload(s) total, digest %016x\n"
+    seed s.cases s.offloaded_cases s.total_offloads s.digest;
+  if s.failures = [] then Buffer.add_string b "no differential mismatches\n"
+  else begin
+    List.iter
+      (fun f ->
+        let path = write_corpus ~dir:corpus ~master_seed:seed f in
+        Printf.bprintf b
+          "FAIL case %d (kernel seed %d, %s): %s\n  shrunk to %d statement(s) in %d step(s): %s\n  corpus: %s\n"
+          f.index f.kernel_seed (fabric_to_string f.fabric) f.detail
+          (Tile_dsl.stmt_count f.shrunk) f.shrink_steps f.shrunk_detail path)
+      s.failures;
+    Printf.bprintf b "%d failing case(s)\n" (List.length s.failures)
+  end;
+  Buffer.contents b
+
+type replay_error = Malformed of string | Still_fails of string
 
 let replay ?defect j =
   let ( let* ) = Result.bind in
+  let field name parse =
+    match Json.member name j with
+    | Some v -> Result.map_error (fun e -> Malformed e) (parse v)
+    | None -> Error (Malformed (Printf.sprintf "no %S field" name))
+  in
   let* spec =
-    match Json.member "shrunk" j with
-    | Some s -> Tile_dsl.of_json s
-    | None -> (
-      match Json.member "spec" j with
-      | Some s -> Tile_dsl.of_json s
-      | None -> Error "corpus entry has no spec")
+    field (if Json.member "shrunk" j <> None then "shrunk" else "spec") Tile_dsl.of_json
   in
-  let* fabric =
-    match Json.member "fabric" j with
-    | Some f -> fabric_of_json f
-    | None -> Error "corpus entry has no fabric"
-  in
-  run_case ?defect spec fabric
+  let* fabric = field "fabric" fabric_of_json in
+  Result.map_error (fun e -> Still_fails e) (run_case ?defect spec fabric)

@@ -109,6 +109,17 @@ val write_corpus : dir:string -> master_seed:int -> failure -> string
 (** Write the corpus entry into [dir] (created if needed); returns the file
     path. *)
 
+val report : corpus:string -> seed:int -> summary -> string
+(** The campaign report `mesa_cli fuzz` prints: a header with the digest,
+    then either "no differential mismatches" or, per failure, its detail,
+    its shrink and the corpus entry it writes into [corpus]
+    ({!write_corpus}). *)
+
+(** Why a corpus entry did not replay cleanly: [Malformed] when it lacks a
+    parseable spec ([shrunk], else [spec]) or [fabric]; [Still_fails] with
+    the differential mismatch when it ran and failed again. *)
+type replay_error = Malformed of string | Still_fails of string
+
 val replay :
-  ?defect:Tile_lower.defect -> Json.t -> (observation, string) result
+  ?defect:Tile_lower.defect -> Json.t -> (observation, replay_error) result
 (** Re-run a corpus entry (its shrunk spec under its fabric). *)

@@ -169,6 +169,19 @@ let experiment ?jobs:_ () =
       ];
   }
 
+let render (r : report) =
+  let gain =
+    100.0
+    *. float_of_int (r.baseline_cycles - r.refined_cycles)
+    /. float_of_int (max 1 r.baseline_cycles)
+  in
+  Printf.sprintf
+    "%s: baseline %d cycles -> refined %d cycles (%.1f%% better)\n\
+     model: baseline %d, refined %d; %d round(s), %d proposed, %d confirmed, \
+     %d accepted\n"
+    r.kernel r.baseline_cycles r.refined_cycles gain r.model_baseline
+    r.model_refined r.rounds r.proposed r.confirmed r.accepted
+
 let report_to_json (r : report) =
   Json.Assoc
     [

@@ -76,6 +76,10 @@ val experiment : ?jobs:int -> unit -> Experiments.outcome
     tabulate baseline vs refined cycles with the search counters. [jobs] is
     accepted for registry uniformity; the pass itself is sequential. *)
 
+val render : report -> string
+(** Two lines: engine cycles before and after with the gain, then the
+    model estimates and search counters. *)
+
 val report_to_json : report -> Json.t
 (** Stable summary (no placement dump): kernel, cycle counts, model
     estimates, and search counters. *)

@@ -16,6 +16,31 @@ let speedup ~baseline m =
 
 let efficiency ~baseline m = Energy_model.efficiency_gain ~baseline_nj:baseline.energy_nj m.energy_nj
 
+let comparison_table (k : Kernel.t) ms =
+  let t =
+    Tables.create
+      ~title:(Printf.sprintf "%s (%s)" k.Kernel.name k.Kernel.description)
+      [
+        ("configuration", Tables.Left);
+        ("cycles", Tables.Right);
+        ("speedup", Tables.Right);
+        ("energy (uJ)", Tables.Right);
+        ("outputs", Tables.Left);
+      ]
+  in
+  List.iter
+    (fun m ->
+      Tables.add_row t
+        [
+          m.label;
+          Tables.icell m.cycles;
+          Tables.xcell (speedup ~baseline:(List.hd ms) m);
+          Tables.fcell (m.energy_nj /. 1000.0);
+          (match m.checked with Ok () -> "ok" | Error e -> "FAIL: " ^ e);
+        ])
+    ms;
+  t
+
 let single_core (k : Kernel.t) =
   let mem = Main_memory.create () in
   k.Kernel.setup mem;

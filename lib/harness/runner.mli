@@ -16,6 +16,10 @@ type measurement = {
 val speedup : baseline:measurement -> measurement -> float
 val efficiency : baseline:measurement -> measurement -> float
 
+val comparison_table : Kernel.t -> measurement list -> Tables.t
+(** One row per measurement (cycles, speedup over the first, energy,
+    output check) — the table `mesa_cli run` prints. *)
+
 val single_core : Kernel.t -> measurement
 (** One OoO core (the Figure 14 baseline). *)
 

@@ -138,12 +138,53 @@ let digest_of_probes probes =
 (* ---------------- one client lane ---------------- *)
 
 let connect path =
+  (* A daemon draining mid-send must surface as EPIPE on the client's write
+     (caught by the caller), not as a process-killing SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_UNIX path)
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
   (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+
+let close fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let send oc req =
+  output_string oc (Proto.request_to_line req);
+  output_char oc '\n';
+  flush oc
+
+let decode line = Result.bind (Json.of_string line) Proto.response_of_json
+
+let stream ic ~on_body =
+  let rec loop n =
+    match input_line ic with
+    | exception (End_of_file | Sys_error _) -> Ok n
+    | line -> (
+      match decode line with
+      | Error e -> Error ("bad response: " ^ e)
+      | Ok { Proto.body = Proto.End_stream; _ } -> Ok n
+      | Ok { Proto.body = Proto.Err e; _ } ->
+        Error (Proto.error_kind_to_string e.Proto.kind ^ ": " ^ e.Proto.message)
+      | Ok rsp -> (
+        match on_body rsp.Proto.body with
+        | Ok () -> loop (n + 1)
+        | Error _ as err -> err))
+  in
+  loop 0
+
+let subscribe ~socket req ~on_body =
+  match connect socket with
+  | exception Unix.Unix_error (err, _, _) ->
+    Error (socket ^ ": " ^ Unix.error_message err)
+  | fd, ic, oc ->
+    Fun.protect
+      ~finally:(fun () -> close fd)
+      (fun () ->
+        match send oc req with
+        | exception Sys_error e -> Error e
+        | () -> stream ic ~on_body)
 
 let unanswered i =
   {
@@ -213,11 +254,7 @@ let lane cfg lane_id =
       | [] -> ()
       | i :: rest -> (
         let req = request_at cfg i in
-        match
-          output_string oc (Proto.request_to_line (Proto.Run req));
-          output_char oc '\n';
-          flush oc
-        with
+        match send oc (Proto.Run req) with
         | exception (Sys_error _ | Unix.Unix_error _) ->
           (* Could not even send: daemon drained away; stop the lane. *)
           ()
@@ -233,9 +270,7 @@ let lane cfg lane_id =
             probes := unanswered i :: !probes
           | line -> (
             let lat = (Unix.gettimeofday () -. t0) *. 1000.0 in
-            match
-              Result.bind (Json.of_string line) Proto.response_of_json
-            with
+            match decode line with
             | Error _ ->
               incr proto_errors;
               drive rest
@@ -247,37 +282,31 @@ let lane cfg lane_id =
                 drive rest))))
     in
     drive indices;
-    (try Unix.close fd with Unix.Unix_error _ -> ()));
+    close fd);
   (List.rev !probes, !sent, !closed, !proto_errors)
 
 let fetch_service_stats path =
   match connect path with
   | exception (Unix.Unix_error _ | Sys_error _) -> None
   | fd, ic, oc -> (
-    let cleanup () = try Unix.close fd with Unix.Unix_error _ -> () in
-    match
-      output_string oc (Proto.request_to_line (Proto.Get_stats (-1)));
-      output_char oc '\n';
-      flush oc;
-      input_line ic
-    with
-    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) ->
-      cleanup ();
-      None
-    | line -> (
-      cleanup ();
-      match Result.bind (Json.of_string line) Proto.response_of_json with
-      | Ok { Proto.body = Proto.Stats_dump j; _ } -> Some j
-      | _ -> None))
+    let line =
+      match
+        send oc (Proto.Get_stats (-1));
+        input_line ic
+      with
+      | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> None
+      | line -> Some line
+    in
+    close fd;
+    match Option.map decode line with
+    | Some (Ok { Proto.body = Proto.Stats_dump j; _ }) -> Some j
+    | _ -> None)
 
 let run cfg =
   if cfg.requests < 0 then invalid_arg "Loadgen.run: requests must be >= 0";
   if cfg.concurrency < 1 then
     invalid_arg "Loadgen.run: concurrency must be >= 1";
   if cfg.kernels = [] then invalid_arg "Loadgen.run: empty kernel mix";
-  (* A daemon draining mid-send must surface as EPIPE on the lane's write
-     (caught and counted as unanswered), not as a process-killing SIGPIPE. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t0 = Unix.gettimeofday () in
   let slots = Array.make cfg.concurrency ([], 0, 0, 0) in
   let threads =
@@ -396,3 +425,26 @@ let find_service_counter r path =
   | None -> None
   | Some j ->
     Option.bind (Json.path (String.split_on_char '.' path) j) Json.to_int
+
+let gate_failures ~require_zero_internal ~require_recoveries r =
+  let counter p = Option.value ~default:0 (find_service_counter r p) in
+  let internal = Option.value ~default:0 (List.assoc_opt "internal" r.outcomes) in
+  let trips = counter "service.breaker.trips" in
+  let recloses = counter "service.breaker.recloses" in
+  (if
+     require_zero_internal
+     && (internal > 0 || r.protocol_errors > 0 || r.closed_unanswered > 0)
+   then
+     [
+       Printf.sprintf
+         "gate: internal=%d protocol_errors=%d closed_unanswered=%d (all must be 0)"
+         internal r.protocol_errors r.closed_unanswered;
+     ]
+   else [])
+  @
+  if require_recoveries && (trips = 0 || recloses = 0) then
+    [
+      Printf.sprintf "gate: breaker trips=%d recloses=%d (both must be > 0)"
+        trips recloses;
+    ]
+  else []

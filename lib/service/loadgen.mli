@@ -87,6 +87,26 @@ type result = {
           daemon was already gone) *)
 }
 
+(** {2 The mesad client}
+
+    One line-delimited JSON client (connect, send, read responses) serves
+    the load lanes, the final stats fetch and the `watch`/`top`/`trace`
+    subscribers. Connecting ignores SIGPIPE process-wide, so a daemon
+    vanishing mid-send surfaces as an EPIPE error on the write. *)
+
+val subscribe :
+  socket:string ->
+  Proto.request ->
+  on_body:(Proto.body -> (unit, string) Stdlib.result) ->
+  (int, string) Stdlib.result
+(** Connect, send a [Watch] or [Trace] request and hand each streamed body
+    to [on_body] until [End_stream], the connection closes (a drain ends
+    an endless stream this way) or [on_body] fails. Returns how many
+    bodies were handled. A failed connect, an unparseable response or an
+    [Err] body is an [Error] line. *)
+
+(** {2 The load run} *)
+
 val run : config -> result
 (** Drive the full stream; blocks until every lane finishes. Raises
     [Unix.Unix_error] if the initial connections cannot be opened. *)
@@ -98,3 +118,10 @@ val result_to_json : result -> Json.t
 val find_service_counter : result -> string -> int option
 (** Look up a counter in the fetched daemon stats by dotted path, e.g.
     ["service.breaker.recloses"]. *)
+
+val gate_failures :
+  require_zero_internal:bool -> require_recoveries:bool -> result -> string list
+(** The CI gates of `mesa_cli loadgen`, one line per failed gate:
+    [require_zero_internal] wants zero [internal] outcomes, protocol errors
+    and unanswered requests; [require_recoveries] wants the daemon to
+    report both breaker trips and half-open recloses. *)

@@ -222,20 +222,26 @@ let start ?service_config ~socket () =
      streams — must surface as EPIPE on the write (the handlers catch it
      and close the connection), not as a process-killing SIGPIPE. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (match Unix.stat socket with
-  | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink socket
-  | _ -> failwith (socket ^ ": exists and is not a socket")
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.bind listen_fd (Unix.ADDR_UNIX socket)
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.listen listen_fd 64;
-  let svc =
-    match service_config with
-    | None -> Service.create ()
-    | Some c -> Service.create ~config:c ()
+  (* The service validates its config before anything is bound, so a
+     rejected config leaves no listening fd and no socket file behind. *)
+  let svc = Service.create ?config:service_config () in
+  let listen_fd =
+    try
+      (match Unix.stat socket with
+      | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink socket
+      | _ -> failwith (socket ^ ": exists and is not a socket")
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      (try
+         Unix.bind fd (Unix.ADDR_UNIX socket);
+         Unix.listen fd 64
+       with e ->
+         (try Unix.close fd with Unix.Unix_error _ -> ());
+         raise e);
+      fd
+    with e ->
+      Service.shutdown svc;
+      raise e
   in
   let t =
     {
@@ -293,3 +299,36 @@ let stop ?(grace_s = 5.0) t =
     let snap = Service.stats t.svc in
     locked t (fun () -> t.final <- Some snap);
     snap
+
+let serve ?service_config ?stats_out ~socket () =
+  let d = start ?service_config ~socket () in
+  (* One lock serializes window-hook flushes from concurrent workers
+     against each other and against the final shutdown write. *)
+  let flush_lock = Mutex.create () in
+  let write_stats snap =
+    Option.iter
+      (fun path ->
+        Mutex.protect flush_lock (fun () ->
+            try Json.write_file path (Stats.to_json snap)
+            with Sys_error e ->
+              Printf.eprintf "mesad: stats flush failed: %s\n%!" e))
+      stats_out
+  in
+  let cfg = Service.config d.svc in
+  if cfg.Service.profile_window <> None then Service.set_on_window d.svc write_stats;
+  let stop_requested = Atomic.make false in
+  let request _ = Atomic.set stop_requested true in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle request);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle request);
+  Printf.printf "mesad: serving on %s (%d shard(s) of %d PEs, %d worker(s))\n%!"
+    socket cfg.Service.shards cfg.Service.shard_pes cfg.Service.jobs;
+  while not (Atomic.get stop_requested) do
+    Unix.sleepf 0.05
+  done;
+  Printf.printf "mesad: draining\n%!";
+  let snap = stop d in
+  write_stats snap;
+  Printf.printf "mesad: drained, %s request(s) served\n%!"
+    (match Stats.find_int snap "service.admitted" with
+    | Some n -> string_of_int n
+    | None -> "?")

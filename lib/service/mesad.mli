@@ -19,10 +19,12 @@
 type t
 
 val start : ?service_config:Service.config -> socket:string -> unit -> t
-(** Bind [socket] (an existing {e socket} file at that path is replaced;
-    any other file kind is an error), start the accept loop in a
-    background thread and return immediately. Raises [Failure] or
-    [Unix.Unix_error] on bind problems. *)
+(** Create the service, then bind [socket] (an existing {e socket} file at
+    that path is replaced; any other file kind is an error), start the
+    accept loop in a background thread and return. Raises
+    [Invalid_argument] on a rejected config, before anything is bound,
+    and [Failure] or [Unix.Unix_error] on bind problems, after shutting
+    the service down. *)
 
 val service : t -> Service.t
 val socket_path : t -> string
@@ -33,3 +35,11 @@ val stop : ?grace_s:float -> t -> Stats.snapshot
     requests have settled, for handler threads still writing shed
     responses to clients that keep sending. Idempotent — later calls
     return the drained snapshot. *)
+
+val serve :
+  ?service_config:Service.config -> ?stats_out:string -> socket:string -> unit -> unit
+(** The `mesa_cli serve` daemon: {!start}, log the serving banner on
+    stdout, then block until SIGTERM or SIGINT and {!stop}. With
+    [stats_out] the stats snapshot is written there ({!Json.write_file},
+    so readers never see a torn file) after every profiling window and
+    once more after the drain. Raises like {!start}. *)

@@ -505,6 +505,40 @@ let frame_of_json j =
   let* f_totals = int_assoc "totals" j in
   Ok { f_seq; f_at_ms; f_dropped; f_outcomes; f_kernels; f_deltas; f_totals }
 
+let parse_frames lines =
+  List.filter (fun l -> String.trim l <> "") lines
+  |> List.mapi (fun i line ->
+         match Result.bind (Json.of_string line) frame_of_json with
+         | Ok f -> Either.Left f
+         | Error e -> Either.Right (Printf.sprintf "unparseable frame: line %d: %s" (i + 1) e))
+  |> List.partition_map Fun.id
+
+let render_frame f =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "mesad telemetry — frame %d  t=%.0f ms  shed-ticks=%d\n"
+    f.f_seq f.f_at_ms f.f_dropped;
+  Printf.bprintf b "%-22s %8s %6s | window %6s %9s %9s %9s\n" "outcome" "total"
+    "delta" "n" "p50 ms" "p99 ms" "max ms";
+  List.iter
+    (fun (name, r) ->
+      let q = r.o_window in
+      Printf.bprintf b "  %-20s %8d %6d | %13d %9.2f %9.2f %9.2f\n" name
+        r.o_total r.o_delta q.q_count q.q_p50 q.q_p99 q.q_max)
+    f.f_outcomes;
+  if f.f_kernels <> [] then begin
+    Printf.bprintf b "%-22s | window %6s %11s %11s %9s %8s\n" "kernel" "n"
+      "p50 cycles" "max cycles" "profiled" "refined";
+    List.iter
+      (fun (name, k) ->
+        let q = k.k_window in
+        Printf.bprintf b "  %-20s | %13d %11.0f %11.0f %9d %8d\n" name
+          q.q_count q.q_p50 q.q_max k.k_profile_windows k.k_refine_accepts)
+      f.f_kernels
+  end;
+  Buffer.add_string b "totals:\n";
+  List.iter (fun (path, v) -> Printf.bprintf b "  %s %d\n" path v) f.f_totals;
+  Buffer.contents b
+
 (* ---------------- stream validation ---------------- *)
 
 let check ?stats ?(require = []) frames =

@@ -166,6 +166,15 @@ val next_frame : t -> watcher -> Stats.snapshot -> frame
 (** Build the watcher's next frame against [snapshot] (the service's
     current stats) and advance its baseline. *)
 
+val parse_frames : string list -> frame list * string list
+(** Decode a recorded watch stream, one frame per non-blank line: the
+    frames in order, and one ["unparseable frame: line N: ..."] message per
+    line that did not decode (N counts non-blank lines from 1). *)
+
+val render_frame : frame -> string
+(** The `mesa_cli top` view: a header, one line per outcome and per
+    kernel, then every total as a greppable ["  path value"] line. *)
+
 (** {2 Stream validation} *)
 
 val check :

@@ -275,3 +275,18 @@ let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -
 let to_list = function List l -> Some l | _ -> None
 let to_assoc = function Assoc l -> Some l | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Files *)
+
+let read_file path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> Result.map_error (fun e -> path ^ ": " ^ e) (of_string text)
+  | exception Sys_error e -> Error ("cannot read " ^ e)
+
+let write_file path t =
+  let tmp = path ^ ".tmp" in
+  Out_channel.with_open_text tmp (fun oc ->
+      output_string oc (to_string t);
+      output_char oc '\n');
+  Sys.rename tmp path

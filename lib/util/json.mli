@@ -34,3 +34,13 @@ val to_float : t -> float option
 val to_list : t -> t list option
 val to_assoc : t -> (string * t) list option
 val to_string_opt : t -> string option
+
+val read_file : string -> (t, string) result
+(** Parse the file at [path]; [Error] is one line naming the path. *)
+
+val write_file : string -> t -> unit
+(** Replace [path] atomically with the 2-space-indented document and a
+    newline: write [path ^ ".tmp"], then rename it over [path], so a
+    concurrent reader sees the old or the new document, never a torn one.
+    Writers to one path must serialize among themselves. Raises
+    [Sys_error]. *)

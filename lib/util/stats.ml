@@ -334,6 +334,51 @@ let diff (before : snapshot) (after : snapshot) : delta list =
       if v0 = v1 then None else Some { path; before = v0; after = v1 })
     paths
 
+type gate = {
+  deltas : delta list;
+  prefixes : string list;
+  max_regress : float;
+  violations : delta list;
+}
+
+let default_gate_prefixes =
+  [
+    "controller.total_cycles"; "controller.accel_cycles";
+    "controller.overhead_cycles"; "cpu.cycles";
+  ]
+
+let gated prefixes d =
+  List.exists (fun p -> String.starts_with ~prefix:p d.path) prefixes
+
+let gate ?(prefixes = []) ~max_regress before after =
+  let prefixes = if prefixes = [] then default_gate_prefixes else prefixes in
+  let deltas = diff before after in
+  let limit d = (d.before *. (1.0 +. (max_regress /. 100.0))) +. 1e-9 in
+  let violations =
+    List.filter (fun d -> gated prefixes d && d.after > limit d) deltas
+  in
+  { deltas; prefixes; max_regress; violations }
+
+let render_gate g =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun d ->
+      Printf.bprintf b "  %c %-48s %.6g -> %.6g\n"
+        (if gated g.prefixes d then '*' else ' ')
+        d.path d.before d.after)
+    g.deltas;
+  if g.violations = [] then
+    Printf.bprintf b
+      "stats-diff: OK (%d changed counter(s), none gated past %.1f%%)\n"
+      (List.length g.deltas) g.max_regress
+  else
+    List.iter
+      (fun d ->
+        Printf.bprintf b "REGRESSED %s: %.6g -> %.6g (limit +%.1f%%)\n" d.path
+          d.before d.after g.max_regress)
+      g.violations;
+  Buffer.contents b
+
 let check_invariants (s : snapshot) =
   let problems =
     List.filter_map

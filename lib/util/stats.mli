@@ -140,5 +140,28 @@ val diff : snapshot -> snapshot -> delta list
 (** Changed paths only. Histograms contribute their sample sum under the
     histogram's own path and the count under [path ^ ".count"]. *)
 
+(** A regression gate over {!diff}: the verdict `mesa_cli stats-diff`
+    prints. *)
+type gate = {
+  deltas : delta list;      (** every changed path *)
+  prefixes : string list;   (** the gated path prefixes *)
+  max_regress : float;      (** percent *)
+  violations : delta list;  (** gated deltas past the limit *)
+}
+
+val default_gate_prefixes : string list
+(** The cycle accounts: [controller.total_cycles], [accel_cycles],
+    [overhead_cycles] and [cpu.cycles]. *)
+
+val gate :
+  ?prefixes:string list -> max_regress:float -> snapshot -> snapshot -> gate
+(** A delta is gated when its path starts with one of [prefixes] (empty or
+    absent: {!default_gate_prefixes}); it violates the gate when [after]
+    exceeds [before * (1 + max_regress / 100) + 1e-9]. *)
+
+val render_gate : gate -> string
+(** One line per changed path (gated ones starred), then either the
+    [stats-diff: OK] verdict or one [REGRESSED] line per violation. *)
+
 val check_invariants : snapshot -> (unit, string list) result
 (** No negative counters, no NaN probes, histogram min <= max. *)

@@ -1,9 +1,10 @@
 (* Bad input on the `mesa_cli` command line — a missing or malformed
    `fuzz --replay` corpus file, an unwritable output path, a non-positive
    count — must fail with a one-line diagnostic and a non-zero exit, never
-   an uncaught exception or a raw backtrace. Cmdliner follows an argument
-   error with its usage hint ("Usage: ..." and "Try ..."), which is not
-   counted as a diagnostic. argv: mesa_cli path. *)
+   an uncaught exception or a raw backtrace, and a rejected `serve` must
+   leave no socket file behind. Cmdliner follows an argument error with
+   its usage hint ("Usage: ..." and "Try ..."), which is not counted as a
+   diagnostic. argv: mesa_cli path. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -62,6 +63,8 @@ let temp_json contents =
 
 let () =
   let cli = Sys.argv.(1) in
+  let sockets = Filename.temp_dir "cli-smoke" "" in
+  let socket name = Filename.concat sockets name in
   let malformed = temp_json "{ this is not json\n" in
   let nospec = temp_json "{\"note\": \"valid json, not a corpus entry\"}\n" in
   List.iter (check_case cli)
@@ -74,7 +77,18 @@ let () =
       ("map --grid 0", [ "map"; "nn"; "--grid"; "0" ]);
       ("fuzz --jobs 0", [ "fuzz"; "--jobs"; "0" ]);
       ("dse --jobs 0", [ "dse"; "--jobs"; "0" ]);
+      ("fuzz --count=-3", [ "fuzz"; "--count=-3" ]);
+      ("fuzz --count=0", [ "fuzz"; "--count=0" ]);
+      ("serve --shards 0", [ "serve"; "--shards"; "0"; "--socket"; socket "shards.sock" ]);
+      ( "serve --queue-depth 0",
+        [ "serve"; "--queue-depth"; "0"; "--socket"; socket "queue.sock" ] );
+      ("serve --shard-pes 2", [ "serve"; "--shard-pes"; "2"; "--socket"; socket "pes.sock" ]);
     ];
+  List.iter
+    (fun name ->
+      if Sys.file_exists (socket name) then fail "rejected serve left %s behind" (socket name))
+    [ "shards.sock"; "queue.sock"; "pes.sock" ];
+  Sys.rmdir sockets;
   Sys.remove malformed;
   Sys.remove nospec;
   print_endline "cli smoke ok"

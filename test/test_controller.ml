@@ -102,6 +102,30 @@ let controller_region_reports () =
       && r.Controller.accel_iterations < k.Kernel.n)
   | _ -> Alcotest.fail "expected exactly one accepted region"
 
+let controller_render_summary () =
+  let k = Workloads.find "hotspot" in
+  let report, _ = controller_report k () in
+  let lines faults = String.split_on_char '\n' (Controller.render ~faults report) in
+  (match lines false with
+  | breakdown :: region :: _ ->
+    check Alcotest.string "breakdown line"
+      (Printf.sprintf
+         "MESA breakdown: cpu %d + accel %d + overhead %d cycles; %d offload(s); translation busy %d cycles"
+         report.Controller.cpu_cycles report.Controller.accel_cycles
+         report.Controller.overhead_cycles report.Controller.offloads
+         report.Controller.mesa_busy_cycles)
+      breakdown;
+    check Alcotest.bool "accepted region line" true
+      (String.starts_with region
+         ~prefix:
+           (Printf.sprintf "region 0x%x: 21 instrs, tiling x" (Program.entry k.Kernel.program)))
+  | _ -> Alcotest.fail "summary too short");
+  let has_summary faults =
+    List.exists (String.starts_with ~prefix:"fault summary: ") (lines faults)
+  in
+  check Alcotest.bool "fault totals only on request" false (has_summary false);
+  check Alcotest.bool "fault totals with faults" true (has_summary true)
+
 let controller_optimize_flag () =
   let k = Workloads.find "lud" in
   let report_opt, mem1 = controller_report k ~optimize:true () in
@@ -197,6 +221,7 @@ let suites =
         Alcotest.test_case "offloads and stays correct" `Quick controller_offloads_and_is_correct;
         Alcotest.test_case "matches interpreter state" `Quick controller_matches_interpreter_state;
         Alcotest.test_case "region reports" `Quick controller_region_reports;
+        Alcotest.test_case "render summary" `Quick controller_render_summary;
         Alcotest.test_case "optimize flag" `Quick controller_optimize_flag;
         Alcotest.test_case "non-parallel loops untiled" `Quick controller_nonparallel_untiled;
         Alcotest.test_case "config cache reuse" `Quick controller_config_cache_reused;

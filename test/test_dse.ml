@@ -303,10 +303,6 @@ let guided_spec =
     l2_kb = [ 8192 ];
   }
 
-let front_labels (r : Dse.result) =
-  List.sort compare
-    (List.map (fun (o : Dse.outcome) -> Dse.point_label o.Dse.point) r.Dse.front)
-
 let guided_reaches_frontier_cheaply () =
   let ex = run_exn ~jobs:2 guided_spec in
   let gd = run_exn ~jobs:2 ~strategy:Dse.Guided guided_spec in
@@ -314,7 +310,7 @@ let guided_reaches_frontier_cheaply () =
      a fraction of the measurements. *)
   check
     Alcotest.(list string)
-    "frontier point-for-point" (front_labels ex) (front_labels gd);
+    "frontier point-for-point" (Dse.frontier_labels ex) (Dse.frontier_labels gd);
   check Alcotest.bool "at most half the lattice measured" true
     (2 * gd.Dse.measured <= gd.Dse.exhaustive_count);
   check Alcotest.bool "strictly fewer measurements than exhaustive" true
@@ -340,7 +336,7 @@ let inverted_rank_misses_frontier () =
     run_exn ~jobs:2 ~strategy:Dse.Guided ~defect:Dse.Inverted_rank guided_spec
   in
   check Alcotest.bool "defective ranking misses the frontier" true
-    (front_labels bad <> front_labels ex)
+    (Dse.frontier_labels bad <> Dse.frontier_labels ex)
 
 let guided_resume_and_jobs_identical () =
   let a = run_exn ~jobs:1 ~strategy:Dse.Guided guided_spec in
@@ -402,6 +398,26 @@ let stats_and_timeline () =
   check Alcotest.int "table rows" (List.length r.Dse.outcomes)
     (List.length (Tables.data_rows t))
 
+let report_and_budget_gate () =
+  let r = run_exn ~jobs:2 small_spec in
+  let lines = String.split_on_char '\n' (Dse.render ~top:2 r) in
+  let labels = Dse.frontier_labels r in
+  check Alcotest.bool "labels sorted" true (labels = List.sort compare labels);
+  check Alcotest.int "one label per frontier point" (List.length r.Dse.front) (List.length labels);
+  check Alcotest.bool "counts line" true
+    (List.mem
+       (Printf.sprintf "8 point(s): 8 measured fresh, 0 restored, %d on the Pareto frontier"
+          (List.length r.Dse.front))
+       lines);
+  check Alcotest.int "one frontier line per point" (List.length r.Dse.front)
+    (List.length (List.filter (String.starts_with ~prefix:"  frontier: ") lines));
+  check Alcotest.bool "measured share line" true
+    (List.exists (String.starts_with ~prefix:"engine-measured ") lines);
+  let measured = float_of_int r.Dse.measured /. float_of_int r.Dse.exhaustive_count in
+  check Alcotest.bool "the measured share passes" true (Dse.check_max_frac measured r = Ok ());
+  check Alcotest.bool "a smaller budget fails" true
+    (Result.is_error (Dse.check_max_frac (measured /. 2.0) r))
+
 let suites =
   [
     ( "dse",
@@ -427,5 +443,6 @@ let suites =
           guided_resume_and_jobs_identical;
         Alcotest.test_case "guided guardrails" `Quick guided_guardrails;
         Alcotest.test_case "stats and timeline" `Quick stats_and_timeline;
+        Alcotest.test_case "report and budget gate" `Quick report_and_budget_gate;
       ] );
   ]

@@ -283,21 +283,25 @@ let mutation_fabric =
     profile = false;
   }
 
+(* The first generated program whose stores the Store_skew defect breaks. *)
+let skewed_spec () =
+  let rec find seed =
+    if seed > 400 then Alcotest.fail "no seed triggered the defect"
+    else
+      let spec = Tile_gen.generate ~seed in
+      match Fuzz.run_case ~defect:Tile_lower.Store_skew spec mutation_fabric with
+      | Error _ -> spec
+      | Ok _ -> find (seed + 1)
+  in
+  find 0
+
 let mutation_is_caught_and_shrinks () =
   (* Scan fixed seeds for a program whose stores index with two or more
      loop variables — the shape Store_skew displaces — then demand the
      differential oracle catches it and the shrinker reduces it to a
      minimal reproducer that still fails (and still passes unskewed). *)
   let defect = Tile_lower.Store_skew in
-  let rec find seed =
-    if seed > 400 then Alcotest.fail "no seed triggered the defect"
-    else
-      let spec = Tile_gen.generate ~seed in
-      match Fuzz.run_case ~defect spec mutation_fabric with
-      | Error _ -> spec
-      | Ok _ -> find (seed + 1)
-  in
-  let spec = find 0 in
+  let spec = skewed_spec () in
   chk Alcotest.bool "clean lowering passes" true
     (Result.is_ok (Fuzz.run_case spec mutation_fabric));
   let shrunk, detail, steps = Fuzz.shrink ~defect spec mutation_fabric in
@@ -309,6 +313,57 @@ let mutation_is_caught_and_shrinks () =
     (Tile_dsl.stmt_count shrunk <= 10);
   chk Alcotest.bool "shrink made progress or was already minimal" true
     (steps >= 0 && detail <> "not reproducible")
+
+(* {2 Corpus replay and the campaign report} *)
+
+let replay_tells_malformed_from_failing () =
+  let spec = skewed_spec () in
+  let entry fields = Json.Assoc fields in
+  let fabric = ("fabric", Fuzz.fabric_to_json mutation_fabric) in
+  let good = entry [ fabric; ("shrunk", Tile_dsl.to_json spec) ] in
+  let malformed what j =
+    match Fuzz.replay j with
+    | Error (Fuzz.Malformed _) -> ()
+    | Error (Fuzz.Still_fails e) -> Alcotest.failf "%s: reported as a failing replay: %s" what e
+    | Ok _ -> Alcotest.failf "%s: replayed" what
+  in
+  chk Alcotest.bool "a clean entry replays" true (Result.is_ok (Fuzz.replay good));
+  (match Fuzz.replay ~defect:Tile_lower.Store_skew good with
+  | Error (Fuzz.Still_fails _) -> ()
+  | _ -> Alcotest.fail "the armed defect must still fail");
+  chk Alcotest.bool "the original spec stands in for a missing shrunk one" true
+    (Result.is_ok (Fuzz.replay (entry [ fabric; ("spec", Tile_dsl.to_json spec) ])));
+  malformed "no fabric" (entry [ ("shrunk", Tile_dsl.to_json spec) ]);
+  malformed "no spec" (entry [ fabric ]);
+  malformed "bad spec" (entry [ fabric; ("shrunk", Json.Int 5) ]);
+  malformed "bad fabric" (entry [ ("fabric", Json.String "x"); ("shrunk", Tile_dsl.to_json spec) ]);
+  malformed "not an object" (Json.List [])
+
+let report_writes_the_corpus () =
+  let clean =
+    { Fuzz.cases = 3; offloaded_cases = 2; total_offloads = 5; failures = []; digest = 0xab }
+  in
+  let dir = Filename.temp_dir "fuzz-corpus" "" in
+  chk Alcotest.string "a clean campaign"
+    "fuzz: seed 7, 3 case(s), 2 offloaded, 5 offload(s) total, digest 00000000000000ab\n\
+     no differential mismatches\n"
+    (Fuzz.report ~corpus:dir ~seed:7 clean);
+  let spec = skewed_spec () in
+  let failure =
+    { Fuzz.index = 4; kernel_seed = 9; fabric = mutation_fabric; detail = "mismatch"; spec;
+      shrunk = spec; shrunk_detail = "still"; shrink_steps = 0 }
+  in
+  let text = Fuzz.report ~corpus:dir ~seed:7 { clean with Fuzz.failures = [ failure ] } in
+  let path = Filename.concat dir "fail-0004.json" in
+  chk Alcotest.bool "names the corpus entry" true
+    (List.mem ("  corpus: " ^ path) (String.split_on_char '\n' text));
+  chk Alcotest.bool "counts the failures" true
+    (String.ends_with ~suffix:"1 failing case(s)\n" text);
+  (match Result.map (Fuzz.replay ~defect:Tile_lower.Store_skew) (Json.read_file path) with
+  | Ok (Error (Fuzz.Still_fails _)) -> ()
+  | _ -> Alcotest.fail "the written entry must replay as a failure");
+  Sys.remove path;
+  Sys.rmdir dir
 
 (* {2 Campaign determinism} *)
 
@@ -343,5 +398,8 @@ let suites =
       [
         Alcotest.test_case "mutation caught and shrunk" `Quick mutation_is_caught_and_shrinks;
         Alcotest.test_case "digest invariant across jobs" `Quick fuzz_digest_job_invariant;
+        Alcotest.test_case "replay tells malformed from failing" `Quick
+          replay_tells_malformed_from_failing;
+        Alcotest.test_case "report writes the corpus" `Quick report_writes_the_corpus;
       ] );
   ]

@@ -114,7 +114,15 @@ let mesa_measurement_checked () =
   let m, report = Runner.mesa k in
   check Alcotest.bool "correct" true (m.Runner.checked = Ok ());
   check Alcotest.int "cycles match report" report.Controller.total_cycles m.Runner.cycles;
-  check Alcotest.bool "energy positive" true (m.Runner.energy_nj > 0.0)
+  check Alcotest.bool "energy positive" true (m.Runner.energy_nj > 0.0);
+  let single = Runner.single_core k in
+  match Tables.data_rows (Runner.comparison_table k [ single; m ]) with
+  | [ [ _; _; base; _; ok1 ]; [ label; cycles; _; _; ok2 ] ] ->
+    check Alcotest.string "speedups are over the first row" "1.00x" base;
+    check Alcotest.string "label" m.Runner.label label;
+    check Alcotest.string "cycles" (Tables.icell m.Runner.cycles) cycles;
+    check Alcotest.(list string) "output checks" [ "ok"; "ok" ] [ ok1; ok2 ]
+  | _ -> Alcotest.fail "one five-column row per measurement"
 
 let mesa_mem_ports_override () =
   let k = Workloads.nn ~n:1024 () in

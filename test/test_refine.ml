@@ -33,6 +33,13 @@ let refine_never_regresses () =
         (name ^ ": acceptances within confirmations")
         true
         (r.Refine.accepted <= r.Refine.confirmed);
+      (match String.split_on_char '\n' (Refine.render r) with
+      | [ cycles; model; "" ] ->
+        check Alcotest.bool (name ^ ": render names the kernel") true
+          (String.starts_with ~prefix:(name ^ ": baseline ") cycles);
+        check Alcotest.bool (name ^ ": render shows the model") true
+          (String.starts_with ~prefix:"model: baseline " model)
+      | _ -> Alcotest.failf "%s: render is two lines" name);
       if r.Refine.accepted = 0 then
         check Alcotest.int
           (name ^ ": no accepted move, cycles unchanged")

@@ -330,17 +330,29 @@ let draining_sheds_with_overloaded () =
 
 let queue_full_sheds_with_overloaded () =
   let config = { test_service_config with Service.queue_depth = 1 } in
-  with_service ~config (fun svc ->
-      (* Fill the single queue slot with a request whose awaiter gives up
-         immediately; the worker task keeps the slot occupied. *)
-      (match
-         Service.execute svc (Proto.run_request ~id:1 ~deadline_ms:0.01 "nn")
-       with
-      | Proto.Err { Proto.kind = Proto.Deadline_exceeded; _ } -> ()
-      | _ -> Alcotest.fail "expected deadline_exceeded");
-      match Service.execute svc (Proto.run_request ~id:2 "nn") with
-      | Proto.Err { Proto.kind = Proto.Overloaded; _ } -> ()
-      | _ -> Alcotest.fail "full queue must shed with overloaded")
+  (* Fill the single queue slot with a request whose awaiter gives up
+     immediately; the worker task keeps the slot occupied. A worker that
+     had not started by then abandons the request instead and frees the
+     slot at once; such a round shows nothing about shedding, so it is
+     run again (the abandon counter tells the two apart). *)
+  let rec round n =
+    let second, abandoned =
+      with_service ~config (fun svc ->
+          (match
+             Service.execute svc (Proto.run_request ~id:1 ~deadline_ms:0.01 "nn")
+           with
+          | Proto.Err { Proto.kind = Proto.Deadline_exceeded; _ } -> ()
+          | _ -> Alcotest.fail "expected deadline_exceeded");
+          let second = Service.execute svc (Proto.run_request ~id:2 "nn") in
+          let snap = Service.drain svc in
+          (second, Stats.find_int snap "service.exec.abandoned"))
+    in
+    match (second, abandoned) with
+    | Proto.Err { Proto.kind = Proto.Overloaded; _ }, _ -> ()
+    | _, Some a when a > 0 && n < 20 -> round (n + 1)
+    | _ -> Alcotest.fail "full queue must shed with overloaded"
+  in
+  round 1
 
 let chaos_trips_and_recovers () =
   with_service (fun svc ->
@@ -549,6 +561,79 @@ let loadgen_digest_deterministic () =
     (List.init 20 (Loadgen.request_at cfg)
     = List.init 20 (Loadgen.request_at cfg))
 
+let rejected_config_binds_nothing () =
+  let socket = temp_socket () in
+  let config = { test_service_config with Service.shards = 0 } in
+  (match Mesad.start ~service_config:config ~socket () with
+  | d ->
+    ignore (Mesad.stop d);
+    Alcotest.fail "shards = 0 accepted"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.bool "no socket file left behind" false (Sys.file_exists socket)
+
+let subscribe_streams_frames () =
+  with_daemon (fun d ->
+      let socket = Mesad.socket_path d in
+      let watch = Proto.Watch (Proto.watch_request ~interval_ms:5.0 ~frames:3 ~id:1 ()) in
+      let seen = ref 0 in
+      let on_body = function
+        | Proto.Frame _ -> Ok (incr seen)
+        | _ -> Error "not a frame"
+      in
+      check Alcotest.(result int string) "a finite watch ends after its frames" (Ok 3)
+        (Loadgen.subscribe ~socket watch ~on_body);
+      check Alcotest.int "every frame reached the handler" 3 !seen;
+      check Alcotest.(result int string) "a failing handler stops the stream"
+        (Error "stop") (Loadgen.subscribe ~socket watch ~on_body:(fun _ -> Error "stop"));
+      let missing = temp_socket () in
+      match Loadgen.subscribe ~socket:missing watch ~on_body with
+      | Error e ->
+        check Alcotest.bool "connect failure names the socket" true
+          (String.starts_with ~prefix:(missing ^ ": ") e)
+      | Ok _ -> Alcotest.fail "subscribed to a missing socket")
+
+let loadgen_result ?(internal = 0) ?(protocol_errors = 0) ?(trips = 0) ?(recloses = 0) () =
+  let counters = [ ("trips", Json.Int trips); ("recloses", Json.Int recloses) ] in
+  {
+    Loadgen.sent = 4;
+    completed = 4;
+    closed_unanswered = 0;
+    protocol_errors;
+    outcomes = [ ("ok", 4 - internal); ("internal", internal) ];
+    outcome_latency = [];
+    ok_fabric = 4 - internal;
+    ok_cpu = 0;
+    rerouted = 0;
+    retried = 0;
+    quarantines_observed = 0;
+    p50_ms = 1.0;
+    p99_ms = 1.0;
+    mean_ms = 1.0;
+    max_ms = 1.0;
+    wall_s = 1.0;
+    throughput_rps = 4.0;
+    digest = 0;
+    service_stats =
+      Some (Json.Assoc [ ("service", Json.Assoc [ ("breaker", Json.Assoc counters) ]) ]);
+  }
+
+let loadgen_gates () =
+  let gates ?(zero = true) ?(recoveries = true) r =
+    Loadgen.gate_failures ~require_zero_internal:zero ~require_recoveries:recoveries r
+  in
+  check Alcotest.(list string) "healthy run passes both gates" []
+    (gates (loadgen_result ~trips:2 ~recloses:1 ()));
+  check Alcotest.(list string) "gates off never fail" []
+    (gates ~zero:false ~recoveries:false (loadgen_result ~internal:1 ()));
+  check Alcotest.(list string) "internal errors fail the zero-internal gate"
+    [ "gate: internal=1 protocol_errors=2 closed_unanswered=0 (all must be 0)" ]
+    (gates ~recoveries:false (loadgen_result ~internal:1 ~protocol_errors:2 ()));
+  check Alcotest.(list string) "trips without recloses fail the recovery gate"
+    [ "gate: breaker trips=3 recloses=0 (both must be > 0)" ]
+    (gates ~zero:false (loadgen_result ~trips:3 ()));
+  let gone = { (loadgen_result ()) with Loadgen.service_stats = None; closed_unanswered = 1 } in
+  check Alcotest.int "both gates report" 2 (List.length (gates gone))
+
 (* ---------------- shard isolation under concurrency ---------------- *)
 
 (* Two threads hammering the service concurrently must reproduce the serial
@@ -643,5 +728,9 @@ let suites =
           drain_loses_no_inflight_request;
         Alcotest.test_case "seeded loadgen digest is deterministic" `Slow
           loadgen_digest_deterministic;
+        Alcotest.test_case "rejected config binds nothing" `Quick
+          rejected_config_binds_nothing;
+        Alcotest.test_case "subscribe streams frames" `Quick subscribe_streams_frames;
+        Alcotest.test_case "loadgen gates" `Quick loadgen_gates;
       ] );
   ]

@@ -279,6 +279,67 @@ let accounting_identity =
       && List.exists (fun n -> String.length n > 7 && String.sub n 0 7 = "engine.")
            (Stats.names s))
 
+(* -------------------- regression gate -------------------- *)
+
+let snapshot_of fields =
+  let group (g, kvs) = (g, Json.Assoc (List.map (fun (k, v) -> (k, Json.Float v)) kvs)) in
+  match Stats.of_json (Json.Assoc (List.map group fields)) with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+let gate_snapshots ~total ~overhead ~misses =
+  snapshot_of
+    [
+      ("controller", [ ("total_cycles", total); ("overhead_cycles", overhead) ]);
+      ("cache", [ ("misses", misses) ]);
+    ]
+
+let gated_paths g = List.map (fun d -> d.Stats.path) g.Stats.violations
+
+let gate_defaults_and_threshold () =
+  let before = gate_snapshots ~total:100.0 ~overhead:0.0 ~misses:10.0 in
+  let g =
+    Stats.gate ~max_regress:0.0 before (gate_snapshots ~total:101.0 ~overhead:1e-9 ~misses:20.0)
+  in
+  check Alcotest.(list string) "default prefixes gate the cycle accounts only"
+    [ "controller.total_cycles" ] (gated_paths g);
+  check Alcotest.int "every change is reported" 3 (List.length g.Stats.deltas);
+  let g =
+    Stats.gate ~max_regress:0.0 before (gate_snapshots ~total:100.0 ~overhead:3e-9 ~misses:10.0)
+  in
+  check Alcotest.(list string) "growth past the 1e-9 slack is a regression"
+    [ "controller.overhead_cycles" ] (gated_paths g);
+  let at_limit = gate_snapshots ~total:101.0 ~overhead:0.0 ~misses:10.0 in
+  check Alcotest.(list string) "growth exactly at max_regress passes" []
+    (gated_paths (Stats.gate ~max_regress:1.0 before at_limit));
+  let past = gate_snapshots ~total:102.0 ~overhead:0.0 ~misses:10.0 in
+  check Alcotest.(list string) "growth past max_regress fails" [ "controller.total_cycles" ]
+    (gated_paths (Stats.gate ~max_regress:1.0 before past));
+  let g = Stats.gate ~prefixes:[ "cache." ] ~max_regress:0.0 before past in
+  check Alcotest.(list string) "explicit prefixes replace the defaults" [] (gated_paths g);
+  let g =
+    Stats.gate ~prefixes:[ "cache." ] ~max_regress:0.0 before
+      (gate_snapshots ~total:100.0 ~overhead:0.0 ~misses:11.0)
+  in
+  check Alcotest.(list string) "a prefix gates its subtree" [ "cache.misses" ] (gated_paths g)
+
+let gate_renders_verdict () =
+  let before = gate_snapshots ~total:100.0 ~overhead:0.0 ~misses:10.0 in
+  let text g = String.split_on_char '\n' (Stats.render_gate g) in
+  let after = gate_snapshots ~total:101.0 ~overhead:0.0 ~misses:12.0 in
+  let failing = text (Stats.gate ~max_regress:0.0 before after) in
+  check Alcotest.(list string) "changed paths, gated ones starred, then the regressions"
+    [
+      "    cache.misses                                     10 -> 12";
+      "  * controller.total_cycles                          100 -> 101";
+      "REGRESSED controller.total_cycles: 100 -> 101 (limit +0.0%)";
+      "";
+    ]
+    failing;
+  check Alcotest.(list string) "a clean gate ends in the OK verdict"
+    [ "stats-diff: OK (0 changed counter(s), none gated past 2.0%)"; "" ]
+    (text (Stats.gate ~max_regress:2.0 before before))
+
 let suites =
   [
     ( "stats",
@@ -290,6 +351,8 @@ let suites =
         Alcotest.test_case "flat text dump" `Quick flat_text_lists_every_path;
         Alcotest.test_case "diff reports changes only" `Quick diff_reports_changes_only;
         Alcotest.test_case "invariant checker" `Quick invariant_checker_catches_bad_state;
+        Alcotest.test_case "gate defaults and threshold" `Quick gate_defaults_and_threshold;
+        Alcotest.test_case "gate renders its verdict" `Quick gate_renders_verdict;
         QCheck_alcotest.to_alcotest monotone_across_windows;
         QCheck_alcotest.to_alcotest accounting_identity;
       ] );

@@ -301,6 +301,56 @@ let oracle_fed_refine_never_regresses () =
       check Alcotest.int "results unchanged by the swap" first.Proto.mem_checksum
         second.Proto.mem_checksum)
 
+(* ---------------- rendering and parsing ---------------- *)
+
+let quantiles n p50 p99 mx =
+  { Telemetry.q_count = n; q_p50 = p50; q_p90 = p99; q_p99 = p99; q_max = mx }
+
+let sample_frame ~kernels =
+  {
+    Telemetry.f_seq = 3;
+    f_at_ms = 1234.4;
+    f_dropped = 1;
+    f_outcomes =
+      [ ("ok", { Telemetry.o_total = 7; o_delta = 2; o_window = quantiles 5 1.5 2.25 3.0 }) ];
+    f_kernels =
+      (if kernels then
+         [ ( "nn",
+             { Telemetry.k_window = quantiles 5 11464.0 11464.0 11464.0;
+               k_profile_windows = 1; k_refine_accepts = 2 } ) ]
+       else []);
+    f_deltas = [ ("service.admitted", 2) ];
+    f_totals = [ ("service.admitted", 7); ("telemetry.refine_accepts", 2) ];
+  }
+
+let render_frame_lines () =
+  let lines f = String.split_on_char '\n' (Telemetry.render_frame f) in
+  check Alcotest.(list string) "header, outcome and kernel rows, then greppable totals"
+    [
+      "mesad telemetry \xe2\x80\x94 frame 3  t=1234 ms  shed-ticks=1";
+      "outcome                   total  delta | window      n    p50 ms    p99 ms    max ms";
+      "  ok                          7      2 |             5      1.50      2.25      3.00";
+      "kernel                 | window      n  p50 cycles  max cycles  profiled  refined";
+      "  nn                   |             5       11464       11464         1        2";
+      "totals:";
+      "  service.admitted 7";
+      "  telemetry.refine_accepts 2";
+      "";
+    ]
+    (lines (sample_frame ~kernels:true));
+  check Alcotest.bool "no kernel table without kernel rows" false
+    (List.exists (String.starts_with ~prefix:"kernel ") (lines (sample_frame ~kernels:false)))
+
+let parse_frames_reports_bad_lines () =
+  let line = Json.to_string ~indent:0 (Telemetry.frame_to_json (sample_frame ~kernels:true)) in
+  let frames, errors = Telemetry.parse_frames [ line; ""; "{ nope"; "  "; line ] in
+  check Alcotest.int "good lines decode" 2 (List.length frames);
+  match errors with
+  | [ e ] ->
+    check Alcotest.bool "error counts non-blank lines" true
+      (String.starts_with ~prefix:"unparseable frame: line 2: " e)
+  | _ -> Alcotest.failf "expected one error, got %d" (List.length errors)
+
 let suites =
   [
     ( "telemetry",
@@ -316,6 +366,9 @@ let suites =
         Alcotest.test_case "check rejects gaps, clock, forgery, gates" `Quick
           check_rejects_bad_streams;
         Alcotest.test_case "ring sheds forward" `Quick ring_sheds_forward;
+        Alcotest.test_case "frame renders for top" `Quick render_frame_lines;
+        Alcotest.test_case "parse_frames reports bad lines" `Quick
+          parse_frames_reports_bad_lines;
         Alcotest.test_case "telemetry on/off bit-identity" `Slow
           telemetry_on_off_bit_identical;
         Alcotest.test_case "oracle-fed refine never regresses" `Slow

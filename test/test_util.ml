@@ -106,6 +106,32 @@ let tables_cells () =
   check Alcotest.string "icell negative" "-1_000" (Tables.icell (-1000));
   check Alcotest.string "icell small" "42" (Tables.icell 42)
 
+let json_file_roundtrip () =
+  let dir = Filename.temp_dir "json-file" "" in
+  let path = Filename.concat dir "doc.json" in
+  let doc = Json.Assoc [ ("a", Json.Int 1); ("b", Json.List [ Json.Float 0.5; Json.Null ]) ] in
+  Json.write_file path doc;
+  check Alcotest.string "indented document plus newline"
+    (Json.to_string ~indent:2 doc ^ "\n")
+    (In_channel.with_open_text path In_channel.input_all);
+  check Alcotest.bool "no temp file left" false (Sys.file_exists (path ^ ".tmp"));
+  check Alcotest.bool "reads back" true (Json.read_file path = Ok doc);
+  Json.write_file path (Json.Int 2);
+  check Alcotest.bool "replaces the old document" true (Json.read_file path = Ok (Json.Int 2));
+  (match Json.read_file (Filename.concat dir "missing.json") with
+  | Error e -> check Alcotest.bool "missing file" true (String.starts_with ~prefix:"cannot read " e)
+  | Ok _ -> Alcotest.fail "missing file read");
+  Out_channel.with_open_text path (fun oc -> output_string oc "{ nope");
+  (match Json.read_file path with
+  | Error e ->
+    check Alcotest.bool "parse error names the file" true (String.starts_with ~prefix:path e)
+  | Ok _ -> Alcotest.fail "malformed file parsed");
+  (match Json.write_file (Filename.concat dir "no/such/dir.json") doc with
+  | () -> Alcotest.fail "write into a missing directory"
+  | exception Sys_error _ -> ());
+  Sys.remove path;
+  Sys.rmdir dir
+
 let suites =
   [
     ( "util",
@@ -124,5 +150,6 @@ let suites =
         Alcotest.test_case "tables render" `Quick tables_render;
         Alcotest.test_case "tables arity" `Quick tables_arity_check;
         Alcotest.test_case "tables cells" `Quick tables_cells;
+        Alcotest.test_case "json file write and read" `Quick json_file_roundtrip;
       ] );
   ]
