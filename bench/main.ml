@@ -136,35 +136,32 @@ let write_timings ~path ~jobs =
    (schema v1) are not compared. *)
 let check_against ~path =
   let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("[check] " ^ s); true) fmt in
-  match Json.read_file path with
+  let entry e =
+    let open Json in
+    let name = field "name" string e in
+    let cycles = field_opt "simulated_cycles" int e in
+    let cps = field_opt "cycles_per_second" float e in
+    (name, (cycles, cps))
+  in
+  match
+    Result.bind (Json.read_file path)
+      (Json.decode ~what:path (Json.field_or ~default:[] "experiments" (Json.list entry)))
+  with
   | Error e ->
     Printf.eprintf "[check] %s\n" e;
     exit 1
   | Ok base ->
-    let base_exps =
-      match Json.member "experiments" base with
-      | Some l -> Option.value (Json.to_list l) ~default:[]
-      | None -> []
-    in
-    let lookup name =
-      List.find_opt
-        (fun e -> Json.member "name" e |> Option.map Json.to_string_opt
-                  |> Option.join = Some name)
-        base_exps
-    in
     let bad = ref false in
     List.iter
       (fun (name, dt, cycles) ->
-        match lookup name with
+        match List.assoc_opt name base with
         | None -> bad := fail "%s: no entry in the baseline" name || !bad
-        | Some e ->
-          let bint k = Json.member k e |> fun o -> Option.bind o Json.to_int in
-          let bfloat k = Json.member k e |> fun o -> Option.bind o Json.to_float in
-          (match bint "simulated_cycles" with
+        | Some (base_cycles, base_cps) ->
+          (match base_cycles with
           | Some c when c <> cycles ->
             bad := fail "%s: simulated_cycles %d, baseline %d" name cycles c || !bad
           | _ -> ());
-          (match bfloat "cycles_per_second" with
+          (match base_cps with
           | Some base_cps when base_cps > 0.0 ->
             let cps = if dt > 0.0 then float_of_int cycles /. dt else 0.0 in
             if cps < base_cps /. 2.0 then

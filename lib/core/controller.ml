@@ -146,6 +146,31 @@ let translate opts ~grid prog (region : Region.t) =
           })
   end
 
+(* A region that never ran on the fabric: rejected by the detector or by
+   translation. *)
+let rejected_report ~entry ~size ~pragma reason =
+  {
+    entry;
+    size;
+    pragma;
+    accepted = false;
+    reject_reason = Some reason;
+    tiling = 1;
+    pipelined = false;
+    translation_cycles = 0;
+    accel_iterations = 0;
+    accel_cycles = 0;
+    reconfigurations = 0;
+    offload_count = 0;
+    faults_detected = 0;
+    fault_retries = 0;
+    fault_remaps = 0;
+    quarantines = 0;
+    critical_path = [];
+    critical_path_latency = 0.0;
+    measured = None;
+  }
+
 let run ?options ?hier ?stats prog machine =
   let opts = match options with Some o -> o | None -> default_options () in
   let hier =
@@ -599,27 +624,8 @@ let run ?options ?hier ?stats prog machine =
                  ("reject " ^ rname region.Region.entry));
             Log.debug (fun m -> m "mapping failed for %a: %s" Region.pp region reason);
             rejected :=
-              {
-                entry = region.Region.entry;
-                size = Region.size region;
-                pragma = region.Region.pragma;
-                accepted = false;
-                reject_reason = Some reason;
-                tiling = 1;
-                pipelined = false;
-                translation_cycles = 0;
-                accel_iterations = 0;
-                accel_cycles = 0;
-                reconfigurations = 0;
-                offload_count = 0;
-                faults_detected = 0;
-                fault_retries = 0;
-                fault_remaps = 0;
-                quarantines = 0;
-                critical_path = [];
-                critical_path_latency = 0.0;
-                measured = None;
-              }
+              rejected_report ~entry:region.Region.entry ~size:(Region.size region)
+                ~pragma:region.Region.pragma reason
               :: !rejected)
         | Some (Loop_detector.Rejected { entry; reason }) ->
           Stats.incr regions_rejected;
@@ -628,29 +634,7 @@ let run ?options ?hier ?stats prog machine =
                ~args:[ ("reason", Json.String reason) ]
                ("reject " ^ rname entry));
           Log.debug (fun m -> m "rejected region 0x%x: %s" entry reason);
-          rejected :=
-            {
-              entry;
-              size = 0;
-              pragma = None;
-              accepted = false;
-              reject_reason = Some reason;
-              tiling = 1;
-              pipelined = false;
-              translation_cycles = 0;
-              accel_iterations = 0;
-              accel_cycles = 0;
-              reconfigurations = 0;
-              offload_count = 0;
-              faults_detected = 0;
-              fault_retries = 0;
-              fault_remaps = 0;
-              quarantines = 0;
-              critical_path = [];
-              critical_path_latency = 0.0;
-              measured = None;
-            }
-            :: !rejected
+          rejected := rejected_report ~entry ~size:0 ~pragma:None reason :: !rejected
         | None -> ())
     end
   done;

@@ -735,41 +735,28 @@ let to_json spec =
       ("body", Json.List (List.map stmt_to_json spec.body));
     ]
 
-exception Bad of string
-
-let of_json j =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-  let str = function Json.String s -> s | _ -> fail "expected string" in
-  let int = function Json.Int n -> n | j -> (match Json.to_int j with Some n -> n | None -> fail "expected int") in
-  let affine = function
-    | Json.Assoc _ as a ->
-      let coeffs =
-        match Json.member "c" a with
-        | Some (Json.List l) ->
-          List.map
-            (function
-              | Json.List [ v; c ] -> (str v, int c)
-              | _ -> fail "bad coeff")
-            l
-        | _ -> fail "bad affine"
-      in
-      let const = match Json.member "k" a with Some k -> int k | None -> fail "bad affine" in
-      { coeffs; const }
-    | _ -> fail "bad affine"
+let of_json =
+  let open Json in
+  let affine a =
+    let coeffs =
+      field "c" (list (function List [ v; c ] -> (string v, int c) | _ -> fail "bad coeff")) a
+    in
+    let const = field "k" int a in
+    { coeffs; const }
   in
   let rec exp = function
-    | Json.List (Json.String tag :: rest) -> (
+    | List (String tag :: rest) -> (
       match (tag, rest) with
       | "ic", [ c ] -> Iconst (int c)
       | "fc", [ b ] -> Fconst (bits_float (int b))
-      | "iv", [ v ] -> Ivar (str v)
+      | "iv", [ v ] -> Ivar (string v)
       | "it", [ t ] -> Itmp (int t)
       | "ft", [ t ] -> Ftmp (int t)
-      | "ild", [ a; aff ] -> Iload (str a, affine aff)
-      | "fld", [ a; aff ] -> Fload (str a, affine aff)
+      | "ild", [ a; aff ] -> Iload (string a, affine aff)
+      | "fld", [ a; aff ] -> Fload (string a, affine aff)
       | "ib", [ op; l; r ] ->
         let op =
-          match str op with
+          match string op with
           | "add" -> Add | "sub" -> Sub | "mul" -> Mul
           | "and" -> And | "or" -> Or | "xor" -> Xor
           | s -> fail "bad ibin %s" s
@@ -777,7 +764,7 @@ let of_json j =
         Ibin (op, exp l, exp r)
       | "fb", [ op; l; r ] ->
         let op =
-          match str op with
+          match string op with
           | "fadd" -> Fadd | "fsub" -> Fsub | "fmul" -> Fmul
           | "fmin" -> Fmin | "fmax" -> Fmax
           | s -> fail "bad fbin %s" s
@@ -789,55 +776,42 @@ let of_json j =
     | _ -> fail "bad expression"
   in
   let rec stmt = function
-    | Json.List (Json.String tag :: rest) -> (
+    | List (String tag :: rest) -> (
       match (tag, rest) with
       | "iset", [ t; e ] -> Iset (int t, exp e)
       | "fset", [ t; e ] -> Fset (int t, exp e)
-      | "ist", [ a; aff; e ] -> Istore (str a, affine aff, exp e)
-      | "fst", [ a; aff; e ] -> Fstore (str a, affine aff, exp e)
-      | "if", [ c; e1; e2; Json.List body ] ->
+      | "ist", [ a; aff; e ] -> Istore (string a, affine aff, exp e)
+      | "fst", [ a; aff; e ] -> Fstore (string a, affine aff, exp e)
+      | "if", [ c; e1; e2; List body ] ->
         let c =
-          match str c with
+          match string c with
           | "lt" -> Lt | "ge" -> Ge | "eq" -> Eq | "ne" -> Ne
           | s -> fail "bad cmp %s" s
         in
         If (c, exp e1, exp e2, List.map stmt body)
-      | "for", [ v; e; tag; Json.List body ] ->
+      | "for", [ v; e; tag; List body ] ->
         For
           {
-            var = str v;
+            var = string v;
             extent = int e;
-            tile_tag = (match tag with Json.Null -> None | t -> Some (str t));
+            tile_tag = (match tag with Null -> None | t -> Some (string t));
             body = List.map stmt body;
           }
       | t, _ -> fail "bad statement tag %s" t)
     | _ -> fail "bad statement"
   in
-  try
-    let sname = match Json.member "name" j with Some s -> str s | None -> fail "missing name" in
-    let seed = match Json.member "seed" j with Some s -> int s | None -> fail "missing seed" in
-    let arrays =
-      match Json.member "arrays" j with
-      | Some (Json.List l) ->
-        List.map
-          (fun a ->
-            {
-              aname = (match Json.member "name" a with Some s -> str s | None -> fail "array name");
-              dtype =
-                (match Json.member "dtype" a with
-                | Some (Json.String "i32") -> I32
-                | Some (Json.String "f32") -> F32
-                | _ -> fail "array dtype");
-              input = (match Json.member "input" a with Some (Json.Bool b) -> b | _ -> fail "array input");
-              elems = (match Json.member "elems" a with Some e -> int e | None -> fail "array elems");
-            })
-          l
-      | _ -> fail "missing arrays"
+  let array a =
+    let aname = field "name" string a in
+    let dtype =
+      match field "dtype" string a with "i32" -> I32 | "f32" -> F32 | s -> fail "bad dtype %S" s
     in
-    let body =
-      match Json.member "body" j with
-      | Some (Json.List l) -> List.map stmt l
-      | _ -> fail "missing body"
-    in
-    Ok { sname; seed; arrays; body }
-  with Bad m -> Error m
+    let input = field "input" bool a in
+    let elems = field "elems" int a in
+    { aname; dtype; input; elems }
+  in
+  decode (fun j ->
+      let sname = field "name" string j in
+      let seed = field "seed" int j in
+      let arrays = field "arrays" (list array) j in
+      let body = field "body" (list stmt) j in
+      { sname; seed; arrays; body })

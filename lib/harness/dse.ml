@@ -246,33 +246,16 @@ let point_to_json (p : point) =
       ("l2_kb", Json.Int p.l2_kb);
     ]
 
-let json_err fmt = Printf.ksprintf (fun s -> Error s) fmt
-
-let get_int name j =
-  match Option.bind (Json.member name j) Json.to_int with
-  | Some i -> Ok i
-  | None -> json_err "missing int field %S" name
-
-let get_float name j =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some f -> Ok f
-  | None -> json_err "missing float field %S" name
-
-let get_string name j =
-  match Option.bind (Json.member name j) Json.to_string_opt with
-  | Some s -> Ok s
-  | None -> json_err "missing string field %S" name
-
-let point_of_json j =
-  let ( let* ) = Result.bind in
-  let* kernel = get_string "kernel" j in
-  let* rows = get_int "rows" j in
-  let* cols = get_int "cols" j in
-  let* mem_ports = get_int "ports" j in
-  let* kind = Result.bind (get_string "kind" j) kind_of_string in
-  let* l1_kb = get_int "l1_kb" j in
-  let* l2_kb = get_int "l2_kb" j in
-  Ok { kernel; rows; cols; mem_ports; kind; l1_kb; l2_kb }
+let read_point j =
+  let open Json in
+  let kernel = field "kernel" string j in
+  let rows = field "rows" int j in
+  let cols = field "cols" int j in
+  let mem_ports = field "ports" int j in
+  let kind = field "kind" (lift kind_of_string) j in
+  let l1_kb = field "l1_kb" int j in
+  let l2_kb = field "l2_kb" int j in
+  { kernel; rows; cols; mem_ports; kind; l1_kb; l2_kb }
 
 let outcome_to_json o =
   Json.Assoc
@@ -289,41 +272,30 @@ let outcome_to_json o =
       ("perf_per_watt", Json.Float o.perf_per_watt);
     ]
 
-let outcome_of_json j =
-  let ( let* ) = Result.bind in
-  let* point =
-    match Json.member "point" j with
-    | Some pj -> point_of_json pj
-    | None -> Error "outcome without point"
-  in
-  let* mapped =
-    match Json.member "mapped" j with
-    | Some (Json.Bool b) -> Ok b
-    | _ -> Error "outcome without mapped flag"
-  in
-  let reject =
-    match Json.member "reject" j with Some (Json.String r) -> Some r | _ -> None
-  in
-  let* cycles = get_int "cycles" j in
-  let* iterations = get_int "iterations" j in
-  let* energy_nj = get_float "energy_nj" j in
-  let* power_w = get_float "power_w" j in
-  let* area_mm2 = get_float "area_mm2" j in
-  let* perf = get_float "perf" j in
-  let* perf_per_watt = get_float "perf_per_watt" j in
-  Ok
-    {
-      point;
-      mapped;
-      reject;
-      cycles;
-      iterations;
-      energy_nj;
-      power_w;
-      area_mm2;
-      perf;
-      perf_per_watt;
-    }
+let read_outcome j =
+  let open Json in
+  let point = field "point" read_point j in
+  let mapped = field "mapped" bool j in
+  let reject = field_opt "reject" string j in
+  let cycles = field "cycles" int j in
+  let iterations = field "iterations" int j in
+  let energy_nj = field "energy_nj" float j in
+  let power_w = field "power_w" float j in
+  let area_mm2 = field "area_mm2" float j in
+  let perf = field "perf" float j in
+  let perf_per_watt = field "perf_per_watt" float j in
+  {
+    point;
+    mapped;
+    reject;
+    cycles;
+    iterations;
+    energy_nj;
+    power_w;
+    area_mm2;
+    perf;
+    perf_per_watt;
+  }
 
 let spec_to_json s =
   Json.Assoc
@@ -338,39 +310,16 @@ let spec_to_json s =
       ("l2_kb", Json.List (List.map (fun k -> Json.Int k) s.l2_kb));
     ]
 
-let spec_of_json j =
-  let ( let* ) = Result.bind in
-  let get_list name conv =
-    match Option.bind (Json.member name j) Json.to_list with
-    | Some items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* v = conv item in
-          Ok (v :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-    | None -> json_err "spec: missing list %S" name
-  in
-  let* kernels =
-    get_list "kernels" (function Json.String s -> Ok s | _ -> Error "bad kernel")
-  in
-  let* grids =
-    get_list "grids" (function
-      | Json.List [ Json.Int r; Json.Int c ] -> Ok (r, c)
-      | _ -> Error "bad grid")
-  in
-  let* ports =
-    get_list "ports" (function Json.Int p -> Ok p | _ -> Error "bad port")
-  in
-  let* kinds =
-    get_list "kinds" (function
-      | Json.String s -> kind_of_string s
-      | _ -> Error "bad kind")
-  in
-  let* l1_kb = get_list "l1_kb" (function Json.Int k -> Ok k | _ -> Error "bad l1") in
-  let* l2_kb = get_list "l2_kb" (function Json.Int k -> Ok k | _ -> Error "bad l2") in
-  Ok { kernels; grids; ports; kinds; l1_kb; l2_kb }
+let read_spec j =
+  let open Json in
+  let grid g = match list int g with [ r; c ] -> (r, c) | _ -> fail "spec: bad grid" in
+  let kernels = field "kernels" (list string) j in
+  let grids = field "grids" (list grid) j in
+  let ports = field "ports" (list int) j in
+  let kinds = field "kinds" (list (lift kind_of_string)) j in
+  let l1_kb = field "l1_kb" (list int) j in
+  let l2_kb = field "l2_kb" (list int) j in
+  { kernels; grids; ports; kinds; l1_kb; l2_kb }
 
 let checkpoint_to_json ?(strategy = Exhaustive) spec outcomes =
   Json.Assoc
@@ -387,38 +336,15 @@ let checkpoint_to_json ?(strategy = Exhaustive) spec outcomes =
         ("outcomes", Json.List (List.map outcome_to_json outcomes));
       ])
 
-let checkpoint_of_json j =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Option.bind (Json.member "version" j) Json.to_int with
-    | Some 1 -> Ok ()
-    | Some v -> json_err "unsupported checkpoint version %d" v
-    | None -> Error "checkpoint without version"
-  in
-  let* strategy =
-    match Json.member "strategy" j with
-    | None -> Ok Exhaustive
-    | Some (Json.String s) -> strategy_of_string s
-    | Some _ -> Error "checkpoint with malformed strategy"
-  in
-  let* spec =
-    match Json.member "spec" j with
-    | Some sj -> spec_of_json sj
-    | None -> Error "checkpoint without spec"
-  in
-  let* outcomes =
-    match Option.bind (Json.member "outcomes" j) Json.to_list with
-    | Some items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* o = outcome_of_json item in
-          Ok (o :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-    | None -> Error "checkpoint without outcomes"
-  in
-  Ok (spec, strategy, outcomes)
+let checkpoint_of_json =
+  Json.decode (fun j ->
+      let open Json in
+      let version = field "version" int j in
+      if version <> 1 then fail "unsupported checkpoint version %d" version;
+      let strategy = field_or ~default:Exhaustive "strategy" (lift strategy_of_string) j in
+      let spec = field "spec" read_spec j in
+      let outcomes = field "outcomes" (list read_outcome) j in
+      (spec, strategy, outcomes))
 
 (* ------------------------------------------------------------------ *)
 (* Guided search surrogate: the analytical cost model prices a lattice

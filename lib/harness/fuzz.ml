@@ -53,27 +53,18 @@ let fabric_to_json f =
       ("profile", Json.Bool f.profile);
     ]
 
-let fabric_of_json j =
-  let ( let* ) = Result.bind in
-  let int k =
-    match Option.bind (Json.member k j) Json.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "fabric: missing %s" k)
-  in
-  let* rows = int "rows" in
-  let* cols = int "cols" in
-  let* ports = int "ports" in
-  let* l1_kb = int "l1_kb" in
-  let* l2_kb = int "l2_kb" in
-  let* kind =
-    match Json.member "kind" j with
-    | Some (Json.String s) -> Dse.kind_of_string s
-    | _ -> Error "fabric: missing kind"
-  in
-  let profile =
-    match Json.member "profile" j with Some (Json.Bool b) -> b | _ -> false
-  in
-  Ok { rows; cols; ports; kind; l1_kb; l2_kb; profile }
+let read_fabric j =
+  let open Json in
+  let rows = field "rows" int j in
+  let cols = field "cols" int j in
+  let ports = field "ports" int j in
+  let kind = field "kind" (lift Dse.kind_of_string) j in
+  let l1_kb = field "l1_kb" int j in
+  let l2_kb = field "l2_kb" int j in
+  let profile = field_or ~default:false "profile" bool j in
+  { rows; cols; ports; kind; l1_kb; l2_kb; profile }
+
+let fabric_of_json = Json.decode ~what:"fabric" read_fabric
 
 (* ------------------------------------------------------------------ *)
 (* One differential case.                                              *)
@@ -324,14 +315,15 @@ let report ~corpus ~seed s =
 type replay_error = Malformed of string | Still_fails of string
 
 let replay ?defect j =
-  let ( let* ) = Result.bind in
-  let field name parse =
-    match Json.member name j with
-    | Some v -> Result.map_error (fun e -> Malformed e) (parse v)
-    | None -> Error (Malformed (Printf.sprintf "no %S field" name))
+  let entry j =
+    let open Json in
+    let spec v = match Tile_dsl.of_json v with Ok s -> s | Error e -> fail "%s" e in
+    let fabric = field "fabric" read_fabric j in
+    let spec =
+      match field_opt "shrunk" spec j with Some s -> s | None -> field "spec" spec j
+    in
+    (spec, fabric)
   in
-  let* spec =
-    field (if Json.member "shrunk" j <> None then "shrunk" else "spec") Tile_dsl.of_json
-  in
-  let* fabric = field "fabric" fabric_of_json in
-  Result.map_error (fun e -> Still_fails e) (run_case ?defect spec fabric)
+  match Json.decode entry j with
+  | Error e -> Error (Malformed e)
+  | Ok (spec, fabric) -> Result.map_error (fun e -> Still_fails e) (run_case ?defect spec fabric)

@@ -233,123 +233,100 @@ let to_json t =
       ("dominant_stall", Json.String (Attribution.bucket_name t.dominant));
     ]
 
-exception Parse of string
+let read_buckets j =
+  let b = Array.make Attribution.bucket_count 0 in
+  List.iter
+    (fun bk ->
+      b.(Attribution.bucket_index bk) <- Json.field (Attribution.bucket_name bk) Json.int j)
+    Attribution.buckets;
+  b
 
-let of_json j =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Parse s)) fmt in
-  let mem name j =
-    match Json.member name j with Some v -> v | None -> fail "missing %S" name
-  in
-  let int name j =
-    match Json.to_int (mem name j) with
-    | Some v -> v
-    | None -> fail "%S is not an int" name
-  in
-  let flt name j =
-    match Json.to_float (mem name j) with
-    | Some v -> v
-    | None -> fail "%S is not a number" name
-  in
-  let str name j =
-    match Json.to_string_opt (mem name j) with
-    | Some v -> v
-    | None -> fail "%S is not a string" name
-  in
-  let int_array name j =
-    match Json.to_list (mem name j) with
-    | Some l ->
-      Array.of_list
-        (List.map
-           (fun v ->
-             match Json.to_int v with
-             | Some i -> i
-             | None -> fail "%S holds a non-int" name)
-           l)
-    | None -> fail "%S is not a list" name
-  in
-  let buckets_of j =
-    let b = Array.make Attribution.bucket_count 0 in
-    List.iter
-      (fun bk -> b.(Attribution.bucket_index bk) <- int (Attribution.bucket_name bk) j)
-      Attribution.buckets;
-    b
-  in
-  try
-    (match Json.to_string_opt (mem "schema" j) with
-    | Some s when s = schema -> ()
-    | Some s -> fail "unsupported schema %S (want %S)" s schema
-    | None -> fail "missing schema");
-    let grid = mem "grid" j in
-    let cycles = mem "cycles" j in
-    let lanes =
-      match Json.to_list (mem "lanes" j) with
-      | Some l -> l
-      | None -> fail "\"lanes\" is not a list"
-    in
-    let lane_labels = Array.of_list (List.map (str "lane") lanes) in
-    let lane_buckets =
-      Array.of_list (List.map (fun l -> buckets_of (mem "buckets" l)) lanes)
-    in
-    let ii = mem "ii" j in
-    let cp = mem "critical_path" j in
-    let noc = mem "noc" j in
-    let ports = mem "ports" j in
-    let mem_levels =
-      match Json.to_assoc (mem "mem" j) with
-      | Some kvs ->
-        List.map
-          (fun (k, v) ->
-            match Json.to_int v with
-            | Some i -> (k, i)
-            | None -> fail "mem.%s is not an int" k)
-          kvs
-      | None -> fail "\"mem\" is not an object"
-    in
-    let dominant =
-      let name = str "dominant_stall" j in
-      match Attribution.bucket_of_name name with
-      | Some b -> b
-      | None -> fail "unknown bucket %S" name
-    in
-    Ok
+let of_json =
+  Json.decode ~what:"profile" (fun j ->
+      let open Json in
+      let s = field "schema" string j in
+      if s <> schema then fail "unsupported schema %S (want %S)" s schema;
+      let kernel = field "kernel" string j in
+      let grid = field "grid" Fun.id j in
+      let grid_name = field "name" string grid in
+      let rows = field "rows" int grid in
+      let cols = field "cols" int grid in
+      let ls_entries = field "ls_entries" int grid in
+      let mem_ports = field "mem_ports" int grid in
+      let cycles = field "cycles" Fun.id j in
+      let total_cycles = field "total" int cycles in
+      let accel_cycles = field "accel" int cycles in
+      let config_cycles = field "config" int cycles in
+      let attributed_cycles = field "attributed" int cycles in
+      let iterations = field "iterations" int j in
+      let windows = field "windows" int j in
+      let totals = field "buckets" read_buckets j in
+      let lanes =
+        field "lanes" (list (fun l -> (field "lane" string l, field "buckets" read_buckets l))) j
+      in
+      let ii = field "ii" Fun.id j in
+      let ii_iterations = field "iterations" int ii in
+      let ii_mean = field "mean" float ii in
+      let ii_rec_mean = field "rec_mean" float ii in
+      let ii_mem_mean = field "mem_mean" float ii in
+      let ii_fu_mean = field "fu_mean" float ii in
+      let ii_rec_bound = field "rec_bound" int ii in
+      let ii_mem_bound = field "mem_bound" int ii in
+      let ii_fu_bound = field "fu_bound" int ii in
+      let cp = field "critical_path" Fun.id j in
+      let critical_path = field "nodes" (list int) cp in
+      let critical_path_latency = field "latency" float cp in
+      let critical_path_pct = field "pct" float cp in
+      let noc = field "noc" Fun.id j in
+      let noc_claims = Array.of_list (field "claims" (list int) noc) in
+      let noc_busy = Array.of_list (field "busy" (list int) noc) in
+      let ports = field "ports" Fun.id j in
+      let port_claims = field "claims" int ports in
+      let port_busy = field "busy" int ports in
+      let mem_levels = field "mem" (assoc int) j in
+      let dominant =
+        let name = field "dominant_stall" string j in
+        match Attribution.bucket_of_name name with
+        | Some b -> b
+        | None -> fail "unknown bucket %S" name
+      in
       {
-        kernel = str "kernel" j;
-        grid_name = str "name" grid;
-        rows = int "rows" grid;
-        cols = int "cols" grid;
-        ls_entries = int "ls_entries" grid;
-        mem_ports = int "mem_ports" grid;
-        total_cycles = int "total" cycles;
-        accel_cycles = int "accel" cycles;
-        config_cycles = int "config" cycles;
-        attributed_cycles = int "attributed" cycles;
-        iterations = int "iterations" j;
-        windows = int "windows" j;
-        lane_labels;
-        lane_buckets;
-        totals = buckets_of (mem "buckets" j);
+        kernel;
+        grid_name;
+        rows;
+        cols;
+        ls_entries;
+        mem_ports;
+        total_cycles;
+        accel_cycles;
+        config_cycles;
+        attributed_cycles;
+        iterations;
+        windows;
+        lane_labels = Array.of_list (List.map fst lanes);
+        lane_buckets = Array.of_list (List.map snd lanes);
+        totals;
         ii =
           {
-            Attribution.ii_iterations = int "iterations" ii;
-            ii_mean = flt "mean" ii;
-            ii_rec_mean = flt "rec_mean" ii;
-            ii_mem_mean = flt "mem_mean" ii;
-            ii_fu_mean = flt "fu_mean" ii;
-            ii_rec_bound = int "rec_bound" ii;
-            ii_mem_bound = int "mem_bound" ii;
-            ii_fu_bound = int "fu_bound" ii;
+            Attribution.ii_iterations;
+            ii_mean;
+            ii_rec_mean;
+            ii_mem_mean;
+            ii_fu_mean;
+            ii_rec_bound;
+            ii_mem_bound;
+            ii_fu_bound;
           };
-        critical_path = Array.to_list (int_array "nodes" cp);
-        critical_path_latency = flt "latency" cp;
-        critical_path_pct = flt "pct" cp;
-        noc_claims = int_array "claims" noc;
-        noc_busy = int_array "busy" noc;
-        port_claims = int "claims" ports;
-        port_busy = int "busy" ports;
+        critical_path;
+        critical_path_latency;
+        critical_path_pct;
+        noc_claims;
+        noc_busy;
+        port_claims;
+        port_busy;
         mem_levels;
         dominant;
-      }
-  with Parse msg -> Error ("profile: " ^ msg)
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate. *)

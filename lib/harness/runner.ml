@@ -234,20 +234,6 @@ let placement_of ?(kind = Interconnect.Mesh_noc) ~grid (k : Kernel.t) =
   memoized placement_memo key (fun () ->
       Mapper.map ~grid ~kind (Perf_model.create dfg))
 
-(* Atomic replacement of a memoized placement — the hand-off point for a
-   background refinement pass: once swapped, every subsequent
-   [placement_of] hit (warm service requests included) sees the refined
-   placement. The swap happens under the memo lock, so readers observe
-   either the old or the new placement, never a torn state. *)
-let swap_placement ?(kind = Interconnect.Mesh_noc) ~grid (k : Kernel.t)
-    placement =
-  let key =
-    { pk_kernel = k.Kernel.name; pk_n = k.Kernel.n; pk_grid = grid; pk_kind = kind }
-  in
-  Mutex.lock memo_lock;
-  Hashtbl.replace placement_memo key (Ok placement);
-  Mutex.unlock memo_lock
-
 let dynaspam ?(config = Dynaspam.default_config) (k : Kernel.t) =
   let base = single_core k in
   let dfg = dfg_of_kernel k in

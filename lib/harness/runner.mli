@@ -84,15 +84,6 @@ val execute_loop :
     {!Hierarchy.default_config}): the engine's result and the kernel's
     output check on the memory it left. *)
 
-val swap_placement :
-  ?kind:Interconnect.kind -> grid:Grid.t -> Kernel.t -> Placement.t -> unit
-(** Atomically replace the memoized placement for (kernel, grid, [kind]) —
-    how an accepted background refinement is installed into the warm
-    translation memo. Readers racing the swap see either the old or the
-    new placement, never a torn entry. The caller is responsible for the
-    placement's validity (the refinement path only installs
-    engine-confirmed, output-validated placements). *)
-
 val translation_cache_stats : unit -> int * int * int
 (** [(hits, misses, evictions)] over both memo tables since start (or the
     last {!clear_translation_cache}). An eviction is a wholesale reset of

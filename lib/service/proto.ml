@@ -162,180 +162,102 @@ let response_to_json { rsp_id; body } =
 
 (* ---------------- decoding ---------------- *)
 
-let ( let* ) = Result.bind
+(* Fields are read in document order, so the first bad one is the one
+   reported. *)
 
-(* Every accessor ignores fields it does not know: forward compatibility.
-   Missing *required* fields are decode errors. *)
+let positive name zero read j =
+  let v = read j in
+  if v > zero then v else Json.fail "field %S must be positive" name
 
-let field_int ?default name j =
-  match Json.member name j with
-  | None -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (Printf.sprintf "missing field %S" name))
-  | Some v -> (
-    match Json.to_int v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "field %S is not an integer" name))
+let read_run_request j =
+  let open Json in
+  let id = field "id" int j in
+  let kernel = field "kernel" string j in
+  let deadline_ms = field_opt "deadline_ms" (positive "deadline_ms" 0.0 float) j in
+  let inject = field_opt "inject" string j in
+  let fault_seed = field_or ~default:0x5EED "fault_seed" int j in
+  let allow_fallback = field_or ~default:true "allow_fallback" bool j in
+  { id; kernel; deadline_ms; inject; fault_seed; allow_fallback }
 
-let field_string name j =
-  match Json.member name j with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-    match Json.to_string_opt v with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "field %S is not a string" name))
-
-let field_bool ~default name j =
-  match Json.member name j with
-  | None -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field %S is not a boolean" name)
-
-let opt_field_float name j =
-  match Json.member name j with
-  | None -> Ok None
-  | Some v -> (
-    match Json.to_float v with
-    | Some f -> Ok (Some f)
-    | None -> Error (Printf.sprintf "field %S is not a number" name))
-
-let opt_field_string name j =
-  match Json.member name j with
-  | None -> Ok None
-  | Some v -> (
-    match Json.to_string_opt v with
-    | Some s -> Ok (Some s)
-    | None -> Error (Printf.sprintf "field %S is not a string" name))
-
-let run_request_of_json j =
-  let* id = field_int "id" j in
-  let* kernel = field_string "kernel" j in
-  let* deadline_ms = opt_field_float "deadline_ms" j in
-  let* () =
-    match deadline_ms with
-    | Some d when not (d > 0.0) ->
-      Error "field \"deadline_ms\" must be positive"
-    | _ -> Ok ()
-  in
-  let* inject = opt_field_string "inject" j in
-  let* fault_seed = field_int ~default:0x5EED "fault_seed" j in
-  let* allow_fallback = field_bool ~default:true "allow_fallback" j in
-  Ok { id; kernel; deadline_ms; inject; fault_seed; allow_fallback }
-
-let request_of_json j =
-  match j with
-  | Json.Assoc _ ->
-    (* A missing op means "run" — the common case stays terse. *)
-    let op =
-      match Json.member "op" j with
-      | None -> Ok "run"
-      | Some v -> (
-        match Json.to_string_opt v with
-        | Some s -> Ok s
-        | None -> Error "field \"op\" is not a string")
+let read_request j =
+  let open Json in
+  (* A missing op means "run" — the common case stays terse. *)
+  match field_or ~default:"run" "op" string j with
+  | "run" -> Run (read_run_request j)
+  | "stats" -> Get_stats (field "id" int j)
+  | "ping" -> Ping (field "id" int j)
+  | "watch" ->
+    let w_id = field "id" int j in
+    let interval_ms =
+      field_or ~default:250.0 "interval_ms" (positive "interval_ms" 0.0 float) j
     in
-    let* op = op in
-    (match op with
-    | "run" -> Result.map (fun r -> Run r) (run_request_of_json j)
-    | "stats" -> Result.map (fun id -> Get_stats id) (field_int "id" j)
-    | "ping" -> Result.map (fun id -> Ping id) (field_int "id" j)
-    | "watch" ->
-      let* id = field_int "id" j in
-      let* interval_ms = opt_field_float "interval_ms" j in
-      let interval_ms = Option.value interval_ms ~default:250.0 in
-      let* () =
-        if interval_ms > 0.0 then Ok ()
-        else Error "field \"interval_ms\" must be positive"
-      in
-      let* frames =
-        match Json.member "frames" j with
-        | None -> Ok None
-        | Some v -> (
-          match Json.to_int v with
-          | Some n when n > 0 -> Ok (Some n)
-          | Some _ -> Error "field \"frames\" must be positive"
-          | None -> Error "field \"frames\" is not an integer")
-      in
-      Ok (Watch { w_id = id; interval_ms; frames })
-    | "trace" ->
-      let* id = field_int "id" j in
-      let* spans =
-        match Json.member "spans" j with
-        | None -> Ok None
-        | Some v -> (
-          match Json.to_int v with
-          | Some n when n > 0 -> Ok (Some n)
-          | Some _ -> Error "field \"spans\" must be positive"
-          | None -> Error "field \"spans\" is not an integer")
-      in
-      Ok (Trace { t_id = id; spans })
-    | other -> Error (Printf.sprintf "unknown op %S" other))
+    let frames = field_opt "frames" (positive "frames" 0 int) j in
+    Watch { w_id; interval_ms; frames }
+  | "trace" ->
+    let t_id = field "id" int j in
+    let spans = field_opt "spans" (positive "spans" 0 int) j in
+    Trace { t_id; spans }
+  | other -> fail "unknown op %S" other
+
+let request_of_json = function
+  | Json.Assoc _ as j -> Json.decode read_request j
   | _ -> Error "request is not a JSON object"
 
-let ok_body_of_json j =
-  let* kernel = field_string "kernel" j in
-  let* cycles = field_int "cycles" j in
-  let* offloads = field_int "offloads" j in
-  let* mem_checksum = field_int "mem_checksum" j in
-  let* shard = field_int "shard" j in
-  let* site = Result.bind (field_string "site" j) site_of_string in
-  let* rerouted = field_bool ~default:false "rerouted" j in
-  let* retries = field_int ~default:0 "retries" j in
-  let* quarantines = field_int ~default:0 "quarantines" j in
-  let* faults_detected = field_int ~default:0 "faults_detected" j in
-  let* latency_ms =
-    match Json.member "latency_ms" j with
-    | None -> Ok 0.0
-    | Some v -> (
-      match Json.to_float v with
-      | Some f -> Ok f
-      | None -> Error "field \"latency_ms\" is not a number")
-  in
-  Ok
-    {
-      kernel;
-      cycles;
-      offloads;
-      mem_checksum;
-      shard;
-      site;
-      rerouted;
-      retries;
-      quarantines;
-      faults_detected;
-      latency_ms;
-    }
+let read_ok_body j =
+  let open Json in
+  let kernel = field "kernel" string j in
+  let cycles = field "cycles" int j in
+  let offloads = field "offloads" int j in
+  let mem_checksum = field "mem_checksum" int j in
+  let shard = field "shard" int j in
+  let site = field "site" (lift site_of_string) j in
+  let rerouted = field_or ~default:false "rerouted" bool j in
+  let retries = field_or ~default:0 "retries" int j in
+  let quarantines = field_or ~default:0 "quarantines" int j in
+  let faults_detected = field_or ~default:0 "faults_detected" int j in
+  let latency_ms = field_or ~default:0.0 "latency_ms" float j in
+  {
+    kernel;
+    cycles;
+    offloads;
+    mem_checksum;
+    shard;
+    site;
+    rerouted;
+    retries;
+    quarantines;
+    faults_detected;
+    latency_ms;
+  }
 
-let response_of_json j =
-  match j with
-  | Json.Assoc _ ->
-    let* rsp_id = field_int "id" j in
-    let* body =
-      match
-        ( Json.member "ok" j,
-          Json.member "error" j,
-          Json.member "stats" j,
-          Json.member "pong" j )
-      with
-      | Some b, _, _, _ -> Result.map (fun b -> Ok_run b) (ok_body_of_json b)
-      | None, Some e, _, _ ->
-        let* kind = Result.bind (field_string "kind" e) error_kind_of_string in
-        let* message = field_string "message" e in
-        Ok (Err { kind; message })
-      | None, None, Some s, _ -> Ok (Stats_dump s)
-      | None, None, None, Some _ -> Ok Pong
-      | None, None, None, None -> (
-        match
-          (Json.member "frame" j, Json.member "span" j, Json.member "done" j)
-        with
-        | Some f, _, _ -> Ok (Frame f)
-        | None, Some s, _ -> Ok (Span s)
-        | None, None, Some _ -> Ok End_stream
-        | None, None, None ->
-          Error "response has none of ok/error/stats/pong/frame/span/done")
-    in
-    Ok { rsp_id; body }
+let read_error j =
+  let open Json in
+  let kind = field "kind" (lift error_kind_of_string) j in
+  let message = field "message" string j in
+  { kind; message }
+
+(* The first body key present, in this order, names the body. *)
+let body_keys =
+  [
+    ("ok", fun b -> Ok_run (read_ok_body b));
+    ("error", fun e -> Err (read_error e));
+    ("stats", fun s -> Stats_dump s);
+    ("pong", fun _ -> Pong);
+    ("frame", fun f -> Frame f);
+    ("span", fun s -> Span s);
+    ("done", fun _ -> End_stream);
+  ]
+
+let read_response j =
+  let open Json in
+  let rsp_id = field "id" int j in
+  let present k = field_or ~default:None k Option.some j in
+  match List.find_map (fun (k, f) -> Option.map f (present k)) body_keys with
+  | Some body -> { rsp_id; body }
+  | None -> fail "response has none of ok/error/stats/pong/frame/span/done"
+
+let response_of_json = function
+  | Json.Assoc _ as j -> Json.decode read_response j
   | _ -> Error "response is not a JSON object"
 
 let request_to_line r = Json.to_string ~indent:0 (request_to_json r)

@@ -60,7 +60,6 @@ type counters = {
   tel_refine_attempts : Stats.counter;
   tel_refine_accepts : Stats.counter;
   tel_refine_rejects : Stats.counter;
-  tel_memo_swaps : Stats.counter;
 }
 
 (* One unit of background-refinement work: the measured per-node snapshot a
@@ -149,9 +148,6 @@ let make_counters reg =
       Stats.counter telg "refine_accepts"
         ~desc:"engine- and controller-confirmed placements installed";
     tel_refine_rejects = Stats.counter telg "refine_rejects";
-    tel_memo_swaps =
-      Stats.counter telg "memo_swaps"
-        ~desc:"warm-memo placements atomically replaced";
   }
   |> fun c -> (g, telg, c)
 
@@ -198,9 +194,9 @@ let warm_translation_memo shard_grid =
 (* ------------------------------------------------------------------ *)
 (* Profiling-window feedback: a profiled run's measured per-node snapshot
    feeds the cost model's latency oracles, a background refine pass
-   searches for a faster placement, and an accepted one is swapped into
-   the warm translation memo and forced into every subsequent translation
-   via the controller's tune hook. *)
+   searches for a faster placement, and an accepted one becomes the
+   service's override, forced into every subsequent translation via the
+   controller's tune hook. *)
 
 (* A refined placement may only substitute for a translated configuration
    it is structurally compatible with: the controller maps its own
@@ -272,9 +268,7 @@ let refine_one t (j : refine_job) =
         | Some cycles ->
           locked t (fun () ->
               Hashtbl.replace t.overrides j.rj_kernel r.Refine.placement;
-              Stats.incr t.c.tel_refine_accepts;
-              Stats.incr t.c.tel_memo_swaps);
-          Runner.swap_placement ~grid k r.Refine.placement;
+              Stats.incr t.c.tel_refine_accepts);
           Telemetry.note_refine_accept t.telemetry ~kernel:j.rj_kernel;
           Telemetry.emit t.telemetry ~kernel:j.rj_kernel
             ~detail:

@@ -6,9 +6,10 @@
     and a {!Pool} of worker domains. A request's life:
 
     + {b Validate} — unknown kernel or malformed inject spec is a
-      [bad_request]; the kernel's hot-loop translation comes from
-      {!Runner}'s process-wide memo, so it is warm after the first request
-      (or immediately, when [warm] pre-translates the whole registry).
+      [bad_request]. The request's hot loop is translated by
+      {!Controller.run} in Execute; [warm] pre-translates the registry
+      into {!Runner}'s process-wide memo, whose hits and misses the
+      [service.memo] probes report, but no request reads that memo.
     + {b Admit} — at most [queue_depth] requests may be in flight;
       beyond that (or while draining) the request is shed with a
       structured [overloaded] error immediately — load shedding never
@@ -56,9 +57,11 @@ type config = {
           attribution collector armed (pure observation — cycles, memory
           and registers stay bit-identical); each captured window feeds the
           cost model's measured oracles into a background refine pass
-          whose engine- and controller-confirmed placements are swapped
-          into the warm translation memo ({!Runner.swap_placement}), so
-          subsequent requests for that kernel can only get faster.
+          whose engine- and controller-confirmed placement becomes the
+          service's override for that kernel: the controller's tune hook
+          forces it into every later translation, so subsequent requests
+          for that kernel can only get faster. {!Runner}'s memo is left
+          alone.
           Counted in the [telemetry] stats group. [None] (default): no
           profiling, no refiner thread. *)
 }
@@ -89,8 +92,8 @@ val bad_request : t -> string -> Proto.body
 val stats : t -> Stats.snapshot
 (** Point-in-time readout of the [service] group (outcomes, breaker
     transitions, queue, execution mix, memo) and the [telemetry] group
-    (profiling windows, oracle refreshes, refine accepts/rejects, memo
-    swaps, spans emitted). *)
+    (profiling windows, oracle refreshes, refine accepts/rejects, spans
+    emitted, overrides installed). *)
 
 val telemetry : t -> Telemetry.t
 (** The service's live-telemetry hub: every request emits lifecycle spans

@@ -57,43 +57,18 @@ let span_to_json sp =
       ("detail", Json.String sp.sp_detail);
     ]
 
-let ( let* ) = Result.bind
-
-let req_int name j =
-  match Option.bind (Json.member name j) Json.to_int with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "span: missing integer field %S" name)
-
-let req_float name j =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "span: missing numeric field %S" name)
-
-let opt_int ~default name j =
-  Option.value ~default (Option.bind (Json.member name j) Json.to_int)
-
-let opt_string ~default name j =
-  Option.value ~default (Option.bind (Json.member name j) Json.to_string_opt)
-
-let span_of_json j =
-  let* sp_seq = req_int "seq" j in
-  let* sp_at_ms = req_float "at_ms" j in
-  let* sp_phase =
-    match Option.bind (Json.member "phase" j) Json.to_string_opt with
-    | Some s -> phase_of_string s
-    | None -> Error "span: missing field \"phase\""
-  in
-  Ok
-    {
-      sp_seq;
-      sp_at_ms;
-      sp_req = opt_int ~default:(-1) "req" j;
-      sp_kernel = opt_string ~default:"" "kernel" j;
-      sp_shard = opt_int ~default:(-1) "shard" j;
-      sp_phase;
-      sp_outcome = opt_string ~default:"" "outcome" j;
-      sp_detail = opt_string ~default:"" "detail" j;
-    }
+let span_of_json =
+  Json.decode ~what:"span" (fun j ->
+      let open Json in
+      let sp_seq = field "seq" int j in
+      let sp_at_ms = field "at_ms" float j in
+      let sp_req = field_or ~default:(-1) "req" int j in
+      let sp_kernel = field_or ~default:"" "kernel" string j in
+      let sp_shard = field_or ~default:(-1) "shard" int j in
+      let sp_phase = field "phase" (lift phase_of_string) j in
+      let sp_outcome = field_or ~default:"" "outcome" string j in
+      let sp_detail = field_or ~default:"" "detail" string j in
+      { sp_seq; sp_at_ms; sp_req; sp_kernel; sp_shard; sp_phase; sp_outcome; sp_detail })
 
 let to_trace_span sp =
   let args =
@@ -392,13 +367,14 @@ let quantiles_to_json q =
       ("max", Json.Float q.q_max);
     ]
 
-let quantiles_of_json j =
-  let* q_count = req_int "count" j in
-  let* q_p50 = req_float "p50" j in
-  let* q_p90 = req_float "p90" j in
-  let* q_p99 = req_float "p99" j in
-  let* q_max = req_float "max" j in
-  Ok { q_count; q_p50; q_p90; q_p99; q_max }
+let read_quantiles j =
+  let open Json in
+  let q_count = field "count" int j in
+  let q_p50 = field "p50" float j in
+  let q_p90 = field "p90" float j in
+  let q_p99 = field "p99" float j in
+  let q_max = field "max" float j in
+  { q_count; q_p50; q_p90; q_p99; q_max }
 
 let frame_to_json f =
   Json.Assoc
@@ -437,73 +413,33 @@ let frame_to_json f =
         Json.Assoc (List.map (fun (p, n) -> (p, Json.Int n)) f.f_totals) );
     ]
 
-let int_assoc name j =
-  match Json.member name j with
-  | None -> Error (Printf.sprintf "frame: missing field %S" name)
-  | Some v -> (
-    match Json.to_assoc v with
-    | None -> Error (Printf.sprintf "frame: field %S is not an object" name)
-    | Some l ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (p, v) :: rest -> (
-          match Json.to_int v with
-          | Some n -> go ((p, n) :: acc) rest
-          | None ->
-            Error (Printf.sprintf "frame: %s.%s is not an integer" name p))
-      in
-      go [] l)
+let read_outcome j =
+  let open Json in
+  let o_total = field "total" int j in
+  let o_delta = field "delta" int j in
+  let o_window = field "latency_ms" read_quantiles j in
+  { o_total; o_delta; o_window }
 
-let frame_of_json j =
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.to_string_opt with
-    | Some s when s = schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "frame: unknown schema %S" s)
-    | None -> Error "frame: missing field \"schema\""
-  in
-  let* f_seq = req_int "seq" j in
-  let* f_at_ms = req_float "at_ms" j in
-  let* f_dropped = req_int "dropped" j in
-  let* f_outcomes =
-    match Option.bind (Json.member "outcomes" j) Json.to_assoc with
-    | None -> Error "frame: missing object field \"outcomes\""
-    | Some l ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (name, v) :: rest ->
-          let* o_total = req_int "total" v in
-          let* o_delta = req_int "delta" v in
-          let* o_window =
-            match Json.member "latency_ms" v with
-            | Some q -> quantiles_of_json q
-            | None -> Error "frame: outcome row missing \"latency_ms\""
-          in
-          go ((name, { o_total; o_delta; o_window }) :: acc) rest
-      in
-      go [] l
-  in
-  let* f_kernels =
-    match Option.bind (Json.member "kernels" j) Json.to_assoc with
-    | None -> Error "frame: missing object field \"kernels\""
-    | Some l ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (name, v) :: rest ->
-          let* k_window =
-            match Json.member "cycles" v with
-            | Some q -> quantiles_of_json q
-            | None -> Error "frame: kernel row missing \"cycles\""
-          in
-          let* k_profile_windows = req_int "profile_windows" v in
-          let* k_refine_accepts = req_int "refine_accepts" v in
-          go ((name, { k_window; k_profile_windows; k_refine_accepts }) :: acc)
-            rest
-      in
-      go [] l
-  in
-  let* f_deltas = int_assoc "deltas" j in
-  let* f_totals = int_assoc "totals" j in
-  Ok { f_seq; f_at_ms; f_dropped; f_outcomes; f_kernels; f_deltas; f_totals }
+let read_kernel j =
+  let open Json in
+  let k_window = field "cycles" read_quantiles j in
+  let k_profile_windows = field "profile_windows" int j in
+  let k_refine_accepts = field "refine_accepts" int j in
+  { k_window; k_profile_windows; k_refine_accepts }
+
+let frame_of_json =
+  Json.decode ~what:"frame" (fun j ->
+      let open Json in
+      let s = field "schema" string j in
+      if s <> schema then fail "unknown schema %S" s;
+      let f_seq = field "seq" int j in
+      let f_at_ms = field "at_ms" float j in
+      let f_dropped = field "dropped" int j in
+      let f_outcomes = field "outcomes" (assoc read_outcome) j in
+      let f_kernels = field "kernels" (assoc read_kernel) j in
+      let f_deltas = field "deltas" (assoc int) j in
+      let f_totals = field "totals" (assoc int) j in
+      { f_seq; f_at_ms; f_dropped; f_outcomes; f_kernels; f_deltas; f_totals })
 
 let parse_frames lines =
   List.filter (fun l -> String.trim l <> "") lines

@@ -58,6 +58,9 @@ type span = {
 
 val span_to_json : span -> Json.t
 val span_of_json : Json.t -> (span, string) result
+(** Inverse of {!span_to_json}. An absent [req], [kernel], [shard],
+    [outcome] or [detail] reads as the "unknown" value above; a present
+    but mistyped one is an error. *)
 
 val to_trace_span : span -> Trace.span
 (** Perfetto projection: category ["service"], timestamp the hub clock in

@@ -277,6 +277,51 @@ let to_assoc = function Assoc l -> Some l | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* Readers. [Mistyped] carries what the value should have been ("an
+   integer"); [field] turns it into the wire wording. [Failed] carries a
+   finished message. Neither escapes [decode]. *)
+
+type 'a reader = t -> 'a
+
+exception Mistyped of string
+exception Failed of string
+
+let fail fmt = Printf.ksprintf (fun s -> raise (Failed s)) fmt
+let typed what conv j = match conv j with Some v -> v | None -> raise (Mistyped what)
+let int = typed "an integer" to_int
+let float = typed "a number" to_float
+let string = typed "a string" to_string_opt
+let bool = typed "a boolean" (function Bool b -> Some b | _ -> None)
+
+let at where d j = try d j with Mistyped what -> raise (Mistyped (what ^ " at " ^ where))
+
+let list d j =
+  List.mapi (fun i v -> at (Printf.sprintf "[%d]" i) d v) (typed "a list" to_list j)
+
+let assoc d j =
+  List.map (fun (k, v) -> (k, at (Printf.sprintf "%S" k) d v)) (typed "an object" to_assoc j)
+
+let read name d v = try d v with Mistyped what -> fail "field %S is not %s" name what
+
+let field name d j =
+  match member name j with Some v -> read name d v | None -> fail "missing field %S" name
+
+let field_opt name d j =
+  match member name j with None | Some Null -> None | Some v -> Some (read name d v)
+
+let field_or ~default name d j =
+  match member name j with None -> default | Some v -> read name d v
+
+let lift of_string j = match of_string (string j) with Ok v -> v | Error e -> raise (Failed e)
+
+let decode ?what d j =
+  let prefix msg = match what with None -> msg | Some w -> w ^ ": " ^ msg in
+  match d j with
+  | v -> Ok v
+  | exception Failed msg -> Error (prefix msg)
+  | exception Mistyped what -> Error (prefix ("document is not " ^ what))
+
+(* ------------------------------------------------------------------ *)
 (* Files *)
 
 let read_file path =

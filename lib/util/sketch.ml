@@ -4,8 +4,6 @@ let log_ratio = Float.log ratio
 
 type sub = {
   mutable s_count : int;
-  mutable s_sum : float;
-  mutable s_min : float; (* infinity when empty *)
   mutable s_max : float; (* neg_infinity when empty *)
   b : int array;
 }
@@ -15,26 +13,7 @@ type t = {
   n_windows : int;
   subs : sub array;
   mutable cursor : int; (* subs.(cursor) is the current sub-window *)
-  mutable t_count : int;
-  mutable t_sum : float;
-  mutable t_max : float;
 }
-
-let fresh_sub buckets =
-  {
-    s_count = 0;
-    s_sum = 0.0;
-    s_min = Float.infinity;
-    s_max = Float.neg_infinity;
-    b = Array.make buckets 0;
-  }
-
-let clear_sub s =
-  s.s_count <- 0;
-  s.s_sum <- 0.0;
-  s.s_min <- Float.infinity;
-  s.s_max <- Float.neg_infinity;
-  Array.fill s.b 0 (Array.length s.b) 0
 
 let create ?(buckets = 128) ?(windows = 8) () =
   if buckets < 1 then invalid_arg "Sketch.create: buckets must be >= 1";
@@ -42,15 +21,11 @@ let create ?(buckets = 128) ?(windows = 8) () =
   {
     n_buckets = buckets;
     n_windows = windows;
-    subs = Array.init windows (fun _ -> fresh_sub buckets);
+    subs =
+      Array.init windows (fun _ ->
+          { s_count = 0; s_max = Float.neg_infinity; b = Array.make buckets 0 });
     cursor = 0;
-    t_count = 0;
-    t_sum = 0.0;
-    t_max = 0.0;
   }
-
-let buckets t = t.n_buckets
-let windows t = t.n_windows
 
 (* Bucket 0 covers (-inf, floor]; bucket i covers
    (floor * r^(i-1), floor * r^i]. The last bucket absorbs everything
@@ -71,24 +46,17 @@ let observe t v =
   let s = t.subs.(t.cursor) in
   s.b.(bucket_of t v) <- s.b.(bucket_of t v) + 1;
   s.s_count <- s.s_count + 1;
-  s.s_sum <- s.s_sum +. v;
-  if v < s.s_min then s.s_min <- v;
-  if v > s.s_max then s.s_max <- v;
-  t.t_count <- t.t_count + 1;
-  t.t_sum <- t.t_sum +. v;
-  if v > t.t_max then t.t_max <- v
+  if v > s.s_max then s.s_max <- v
 
 let advance t =
   t.cursor <- (t.cursor + 1) mod t.n_windows;
-  clear_sub t.subs.(t.cursor)
-
-(* The sub-window of age [a]: 0 is current, [n_windows - 1] the oldest. *)
-let sub_of_age t a = t.subs.((t.cursor - a + t.n_windows) mod t.n_windows)
+  let s = t.subs.(t.cursor) in
+  s.s_count <- 0;
+  s.s_max <- Float.neg_infinity;
+  Array.fill s.b 0 (Array.length s.b) 0
 
 let window_count t =
   Array.fold_left (fun acc s -> acc + s.s_count) 0 t.subs
-
-let window_sum t = Array.fold_left (fun acc s -> acc +. s.s_sum) 0.0 t.subs
 
 let window_max t =
   let m = Array.fold_left (fun acc s -> Float.max acc s.s_max) Float.neg_infinity t.subs in
@@ -114,151 +82,3 @@ let quantile t q =
      with Exit -> ());
     !result
   end
-
-let total_count t = t.t_count
-let total_sum t = t.t_sum
-let life_max t = t.t_max
-
-let merge a b =
-  if a.n_buckets <> b.n_buckets || a.n_windows <> b.n_windows then
-    invalid_arg "Sketch.merge: geometry mismatch";
-  let r = create ~buckets:a.n_buckets ~windows:a.n_windows () in
-  for age = 0 to a.n_windows - 1 do
-    let dst = sub_of_age r age in
-    List.iter
-      (fun src ->
-        let s = sub_of_age src age in
-        dst.s_count <- dst.s_count + s.s_count;
-        dst.s_sum <- dst.s_sum +. s.s_sum;
-        if s.s_min < dst.s_min then dst.s_min <- s.s_min;
-        if s.s_max > dst.s_max then dst.s_max <- s.s_max;
-        Array.iteri (fun i c -> dst.b.(i) <- dst.b.(i) + c) s.b)
-      [ a; b ]
-  done;
-  r.t_count <- a.t_count + b.t_count;
-  r.t_sum <- a.t_sum +. b.t_sum;
-  r.t_max <- Float.max a.t_max b.t_max;
-  r
-
-(* ---------------- JSON ---------------- *)
-
-let sub_to_json s =
-  let sparse = ref [] in
-  Array.iteri
-    (fun i c -> if c > 0 then sparse := Json.List [ Json.Int i; Json.Int c ] :: !sparse)
-    s.b;
-  Json.Assoc
-    (("count", Json.Int s.s_count)
-     :: ("sum", Json.Float s.s_sum)
-     :: (if s.s_count > 0 then
-           [ ("min", Json.Float s.s_min); ("max", Json.Float s.s_max) ]
-         else [])
-    @ [ ("b", Json.List (List.rev !sparse)) ])
-
-let to_json t =
-  Json.Assoc
-    [
-      ("schema", Json.String "mesa-sketch-v1");
-      ("buckets", Json.Int t.n_buckets);
-      ("windows", Json.Int t.n_windows);
-      ("total_count", Json.Int t.t_count);
-      ("total_sum", Json.Float t.t_sum);
-      ("max", Json.Float t.t_max);
-      ( "subs",
-        Json.List
-          (List.init t.n_windows (fun age -> sub_to_json (sub_of_age t age))) );
-    ]
-
-let ( let* ) = Result.bind
-
-let j_int name j =
-  match Option.bind (Json.member name j) Json.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "sketch: missing int %S" name)
-
-let j_float name j =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "sketch: missing float %S" name)
-
-let sub_of_json buckets j =
-  let* count = j_int "count" j in
-  let* sum = j_float "sum" j in
-  let s = fresh_sub buckets in
-  s.s_count <- count;
-  s.s_sum <- sum;
-  if count > 0 then begin
-    (match Option.bind (Json.member "min" j) Json.to_float with
-    | Some v -> s.s_min <- v
-    | None -> ());
-    match Option.bind (Json.member "max" j) Json.to_float with
-    | Some v -> s.s_max <- v
-    | None -> ()
-  end;
-  match Option.bind (Json.member "b" j) Json.to_list with
-  | None -> Error "sketch: missing buckets"
-  | Some entries ->
-    let rec fill = function
-      | [] -> Ok s
-      | Json.List [ i; c ] :: rest -> (
-        match (Json.to_int i, Json.to_int c) with
-        | Some i, Some c when i >= 0 && i < buckets ->
-          s.b.(i) <- c;
-          fill rest
-        | _ -> Error "sketch: bad bucket entry")
-      | _ -> Error "sketch: bad bucket entry"
-    in
-    fill entries
-
-let of_json j =
-  match Json.member "schema" j with
-  | Some (Json.String "mesa-sketch-v1") ->
-    let* nb = j_int "buckets" j in
-    let* nw = j_int "windows" j in
-    if nb < 1 || nw < 1 then Error "sketch: bad geometry"
-    else
-      let* tc = j_int "total_count" j in
-      let* ts = j_float "total_sum" j in
-      let* tm = j_float "max" j in
-      let* subs =
-        match Option.bind (Json.member "subs" j) Json.to_list with
-        | Some l when List.length l = nw ->
-          List.fold_left
-            (fun acc sj ->
-              let* acc = acc in
-              let* s = sub_of_json nb sj in
-              Ok (s :: acc))
-            (Ok []) l
-          |> Result.map List.rev
-        | _ -> Error "sketch: wrong sub-window count"
-      in
-      let t = create ~buckets:nb ~windows:nw () in
-      List.iteri (fun age s -> t.subs.((t.cursor - age + nw) mod nw) <- s) subs;
-      t.t_count <- tc;
-      t.t_sum <- ts;
-      t.t_max <- tm;
-      Ok t
-  | _ -> Error "sketch: not a mesa-sketch-v1 object"
-
-(* ---------------- windowed rate counter ---------------- *)
-
-module Rate = struct
-  type t = { ring : int array; mutable cursor : int; mutable total : int }
-
-  let create ?(windows = 8) () =
-    if windows < 1 then invalid_arg "Sketch.Rate.create: windows must be >= 1";
-    { ring = Array.make windows 0; cursor = 0; total = 0 }
-
-  let add t n =
-    t.ring.(t.cursor) <- t.ring.(t.cursor) + n;
-    t.total <- t.total + n
-
-  let incr t = add t 1
-
-  let advance t =
-    t.cursor <- (t.cursor + 1) mod Array.length t.ring;
-    t.ring.(t.cursor) <- 0
-
-  let window t = Array.fold_left ( + ) 0 t.ring
-  let total t = t.total
-end

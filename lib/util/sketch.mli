@@ -1,5 +1,5 @@
-(** Deterministic sliding-window quantile sketches and windowed rate
-    counters — the aggregation layer behind the live-telemetry frames.
+(** Deterministic sliding-window quantile sketches — the aggregation layer
+    behind the live-telemetry frames.
 
     A sketch is a fixed-geometry log-bucketed histogram replicated over a
     ring of [windows] sub-windows. {!observe} lands in the current
@@ -13,13 +13,11 @@
     Buckets grow geometrically by ratio [r = 2{^1/4}] from a floor of
     [1e-3], so a reported quantile [q] satisfies
     [true_q <= quantile q <= max lo (true_q * r)] — a guaranteed
-    ≤ 19% relative overestimate, never an underestimate. Counts, sums and
-    the window maximum are exact.
+    ≤ 19% relative overestimate, never an underestimate. Counts and the
+    window maximum are exact.
 
-    {!merge} is pointwise over age-aligned sub-windows, making it
-    associative and commutative for sketches of the same geometry — two
-    shards' sketches combine into the fleet view without resorting raw
-    samples. *)
+    Sketches are per process and are not serialized: a telemetry frame
+    carries the quantiles it read, not the sketch. *)
 
 type t
 
@@ -27,9 +25,6 @@ val create : ?buckets:int -> ?windows:int -> unit -> t
 (** A fresh, empty sketch. [buckets] (default 128) log-spaced buckets per
     sub-window, [windows] (default 8) sub-windows in the ring. Raises
     [Invalid_argument] when either is below 1. *)
-
-val buckets : t -> int
-val windows : t -> int
 
 val ratio : float
 (** The fixed bucket growth ratio, [2{^1/4}] — the quantile error bound. *)
@@ -50,8 +45,6 @@ val advance : t -> unit
 val window_count : t -> int
 (** Observations currently inside the window (all live sub-windows). *)
 
-val window_sum : t -> float
-
 val window_max : t -> float
 (** Exact maximum inside the window; [0.] when empty. *)
 
@@ -60,46 +53,3 @@ val quantile : t -> float -> float
     buckets, reported as the bucket's upper bound clamped to the exact
     window maximum. [0.] on an empty window. Raises [Invalid_argument] on
     [q] outside [\[0,1\]]. *)
-
-val total_count : t -> int
-(** Lifetime observations, never discarded by {!advance}. *)
-
-val total_sum : t -> float
-
-val life_max : t -> float
-
-val merge : t -> t -> t
-(** Pointwise sum over age-aligned sub-windows plus lifetime totals; the
-    inputs are untouched. Raises [Invalid_argument] when geometries
-    (buckets, windows) differ. Associative and commutative up to
-    {!to_json} equality. *)
-
-val to_json : t -> Json.t
-(** Canonical encoding (sub-windows listed by age, sparse buckets) with
-    schema tag [mesa-sketch-v1]. *)
-
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}: [of_json (to_json t)] observes-as and
-    queries-as [t]. *)
-
-(** Windowed rate counter: the same ring-of-sub-windows discipline for a
-    plain event count — "how many in the last N ticks" next to the
-    lifetime total. *)
-module Rate : sig
-  type t
-
-  val create : ?windows:int -> unit -> t
-  (** Default 8 sub-windows. Raises [Invalid_argument] below 1. *)
-
-  val incr : t -> unit
-  val add : t -> int -> unit
-
-  val advance : t -> unit
-  (** Rotate, discarding the oldest sub-window's count. *)
-
-  val window : t -> int
-  (** Events inside the window. *)
-
-  val total : t -> int
-  (** Lifetime events. *)
-end
