@@ -29,6 +29,7 @@ type t = {
   mutable cnt : int array;  (* operations started that cycle *)
   mutable nxt : int array;  (* skip pointer, meaningful once the cycle is full *)
   mutable occupied : int;  (* distinct cycles with >= 1 operation *)
+  mutable hi : int;  (* highest booked cycle; -1 when empty *)
   mutable claimed : int;
   mutable last_slot : int;  (* sub-slot taken by the most recent claim *)
 }
@@ -46,6 +47,7 @@ let create ~capacity =
     cnt = Array.make initial_size 0;
     nxt = Array.make initial_size 0;
     occupied = 0;
+    hi = -1;
     claimed = 0;
     last_slot = 0;
   }
@@ -125,6 +127,7 @@ let claim_cycle t start =
   in
   t.cnt.(i) <- used + 1;
   if used + 1 >= t.capacity then t.nxt.(i) <- cycle + 1;
+  if cycle > t.hi then t.hi <- cycle;
   t.claimed <- t.claimed + 1;
   t.last_slot <- used;
   (* Keep the load factor under 5/8 so probes stay short (after all slot
@@ -141,9 +144,9 @@ let claim_slot t ready =
 
 let fold_from t ~from f acc =
   let acc = ref acc in
-  for i = 0 to t.mask do
-    let key = t.keys.(i) in
-    if key <> 0 && key > from then acc := f (key - 1) t.cnt.(i) !acc
+  for c = max 0 from to t.hi do
+    let i = probe t c in
+    if t.keys.(i) <> 0 then acc := f c t.cnt.(i) !acc
   done;
   !acc
 
@@ -167,5 +170,6 @@ let reset ?capacity t =
   end
   else Array.fill t.keys 0 (t.mask + 1) 0;
   t.occupied <- 0;
+  t.hi <- -1;
   t.claimed <- 0;
   t.last_slot <- 0

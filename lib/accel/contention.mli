@@ -30,7 +30,9 @@ val claim_slot : t -> float -> float * int
 
 val fold_from : t -> from:int -> (int -> int -> 'a -> 'a) -> 'a -> 'a
 (** [fold_from t ~from f acc] folds [f cycle claims] over every booked
-    cycle [>= from], in no particular order. *)
+    cycle [>= from], in ascending cycle order. It probes each cycle from
+    [from] up to the highest booked one, so it costs O([hi - from]) probes
+    where [hi] is the highest booked cycle, whatever the table's size. *)
 
 val last_slot : t -> int
 (** Sub-slot taken by the most recent claim (0 before any claim). *)

@@ -61,28 +61,29 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
   let boundaries = ref 0 in
   let max_boundaries = 128 in
   (* Snapshots are only taken at boundary pairs (2^k, 2^k + 1): comparing
-     any two consecutive equal-state boundaries proves periodicity, and the
-     exponential spacing keeps snapshot work logarithmic in the warmup
-     length instead of paying a prune + sort at every boundary. *)
+     any two consecutive equal-state boundaries proves periodicity. The
+     schedule is part of the model's output, not only its cost: detection
+     fires at the first matching pair, so it fixes [simulated] and with
+     it the tail extrapolation. *)
   let snap_at b = b > 0 && (b land (b - 1) = 0 || (b - 1) land (b - 2) = 0) in
   let max_pending = 1024 in
   let pending_snapshot frontier =
-    (* The bookings at or beyond the frontier as a sorted (table,
-       cycle - frontier, claims) list — or [None] when the backlog is too
-       deep to be worth comparing. Table 0 is the ports, [1 + idx] router
-       [idx]. *)
+    (* The bookings at or beyond the frontier as a (table, cycle - frontier,
+       claims) list in canonical order — ports (table 0) first, then router
+       [idx] as table [1 + idx], each table's cycles ascending — or [None]
+       when the backlog is too deep to be worth comparing. *)
     let from = int_of_float (Float.ceil frontier) in
     let pending tid table acc =
       Contention.fold_from table ~from
         (fun c claims acc -> (tid, float_of_int c -. frontier, claims) :: acc)
         acc
     in
-    let xs = ref (pending 0 st.Timing.ports []) in
+    let rev = ref (pending 0 st.Timing.ports []) in
     Array.iteri
-      (fun idx -> Option.iter (fun table -> xs := pending (1 + idx) table !xs))
+      (fun idx -> Option.iter (fun table -> rev := pending (1 + idx) table !rev))
       st.Timing.noc;
-    if List.compare_length_with !xs max_pending > 0 then None
-    else Some (List.sort compare !xs)
+    if List.compare_length_with !rev max_pending > 0 then None
+    else Some (List.rev !rev)
   in
   let prev_pending = ref None in
   let fire ~inst j =

@@ -170,7 +170,7 @@ type refinement = {
   accepted : int;
 }
 
-let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4)
+let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4) ?(jobs = 1)
     ~(predict : Placement.t -> Cost_model.t)
     ~(confirm : Placement.t -> int option) ~(dfg : Dfg.t) ~baseline_cycles
     (placement : Placement.t) =
@@ -250,16 +250,19 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4)
                       && Grid.supports grid c (cls_of j2)
                     then add (`Swap (min j j2, max j j2)) (swap_with j j2)))
       est.Cost_model.critical;
-    (* Model-rank every candidate; only predicted improvements survive. *)
+    (* Model-rank every candidate; only predicted improvements survive.
+       Scoring is a pure map, so it runs on [jobs] domains; the sort below
+       fixes the ranking whatever order the scores complete in. *)
+    proposed := !proposed + List.length !cands;
     let scored =
-      List.filter_map
-        (fun (descr, pl) ->
-          incr proposed;
-          let e = predict pl in
-          if e.Cost_model.cycles < est.Cost_model.cycles then
-            Some (e.Cost_model.cycles, tie descr, pl)
-          else None)
-        !cands
+      List.filter_map Fun.id
+        (Pool.run ~jobs
+           (fun (descr, pl) ->
+             let e = predict pl in
+             if e.Cost_model.cycles < est.Cost_model.cycles then
+               Some (e.Cost_model.cycles, tie descr, pl)
+             else None)
+           !cands)
     in
     let ranked = List.sort compare scored in
     (* Engine-confirm the top of the ranking; first strict improvement

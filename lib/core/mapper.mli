@@ -52,6 +52,7 @@ val refine :
   ?seed:int ->
   ?max_rounds:int ->
   ?beam:int ->
+  ?jobs:int ->
   predict:(Placement.t -> Cost_model.t) ->
   confirm:(Placement.t -> int option) ->
   dfg:Dfg.t ->
@@ -67,7 +68,10 @@ val refine :
     [max_rounds] (default 8) rounds. Ties in the model ranking are broken
     by a [seed]-keyed PRNG draw per candidate, making the pass a
     deterministic pure function of its inputs. [confirm] returning [None]
-    (a rejected or failed run) just skips the candidate. *)
+    (a rejected or failed run) just skips the candidate. A round's
+    candidates are scored on [jobs] domains (default 1: on the caller),
+    so [predict] must be safe to call from several domains at once; the
+    result does not depend on [jobs]. *)
 
 val map_cycles : config -> Dfg.t -> int
 (** Hardware cost of running the imap FSM (Figure 8): a constant pipeline

@@ -33,7 +33,7 @@ let execute_once ?attribution ~(k : Kernel.t) ~dfg config =
   | Ok (_, Error e) -> Error ("output check failed: " ^ e)
   | Ok (res, Ok ()) -> Ok res
 
-let run_core ?(seed = 0) ?max_rounds ?beam ~kind ~grid ?baseline ?measured
+let run_core ?(seed = 0) ?max_rounds ?beam ?jobs ~kind ~grid ?baseline ?measured
     (k : Kernel.t) =
   let dfg = Runner.dfg_of_kernel k in
   let baseline =
@@ -58,6 +58,9 @@ let run_core ?(seed = 0) ?max_rounds ?beam ~kind ~grid ?baseline ?measured
       let mem_latency =
         Option.map Cost_model.mem_oracle_of_measured measured
       in
+      (* Domain-safe, so scoring can run on [jobs] domains: the config is
+         built fresh from immutable inputs, and every estimate books into
+         its own new contention tables. *)
       let predict pl =
         Cost_model.estimate ?op_latency ?mem_latency ~config:(config_of pl)
           ~dfg ~iterations:horizon ()
@@ -68,7 +71,7 @@ let run_core ?(seed = 0) ?max_rounds ?beam ~kind ~grid ?baseline ?measured
         | Error _ -> None
       in
       let r =
-        Mapper.refine ~seed ?max_rounds ?beam ~predict ~confirm ~dfg
+        Mapper.refine ~seed ?max_rounds ?beam ?jobs ~predict ~confirm ~dfg
           ~baseline_cycles:base_res.Engine.cycles baseline
       in
       Ok
@@ -89,9 +92,9 @@ let run_core ?(seed = 0) ?max_rounds ?beam ~kind ~grid ?baseline ?measured
           dfg;
         })
 
-let run ?seed ?max_rounds ?beam ?(kind = Interconnect.Mesh_noc)
+let run ?seed ?max_rounds ?beam ?jobs ?(kind = Interconnect.Mesh_noc)
     ?(grid = Grid.m64) (k : Kernel.t) =
-  run_core ?seed ?max_rounds ?beam ~kind ~grid k
+  run_core ?seed ?max_rounds ?beam ?jobs ~kind ~grid k
 
 let run_measured ?seed ?max_rounds ?beam ?(kind = Interconnect.Mesh_noc)
     ?(grid = Grid.m64) ?baseline ~measured (k : Kernel.t) =
@@ -119,7 +122,7 @@ let profile (r : report) placement =
          ~critical_path:(est.Cost_model.critical, est.Cost_model.iter_latency)
          a)
 
-let experiment ?jobs:_ () =
+let experiment ?jobs () =
   let kernels = [ "nn"; "kmeans"; "bfs"; "cfd"; "hotspot" ] in
   let t =
     Tables.create ~title:"Model-guided placement refinement (M-64)"
@@ -138,7 +141,7 @@ let experiment ?jobs:_ () =
   let gains = ref [] in
   List.iter
     (fun name ->
-      match run (Workloads.find name) with
+      match run ?jobs (Workloads.find name) with
       | Error e -> Tables.add_row t [ name; "-"; "-"; "-"; "-"; "-"; "-"; e ]
       | Ok r ->
         if r.refined_cycles < r.baseline_cycles then incr improved;

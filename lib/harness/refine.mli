@@ -29,6 +29,7 @@ val run :
   ?seed:int ->
   ?max_rounds:int ->
   ?beam:int ->
+  ?jobs:int ->
   ?kind:Interconnect.kind ->
   ?grid:Grid.t ->
   Kernel.t ->
@@ -36,8 +37,9 @@ val run :
 (** Refine [kernel]'s Algorithm-1 placement on [grid] (default
     {!Grid.m64}). Deterministic for fixed arguments: the model is pure, the
     engine is deterministic, and ranking ties break on [seed] (default 0).
-    [Error] when the kernel cannot be mapped at all or its baseline
-    execution fails. *)
+    [jobs] (default 1) domains score each round's candidates; the report
+    is the same for every [jobs]. [Error] when the kernel cannot be mapped
+    at all or its baseline execution fails. *)
 
 val run_measured :
   ?seed:int ->
@@ -73,8 +75,9 @@ val profile : report -> Placement.t -> (Profile.t, string) result
 
 val experiment : ?jobs:int -> unit -> Experiments.outcome
 (** The bench-harness entry: refine five reference kernels on M-64 and
-    tabulate baseline vs refined cycles with the search counters. [jobs] is
-    accepted for registry uniformity; the pass itself is sequential. *)
+    tabulate baseline vs refined cycles with the search counters. The
+    kernels run one after another; [jobs] (default 1) domains score each
+    refinement round's candidates. *)
 
 val render : report -> string
 (** Two lines: engine cycles before and after with the gain, then the

@@ -583,30 +583,49 @@ let contention_reset () =
   check Alcotest.int "cleared" 0 (Contention.claimed c);
   check Alcotest.bool "slot free again" true (Contention.claim c 0.0 < 1.0)
 
-let contention_fold_from () =
-  (* Capacity 2 over ~1,000 distinct cycles: the table grows past its
-     initial 1,024 slots (at 640 occupied), so the fold also sees the
-     rehashed layout. *)
-  let c = Contention.create ~capacity:2 in
+(* Bookings in visit order: [fold_from] conses each cycle as it reaches
+   it, so the reversed accumulator is the order of the walk. *)
+let folded c ~from =
+  List.rev (Contention.fold_from c ~from (fun cy n acc -> (cy, n) :: acc) [])
+
+let contention_fold_from capacity () =
+  (* ~1,000 distinct cycles: the table grows past its initial 1,024 slots
+     (at 640 occupied), so the fold also sees the rehashed layout. At
+     capacity 1 every claim takes a fresh cycle; at capacity 2 cycles fill
+     in pairs. *)
+  let c = Contention.create ~capacity in
   let rng = Prng.create 11 in
   let model = Hashtbl.create 1024 in
   for _ = 1 to 1600 do
     let cycle = int_of_float (Contention.claim c (float_of_int (Prng.int rng 1000))) in
     Hashtbl.replace model cycle (1 + Option.value ~default:0 (Hashtbl.find_opt model cycle))
   done;
-  let booked = List.of_seq (Hashtbl.to_seq model) in
+  let booked = List.sort compare (List.of_seq (Hashtbl.to_seq model)) in
   let last = List.fold_left (fun m (cy, _) -> max m cy) 0 booked in
   check Alcotest.bool "more than 640 distinct cycles" true (List.length booked > 640);
   List.iter
     (fun from ->
-      let want = List.sort compare (List.filter (fun (cy, _) -> cy >= from) booked) in
-      let got =
-        List.sort compare (Contention.fold_from c ~from (fun cy n acc -> (cy, n) :: acc) [])
-      in
+      (* [booked] is sorted, so equality also asserts ascending order. *)
       check
         Alcotest.(list (pair int int))
-        (Printf.sprintf "bookings from %d" from) want got)
-    [ -5; 0; 1; 377; last / 2; last; last + 1; last + 100 ]
+        (Printf.sprintf "bookings from %d, ascending" from)
+        (List.filter (fun (cy, _) -> cy >= from) booked)
+        (folded c ~from))
+    [ -5; 0; 1; 377; last / 2; last ];
+  List.iter
+    (fun from ->
+      check
+        Alcotest.(list (pair int int))
+        (Printf.sprintf "nothing booked from %d > last %d" from last)
+        [] (folded c ~from))
+    [ last + 1; last + 100 ];
+  (* A reset table folds empty, and a fresh claim far below the old
+     window folds alone. *)
+  Contention.reset c;
+  check Alcotest.(list (pair int int)) "reset folds empty" [] (folded c ~from:0);
+  ignore (Contention.claim c 3.0);
+  check Alcotest.(list (pair int int)) "fresh claim folds alone" [ (3, 1) ]
+    (folded c ~from:0)
 
 let suites =
   [
@@ -649,6 +668,7 @@ let suites =
         Alcotest.test_case "late claim no blocking" `Quick contention_late_claim_no_blocking;
         Alcotest.test_case "capacity per cycle" `Quick contention_capacity_per_cycle;
         Alcotest.test_case "reset" `Quick contention_reset;
-        Alcotest.test_case "fold_from" `Quick contention_fold_from;
+        Alcotest.test_case "fold_from" `Quick (contention_fold_from 2);
+        Alcotest.test_case "fold_from capacity 1" `Quick (contention_fold_from 1);
       ] );
   ]

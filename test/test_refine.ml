@@ -11,8 +11,8 @@ let check = Alcotest.check
 
 let kernels = [ "nn"; "kmeans"; "bfs"; "cfd"; "hotspot" ]
 
-let run_exn name =
-  match Refine.run ~seed:0 (Workloads.find name) with
+let run_exn ?jobs name =
+  match Refine.run ~seed:0 ?jobs (Workloads.find name) with
   | Ok r -> r
   | Error e -> Alcotest.failf "refine %s: %s" name e
 
@@ -130,6 +130,27 @@ let refine_is_deterministic () =
         (Json.to_string (Refine.report_to_json b)))
     [ "kmeans"; "hotspot" ]
 
+(* {2 Parallel scoring: the pass does not depend on [jobs].} *)
+
+let refinement_of (r : Refine.report) =
+  {
+    Mapper.placement = r.Refine.placement;
+    baseline_cycles = r.Refine.baseline_cycles;
+    refined_cycles = r.Refine.refined_cycles;
+    rounds = r.Refine.rounds;
+    proposed = r.Refine.proposed;
+    confirmed = r.Refine.confirmed;
+    accepted = r.Refine.accepted;
+  }
+
+let refine_jobs_invariant () =
+  let serial = run_exn ~jobs:1 "kmeans" and parallel = run_exn ~jobs:2 "kmeans" in
+  check Alcotest.bool "kmeans: same refinement at jobs 1 and 2" true
+    (refinement_of serial = refinement_of parallel);
+  check Alcotest.string "kmeans: same report json"
+    (Json.to_string (Refine.report_to_json serial))
+    (Json.to_string (Refine.report_to_json parallel))
+
 let suites =
   [
     ( "refine",
@@ -140,5 +161,7 @@ let suites =
           refined_placement_differential;
         Alcotest.test_case "fixed seed: deterministic search" `Slow
           refine_is_deterministic;
+        Alcotest.test_case "parallel scoring: jobs 2 = jobs 1" `Slow
+          refine_jobs_invariant;
       ] );
   ]
