@@ -204,6 +204,38 @@ let controller_iterative_mode_correct () =
   check Alcotest.bool "correct under reoptimization" true (k.Kernel.check mem = Ok ());
   check Alcotest.bool "halts" true (report.Controller.halt = Interp.Ecall_halt)
 
+(* The one configuration known to take the iterative optimizer's [Adopt]
+   branch past the amortisation test: btree on M-128 with tiling stripped
+   (the ablation's no-tiling variant) and 128-iteration profiling windows. *)
+let controller_reconfigures_once () =
+  let k = Workloads.find "btree" in
+  let options =
+    {
+      (Controller.default_options ~grid:Grid.m128 ~optimize:true ~iterative:true ())
+      with
+      Controller.tune = (fun c -> { c with Accel_config.tiling = 1 });
+      profile_chunk = 128;
+    }
+  in
+  let mem = Main_memory.create () in
+  let machine = Kernel.prepare k mem in
+  let r = Controller.run ~options k.Kernel.program machine in
+  check Alcotest.bool "outputs" true (k.Kernel.check mem = Ok ());
+  check Alcotest.int "total cycles" 12_663 r.Controller.total_cycles;
+  check Alcotest.int "total = parts"
+    (r.Controller.cpu_cycles + r.Controller.accel_cycles + r.Controller.overhead_cycles)
+    r.Controller.total_cycles;
+  check (Alcotest.option Alcotest.int) "reconfigurations counter" (Some 1)
+    (Stats.find_int r.Controller.stats "controller.reconfigurations");
+  check Alcotest.int "region reconfigurations" 1
+    (List.fold_left (fun acc rr -> acc + rr.Controller.reconfigurations) 0
+       r.Controller.regions);
+  let is_reconfigure (sp : Trace.span) =
+    String.starts_with ~prefix:"reconfigure r" sp.Trace.name
+  in
+  check Alcotest.int "one reconfigure span" 1
+    (List.length (List.filter is_reconfigure r.Controller.timeline))
+
 let controller_speedup_helper () =
   let r, _ = controller_report (Workloads.find "gaussian") () in
   check (Alcotest.float 1e-9) "speedup arithmetic" 2.0
@@ -226,6 +258,8 @@ let suites =
         Alcotest.test_case "non-parallel loops untiled" `Quick controller_nonparallel_untiled;
         Alcotest.test_case "config cache reuse" `Quick controller_config_cache_reused;
         Alcotest.test_case "iterative mode correct" `Quick controller_iterative_mode_correct;
+        Alcotest.test_case "adopts one reconfiguration" `Quick
+          controller_reconfigures_once;
         Alcotest.test_case "speedup helper" `Quick controller_speedup_helper;
       ] );
   ]
