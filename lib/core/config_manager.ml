@@ -1,30 +1,3 @@
-type cached = {
-  region : Region.t;
-  dfg : Dfg.t;
-  model : Perf_model.t;
-  mutable config : Accel_config.t;
-  mutable reconfigurations : int;
-  mutable offloads : int;
-  mutable translation_cycles : int;
-  mutable accel_iterations : int;
-  mutable accel_cycles : int;
-  (* Fault-recovery bookkeeping (all zero on a clean run). *)
-  mutable faults_detected : int;
-  mutable fault_retries : int;
-  mutable fault_remaps : int;
-  mutable quarantines : int;
-  mutable quarantined_until : int;   (* offload ordinal; 0 = not quarantined *)
-  mutable quarantine_backoff : int;
-  mutable abort_reason : string option;
-}
-
-type t = { table : (int, cached) Hashtbl.t }
-
-let create () = { table = Hashtbl.create 8 }
-let find t entry = Hashtbl.find_opt t.table entry
-let add t cached = Hashtbl.replace t.table cached.region.Region.entry cached
-let entries t = Hashtbl.fold (fun _ c acc -> c :: acc) t.table []
-
 let ldfg_build_cycles dfg = 8 + Dfg.node_count dfg
 
 let translation_cycles mapper_cfg dfg config =

@@ -1,50 +1,11 @@
-(** Task T3: configuration management — translation cost accounting and the
-    configuration cache (§4.3).
+(** Task T3: configuration management — translation cost accounting (§4.3).
 
-    The cache keys on the region's entry address; a loop re-encountered
-    after it was mapped skips the whole translate/map pipeline and pays only
-    a lookup plus the bitstream rewrite. Costs are modeled in cycles of
-    MESA's clock domain and feed both Table 2 (configuration latency) and
-    the energy amortization study (Figure 16). *)
-
-(** Everything MESA retains about a translated region. *)
-type cached = {
-  region : Region.t;
-  dfg : Dfg.t;
-  model : Perf_model.t;
-  mutable config : Accel_config.t;
-  mutable reconfigurations : int;
-  mutable offloads : int;
-  mutable translation_cycles : int;
-  mutable accel_iterations : int;
-  mutable accel_cycles : int;
-  (* Fault-recovery bookkeeping (all zero on a clean run). *)
-  mutable faults_detected : int;
-  mutable fault_retries : int;
-  mutable fault_remaps : int;
-  mutable quarantines : int;
-  mutable quarantined_until : int;
-      (** offload ordinal before which the region runs on the CPU;
-          0 = not quarantined *)
-  mutable quarantine_backoff : int;
-  mutable abort_reason : string option;
-      (** why acceleration of this region was abandoned, if it was *)
-}
-
-type t
-
-val create : unit -> t
-
-val find : t -> int -> cached option
-(** Lookup by region entry address. *)
-
-val add : t -> cached -> unit
-val entries : t -> cached list
-
-(** {1 Cost model} *)
-
-val ldfg_build_cycles : Dfg.t -> int
-(** Renaming is pipelined at one instruction per cycle plus setup. *)
+    A loop re-encountered after it was mapped skips the whole
+    translate/map pipeline and pays only a lookup plus the bitstream
+    rewrite; the configuration cache itself lives in {!Controller}. Costs
+    are modeled in cycles of MESA's clock domain and feed both Table 2
+    (configuration latency) and the energy amortization study (Figure 16).
+    LDFG renaming is pipelined at one instruction per cycle plus setup. *)
 
 val translation_cycles : Mapper.config -> Dfg.t -> Accel_config.t -> int
 (** Full pipeline: LDFG build + instruction mapping FSM + bitstream write.

@@ -84,9 +84,196 @@ let src = Logs.Src.create "mesa.controller" ~doc:"MESA controller"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* Everything MESA retains about a translated region: one entry of the
+   configuration cache (§4.3), keyed by the region's entry address. A loop
+   re-encountered after it was mapped skips the translate/map pipeline and
+   pays only a lookup plus the bitstream rewrite. *)
+type cached = {
+  region : Region.t;
+  dfg : Dfg.t;
+  model : Perf_model.t;
+  mutable config : Accel_config.t;
+  mutable reconfigurations : int;
+  mutable offloads : int;
+  mutable translation_cycles : int;
+  mutable accel_iterations : int;
+  mutable accel_cycles : int;
+  (* Fault-recovery bookkeeping (all zero on a clean run). *)
+  mutable faults_detected : int;
+  mutable fault_retries : int;
+  mutable fault_remaps : int;
+  mutable quarantines : int;
+  mutable quarantined_until : int;
+      (* loop entries the CPU still runs before MESA may re-arm the region;
+         0 = not quarantined *)
+  mutable quarantine_backoff : int;
+  mutable abort_reason : string option;
+      (* why acceleration of this region was abandoned, if it was *)
+  (* Profiling only: measured weights for the profiler's critical-path
+     extraction are absorbed into this dedicated model, so the iterative
+     optimizer's [model] is never touched on the profiling path; [measured]
+     is the last clean window's per-node/per-edge snapshot. *)
+  mutable profile_model : Perf_model.t option;
+  mutable measured : Stats.snapshot option;
+}
+
+(* The [controller] counter group. *)
+type ctl_counters = {
+  accel_cycles : Stats.counter;
+  overhead_cycles : Stats.counter;
+  mesa_busy_cycles : Stats.counter;
+  offloads : Stats.counter;
+  reconfigurations : Stats.counter;
+  reopt_rounds : Stats.counter;
+  translations : Stats.counter;
+  translation_cycles : Stats.counter;
+  regions_accepted : Stats.counter;
+  regions_rejected : Stats.counter;
+  config_cache_hits : Stats.counter;
+  iteration_budget_aborts : Stats.counter;
+}
+
+(* The [faults] counter group: always registered, all zero on a clean run
+   (which the golden test pins). *)
+type fault_counters = {
+  detected : Stats.counter;
+  retried : Stats.counter;
+  remapped : Stats.counter;
+  quarantined : Stats.counter;
+  config_upsets : Stats.counter;
+  detection_latency : Stats.histogram;
+}
+
+(* One run under MESA. The counters are the accounting state: the report's
+   cycle breakdown is read back from them, with no shadow refs. *)
+type run_state = {
+  opts : options;
+  prog : Program.t;
+  machine : Machine.t;
+  hier : Hierarchy.t;
+  cpu_model : Ooo_model.t;
+  detector : Loop_detector.t;
+  cache : (int, cached) Hashtbl.t;  (* the configuration cache *)
+  activity : Activity.t;
+  injector : Fault.t option;
+  att : Attribution.t option;
+      (* cycle attribution (`mesa profile`): pure observation — timing, the
+         optimizer's decisions and the architectural state are bit-identical
+         with profiling on or off *)
+  reg : Stats.registry;
+  regions_grp : Stats.group;
+  windows : Stats.counter;
+  ctl : ctl_counters;
+  faults : fault_counters;
+  mutable fabric : Grid.t;  (* pristine until permanent damage is masked out *)
+  mutable pending : (cached * int) option;
+      (* a configuration being written while the CPU keeps running: ready
+         once the CPU clock passes the second component *)
+  mutable timeline : Trace.span list;  (* newest first *)
+  mutable rejected : region_report list;  (* newest first *)
+}
+
+(* One offload in progress: its remaining re-optimisation budget and the
+   current run of consecutive faulted windows. *)
+type in_flight = {
+  c : cached;
+  mutable budget : int;
+  mutable consecutive_faults : int;
+  mutable running : bool;
+}
+
+let rname entry = Printf.sprintf "r%x" entry
+
+let cpu_cycles cpu_model = (Ooo_model.summary cpu_model).Ooo_model.cycles
+
+let wall_clock cpu_model (ctl : ctl_counters) =
+  cpu_cycles cpu_model + Stats.get ctl.accel_cycles + Stats.get ctl.overhead_cycles
+
+let wall_now st = wall_clock st.cpu_model st.ctl
+let emit st sp = st.timeline <- sp :: st.timeline
+
+let charge_att st cycles =
+  match st.att with Some a -> Attribution.charge_config a cycles | None -> ()
+
+(* A stall MESA spends rewriting the fabric: wall-clock overhead and busy
+   time both. *)
+let charge_stall st stall =
+  Stats.add st.ctl.overhead_cycles stall;
+  Stats.add st.ctl.mesa_busy_cycles stall;
+  charge_att st stall
+
+(* The unified counter registry (paper §5's performance counters): every
+   subsystem registers a named group, and the whole tree is snapshotted into
+   the report in registration order. *)
+let create_state opts ~hier prog machine =
+  let cpu_model = Ooo_model.create opts.cpu hier in
+  let activity = Activity.create () in
+  let reg = Stats.registry () in
+  Ooo_model.register_stats cpu_model (Stats.group reg "cpu");
+  Hierarchy.register_stats hier (Stats.group reg "cache");
+  let engine_grp = Stats.group reg "engine" in
+  Activity.register_stats activity engine_grp;
+  let windows = Stats.counter engine_grp "windows" in
+  let ctl_grp = Stats.group reg "controller" in
+  let counter = Stats.counter ctl_grp in
+  let accel_cycles = counter "accel_cycles" in
+  let overhead_cycles = counter "overhead_cycles" in
+  let mesa_busy_cycles = counter "mesa_busy_cycles" in
+  let offloads = counter "offloads" in
+  let reconfigurations = counter "reconfigurations" in
+  let reopt_rounds = counter "reopt_rounds" in
+  let translations = counter "translations" in
+  let translation_cycles = counter "translation_cycles" in
+  let regions_accepted = counter "regions_accepted" in
+  let regions_rejected = counter "regions_rejected" in
+  let config_cache_hits = counter "config_cache_hits" in
+  let iteration_budget_aborts = counter "iteration_budget_aborts" in
+  let ctl =
+    { accel_cycles; overhead_cycles; mesa_busy_cycles; offloads; reconfigurations;
+      reopt_rounds; translations; translation_cycles; regions_accepted;
+      regions_rejected; config_cache_hits; iteration_budget_aborts }
+  in
+  let injector = Option.map (Fault.create ~grid:opts.grid) opts.inject in
+  let faults_grp = Stats.group reg "faults" in
+  Stats.int_probe faults_grp "injected" (fun () ->
+      match injector with Some f -> Fault.injected f | None -> 0);
+  let fault_counter = Stats.counter faults_grp in
+  let detected = fault_counter "detected" in
+  let retried = fault_counter "retried" in
+  let remapped = fault_counter "remapped" in
+  let quarantined = fault_counter "quarantined" in
+  let config_upsets = fault_counter "config_upsets" in
+  let detection_latency = Stats.histogram faults_grp "detection_latency" in
+  Stats.int_probe ctl_grp "cpu_cycles" (fun () -> cpu_cycles cpu_model);
+  Stats.int_probe ctl_grp "total_cycles" (fun () -> wall_clock cpu_model ctl);
+  let att = if opts.profile then Some (Attribution.create ~grid:opts.grid ()) else None in
+  let regions_grp = Stats.group reg "regions" in
+  {
+    opts;
+    prog;
+    machine;
+    hier;
+    cpu_model;
+    detector = Loop_detector.create ~config:opts.detector prog;
+    cache = Hashtbl.create 8;
+    activity;
+    injector;
+    att;
+    reg;
+    regions_grp;
+    windows;
+    ctl;
+    faults =
+      { detected; retried; remapped; quarantined; config_upsets; detection_latency };
+    fabric = opts.grid;
+    pending = None;
+    timeline = [];
+    rejected = [];
+  }
+
 (* Build the optimization bundle for [dfg]'s model on [grid] — shared by
    initial translation and by post-fault remapping onto a degraded fabric. *)
-let configure opts ~grid ~dfg ~model ~pragma =
+let configure (opts : options) ~grid ~dfg ~model ~pragma =
   match Mapper.map ~config:opts.mapper ~grid ~kind:opts.kind model with
   | Error e -> Error e
   | Ok placement ->
@@ -104,7 +291,7 @@ let configure opts ~grid ~dfg ~model ~pragma =
 (* Translate an accepted region end to end: capture through the trace cache,
    build the LDFG, map it, and bundle the optimization decisions. [grid] is
    the current (possibly fault-degraded) fabric. *)
-let translate opts ~grid prog (region : Region.t) =
+let translate (opts : options) ~grid prog (region : Region.t) =
   let tc = Trace_cache.create ~capacity:opts.detector.Loop_detector.capacity in
   Trace_cache.set_region tc ~entry:region.Region.entry ~last:region.Region.back_branch_addr;
   Trace_cache.fill_from tc (fun addr ->
@@ -127,28 +314,18 @@ let translate opts ~grid prog (region : Region.t) =
       | Ok config ->
         Ok
           {
-            Config_manager.region;
-            dfg;
-            model;
-            config;
-            reconfigurations = 0;
-            offloads = 0;
-            translation_cycles = 0;
-            accel_iterations = 0;
-            accel_cycles = 0;
-            faults_detected = 0;
-            fault_retries = 0;
-            fault_remaps = 0;
-            quarantines = 0;
-            quarantined_until = 0;
-            quarantine_backoff = 0;
-            abort_reason = None;
+            region; dfg; model; config;
+            reconfigurations = 0; offloads = 0; translation_cycles = 0;
+            accel_iterations = 0; accel_cycles = 0; faults_detected = 0;
+            fault_retries = 0; fault_remaps = 0; quarantines = 0;
+            quarantined_until = 0; quarantine_backoff = 0; abort_reason = None;
+            profile_model = None; measured = None;
           })
   end
 
 (* A region that never ran on the fabric: rejected by the detector or by
    translation. *)
-let rejected_report ~entry ~size ~pragma reason =
+let rejected_report ~entry ~size ~pragma reason : region_report =
   {
     entry;
     size;
@@ -171,528 +348,429 @@ let rejected_report ~entry ~size ~pragma reason =
     measured = None;
   }
 
-let run ?options ?hier ?stats prog machine =
+(* One configuration write of [base] cycles, re-paid for every scheduled
+   bitstream upset the checksum catches (each retry is itself a fresh write
+   the schedule may hit again). *)
+let config_write_cost st entry base =
+  match st.injector with
+  | None -> base
+  | Some f ->
+    let cost = ref base in
+    while Fault.config_write f do
+      Stats.incr st.faults.config_upsets;
+      Stats.incr st.faults.detected;
+      Stats.incr st.faults.retried;
+      emit st
+        (Trace.instant ~cat:"fault" ~ts:(wall_now st)
+           ~args:[ ("rewrite_cycles", Json.Int base) ]
+           ("config upset " ^ rname entry));
+      cost := !cost + base
+    done;
+    !cost
+
+let reject st ~entry ~size ~pragma reason =
+  Stats.incr st.ctl.regions_rejected;
+  emit st
+    (Trace.instant ~cat:"detector" ~ts:(wall_now st)
+       ~args:[ ("reason", Json.String reason) ]
+       ("reject " ^ rname entry));
+  st.rejected <- rejected_report ~entry ~size ~pragma reason :: st.rejected
+
+(* Per-region counter subgroup, sampled from the cache entry at snapshot
+   time. The detector accepts each entry once, so the name is fresh. *)
+let register_region_stats st (c : cached) =
+  let rg = Stats.subgroup st.regions_grp (rname c.region.Region.entry) in
+  Stats.int_probe rg "offloads" (fun () -> c.offloads);
+  Stats.int_probe rg "reconfigurations" (fun () -> c.reconfigurations);
+  Stats.int_probe rg "accel_iterations" (fun () -> c.accel_iterations);
+  Stats.int_probe rg "accel_cycles" (fun () -> c.accel_cycles);
+  Stats.int_probe rg "translation_cycles" (fun () -> c.translation_cycles);
+  Stats.int_probe rg "faults_detected" (fun () -> c.faults_detected);
+  Stats.int_probe rg "fault_remaps" (fun () -> c.fault_remaps)
+
+(* A freshly translated region: charge its translation to MESA's busy time
+   (the CPU keeps running), cache it and arm its first offload. *)
+let admit st (c : cached) =
+  let entry = c.region.Region.entry in
+  let tcycles =
+    config_write_cost st entry
+      (Config_manager.translation_cycles st.opts.mapper c.dfg c.config)
+  in
+  c.translation_cycles <- tcycles;
+  Stats.add st.ctl.mesa_busy_cycles tcycles;
+  Stats.incr st.ctl.translations;
+  Stats.add st.ctl.translation_cycles tcycles;
+  Stats.incr st.ctl.regions_accepted;
+  register_region_stats st c;
+  emit st
+    (Trace.span ~cat:"mesa" ~ts:(wall_now st) ~dur:tcycles
+       ~args:[ ("region_size", Json.Int (Region.size c.region)) ]
+       ("translate " ^ rname entry));
+  Hashtbl.replace st.cache entry c;
+  st.pending <- Some (c, cpu_cycles st.cpu_model + tcycles);
+  Log.debug (fun m -> m "accepted %a, translation %d cycles" Region.pp c.region tcycles)
+
+(* Present one retired instruction to the loop detector and act on its
+   verdict: translate an accepted region, or record the rejection. *)
+let detect st ev =
+  match Loop_detector.feed st.detector ev with
+  | None -> ()
+  | Some (Loop_detector.Accepted region) -> (
+    match translate st.opts ~grid:st.fabric st.prog region with
+    | Ok c -> admit st c
+    | Error reason ->
+      Log.debug (fun m -> m "mapping failed for %a: %s" Region.pp region reason);
+      reject st ~entry:region.Region.entry ~size:(Region.size region)
+        ~pragma:region.Region.pragma reason)
+  | Some (Loop_detector.Rejected { entry; reason }) ->
+    Log.debug (fun m -> m "rejected region 0x%x: %s" entry reason);
+    reject st ~entry ~size:0 ~pragma:None reason
+
+(* With no configuration pending, look the PC up in the configuration cache.
+   A cached region's entry is either quarantined — the CPU runs the loop, and
+   each encounter burns down the exponential backoff — or re-armed, its
+   bitstream rewritten while the CPU keeps iterating. *)
+let arm st =
+  match Hashtbl.find_opt st.cache st.machine.Machine.pc with
+  | None -> ()
+  | Some c when c.quarantined_until > 0 ->
+    c.quarantined_until <- c.quarantined_until - 1
+  | Some c ->
+    let entry = c.region.Region.entry in
+    let cost =
+      config_write_cost st entry (Config_manager.cache_hit_cycles c.config c.dfg)
+    in
+    Stats.add st.ctl.mesa_busy_cycles cost;
+    Stats.incr st.ctl.config_cache_hits;
+    emit st (Trace.span ~cat:"mesa" ~ts:(wall_now st) ~dur:cost ("rearm " ^ rname entry));
+    st.pending <- Some (c, cpu_cycles st.cpu_model + cost)
+
+(* Iteration-boundary checkpoint: the PC sits at the loop entry here (both
+   at offload start and after a profiling pause), so restoring it hands the
+   loop back to the CPU — or to a retried window — in a bit-exact state.
+   Only paid when a fault schedule is armed. *)
+let checkpoint st =
+  match st.injector with
+  | None -> None
+  | Some _ -> Some (Machine.copy st.machine (), Main_memory.copy st.machine.Machine.mem)
+
+let restore st = function
+  | Some (m, mem) ->
+    Machine.restore st.machine ~from:m;
+    Main_memory.restore st.machine.Machine.mem ~from:mem
+  | None -> ()
+
+(* Hand the region back to the CPU with exponential backoff before it may
+   be re-armed. *)
+let quarantine st o reason =
+  let c = o.c in
+  c.quarantine_backoff <-
+    (if c.quarantine_backoff = 0 then 8 else c.quarantine_backoff * 2);
+  c.quarantined_until <- c.quarantine_backoff;
+  c.quarantines <- c.quarantines + 1;
+  c.abort_reason <- Some reason;
+  Stats.incr st.faults.quarantined;
+  emit st
+    (Trace.instant ~cat:"fault" ~ts:(wall_now st)
+       ~args:[ ("reason", Json.String reason); ("backoff", Json.Int c.quarantine_backoff) ]
+       ("quarantine " ^ rname c.region.Region.entry));
+  Log.debug (fun m -> m "quarantining %a: %s" Region.pp c.region reason);
+  o.running <- false
+
+(* New permanent damage: mask it out of the pristine geometry (cumulatively)
+   and re-run placement on what is left. *)
+let remap st o f =
+  let c = o.c in
+  let entry = c.region.Region.entry in
+  st.fabric <- Grid.mask st.opts.grid (Fault.dead_coords f);
+  match
+    configure st.opts ~grid:st.fabric ~dfg:c.dfg ~model:c.model
+      ~pragma:c.region.Region.pragma
+  with
+  | Error e -> quarantine st o ("remap failed: " ^ e)
+  | Ok config ->
+    let stall =
+      config_write_cost st entry
+        (Mapper.map_cycles st.opts.mapper c.dfg + Accel_config.config_cycles config c.dfg)
+    in
+    let masked = List.length st.fabric.Grid.masked in
+    c.config <- config;
+    c.fault_remaps <- c.fault_remaps + 1;
+    Stats.incr st.faults.remapped;
+    charge_stall st stall;
+    o.consecutive_faults <- 0;
+    emit st
+      (Trace.span ~cat:"fault" ~ts:(wall_now st) ~dur:stall
+         ~args:[ ("masked_pes", Json.Int masked) ]
+         ("remap " ^ rname entry));
+    Log.debug (fun m -> m "remapped %a around %d masked PEs" Region.pp c.region masked)
+
+(* The recovery ladder for a faulted window: restore the checkpoint, then
+   retry (transient), remap around masked damage (permanent), or quarantine
+   and let the CPU finish bit-exactly. *)
+let recover st o ~checkpoint ~window_start ~kinds ~latency ~watchdog ~wasted =
+  let c = o.c in
+  restore st checkpoint;
+  Stats.incr st.windows;
+  Stats.incr st.faults.detected;
+  Stats.observe st.faults.detection_latency (float_of_int latency);
+  c.faults_detected <- c.faults_detected + 1;
+  (* The discarded window and the state transfer back are recovery overhead,
+     not useful accelerator work. The profiler discards the window's
+     attribution and re-charges the same cycles as Config, so closure
+     against the run's wall-clock accounting is preserved. *)
+  let lost = wasted + st.opts.offload_overhead in
+  Stats.add st.ctl.overhead_cycles lost;
+  (match st.att with
+  | Some a ->
+    Attribution.abort_window a;
+    Attribution.charge_config a lost
+  | None -> ());
+  emit st
+    (Trace.span ~cat:"fault" ~ts:window_start ~dur:(max 1 wasted)
+       ~args:
+         [
+           ("kinds", Json.String (String.concat "+" (List.map Fault.kind_name kinds)));
+           ("detection_latency", Json.Int latency);
+           ("watchdog", Json.Bool watchdog);
+         ]
+       ("fault " ^ rname c.region.Region.entry));
+  let f = Option.get st.injector in
+  if List.exists (fun k -> k = Fault.Permanent_pe || k = Fault.Link_down) kinds then begin
+    if List.length (Fault.dead f) > List.length st.fabric.Grid.masked then remap st o f
+    else quarantine st o "permanent fault persists after remap"
+  end
+  else begin
+    o.consecutive_faults <- o.consecutive_faults + 1;
+    if o.consecutive_faults > st.opts.max_fault_retries then
+      quarantine st o "persistent faults exceeded retry budget"
+    else begin
+      c.fault_retries <- c.fault_retries + 1;
+      Stats.incr st.faults.retried;
+      emit st
+        (Trace.instant ~cat:"fault" ~ts:(wall_now st)
+           ~args:[ ("attempt", Json.Int o.consecutive_faults) ]
+           ("retry " ^ rname c.region.Region.entry))
+    end
+  end
+
+let reconfigure st o config ~stall ~previous ~latency =
+  let c = o.c in
+  Log.debug (fun m ->
+      m "reconfiguring %a: modeled latency %.1f -> %.1f" Region.pp c.region previous
+        latency);
+  c.config <- config;
+  c.reconfigurations <- c.reconfigurations + 1;
+  Stats.incr st.ctl.reconfigurations;
+  let stall = config_write_cost st c.region.Region.entry stall in
+  emit st
+    (Trace.span ~cat:"mesa" ~ts:(wall_now st) ~dur:stall
+       ~args:
+         [
+           ("modeled_latency_before", Json.Float previous);
+           ("modeled_latency_after", Json.Float latency);
+         ]
+       ("reconfigure " ^ rname c.region.Region.entry));
+  charge_stall st stall
+
+(* After a clean profiling window: absorb its counters into the region's
+   model and ask the optimizer for a better placement. A proposal is adopted
+   only if the modeled per-iteration gain can plausibly amortize the stall
+   over a horizon like the one already observed; otherwise, or when the
+   optimizer keeps the current placement, profiling stops. *)
+let reoptimise st o res =
+  let c = o.c in
+  o.budget <- o.budget - 1;
+  Stats.incr st.ctl.reopt_rounds;
+  Optimizer.absorb c.model res;
+  match
+    Optimizer.step ~grid:st.fabric ~kind:st.opts.kind ~mapper:st.opts.mapper
+      ~model:c.model ~current:c.config
+  with
+  | Optimizer.Keep _ -> o.budget <- 0
+  | Optimizer.Adopt { config; latency; previous } ->
+    let stall = Accel_config.config_cycles config c.dfg in
+    let horizon =
+      float_of_int (max (4 * st.opts.profile_chunk) c.accel_iterations)
+    in
+    let gain = (previous -. latency) /. float_of_int config.Accel_config.tiling in
+    if gain *. horizon > float_of_int stall then
+      reconfigure st o config ~stall ~previous ~latency
+    else o.budget <- 0
+
+(* The safety budget is a distinct abort, not a silent pause: hand the loop
+   back to the CPU (the paused state is architecturally consistent) and stop
+   re-arming this region. *)
+let budget_abort st o (res : Engine.result) =
+  let c = o.c in
+  Stats.incr st.ctl.iteration_budget_aborts;
+  c.abort_reason <- Some "iteration budget exhausted";
+  c.quarantined_until <- max_int;
+  emit st
+    (Trace.instant ~cat:"mesa" ~ts:(wall_now st)
+       ~args:[ ("iterations", Json.Int res.Engine.iterations) ]
+       ("budget abort " ^ rname c.region.Region.entry));
+  o.running <- false
+
+(* A window that ran clean: account it, then finish, abort or reoptimise. *)
+let commit_window st o ~window_start (res : Engine.result) =
+  let c = o.c in
+  o.consecutive_faults <- 0;
+  Stats.add st.ctl.accel_cycles res.Engine.cycles;
+  Stats.incr st.windows;
+  Activity.add st.activity res.Engine.activity;
+  c.accel_iterations <- c.accel_iterations + res.Engine.iterations;
+  c.accel_cycles <- c.accel_cycles + res.Engine.cycles;
+  if Option.is_some st.att then begin
+    let pm =
+      match c.profile_model with
+      | Some pm -> pm
+      | None ->
+        let pm = Perf_model.create c.dfg in
+        c.profile_model <- Some pm;
+        pm
+    in
+    Optimizer.absorb pm res;
+    c.measured <- Some res.Engine.measured
+  end;
+  emit st
+    (Trace.span ~cat:"fabric" ~ts:window_start ~dur:res.Engine.cycles
+       ~args:
+         [
+           ("iterations", Json.Int res.Engine.iterations);
+           ("completed", Json.Bool res.Engine.completed);
+         ]
+       ("offload " ^ rname c.region.Region.entry));
+  if res.Engine.completed then o.running <- false
+  else if res.Engine.budget_exhausted then budget_abort st o res
+  else if o.budget > 0 then reoptimise st o res
+
+(* One engine window: a profiling window of [profile_chunk] iterations while
+   re-optimisation budget remains, the rest of the loop otherwise. *)
+let offload_window st o =
+  let stop_after = if o.budget > 0 then Some st.opts.profile_chunk else None in
+  let window_start = wall_now st in
+  (match st.att with
+  | Some a -> Attribution.begin_window a ~at:(float_of_int window_start)
+  | None -> ());
+  let checkpoint = checkpoint st in
+  let outcome =
+    try
+      `R
+        (Engine.execute ?stop_after ~max_iterations:st.opts.engine_max_iterations
+           ~watchdog_window:st.opts.watchdog_window ?fault:st.injector
+           ?attribution:st.att ~config:o.c.config ~dfg:o.c.dfg ~machine:st.machine
+           ~hier:st.hier ())
+    with exn -> (
+      match st.injector with
+      | Some f when Fault.window_corrupted f -> `Crashed (Fault.window_kinds f)
+      | Some _ | None -> raise exn)
+  in
+  match outcome with
+  | `Crashed kinds ->
+    (* A corrupted value escaped as a wild memory access before the window
+       ended: an immediately detected fault. *)
+    recover st o ~checkpoint ~window_start ~kinds ~latency:0 ~watchdog:false ~wasted:0
+  | `R (Error e) -> failwith ("MESA engine failure: " ^ e)
+  | `R (Ok res) -> (
+    match res.Engine.fault with
+    | Some d ->
+      recover st o ~checkpoint ~window_start ~kinds:d.Engine.d_kinds
+        ~latency:d.Engine.d_latency ~watchdog:d.Engine.d_watchdog
+        ~wasted:res.Engine.cycles
+    | None -> commit_window st o ~window_start res)
+
+(* Transfer control to the fabric until the loop completes, is aborted or is
+   quarantined; the CPU then resumes at the PC the engine left. *)
+let offload st (c : cached) =
+  Log.debug (fun m -> m "offloading %a" Region.pp c.region);
+  (* Architectural state transfer both ways: configuration overhead. *)
+  Stats.add st.ctl.overhead_cycles (2 * st.opts.offload_overhead);
+  charge_att st (2 * st.opts.offload_overhead);
+  Stats.incr st.ctl.offloads;
+  c.offloads <- c.offloads + 1;
+  let budget = if st.opts.iterative then st.opts.max_reopts else 0 in
+  let o = { c; budget; consecutive_faults = 0; running = true } in
+  while o.running do offload_window st o done
+
+let accepted_report (c : cached) : region_report =
+  (* Critical path over measured weights when the profiler ran (its side
+     model absorbs every clean window); the optimizer's model — measured
+     under iterative mode, static otherwise — when not. *)
+  let cp_model = Option.value c.profile_model ~default:c.model in
+  {
+    entry = c.region.Region.entry;
+    size = Region.size c.region;
+    pragma = c.region.Region.pragma;
+    accepted = true;
+    reject_reason = c.abort_reason;
+    tiling = c.config.Accel_config.tiling;
+    pipelined = c.config.Accel_config.pipelined;
+    translation_cycles = c.translation_cycles;
+    accel_iterations = c.accel_iterations;
+    accel_cycles = c.accel_cycles;
+    reconfigurations = c.reconfigurations;
+    offload_count = c.offloads;
+    faults_detected = c.faults_detected;
+    fault_retries = c.fault_retries;
+    fault_remaps = c.fault_remaps;
+    quarantines = c.quarantines;
+    critical_path = Perf_model.critical_path cp_model;
+    critical_path_latency = Perf_model.iteration_latency cp_model;
+    measured = c.measured;
+  }
+
+let finish st halt : report =
+  let cpu_summary = Ooo_model.summary st.cpu_model in
+  let accepted = Hashtbl.fold (fun _ c acc -> c :: acc) st.cache [] in
+  {
+    total_cycles = wall_clock st.cpu_model st.ctl;
+    cpu_cycles = cpu_summary.Ooo_model.cycles;
+    accel_cycles = Stats.get st.ctl.accel_cycles;
+    overhead_cycles = Stats.get st.ctl.overhead_cycles;
+    mesa_busy_cycles = Stats.get st.ctl.mesa_busy_cycles;
+    offloads = Stats.get st.ctl.offloads;
+    halt;
+    cpu_summary;
+    activity = st.activity;
+    regions = List.map accepted_report accepted @ List.rev st.rejected;
+    hier = st.hier;
+    stats = Stats.snapshot st.reg;
+    timeline = List.rev st.timeline;
+    attribution = st.att;
+  }
+
+(* The instruction-boundary loop: the CPU interprets the program and feeds
+   the OoO model and the loop detector, while offloads and re-arms happen
+   at instruction boundaries, i.e. when the PC sits at a loop entry. *)
+let run ?options ?hier prog machine =
   let opts = match options with Some o -> o | None -> default_options () in
   let hier =
     match hier with Some h -> h | None -> Hierarchy.create Hierarchy.default_config
   in
-  let cpu_model = Ooo_model.create opts.cpu hier in
-  let detector = Loop_detector.create ~config:opts.detector prog in
-  let cache = Config_manager.create () in
-  let activity = Activity.create () in
-  (* The unified counter registry (paper §5's performance counters): every
-     subsystem registers a named group, and the whole tree is snapshotted
-     into the report. The counters below *are* the accounting state — no
-     shadow refs. *)
-  let reg = match stats with Some r -> r | None -> Stats.registry () in
-  Ooo_model.register_stats cpu_model (Stats.group reg "cpu");
-  Hierarchy.register_stats hier (Stats.group reg "cache");
-  let engine_grp = Stats.group reg "engine" in
-  Activity.register_stats activity engine_grp;
-  let windows = Stats.counter engine_grp "windows" in
-  let ctl = Stats.group reg "controller" in
-  let accel_cycles = Stats.counter ctl "accel_cycles" in
-  let overhead = Stats.counter ctl "overhead_cycles" in
-  let mesa_busy = Stats.counter ctl "mesa_busy_cycles" in
-  let offloads = Stats.counter ctl "offloads" in
-  let reconfigurations = Stats.counter ctl "reconfigurations" in
-  let reopt_rounds = Stats.counter ctl "reopt_rounds" in
-  let translations = Stats.counter ctl "translations" in
-  let translation_cycles_c = Stats.counter ctl "translation_cycles" in
-  let regions_accepted = Stats.counter ctl "regions_accepted" in
-  let regions_rejected = Stats.counter ctl "regions_rejected" in
-  let config_cache_hits = Stats.counter ctl "config_cache_hits" in
-  let budget_aborts = Stats.counter ctl "iteration_budget_aborts" in
-  (* Fault injection and recovery. The [faults] group is always registered
-     (all-zero on a clean run, which the golden test pins). *)
-  let injector =
-    match opts.inject with
-    | None -> None
-    | Some sp -> Some (Fault.create ~grid:opts.grid sp)
-  in
-  (* The live fabric: pristine until permanent damage is masked out. *)
-  let fabric = ref opts.grid in
-  let faults_grp = Stats.group reg "faults" in
-  Stats.int_probe faults_grp "injected" (fun () ->
-      match injector with Some f -> Fault.injected f | None -> 0);
-  let f_detected = Stats.counter faults_grp "detected" in
-  let f_retried = Stats.counter faults_grp "retried" in
-  let f_remapped = Stats.counter faults_grp "remapped" in
-  let f_quarantined = Stats.counter faults_grp "quarantined" in
-  let f_config_upsets = Stats.counter faults_grp "config_upsets" in
-  let f_latency = Stats.histogram faults_grp "detection_latency" in
-  let cpu_cycles_now () = (Ooo_model.summary cpu_model).Ooo_model.cycles in
-  Stats.int_probe ctl "cpu_cycles" cpu_cycles_now;
-  Stats.int_probe ctl "total_cycles" (fun () ->
-      cpu_cycles_now () + Stats.get accel_cycles + Stats.get overhead);
-  (* Cycle attribution (`mesa profile`): the collector is pure observation —
-     the engine's timing, the optimizer's decisions and the architectural
-     state are bit-identical with profiling on or off. Measured weights for
-     the profiler's critical-path extraction are absorbed into dedicated
-     per-region models so the iterative optimizer's model is never touched
-     on the profiling path. *)
-  let att =
-    if opts.profile then Some (Attribution.create ~grid:opts.grid ()) else None
-  in
-  let profile_models : (int, Perf_model.t) Hashtbl.t = Hashtbl.create 8 in
-  (* Last clean window's measured per-node/per-edge snapshot, per region —
-     surfaced in the region report so a service-level profiling window can
-     feed the cost model's measured oracles without re-running the engine. *)
-  let measured_snaps : (int, Stats.snapshot) Hashtbl.t = Hashtbl.create 8 in
-  let charge_att cycles =
-    match att with Some a -> Attribution.charge_config a cycles | None -> ()
-  in
-  let regions_grp = Stats.group reg "regions" in
-  let timeline : Trace.span list ref = ref [] in
-  let wall_now () = cpu_cycles_now () + Stats.get accel_cycles + Stats.get overhead in
-  let emit sp = timeline := sp :: !timeline in
-  let rname entry = Printf.sprintf "r%x" entry in
-  (* One configuration write of [base] cycles, re-paid for every scheduled
-     bitstream upset the checksum catches (each retry is itself a fresh
-     write the schedule may hit again). *)
-  let config_write_cost entry base =
-    match injector with
-    | None -> base
-    | Some f ->
-      let cost = ref base in
-      while Fault.config_write f do
-        Stats.incr f_config_upsets;
-        Stats.incr f_detected;
-        Stats.incr f_retried;
-        emit
-          (Trace.instant ~cat:"fault" ~ts:(wall_now ())
-             ~args:[ ("rewrite_cycles", Json.Int base) ]
-             ("config upset " ^ rname entry));
-        cost := !cost + base
-      done;
-      !cost
-  in
-  let rejected : region_report list ref = ref [] in
-  (* A configuration being written while the CPU keeps running: ready once
-     the CPU clock passes [ready_at]. *)
-  let pending : (Config_manager.cached * int) option ref = ref None in
-
-  let run_offload (c : Config_manager.cached) =
-    Log.debug (fun m -> m "offloading %a" Region.pp c.Config_manager.region);
-    Stats.add overhead (2 * opts.offload_overhead);
-    (* Architectural state transfer both ways: configuration overhead. *)
-    charge_att (2 * opts.offload_overhead);
-    Stats.incr offloads;
-    c.Config_manager.offloads <- c.Config_manager.offloads + 1;
-    let entry = c.Config_manager.region.Region.entry in
-    let budget = ref (if opts.iterative then opts.max_reopts else 0) in
-    let running = ref true in
-    let consecutive_faults = ref 0 in
-    while !running do
-      let stop_after = if !budget > 0 then Some opts.profile_chunk else None in
-      let window_start = wall_now () in
-      (match att with
-      | Some a -> Attribution.begin_window a ~at:(float_of_int window_start)
-      | None -> ());
-      (* Iteration-boundary checkpoint: the PC sits at the loop entry here
-         (both at offload start and after a profiling pause), so restoring
-         it hands the loop back to the CPU — or to a retried window — in a
-         bit-exact state. Only paid when a fault schedule is armed. *)
-      let checkpoint =
-        match injector with
-        | None -> None
-        | Some _ ->
-          Some (Machine.copy machine (), Main_memory.copy machine.Machine.mem)
-      in
-      let restore () =
-        match checkpoint with
-        | Some (m, mem) ->
-          Machine.restore machine ~from:m;
-          Main_memory.restore machine.Machine.mem ~from:mem
-        | None -> ()
-      in
-      let quarantine reason =
-        c.Config_manager.quarantine_backoff <-
-          (if c.Config_manager.quarantine_backoff = 0 then 8
-           else c.Config_manager.quarantine_backoff * 2);
-        c.Config_manager.quarantined_until <- c.Config_manager.quarantine_backoff;
-        c.Config_manager.quarantines <- c.Config_manager.quarantines + 1;
-        c.Config_manager.abort_reason <- Some reason;
-        Stats.incr f_quarantined;
-        emit
-          (Trace.instant ~cat:"fault" ~ts:(wall_now ())
-             ~args:
-               [
-                 ("reason", Json.String reason);
-                 ("backoff", Json.Int c.Config_manager.quarantine_backoff);
-               ]
-             ("quarantine " ^ rname entry));
-        Log.debug (fun m ->
-            m "quarantining %a: %s" Region.pp c.Config_manager.region reason);
-        running := false
-      in
-      (* The recovery ladder: restore the checkpoint, then retry (transient),
-         remap around masked damage (permanent), or quarantine with
-         exponential backoff and let the CPU finish bit-exactly. *)
-      let handle_fault ~kinds ~latency ~watchdog ~wasted =
-        restore ();
-        Stats.incr windows;
-        Stats.incr f_detected;
-        Stats.observe f_latency (float_of_int latency);
-        c.Config_manager.faults_detected <- c.Config_manager.faults_detected + 1;
-        (* The discarded window and the state transfer back are recovery
-           overhead, not useful accelerator work. The profiler discards the
-           window's attribution and re-charges the same cycles as Config, so
-           closure against the run's wall-clock accounting is preserved. *)
-        Stats.add overhead (wasted + opts.offload_overhead);
-        (match att with
-        | Some a ->
-          Attribution.abort_window a;
-          Attribution.charge_config a (wasted + opts.offload_overhead)
-        | None -> ());
-        emit
-          (Trace.span ~cat:"fault" ~ts:window_start ~dur:(max 1 wasted)
-             ~args:
-               [
-                 ( "kinds",
-                   Json.String
-                     (String.concat "+" (List.map Fault.kind_name kinds)) );
-                 ("detection_latency", Json.Int latency);
-                 ("watchdog", Json.Bool watchdog);
-               ]
-             ("fault " ^ rname entry));
-        let f = Option.get injector in
-        let permanent =
-          List.exists
-            (fun k -> k = Fault.Permanent_pe || k = Fault.Link_down)
-            kinds
-        in
-        if permanent then begin
-          if List.length (Fault.dead f) > List.length (!fabric).Grid.masked
-          then begin
-            (* New permanent damage: mask it out of the pristine geometry
-               (cumulatively) and re-run placement on what is left. *)
-            fabric := Grid.mask opts.grid (Fault.dead_coords f);
-            match
-              configure opts ~grid:!fabric ~dfg:c.Config_manager.dfg
-                ~model:c.Config_manager.model
-                ~pragma:c.Config_manager.region.Region.pragma
-            with
-            | Ok config' ->
-              let stall =
-                config_write_cost entry
-                  (Mapper.map_cycles opts.mapper c.Config_manager.dfg
-                  + Accel_config.config_cycles config' c.Config_manager.dfg)
-              in
-              c.Config_manager.config <- config';
-              c.Config_manager.fault_remaps <-
-                c.Config_manager.fault_remaps + 1;
-              Stats.incr f_remapped;
-              Stats.add overhead stall;
-              Stats.add mesa_busy stall;
-              charge_att stall;
-              consecutive_faults := 0;
-              emit
-                (Trace.span ~cat:"fault" ~ts:(wall_now ()) ~dur:stall
-                   ~args:
-                     [
-                       ( "masked_pes",
-                         Json.Int (List.length (!fabric).Grid.masked) );
-                     ]
-                   ("remap " ^ rname entry));
-              Log.debug (fun m ->
-                  m "remapped %a around %d masked PEs" Region.pp
-                    c.Config_manager.region
-                    (List.length (!fabric).Grid.masked))
-            | Error e -> quarantine ("remap failed: " ^ e)
-          end
-          else quarantine "permanent fault persists after remap"
-        end
-        else begin
-          incr consecutive_faults;
-          if !consecutive_faults > opts.max_fault_retries then
-            quarantine "persistent faults exceeded retry budget"
-          else begin
-            c.Config_manager.fault_retries <-
-              c.Config_manager.fault_retries + 1;
-            Stats.incr f_retried;
-            emit
-              (Trace.instant ~cat:"fault" ~ts:(wall_now ())
-                 ~args:[ ("attempt", Json.Int !consecutive_faults) ]
-                 ("retry " ^ rname entry))
-          end
-        end
-      in
-      let outcome =
-        try
-          `R
-            (Engine.execute ?stop_after
-               ~max_iterations:opts.engine_max_iterations
-               ~watchdog_window:opts.watchdog_window ?fault:injector
-               ?attribution:att
-               ~config:c.Config_manager.config ~dfg:c.Config_manager.dfg
-               ~machine ~hier ())
-        with exn -> (
-          match injector with
-          | Some f when Fault.window_corrupted f ->
-            `Crashed (Fault.window_kinds f)
-          | Some _ | None -> raise exn)
-      in
-      match outcome with
-      | `Crashed kinds ->
-        (* A corrupted value escaped as a wild memory access before the
-           window ended: an immediately detected fault. *)
-        handle_fault ~kinds ~latency:0 ~watchdog:false ~wasted:0
-      | `R (Error e) -> failwith ("MESA engine failure: " ^ e)
-      | `R (Ok res) -> (
-        match res.Engine.fault with
-        | Some d ->
-          handle_fault ~kinds:d.Engine.d_kinds ~latency:d.Engine.d_latency
-            ~watchdog:d.Engine.d_watchdog ~wasted:res.Engine.cycles
-        | None ->
-        consecutive_faults := 0;
-        Stats.add accel_cycles res.Engine.cycles;
-        Stats.incr windows;
-        Activity.add activity res.Engine.activity;
-        c.Config_manager.accel_iterations <-
-          c.Config_manager.accel_iterations + res.Engine.iterations;
-        c.Config_manager.accel_cycles <- c.Config_manager.accel_cycles + res.Engine.cycles;
-        (match att with
-        | Some _ ->
-          (* Absorb this window's counters into the profiler's own model so
-             critical-path extraction sees measured weights even when the
-             iterative optimizer is off (or out of budget). *)
-          let pm =
-            match Hashtbl.find_opt profile_models entry with
-            | Some pm -> pm
-            | None ->
-              let pm = Perf_model.create c.Config_manager.dfg in
-              Hashtbl.add profile_models entry pm;
-              pm
-          in
-          Optimizer.absorb pm res;
-          Hashtbl.replace measured_snaps entry res.Engine.measured
-        | None -> ());
-        emit
-          (Trace.span ~cat:"fabric" ~ts:window_start ~dur:res.Engine.cycles
-             ~args:
-               [
-                 ("iterations", Json.Int res.Engine.iterations);
-                 ("completed", Json.Bool res.Engine.completed);
-               ]
-             ("offload " ^ rname entry));
-        if res.Engine.completed then running := false
-        else if res.Engine.budget_exhausted then begin
-          (* The safety budget is a distinct abort, not a silent pause: hand
-             the loop back to the CPU (the paused state is architecturally
-             consistent) and stop re-arming this region. *)
-          Stats.incr budget_aborts;
-          c.Config_manager.abort_reason <- Some "iteration budget exhausted";
-          c.Config_manager.quarantined_until <- max_int;
-          emit
-            (Trace.instant ~cat:"mesa" ~ts:(wall_now ())
-               ~args:[ ("iterations", Json.Int res.Engine.iterations) ]
-               ("budget abort " ^ rname entry));
-          running := false
-        end
-        else if !budget > 0 then begin
-          decr budget;
-          Stats.incr reopt_rounds;
-          Optimizer.absorb c.Config_manager.model res;
-          match
-            Optimizer.step ~grid:!fabric ~kind:opts.kind ~mapper:opts.mapper
-              ~model:c.Config_manager.model ~current:c.Config_manager.config
-          with
-          | Optimizer.Adopt { config = config'; latency; previous } ->
-            let stall = Accel_config.config_cycles config' c.Config_manager.dfg in
-            (* Only pay the reconfiguration if the modeled per-iteration gain
-               can plausibly amortize the stall over a horizon like the one
-               already observed. *)
-            let horizon =
-              float_of_int (max (4 * opts.profile_chunk) c.Config_manager.accel_iterations)
-            in
-            let gain = (previous -. latency) /. float_of_int config'.Accel_config.tiling in
-            if gain *. horizon > float_of_int stall then begin
-              Log.debug (fun m ->
-                  m "reconfiguring %a: modeled latency %.1f -> %.1f" Region.pp
-                    c.Config_manager.region previous latency);
-              c.Config_manager.config <- config';
-              c.Config_manager.reconfigurations <- c.Config_manager.reconfigurations + 1;
-              Stats.incr reconfigurations;
-              let stall = config_write_cost entry stall in
-              emit
-                (Trace.span ~cat:"mesa" ~ts:(wall_now ()) ~dur:stall
-                   ~args:
-                     [
-                       ("modeled_latency_before", Json.Float previous);
-                       ("modeled_latency_after", Json.Float latency);
-                     ]
-                   ("reconfigure " ^ rname entry));
-              Stats.add overhead stall;
-              Stats.add mesa_busy stall;
-              charge_att stall
-            end
-            else budget := 0
-          | Optimizer.Keep _ -> budget := 0
-        end)
-    done
-  in
-
+  let st = create_state opts ~hier prog machine in
   let halt = ref None in
   let steps = ref 0 in
   while !halt = None do
     if !steps >= opts.max_steps then halt := Some Interp.Step_limit
     else begin
-      (* Offload / re-arm checks happen at instruction boundaries, i.e. when
-         the PC sits at the loop entry. *)
-      (match !pending with
+      (match st.pending with
       | Some (c, ready_at)
-        when machine.Machine.pc = c.Config_manager.region.Region.entry
-             && cpu_cycles_now () >= ready_at ->
-        pending := None;
-        run_offload c
+        when machine.Machine.pc = c.region.Region.entry
+             && cpu_cycles st.cpu_model >= ready_at ->
+        st.pending <- None;
+        offload st c
       | Some _ -> ()
-      | None -> (
-        match Config_manager.find cache machine.Machine.pc with
-        | Some c when c.Config_manager.quarantined_until > 0 ->
-          (* Quarantined region: the CPU runs the loop; each entry
-             encounter burns down the exponential backoff before MESA is
-             allowed to re-arm it. *)
-          c.Config_manager.quarantined_until <-
-            c.Config_manager.quarantined_until - 1
-        | Some c ->
-          (* Config-cache hit on re-entering a known loop: rewrite the
-             bitstream while the CPU keeps iterating. *)
-          let cost =
-            config_write_cost c.Config_manager.region.Region.entry
-              (Config_manager.cache_hit_cycles c.Config_manager.config
-                 c.Config_manager.dfg)
-          in
-          Stats.add mesa_busy cost;
-          Stats.incr config_cache_hits;
-          emit
-            (Trace.span ~cat:"mesa" ~ts:(wall_now ()) ~dur:cost
-               ("rearm " ^ rname c.Config_manager.region.Region.entry));
-          pending := Some (c, cpu_cycles_now () + cost)
-        | None -> ()));
+      | None -> arm st);
       match Interp.step prog machine with
       | Error h -> halt := Some h
-      | Ok ev -> (
+      | Ok ev ->
         incr steps;
-        Ooo_model.feed cpu_model ev;
-        match Loop_detector.feed detector ev with
-        | Some (Loop_detector.Accepted region) -> (
-          match translate opts ~grid:!fabric prog region with
-          | Ok cached ->
-            let tcycles =
-              config_write_cost region.Region.entry
-                (Config_manager.translation_cycles opts.mapper
-                   cached.Config_manager.dfg cached.Config_manager.config)
-            in
-            cached.Config_manager.translation_cycles <- tcycles;
-            Stats.add mesa_busy tcycles;
-            Stats.incr translations;
-            Stats.add translation_cycles_c tcycles;
-            Stats.incr regions_accepted;
-            (* Per-region counter subgroup, sampled from the cached record at
-               snapshot time. *)
-            (try
-               let rg = Stats.subgroup regions_grp (rname region.Region.entry) in
-               Stats.int_probe rg "offloads" (fun () -> cached.Config_manager.offloads);
-               Stats.int_probe rg "reconfigurations" (fun () ->
-                   cached.Config_manager.reconfigurations);
-               Stats.int_probe rg "accel_iterations" (fun () ->
-                   cached.Config_manager.accel_iterations);
-               Stats.int_probe rg "accel_cycles" (fun () ->
-                   cached.Config_manager.accel_cycles);
-               Stats.int_probe rg "translation_cycles" (fun () ->
-                   cached.Config_manager.translation_cycles);
-               Stats.int_probe rg "faults_detected" (fun () ->
-                   cached.Config_manager.faults_detected);
-               Stats.int_probe rg "fault_remaps" (fun () ->
-                   cached.Config_manager.fault_remaps)
-             with Invalid_argument _ -> ());
-            emit
-              (Trace.span ~cat:"mesa" ~ts:(wall_now ()) ~dur:tcycles
-                 ~args:[ ("region_size", Json.Int (Region.size region)) ]
-                 ("translate " ^ rname region.Region.entry));
-            Config_manager.add cache cached;
-            pending := Some (cached, cpu_cycles_now () + tcycles);
-            Log.debug (fun m ->
-                m "accepted %a, translation %d cycles" Region.pp region tcycles)
-          | Error reason ->
-            Loop_detector.blacklist detector region.Region.entry;
-            Stats.incr regions_rejected;
-            emit
-              (Trace.instant ~cat:"detector" ~ts:(wall_now ())
-                 ~args:[ ("reason", Json.String reason) ]
-                 ("reject " ^ rname region.Region.entry));
-            Log.debug (fun m -> m "mapping failed for %a: %s" Region.pp region reason);
-            rejected :=
-              rejected_report ~entry:region.Region.entry ~size:(Region.size region)
-                ~pragma:region.Region.pragma reason
-              :: !rejected)
-        | Some (Loop_detector.Rejected { entry; reason }) ->
-          Stats.incr regions_rejected;
-          emit
-            (Trace.instant ~cat:"detector" ~ts:(wall_now ())
-               ~args:[ ("reason", Json.String reason) ]
-               ("reject " ^ rname entry));
-          Log.debug (fun m -> m "rejected region 0x%x: %s" entry reason);
-          rejected := rejected_report ~entry ~size:0 ~pragma:None reason :: !rejected
-        | None -> ())
+        Ooo_model.feed st.cpu_model ev;
+        detect st ev
     end
   done;
-  let cpu_summary = Ooo_model.summary cpu_model in
-  let accepted_reports =
-    List.map
-      (fun (c : Config_manager.cached) ->
-        (* Critical path over measured weights when the profiler ran (its
-           side models absorb every clean window); the optimizer's model —
-           measured under iterative mode, static otherwise — when not. *)
-        let cp_model =
-          match
-            Hashtbl.find_opt profile_models c.Config_manager.region.Region.entry
-          with
-          | Some pm -> pm
-          | None -> c.Config_manager.model
-        in
-        {
-          entry = c.Config_manager.region.Region.entry;
-          size = Region.size c.Config_manager.region;
-          pragma = c.Config_manager.region.Region.pragma;
-          accepted = true;
-          reject_reason = c.Config_manager.abort_reason;
-          tiling = c.Config_manager.config.Accel_config.tiling;
-          pipelined = c.Config_manager.config.Accel_config.pipelined;
-          translation_cycles = c.Config_manager.translation_cycles;
-          accel_iterations = c.Config_manager.accel_iterations;
-          accel_cycles = c.Config_manager.accel_cycles;
-          reconfigurations = c.Config_manager.reconfigurations;
-          offload_count = c.Config_manager.offloads;
-          faults_detected = c.Config_manager.faults_detected;
-          fault_retries = c.Config_manager.fault_retries;
-          fault_remaps = c.Config_manager.fault_remaps;
-          quarantines = c.Config_manager.quarantines;
-          critical_path = Perf_model.critical_path cp_model;
-          critical_path_latency = Perf_model.iteration_latency cp_model;
-          measured =
-            Hashtbl.find_opt measured_snaps
-              c.Config_manager.region.Region.entry;
-        })
-      (Config_manager.entries cache)
-  in
-  {
-    total_cycles = cpu_summary.Ooo_model.cycles + Stats.get accel_cycles + Stats.get overhead;
-    cpu_cycles = cpu_summary.Ooo_model.cycles;
-    accel_cycles = Stats.get accel_cycles;
-    overhead_cycles = Stats.get overhead;
-    mesa_busy_cycles = Stats.get mesa_busy;
-    offloads = Stats.get offloads;
-    halt = Option.get !halt;
-    cpu_summary;
-    activity;
-    regions = accepted_reports @ List.rev !rejected;
-    hier;
-    stats = Stats.snapshot reg;
-    timeline = List.rev !timeline;
-    attribution = att;
-  }
+  finish st (Option.get !halt)
 
 let speedup ~baseline_cycles report =
   if report.total_cycles = 0 then 0.0

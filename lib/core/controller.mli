@@ -121,16 +121,18 @@ type report = {
           [accel_cycles + overhead_cycles] *)
 }
 
-val run :
-  ?options:options -> ?hier:Hierarchy.t -> ?stats:Stats.registry ->
-  Program.t -> Machine.t -> report
+val run : ?options:options -> ?hier:Hierarchy.t -> Program.t -> Machine.t -> report
 (** Execute the program to completion under MESA. The machine ends in the
     same architectural state the plain interpreter would produce — the
     equivalence the test suite verifies.
 
-    [stats] supplies the registry the run's counter groups are created in
-    (fresh by default) — pass one to co-register caller-side counters under
-    the same tree. *)
+    The run is the paper's pipeline as a sequence of stages over one run
+    state: at each instruction boundary a pending configuration is offloaded
+    once written, or a cached region is armed (config-cache hit, quarantine
+    countdown); each retired instruction feeds the OoO model and the loop
+    detector, whose accepted regions are translated. An offload runs engine
+    windows, recovering from faulted ones (retry, remap, quarantine) and
+    re-optimising after profiling ones, until the loop completes. *)
 
 val speedup : baseline_cycles:int -> report -> float
 

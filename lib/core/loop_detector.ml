@@ -22,15 +22,10 @@ type t = {
   prog : Program.t;
   mutable candidate : candidate option;
   decided : (int, unit) Hashtbl.t; (* entries already accepted or rejected *)
-  mutable candidates_seen : int;
 }
 
 let create ?(config = default_config) prog =
-  { cfg = config; prog; candidate = None; decided = Hashtbl.create 16; candidates_seen = 0 }
-
-let blacklist t entry = Hashtbl.replace t.decided entry ()
-let is_blacklisted t entry = Hashtbl.mem t.decided entry
-let candidates_seen t = t.candidates_seen
+  { cfg = config; prog; candidate = None; decided = Hashtbl.create 16 }
 
 (* C2: vet every instruction of the body. The final instruction must be the
    confirming backward branch; everything else must be fabric-executable. *)
@@ -98,9 +93,7 @@ let feed t (ev : Interp.event) =
     else begin
       (match t.candidate with
       | Some c when c.entry = entry && c.last = last -> c.consecutive <- c.consecutive + 1
-      | Some _ | None ->
-        t.candidates_seen <- t.candidates_seen + 1;
-        t.candidate <- Some { entry; last; consecutive = 1 });
+      | Some _ | None -> t.candidate <- Some { entry; last; consecutive = 1 });
       match t.candidate with
       | Some c when c.consecutive >= t.cfg.confirm_iterations ->
         Hashtbl.replace t.decided entry ();

@@ -13,8 +13,9 @@
       expected trip count high enough to amortize configuration (estimated
       from the iterations already observed).
 
-    A verdict is delivered exactly once per candidate entry address;
-    rejected entries are remembered so the pipeline is not re-annoyed. *)
+    A verdict is delivered exactly once per candidate entry address: every
+    decided entry, accepted or rejected, is remembered, so a region whose
+    translation later fails is never offered again. *)
 
 type config = {
   capacity : int;               (** C1 bound = trace-cache capacity *)
@@ -38,12 +39,3 @@ val create : ?config:config -> Program.t -> t
 val feed : t -> Interp.event -> verdict option
 (** Present one retired instruction. A verdict is produced only at an
     iteration boundary (the confirming backward branch). *)
-
-val blacklist : t -> int -> unit
-(** Externally mark an entry address as non-acceleratable (e.g. the mapper
-    failed to route it). *)
-
-val is_blacklisted : t -> int -> bool
-
-val candidates_seen : t -> int
-(** Backward branches that ever became candidates (stats). *)

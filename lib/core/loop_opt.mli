@@ -21,8 +21,5 @@ val no_opt : decision
 val decide :
   grid:Grid.t -> dfg:Dfg.t -> pragma:Program.pragma option -> decision
 (** Largest legal tiling for the annotated loop on this grid (1 when the
-    loop carries no annotation), with pipelining on. *)
-
-val max_tiling : grid:Grid.t -> dfg:Dfg.t -> int
-(** Capacity bound: [min(PEs / compute nodes, LS entries / memory nodes)],
-    at least 1. *)
+    loop carries no annotation), with pipelining on. The capacity bound is
+    [min(PEs / compute nodes, LS entries / memory nodes)], at least 1. *)

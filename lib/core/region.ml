@@ -9,7 +9,6 @@ type t = {
 let size t = Array.length t.instrs
 let exit_addr t = t.back_branch_addr + 4
 let addr_of_index t i = t.entry + (4 * i)
-let contains t addr = addr >= t.entry && addr <= t.back_branch_addr
 
 type mix = {
   compute : int;

@@ -14,7 +14,6 @@ val exit_addr : t -> int
 (** Fall-through address when the loop completes. *)
 
 val addr_of_index : t -> int -> int
-val contains : t -> int -> bool
 
 (** Instruction-mix statistics backing criterion C3 (§4.1). *)
 type mix = {

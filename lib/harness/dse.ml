@@ -445,16 +445,20 @@ let run ?jobs ?checkpoint ?(resume = false) ?stop_after ?(strategy = Exhaustive)
   let exhaustive_count = List.length all_points in
   let reg = Stats.registry () in
   let grp = Stats.group reg "dse" in
-  let c_eval = Stats.counter ~desc:"points measured fresh by this run" grp "points_evaluated" in
-  let c_hits = Stats.counter ~desc:"points restored from the checkpoint" grp "cache_hits" in
-  let c_rej = Stats.counter ~desc:"points whose mapping or execution was rejected" grp "points_rejected" in
-  let c_meas = Stats.counter ~desc:"engine runs that mapped (fresh or restored)" grp "points_measured" in
-  let c_batches = Stats.counter ~desc:"guided halving batches dispatched" grp "guided_batches" in
-  Stats.int_probe ~desc:"full lattice size" grp "exhaustive_count"
-    (fun () -> exhaustive_count);
+  (* points_evaluated: measured fresh by this run; cache_hits: restored from
+     the checkpoint; points_rejected: mapping or execution rejected;
+     points_measured: engine runs that mapped, fresh or restored;
+     exhaustive_count: the full lattice size; frontier_size: non-dominated
+     points at readout. *)
+  let c_eval = Stats.counter grp "points_evaluated" in
+  let c_hits = Stats.counter grp "cache_hits" in
+  let c_rej = Stats.counter grp "points_rejected" in
+  let c_meas = Stats.counter grp "points_measured" in
+  let c_batches = Stats.counter grp "guided_batches" in
+  Stats.int_probe grp "exhaustive_count" (fun () -> exhaustive_count);
   let outcomes_rev = ref [] in
-  Stats.int_probe ~desc:"non-dominated points at readout" grp "frontier_size"
-    (fun () -> List.length (frontier (List.rev !outcomes_rev)));
+  Stats.int_probe grp "frontier_size" (fun () ->
+      List.length (frontier (List.rev !outcomes_rev)));
   let timeline = ref [] in
   let clock = ref 0 in
   let fresh = ref 0 in

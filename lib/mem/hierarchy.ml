@@ -59,10 +59,6 @@ let max_latency t =
 let l1 t = t.l1
 let l2 t = t.l2
 
-let reset_stats t =
-  Cache.reset_stats t.l1;
-  Cache.reset_stats t.l2
-
 let level_counts t =
   [
     ("l1_hits", Cache.hits t.l1);
@@ -77,7 +73,3 @@ let register_stats t grp =
   Cache.register_stats t.l2 (Stats.subgroup grp "l2");
   Stats.int_probe grp "dram_latency" (fun () -> t.cfg.dram_latency);
   Stats.int_probe grp "sharers" (fun () -> t.sharers)
-
-let invalidate_all t =
-  Cache.invalidate_all t.l1;
-  Cache.invalidate_all t.l2

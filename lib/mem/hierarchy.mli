@@ -55,9 +55,6 @@ val max_latency : t -> int
 val l1 : t -> Cache.t
 val l2 : t -> Cache.t
 
-val reset_stats : t -> unit
-val invalidate_all : t -> unit
-
 val level_counts : t -> (string * int) list
 (** Direct readout of the per-level access mix
     ([l1_hits]/[l1_misses]/[l2_hits]/[l2_misses]/[writebacks]) — the

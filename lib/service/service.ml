@@ -117,7 +117,8 @@ let make_counters reg =
   let telg = Stats.group reg "telemetry" in
   {
     admitted = Stats.counter g "admitted";
-    shed = Stats.counter g "shed" ~desc:"rejected before queueing";
+    (* rejected before queueing *)
+    shed = Stats.counter g "shed";
     ok = Stats.counter outcomes "ok";
     bad_request = Stats.counter outcomes "bad_request";
     deadline_exceeded = Stats.counter outcomes "deadline_exceeded";
@@ -129,24 +130,22 @@ let make_counters reg =
     exec_rerouted = Stats.counter execg "rerouted";
     exec_retries = Stats.counter execg "retries";
     exec_retry_successes = Stats.counter execg "retry_successes";
-    exec_abandoned = Stats.counter execg "abandoned"
-        ~desc:"worker tasks whose request's deadline fired before they started";
+    (* worker tasks whose request's deadline fired before they started *)
+    exec_abandoned = Stats.counter execg "abandoned";
     backoff_ms = Stats.histogram execg "backoff_ms";
     br_trips = Stats.counter brg "trips";
     br_reopens = Stats.counter brg "reopens";
-    br_recloses = Stats.counter brg "recloses" ~desc:"half-open probes that reclosed a shard";
+    (* half-open probes that reclosed a shard *)
+    br_recloses = Stats.counter brg "recloses";
     br_probes = Stats.counter brg "half_open_probes";
     br_faults = Stats.counter brg "faults_recorded";
-    tel_profile_windows =
-      Stats.counter telg "profile_windows"
-        ~desc:"profiled runs that captured a measured window";
-    tel_oracle_refreshes =
-      Stats.counter telg "oracle_refreshes"
-        ~desc:"measured snapshots handed to the background refiner";
+    (* profiled runs that captured a measured window *)
+    tel_profile_windows = Stats.counter telg "profile_windows";
+    (* measured snapshots handed to the background refiner *)
+    tel_oracle_refreshes = Stats.counter telg "oracle_refreshes";
     tel_refine_attempts = Stats.counter telg "refine_attempts";
-    tel_refine_accepts =
-      Stats.counter telg "refine_accepts"
-        ~desc:"engine- and controller-confirmed placements installed";
+    (* engine- and controller-confirmed placements installed *)
+    tel_refine_accepts = Stats.counter telg "refine_accepts";
     tel_refine_rejects = Stats.counter telg "refine_rejects";
   }
   |> fun c -> (g, telg, c)
@@ -165,9 +164,9 @@ let register_probes t g telg =
   let shardsg = Stats.subgroup g "shards" in
   Array.iter
     (fun s ->
+      (* 0 closed, 1 open, 2 half-open *)
       Stats.int_probe shardsg
         (Printf.sprintf "shard%d_state" s.sh_id)
-        ~desc:"0 closed, 1 open, 2 half-open"
         (fun () ->
           match Breaker.state s.sh_breaker with
           | Breaker.Closed -> 0

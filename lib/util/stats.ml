@@ -124,8 +124,7 @@ let subgroup (parent : group) name =
   register parent name (Group g);
   g
 
-let counter ?desc (g : group) name =
-  ignore desc;
+let counter (g : group) name =
   let c = { c = 0 } in
   register g name (Counter c);
   c
@@ -135,8 +134,7 @@ let add c n = c.c <- c.c + n
 let set c n = c.c <- n
 let get c = c.c
 
-let histogram ?desc (g : group) name =
-  ignore desc;
+let histogram (g : group) name =
   let h = { n = 0; sum = 0.0; mn = infinity; mx = neg_infinity } in
   register g name (Histogram h);
   h
@@ -147,17 +145,9 @@ let observe h x =
   if x < h.mn then h.mn <- x;
   if x > h.mx then h.mx <- x
 
-let probe ?desc (g : group) name f =
-  ignore desc;
-  register g name (Probe f)
-
-let derived ?desc g name f = probe ?desc g name (fun () -> VFloat (f ()))
-let int_probe ?desc g name f = probe ?desc g name (fun () -> VInt (f ()))
-
-let find_histogram (g : group) name =
-  match Hashtbl.find_opt g.children name with
-  | Some (Histogram h) -> Some h
-  | _ -> None
+let probe (g : group) name f = register g name (Probe f)
+let derived g name f = probe g name (fun () -> VFloat (f ()))
+let int_probe g name f = probe g name (fun () -> VInt (f ()))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: immutable, ordered (path, entry) lists. *)

@@ -68,7 +68,7 @@ val group : registry -> string -> group
 
 val subgroup : group -> string -> group
 
-val counter : ?desc:string -> group -> string -> counter
+val counter : group -> string -> counter
 (** Monotone integer counter. Raises [Invalid_argument] on duplicates. *)
 
 val incr : counter -> unit
@@ -80,23 +80,20 @@ val set : counter -> int -> unit
 
 val get : counter -> int
 
-val histogram : ?desc:string -> group -> string -> histogram
+val histogram : group -> string -> histogram
 (** Sample accumulator tallying count/sum/min/max — the same quartet the
     paper's hardware counters expose per operation. *)
 
 val observe : histogram -> float -> unit
 
-val find_histogram : group -> string -> histogram option
-(** Lazy-creation helper for dynamically named stats (e.g. per-edge). *)
-
-val probe : ?desc:string -> group -> string -> (unit -> value) -> unit
+val probe : group -> string -> (unit -> value) -> unit
 (** Register a closure sampled at {!snapshot} time — exposes pre-existing
     mutable model state with zero hot-path cost. *)
 
-val derived : ?desc:string -> group -> string -> (unit -> float) -> unit
+val derived : group -> string -> (unit -> float) -> unit
 (** Float probe (ratios such as IPC or hit rates). *)
 
-val int_probe : ?desc:string -> group -> string -> (unit -> int) -> unit
+val int_probe : group -> string -> (unit -> int) -> unit
 
 (** {2 Snapshots} *)
 

@@ -169,17 +169,6 @@ let rejects_oversized_loop () =
       (String.length reason >= 2 && String.sub reason 0 2 = "C1")
   | _ -> Alcotest.fail "expected a C1 rejection"
 
-let blacklist_is_respected () =
-  let k = Workloads.find "gaussian" in
-  let mem = Main_memory.create () in
-  let m = Kernel.prepare k mem in
-  let detector = Loop_detector.create k.Kernel.program in
-  Loop_detector.blacklist detector (Program.entry k.Kernel.program);
-  check Alcotest.bool "blacklisted" true
-    (Loop_detector.is_blacklisted detector (Program.entry k.Kernel.program));
-  let verdicts = feed_program k.Kernel.program m detector 20000 in
-  check Alcotest.int "no verdicts" 0 (List.length verdicts)
-
 let suites =
   [
     ( "trace_cache",
@@ -196,6 +185,5 @@ let suites =
         Alcotest.test_case "rejects nesting (C2)" `Quick rejects_inner_loop;
         Alcotest.test_case "rejects memory-only (C3)" `Quick rejects_memory_only_loop;
         Alcotest.test_case "rejects oversized (C1)" `Quick rejects_oversized_loop;
-        Alcotest.test_case "blacklist respected" `Quick blacklist_is_respected;
       ] );
   ]

@@ -54,7 +54,7 @@ let pending_config_fires_on_reentry () =
   check Alcotest.bool "memory exact" true (Main_memory.equal expected mem)
 
 (* A fabric too small to route the loop: C1 admits it, the mapper fails,
-   the region is blacklisted, and the program completes on the CPU. *)
+   the region is never offered again, and the program completes on the CPU. *)
 let unroutable_region_falls_back () =
   let k = Workloads.find "kmeans" in
   (* 32 PEs but only 16 with FP — kmeans needs 26 FP operations. *)
