@@ -16,12 +16,20 @@ val create : capacity:int -> t
 val claim : t -> float -> float
 (** [claim t ready] books a slot and returns the issue time (>= [ready]).
     The queuing delay is [claim t ready -. ready]; the sub-slot taken is
-    left in {!last_slot}. *)
+    left in {!last_slot}. It forgets no booking, so claims may arrive in
+    any order. *)
 
-val claim_cycle : t -> int -> int
-(** [claim_cycle t start] is {!claim} at the integer cycle [start]: it
-    returns the issue cycle. Ints cross the call unboxed, so a claim in a
-    hot loop allocates nothing. *)
+val claim_cycle : t -> floor:int -> int -> int
+(** [claim_cycle t ~floor start] is {!claim} at the integer cycle [start]:
+    it returns the issue cycle. Ints cross the call unboxed, so a claim in
+    a hot loop allocates nothing.
+
+    [floor] promises that no later claim on [t] starts below it, so it
+    must not decrease from one call to the next. When the window of booked
+    cycles would outgrow the ring, cycles below [floor] are forgotten
+    instead of the ring doubling: they no longer count for {!fold_from}.
+    Raises [Invalid_argument] when [start < floor], or when [start] falls
+    below a floor an earlier call already retired. *)
 
 val claim_slot : t -> float -> float * int
 (** Like {!claim}, additionally returning which of the [capacity] sub-slots
@@ -30,9 +38,11 @@ val claim_slot : t -> float -> float * int
 
 val fold_from : t -> from:int -> (int -> int -> 'a -> 'a) -> 'a -> 'a
 (** [fold_from t ~from f acc] folds [f cycle claims] over every booked
-    cycle [>= from], in ascending cycle order. It probes each cycle from
-    [from] up to the highest booked one, so it costs O([hi - from]) probes
-    where [hi] is the highest booked cycle, whatever the table's size. *)
+    cycle [>= from], in ascending cycle order. It reads each cycle of the
+    live window from [from] up to the highest booked one, so it costs
+    O([hi - from]) reads where [hi] is the highest booked cycle, whatever
+    the ring's size. Cycles forgotten below a {!claim_cycle} [floor] are
+    not folded; [from] at or above every floor passed sees them all. *)
 
 val last_slot : t -> int
 (** Sub-slot taken by the most recent claim (0 before any claim). *)
@@ -46,6 +56,7 @@ val busy_cycles : t -> int
 
 val reset : ?capacity:int -> t -> unit
 (** Forget every booked slot (and optionally change the capacity), restoring
-    the table to its freshly-created state. The engine recycles contention
-    tables across executions through this instead of rebuilding their slot
-    hashtables each time. *)
+    the table to its freshly-created state. It zeroes only the booked
+    window, so a warm table costs what its last use booked. The engine and
+    the cost model recycle contention tables through this instead of
+    allocating fresh rings each time. *)

@@ -21,7 +21,7 @@ type t = {
 let default_mem_latency =
   float_of_int Hierarchy.default_config.Hierarchy.l1.Cache.hit_latency
 
-let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
+let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
     ~(config : Accel_config.t) ~(dfg : Dfg.t) () =
   let t = Timing.compile ~config ~dfg in
   let n = t.Timing.n in
@@ -32,7 +32,9 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
   let mem_latency =
     match mem_latency with Some f -> f | None -> fun _ -> default_mem_latency
   in
-  let st = Timing.start t ~ports:config.placement.Placement.grid.Grid.mem_ports in
+  let st =
+    Timing.start ~acquire t ~ports:config.placement.Placement.grid.Grid.mem_ports
+  in
   let tiling = t.Timing.tiling in
   let inst_next = st.Timing.next in
   let completes = st.Timing.completes in
@@ -178,6 +180,17 @@ let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
     simulated = !k;
     steady = !steady;
   }
+
+(* The tables come from the engine's recycling pool: a warm estimate
+   allocates no ring, and [Contention.reset] zeroes only what the last run
+   booked. *)
+let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
+    ~config ~dfg () =
+  let scratch = Engine_core.scratch () in
+  Fun.protect
+    ~finally:(fun () -> Engine_core.park scratch)
+    (run ~acquire:(Engine_core.acquire scratch) ?op_latency ?mem_latency
+       ~iterations ~extrapolate ~config ~dfg)
 
 (* ------------------------------------------------------------------ *)
 (* Modeled activity counters: what the engine would tally with every guard

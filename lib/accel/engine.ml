@@ -107,19 +107,11 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       let lost = match fault with Some f -> Fault.ports_lost f | None -> 0 in
       max 1 (grid.Grid.mem_ports - lost)
     in
-    let acquired = ref [] in
-    let acquire capacity =
-      let c =
-        match Engine_core.scratch_take () with
-        | Some c ->
-          Contention.reset ~capacity c;
-          c
-        | None -> Contention.create ~capacity
-      in
-      acquired := c :: !acquired;
-      c
+    let scratch = Engine_core.scratch () in
+    let st =
+      Timing.start ~acquire:(Engine_core.acquire scratch) sched
+        ~ports:effective_ports
     in
-    let st = Timing.start ~acquire sched ~ports:effective_ports in
     let arrival = st.Timing.arrival and firing = st.Timing.firing in
     (* Word-indexed store-to-load disambiguation table (replaces the
        reference engine's per-iteration association list). Generation
@@ -524,5 +516,5 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       }
     in
     Fun.protect
-      ~finally:(fun () -> Engine_core.scratch_park !acquired)
+      ~finally:(fun () -> Engine_core.park scratch)
       (fun () -> try Ok (run ()) with Exec_fail msg -> Error msg))

@@ -25,10 +25,18 @@ val s32 : int -> int
 
 exception Exec_fail of string
 
-val scratch_take : unit -> Contention.t option
-(** Claim a recycled contention table from the domain-local pool, if one is
-    parked (revive it with {!Contention.reset}). Safe to call from
-    sys-threads sharing the domain (the `mesad` shard case). *)
+type scratch
+(** The contention tables one run (an engine execution or a cost-model
+    estimate) took from the domain-local recycling pool. *)
 
-val scratch_park : Contention.t list -> unit
-(** Return a finished execution's tables to the domain-local pool. *)
+val scratch : unit -> scratch
+(** A run that has acquired nothing yet. *)
+
+val acquire : scratch -> int -> Contention.t
+(** [acquire s capacity] revives a parked table with {!Contention.reset}
+    (or creates one when the pool is empty) and records it in [s]. Safe to
+    call from sys-threads sharing the domain (the `mesad` shard case). *)
+
+val park : scratch -> unit
+(** Return every table [s] acquired to the domain-local pool. The run must
+    not touch them afterwards. *)

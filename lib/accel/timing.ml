@@ -105,6 +105,7 @@ type state = {
   noc : Contention.t option array;
   acquire : int -> Contention.t;
   next : float array;
+  mutable floor : int;
   completes : float array;
   arrival : float array;
   uncontended : float array;
@@ -129,6 +130,7 @@ let start ?(acquire = fun capacity -> Contention.create ~capacity) t ~ports =
     noc = Array.make (t.tiling * t.nslices) None;
     acquire;
     next = Array.make t.tiling 0.0;
+    floor = 0;
     completes = Array.make t.n 0.0;
     arrival = Array.make t.n 0.0;
     uncontended = Array.make t.n 0.0;
@@ -144,7 +146,9 @@ let start ?(acquire = fun capacity -> Contention.create ~capacity) t ~ports =
 (* Claim [table] at [ready]; log the queueing delay and return it. This is
    [Contention.claim] with the float arithmetic on this side of the call. *)
 let[@inline] claim st table ready =
-  let cycle = Contention.claim_cycle table (int_of_float (Float.ceil ready)) in
+  let cycle =
+    Contention.claim_cycle table ~floor:st.floor (int_of_float (Float.ceil ready))
+  in
   let wait = Float.max ready (float_of_int cycle) -. ready in
   let k = st.nclaims in
   st.claim_wait.(k) <- wait;
@@ -230,7 +234,19 @@ let initiate t st ~inst ~fu =
   st.accesses <- 0;
   st.next.(inst) <- st.next.(inst) +. b.ii
 
+(* Every claim of an iteration is ready at [next.(inst)] plus an arrival
+   or a completion (both >= 0), and [next] only grows, so no claim from
+   here on starts below the earliest initiation: the tables may forget the
+   cycles behind it. *)
+let set_floor st =
+  let m = ref st.next.(0) in
+  for k = 1 to Array.length st.next - 1 do
+    m := Float.min !m st.next.(k)
+  done;
+  st.floor <- int_of_float (Float.floor !m)
+
 let step t st ~inst ~fire =
+  set_floor st;
   let fu = ref 1.0 in
   for j = 0 to t.n - 1 do
     fold t st ~inst j;

@@ -71,6 +71,10 @@ type state = {
           created on first claim *)
   acquire : int -> Contention.t;
   next : float array;         (** per-instance next initiation time *)
+  mutable floor : int;
+      (** [⌊min next⌋], set by {!step}: the frontier below which no claim
+          of this or any later iteration starts, so the tables may forget
+          it *)
   completes : float array;    (** per-node completion, relative to its
                                   iteration's start *)
   arrival : float array;      (** per-node Equation-2 arrival *)
@@ -87,7 +91,7 @@ type state = {
 val start : ?acquire:(int -> Contention.t) -> t -> ports:int -> state
 (** Fresh timing state with [ports] cache ports (at least one). [acquire]
     supplies each contention table from its capacity (default: a new
-    table); the engine passes its recycling pool. *)
+    table); the engine and the cost model pass {!Engine_core.acquire}. *)
 
 val fold : t -> state -> inst:int -> int -> unit
 (** [fold t st ~inst j] folds node [j]'s compiled in-edges (Equation 2) at
@@ -119,10 +123,10 @@ val initiate : t -> state -> inst:int -> fu:float -> unit
     latency plus one. *)
 
 val step : t -> state -> inst:int -> fire:(inst:int -> int -> unit) -> unit
-(** One iteration of instance [inst]: for each node [j] in order, {!fold}
-    it, call [fire ~inst j] (which must set [firing.oplat]; [port_wait]
-    starts at 0), bound the II by [oplat] if [j] is an iterative unit and
-    set [completes.(j)] to its arrival plus [oplat]; then {!initiate}.
+(** One iteration of instance [inst]: it sets [floor], then for each node
+    [j] in order it runs {!fold} on it, calls [fire ~inst j] (which must set [firing.oplat]; [port_wait]
+    starts at 0), bounds the II by [oplat] if [j] is an iterative unit and
+    sets [completes.(j)] to its arrival plus [oplat]; then {!initiate}.
     Beyond what [fire] allocates, a step allocates one boxed float (the
     [fu] it passes to {!initiate}) and each router table on its first
     claim: nothing per node firing. *)

@@ -84,8 +84,8 @@ let create cfg hier =
     operand_ready =
       (fun acc r file ->
         match file with
-        | `Int -> max acc int_ready.(r)
-        | `Fp -> max acc fp_ready.(r));
+        | `Int -> Int.max acc int_ready.(r)
+        | `Fp -> Int.max acc fp_ready.(r));
     seq = 0;
     fetch_cycle = 0;
     fetched_this_cycle = 0;
@@ -110,7 +110,7 @@ let claim_unit pool ~not_before ~occupancy =
   for i = 1 to Array.length pool - 1 do
     if pool.(i) < pool.(!best) then best := i
   done;
-  let issue = max not_before pool.(!best) in
+  let issue = Int.max not_before pool.(!best) in
   pool.(!best) <- issue + occupancy;
   issue
 
@@ -123,7 +123,7 @@ let fetch_time t =
   t.fetch_cycle
 
 let commit_time t ~complete =
-  let target = max complete t.last_commit in
+  let target = Int.max complete t.last_commit in
   if target > t.commit_cycle then begin
     t.commit_cycle <- target;
     t.committed_this_cycle <- 0
@@ -145,7 +145,7 @@ let feed t (ev : Interp.event) =
   let fetched = fetch_time t in
   let rob_slot = t.commit_ring.(t.seq mod cfg.rob_size) in
   if rob_slot > ready && rob_slot > fetched then t.rob_stalls <- t.rob_stalls + 1;
-  let not_before = max (max ready fetched) rob_slot in
+  let not_before = Int.max (Int.max ready fetched) rob_slot in
   (* Functional unit and latency. *)
   let issue, latency =
     match cls with

@@ -33,7 +33,7 @@ let predict t addr = t.counters.(index t addr) >= 2
 let update t addr actual =
   let i = index t addr in
   let c = t.counters.(i) in
-  t.counters.(i) <- (if actual then min 3 (c + 1) else max 0 (c - 1));
+  t.counters.(i) <- (if actual then Int.min 3 (c + 1) else Int.max 0 (c - 1));
   match t.kind with
   | Bimodal -> ()
   | Gshare _ -> t.history <- (t.history lsl 1) lor (if actual then 1 else 0)

@@ -60,7 +60,8 @@ let run_core ?(seed = 0) ?max_rounds ?beam ?jobs ~kind ~grid ?baseline ?measured
       in
       (* Domain-safe, so scoring can run on [jobs] domains: the config is
          built fresh from immutable inputs, and every estimate books into
-         its own new contention tables. *)
+         contention tables it owns until it returns, taken from its own
+         domain's recycling pool. *)
       let predict pl =
         Cost_model.estimate ?op_latency ?mem_latency ~config:(config_of pl)
           ~dfg ~iterations:horizon ()

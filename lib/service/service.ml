@@ -109,46 +109,75 @@ let locked t f =
    sys-threads (dispatchers) and pool domains (workers), and the registry's
    plain mutable fields are not atomic across domains. *)
 
+(* Each counter is bound with [let], in source order: OCaml evaluates a
+   record literal's fields right to left, which would register (and so
+   snapshot) them in reverse. *)
 let make_counters reg =
   let g = Stats.group reg "service" in
   let outcomes = Stats.subgroup g "outcomes" in
   let execg = Stats.subgroup g "exec" in
   let brg = Stats.subgroup g "breaker" in
   let telg = Stats.group reg "telemetry" in
-  {
-    admitted = Stats.counter g "admitted";
-    (* rejected before queueing *)
-    shed = Stats.counter g "shed";
-    ok = Stats.counter outcomes "ok";
-    bad_request = Stats.counter outcomes "bad_request";
-    deadline_exceeded = Stats.counter outcomes "deadline_exceeded";
-    overloaded = Stats.counter outcomes "overloaded";
-    fabric_quarantined = Stats.counter outcomes "fabric_quarantined";
-    internal = Stats.counter outcomes "internal";
-    exec_fabric = Stats.counter execg "fabric";
-    exec_cpu_fallback = Stats.counter execg "cpu_fallback";
-    exec_rerouted = Stats.counter execg "rerouted";
-    exec_retries = Stats.counter execg "retries";
-    exec_retry_successes = Stats.counter execg "retry_successes";
-    (* worker tasks whose request's deadline fired before they started *)
-    exec_abandoned = Stats.counter execg "abandoned";
-    backoff_ms = Stats.histogram execg "backoff_ms";
-    br_trips = Stats.counter brg "trips";
-    br_reopens = Stats.counter brg "reopens";
-    (* half-open probes that reclosed a shard *)
-    br_recloses = Stats.counter brg "recloses";
-    br_probes = Stats.counter brg "half_open_probes";
-    br_faults = Stats.counter brg "faults_recorded";
-    (* profiled runs that captured a measured window *)
-    tel_profile_windows = Stats.counter telg "profile_windows";
-    (* measured snapshots handed to the background refiner *)
-    tel_oracle_refreshes = Stats.counter telg "oracle_refreshes";
-    tel_refine_attempts = Stats.counter telg "refine_attempts";
-    (* engine- and controller-confirmed placements installed *)
-    tel_refine_accepts = Stats.counter telg "refine_accepts";
-    tel_refine_rejects = Stats.counter telg "refine_rejects";
-  }
-  |> fun c -> (g, telg, c)
+  let admitted = Stats.counter g "admitted" in
+  (* rejected before queueing *)
+  let shed = Stats.counter g "shed" in
+  let ok = Stats.counter outcomes "ok" in
+  let bad_request = Stats.counter outcomes "bad_request" in
+  let deadline_exceeded = Stats.counter outcomes "deadline_exceeded" in
+  let overloaded = Stats.counter outcomes "overloaded" in
+  let fabric_quarantined = Stats.counter outcomes "fabric_quarantined" in
+  let internal = Stats.counter outcomes "internal" in
+  let exec_fabric = Stats.counter execg "fabric" in
+  let exec_cpu_fallback = Stats.counter execg "cpu_fallback" in
+  let exec_rerouted = Stats.counter execg "rerouted" in
+  let exec_retries = Stats.counter execg "retries" in
+  let exec_retry_successes = Stats.counter execg "retry_successes" in
+  (* worker tasks whose request's deadline fired before they started *)
+  let exec_abandoned = Stats.counter execg "abandoned" in
+  let backoff_ms = Stats.histogram execg "backoff_ms" in
+  let br_trips = Stats.counter brg "trips" in
+  let br_reopens = Stats.counter brg "reopens" in
+  (* half-open probes that reclosed a shard *)
+  let br_recloses = Stats.counter brg "recloses" in
+  let br_probes = Stats.counter brg "half_open_probes" in
+  let br_faults = Stats.counter brg "faults_recorded" in
+  (* profiled runs that captured a measured window *)
+  let tel_profile_windows = Stats.counter telg "profile_windows" in
+  (* measured snapshots handed to the background refiner *)
+  let tel_oracle_refreshes = Stats.counter telg "oracle_refreshes" in
+  let tel_refine_attempts = Stats.counter telg "refine_attempts" in
+  (* engine- and controller-confirmed placements installed *)
+  let tel_refine_accepts = Stats.counter telg "refine_accepts" in
+  let tel_refine_rejects = Stats.counter telg "refine_rejects" in
+  ( g,
+    telg,
+    {
+      admitted;
+      shed;
+      ok;
+      bad_request;
+      deadline_exceeded;
+      overloaded;
+      fabric_quarantined;
+      internal;
+      exec_fabric;
+      exec_cpu_fallback;
+      exec_rerouted;
+      exec_retries;
+      exec_retry_successes;
+      exec_abandoned;
+      backoff_ms;
+      br_trips;
+      br_reopens;
+      br_recloses;
+      br_probes;
+      br_faults;
+      tel_profile_windows;
+      tel_oracle_refreshes;
+      tel_refine_attempts;
+      tel_refine_accepts;
+      tel_refine_rejects;
+    } )
 
 (* Probes read live service state, so they can only be registered once the
    record exists; the counters above have no such dependency. *)

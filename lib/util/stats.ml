@@ -68,8 +68,11 @@ let hist_mean h = if h.hcount = 0 then 0.0 else h.hsum /. float_of_int h.hcount
 
 type counter = { mutable c : int }
 
+(* All-float, so its fields are stored flat and unboxed: [observe]
+   allocates nothing and needs no write barrier. The count is a float too,
+   exact below 2^53 samples. *)
 type histogram = {
-  mutable n : int;
+  mutable n : float;
   mutable sum : float;
   mutable mn : float;
   mutable mx : float;
@@ -135,12 +138,12 @@ let set c n = c.c <- n
 let get c = c.c
 
 let histogram (g : group) name =
-  let h = { n = 0; sum = 0.0; mn = infinity; mx = neg_infinity } in
+  let h = { n = 0.0; sum = 0.0; mn = infinity; mx = neg_infinity } in
   register g name (Histogram h);
   h
 
-let observe h x =
-  h.n <- h.n + 1;
+let[@inline] observe h x =
+  h.n <- h.n +. 1.0;
   h.sum <- h.sum +. x;
   if x < h.mn then h.mn <- x;
   if x > h.mx then h.mx <- x
@@ -167,7 +170,8 @@ let snapshot (r : registry) : snapshot =
         match Hashtbl.find g.children name with
         | Counter c -> acc := (path, Value (VInt c.c)) :: !acc
         | Histogram h ->
-          acc := (path, Hist { hcount = h.n; hsum = h.sum; hmin = h.mn; hmax = h.mx }) :: !acc
+          let hcount = int_of_float h.n in
+          acc := (path, Hist { hcount; hsum = h.sum; hmin = h.mn; hmax = h.mx }) :: !acc
         | Probe f -> acc := (path, Value (f ())) :: !acc
         | Group child -> walk path child)
       (List.rev !(g.order))

@@ -101,19 +101,8 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
     in
     (* Timing state. *)
     let completes = Array.make n 0.0 in
-    let acquired = ref [] in
-    let acquire ~capacity =
-      let c =
-        match Engine_core.scratch_take () with
-        | Some c ->
-          Contention.reset ~capacity c;
-          c
-        | None -> Contention.create ~capacity
-      in
-      acquired := c :: !acquired;
-      c
-    in
-    let ports = acquire ~capacity:effective_ports in
+    let scratch = Engine_core.scratch () in
+    let ports = Engine_core.acquire scratch effective_ports in
     let tiling = max 1 config.tiling in
     (* Tiled instances occupy disjoint physical regions, so each gets its
        own router slices; slot [inst * nslices + slice] serves (instance,
@@ -125,7 +114,7 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
       match noc.(idx) with
       | Some c -> c
       | None ->
-        let c = acquire ~capacity:1 in
+        let c = Engine_core.acquire scratch 1 in
         noc.(idx) <- Some c;
         c
     in
@@ -565,5 +554,5 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
       }
     in
     Fun.protect
-      ~finally:(fun () -> Engine_core.scratch_park !acquired)
+      ~finally:(fun () -> Engine_core.park scratch)
       (fun () -> try Ok (run ()) with Exec_fail msg -> Error msg))

@@ -589,20 +589,20 @@ let folded c ~from =
   List.rev (Contention.fold_from c ~from (fun cy n acc -> (cy, n) :: acc) [])
 
 let contention_fold_from capacity () =
-  (* ~1,000 distinct cycles: the table grows past its initial 1,024 slots
-     (at 640 occupied), so the fold also sees the rehashed layout. At
-     capacity 1 every claim takes a fresh cycle; at capacity 2 cycles fill
-     in pairs. *)
+  (* Claims in arbitrary order at ready times over 1,200 cycles: the window
+     outgrows the initial 1,024-slot ring, so the fold also sees the ring
+     re-laid by a grow. At capacity 1 every claim takes a fresh cycle; at
+     capacity 2 cycles fill in pairs. *)
   let c = Contention.create ~capacity in
   let rng = Prng.create 11 in
   let model = Hashtbl.create 1024 in
   for _ = 1 to 1600 do
-    let cycle = int_of_float (Contention.claim c (float_of_int (Prng.int rng 1000))) in
+    let cycle = int_of_float (Contention.claim c (float_of_int (Prng.int rng 1200))) in
     Hashtbl.replace model cycle (1 + Option.value ~default:0 (Hashtbl.find_opt model cycle))
   done;
   let booked = List.sort compare (List.of_seq (Hashtbl.to_seq model)) in
   let last = List.fold_left (fun m (cy, _) -> max m cy) 0 booked in
-  check Alcotest.bool "more than 640 distinct cycles" true (List.length booked > 640);
+  check Alcotest.bool "window wider than the initial ring" true (last >= 1024);
   List.iter
     (fun from ->
       (* [booked] is sorted, so equality also asserts ascending order. *)
@@ -626,6 +626,121 @@ let contention_fold_from capacity () =
   ignore (Contention.claim c 3.0);
   check Alcotest.(list (pair int int)) "fresh claim folds alone" [ (3, 1) ]
     (folded c ~from:0)
+
+(* The naive model of a contention table: cycle -> claims, and a linear
+   scan for the first cycle with spare capacity. *)
+type contention_op = Claim of int * int  (* floor advance, start - floor *) | Reset
+
+let print_contention_case (capacity, ops) =
+  Printf.sprintf "capacity %d: %s" capacity
+    (String.concat "; "
+       (List.map
+          (function
+            | Claim (adv, off) -> Printf.sprintf "+%d@%d" adv off
+            | Reset -> "reset")
+          ops))
+
+let gen_contention_case =
+  let open QCheck2.Gen in
+  (* Mostly short offsets over a slowly advancing floor, so claims pile
+     into full runs; sometimes a far claim or a long floor jump, so the
+     window outgrows the ring and retires or grows, at times past the
+     size [reset] keeps. *)
+  let claim =
+    map2
+      (fun adv off -> Claim (adv, off))
+      (frequency [ (8, int_range 0 3); (1, int_range 0 400) ])
+      (frequency [ (8, int_range 0 24); (1, int_range 0 12_000) ])
+  in
+  pair (int_range 1 3)
+    (list_size (int_range 1 400) (frequency [ (40, claim); (1, return Reset) ]))
+
+let ring_vs_model (capacity, ops) =
+  let c = Contention.create ~capacity in
+  let model = Hashtbl.create 64 in
+  let floor = ref 0 and claims = ref 0 in
+  let count cy = Option.value ~default:0 (Hashtbl.find_opt model cy) in
+  let agree_fold what =
+    let expect =
+      Hashtbl.fold (fun cy n acc -> if cy >= !floor then (cy, n) :: acc else acc) model []
+      |> List.sort compare
+    in
+    if folded c ~from:!floor <> expect then
+      Alcotest.failf "%s: fold_from ~from:%d diverges from the model" what !floor
+  in
+  List.iteri
+    (fun k op ->
+      match op with
+      | Reset ->
+        Contention.reset c;
+        Hashtbl.reset model;
+        floor := 0;
+        claims := 0
+      | Claim (adv, off) ->
+        floor := !floor + adv;
+        let start = !floor + off in
+        let expect = ref start in
+        while count !expect >= capacity do
+          incr expect
+        done;
+        let used = count !expect in
+        Hashtbl.replace model !expect (used + 1);
+        incr claims;
+        let what = Printf.sprintf "claim %d at %d (floor %d)" k start !floor in
+        let got = Contention.claim_cycle c ~floor:!floor start in
+        if got <> !expect then
+          Alcotest.failf "%s: booked %d, the model %d" what got !expect;
+        if Contention.last_slot c <> used then
+          Alcotest.failf "%s: sub-slot %d, the model %d" what
+            (Contention.last_slot c) used;
+        if Contention.claimed c <> !claims then
+          Alcotest.failf "%s: %d claimed, the model %d" what
+            (Contention.claimed c) !claims;
+        if Contention.busy_cycles c <> Hashtbl.length model then
+          Alcotest.failf "%s: %d busy cycles, the model %d" what
+            (Contention.busy_cycles c) (Hashtbl.length model);
+        if k mod 37 = 0 then agree_fold what)
+    ops;
+  agree_fold "end of case";
+  true
+
+let contention_ring_vs_model =
+  QCheck2.Test.make ~name:"ring under an advancing floor matches the naive model"
+    ~count:200 ~print:print_contention_case gen_contention_case ring_vs_model
+
+(* An exactly saturated port (two claims per cycle of floor advance, at
+   capacity 2) books 50,000 cycles. Retiring behind the floor keeps the
+   ring at its backlog's size; a table that kept every cycle would hold
+   them all, which no cycle count would notice. *)
+let contention_ring_stays_bounded () =
+  let c = Contention.create ~capacity:2 in
+  for i = 0 to 99_999 do
+    let floor = i / 2 in
+    ignore (Contention.claim_cycle c ~floor (floor + (i * 7 mod 5)))
+  done;
+  check Alcotest.int "claimed" 100_000 (Contention.claimed c);
+  let words = Obj.reachable_words (Obj.repr c) in
+  if words > 8192 then
+    Alcotest.failf "ring holds %d words after 100k saturated claims" words
+
+let contention_floor_guards () =
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s must raise Invalid_argument" what
+  in
+  let c = Contention.create ~capacity:1 in
+  raises "a claim below its floor" (fun () -> Contention.claim_cycle c ~floor:10 9);
+  (* One claim per cycle up past the initial ring forces a retirement. *)
+  for cy = 0 to 1500 do
+    ignore (Contention.claim_cycle c ~floor:cy cy)
+  done;
+  raises "a claim below a retired floor" (fun () ->
+      Contention.claim_cycle c ~floor:0 5);
+  raises "an unfloored claim below a retired floor" (fun () ->
+      Contention.claim c 5.0);
+  check Alcotest.int "a claim at the floor still books" 1501
+    (Contention.claim_cycle c ~floor:1500 1500)
 
 let suites =
   [
@@ -670,5 +785,10 @@ let suites =
         Alcotest.test_case "reset" `Quick contention_reset;
         Alcotest.test_case "fold_from" `Quick (contention_fold_from 2);
         Alcotest.test_case "fold_from capacity 1" `Quick (contention_fold_from 1);
+        QCheck_alcotest.to_alcotest contention_ring_vs_model;
+        Alcotest.test_case "ring stays bounded under a saturated port" `Quick
+          contention_ring_stays_bounded;
+        Alcotest.test_case "claims below the floor raise" `Quick
+          contention_floor_guards;
       ] );
   ]

@@ -305,6 +305,32 @@ let service_runs_and_counts () =
       check (Alcotest.option Alcotest.int) "no internal errors" (Some 0)
         (Stats.find_int snap "service.outcomes.internal"))
 
+(* The service registers its counters in source order, so the snapshot
+   and [--stats-out] list them the way [Service.make_counters] reads. *)
+let counters_in_source_order () =
+  with_service (fun svc ->
+      let names = Stats.names (Service.stats svc) in
+      let index name =
+        let rec go i = function
+          | [] -> Alcotest.failf "%s not in the snapshot" name
+          | n :: _ when n = name -> i
+          | _ :: rest -> go (i + 1) rest
+        in
+        go 0 names
+      in
+      List.iter
+        (fun (first, later) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s before %s" first later)
+            true
+            (index first < index later))
+        [
+          ("service.admitted", "service.shed");
+          ("service.outcomes.ok", "service.outcomes.internal");
+          ("service.exec.fabric", "service.exec.abandoned");
+          ("telemetry.profile_windows", "telemetry.refine_rejects");
+        ])
+
 let deadline_resolves_to_taxonomy () =
   with_service (fun svc ->
       (* 2 worker domains: execution is asynchronous, so a microscopic
@@ -707,6 +733,8 @@ let suites =
           service_validates_requests;
         Alcotest.test_case "clean run succeeds and is counted" `Quick
           service_runs_and_counts;
+        Alcotest.test_case "counters register in source order" `Quick
+          counters_in_source_order;
         Alcotest.test_case "deadline resolves to deadline_exceeded" `Quick
           deadline_resolves_to_taxonomy;
         Alcotest.test_case "draining sheds with overloaded" `Quick
