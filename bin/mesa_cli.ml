@@ -619,8 +619,10 @@ let serve_cmd =
       ~doc:
         "Profile every N-th clean run (pure observation; results stay \
          bit-identical) and feed the measured per-node oracles into a \
-         background refine pass whose confirmed-faster placements are \
-         swapped into the warm translation memo — subsequent requests \
+         background refine pass. A confirmed-faster placement becomes \
+         the service's override for that kernel, which the controller's \
+         tune hook forces into every later translation (the warm \
+         translation memo is left untouched), so subsequent requests \
          for that kernel can only get faster. Progress is counted in \
          the telemetry stats group."
   in
@@ -901,7 +903,7 @@ let telemetry_check_cmd =
     flag_arg "require-refine-accept"
       ~doc:
         "Exit non-zero unless at least one background refinement was \
-         confirmed and swapped into the warm translation memo."
+         confirmed and installed as the service's override for its kernel."
   in
   let run frames_path stats_path require_oracle require_refine =
     let* lines =

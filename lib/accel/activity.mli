@@ -19,8 +19,6 @@ val create : unit -> t
 val add : t -> t -> unit
 (** Accumulate [src] into the first argument. *)
 
-val total_ops : t -> int
-
 val register_stats : t -> Stats.group -> unit
 (** Expose every activity counter (plus [total_ops]) as snapshot-time
     probes under [grp]. *)

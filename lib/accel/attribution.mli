@@ -56,8 +56,6 @@ val ls_lane : t -> int -> int
 val lane_label : t -> int -> string
 (** ["pe_R_C"] or ["ls_E"]. *)
 
-val lane_is_pe : t -> int -> bool
-
 (** {2 Window bracketing (controller / test driver side)} *)
 
 val begin_window : t -> at:float -> unit

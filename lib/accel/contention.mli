@@ -33,8 +33,10 @@ val claim_cycle : t -> floor:int -> int -> int
 
 val claim_slot : t -> float -> float * int
 (** Like {!claim}, additionally returning which of the [capacity] sub-slots
-    of the issue cycle the claim took (0-based occupancy order) — the
-    profiler uses it as a deterministic port index for timeline lanes. *)
+    of the issue cycle the claim took (0-based occupancy order). Kept for
+    the frozen engine oracle ([test/oracle]), which uses it as a
+    deterministic port index for timeline lanes; like {!claim}, it never
+    retires a cycle. *)
 
 val fold_from : t -> from:int -> (int -> int -> 'a -> 'a) -> 'a -> 'a
 (** [fold_from t ~from f acc] folds [f cycle claims] over every booked

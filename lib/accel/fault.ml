@@ -118,7 +118,6 @@ let create ~grid sp =
     window_kinds = [];
   }
 
-let seed t = t.sd
 let dead t = t.dead
 let dead_coords t = List.map (fun (c, _, _) -> c) t.dead
 let ports_lost t = t.ports_lost

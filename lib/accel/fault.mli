@@ -48,6 +48,8 @@ type event = {
 type spec = { seed : int; events : event list }
 
 val spec : ?seed:int -> event list -> spec
+(** A schedule from explicit events, as tests build one without
+    {!spec_of_string}'s syntax. *)
 
 val spec_of_string : ?seed:int -> string -> (spec, string) result
 (** Comma-separated [KIND@AT] or [KIND@AT:ROWxCOL] tokens, where KIND is
@@ -55,12 +57,13 @@ val spec_of_string : ?seed:int -> string -> (spec, string) result
     ["transient@100,permanent@300:2x5,config@1"]. *)
 
 val spec_to_string : spec -> string
+(** Inverse of {!spec_of_string}; exposed for tests, which round-trip the
+    syntax and print failing schedules. *)
 
 (** Mutable injector state threaded through one controller run. *)
 type t
 
 val create : grid:Grid.t -> spec -> t
-val seed : t -> int
 
 (** {2 Engine-facing} *)
 

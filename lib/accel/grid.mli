@@ -48,10 +48,6 @@ val is_masked : t -> coord -> bool
 val healthy_pe_count : t -> int
 (** [pe_count] minus the masked PEs — the capacity the tiler may assume. *)
 
-val has_fp : t -> coord -> bool
-(** Whether the PE at [coord] has FP logic (checkerboard of [fp_tile]^2
-    blocks — exactly half the array). *)
-
 val supports : t -> coord -> Isa.op_class -> bool
 (** The F_op capability test of §3.3: integer classes everywhere, FP
     classes only on FP PEs; memory, jump and system classes never map to a

@@ -50,11 +50,11 @@ let validate (dfg : Dfg.t) t =
   end
 
 let transfer t i j = Interconnect.latency t.grid t.kind (coord_of t i) (coord_of t j)
-let transfer_f t i j = float_of_int (transfer t i j)
 
 let seed_transfers t model =
   List.iter
-    (fun (i, j, _) -> Perf_model.set_transfer_estimate model i j (transfer_f t i j))
+    (fun (i, j, _) ->
+      Perf_model.set_transfer_estimate model i j (float_of_int (transfer t i j)))
     (Dfg.edges (Perf_model.graph model))
 
 let route t i j = Interconnect.route t.grid t.kind (coord_of t i) (coord_of t j)

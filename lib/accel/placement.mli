@@ -31,14 +31,11 @@ val validate : Dfg.t -> t -> (unit, string) result
 val transfer : t -> int -> int -> int
 (** Base transfer latency between two placed nodes. *)
 
-val transfer_f : t -> int -> int -> float
-
 val seed_transfers : t -> Perf_model.t -> unit
-(** Install every DFG edge's {!transfer_f} as the performance model's
+(** Install every DFG edge's {!transfer} as the performance model's
     transfer estimate — the edge weights Algorithm 1 placed against. *)
 
 val route : t -> int -> int -> Interconnect.route
 
-val used_pes : t -> int
 val pp : Format.formatter -> t -> unit
 (** ASCII map of the grid with node indices. *)

@@ -18,8 +18,6 @@ val compute : Perf_model.t -> Placement.t -> slot array
     from the placement first, so the result always reflects the placement
     given. *)
 
-val makespan : slot array -> float
-
 val gantt : ?width:int -> Dfg.t -> slot array -> string
 (** One row per node: location, disassembly and a bar spanning
     [start, finish) scaled to [width] columns. *)

@@ -98,7 +98,8 @@ val fold : t -> state -> inst:int -> int -> unit
     instance [inst]: each NoC edge claims its router slice at the
     producer's absolute completion. Sets [arrival], [uncontended] and
     [argmax] of [j], [lat] per edge, and restarts the claim log with the
-    NoC claims in edge order. *)
+    NoC claims in edge order. Exposed for tests, which drive the plane one
+    stage at a time; {!step} is the only other caller. *)
 
 val alias : t -> state -> inst:int -> int -> int -> float
 (** [alias t st ~inst i j] folds one more, uncompiled edge [i -> j] into
@@ -120,7 +121,7 @@ val initiate : t -> state -> inst:int -> fu:float -> unit
     Pipelined, the II is the largest of the loop-carried
     recurrence, the iteration's memory accesses over the port count, and
     [fu] (the slowest iterative-unit firing); otherwise it is the iteration
-    latency plus one. *)
+    latency plus one. Exposed for tests, like {!fold}. *)
 
 val step : t -> state -> inst:int -> fire:(inst:int -> int -> unit) -> unit
 (** One iteration of instance [inst]: it sets [floor], then for each node

@@ -17,10 +17,11 @@ type schedule = {
 }
 
 val resource_mii : Dfg.t -> pes:int -> int
-(** ceil(ops / PEs): the resource lower bound on II. *)
+(** ceil(ops / PEs): the resource lower bound on II. Exposed for tests. *)
 
 val recurrence_mii : Dfg.t -> int
-(** Longest loop-carried dependence chain under unit transfers. *)
+(** Longest loop-carried dependence chain under unit transfers. Exposed
+    for tests. *)
 
 val schedule : ?max_ii:int -> Dfg.t -> grid:Grid.t -> (schedule, string) result
 (** Iterative-II modulo scheduling on [grid] (every PE general-purpose, as

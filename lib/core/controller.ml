@@ -80,10 +80,6 @@ type report = {
   attribution : Attribution.t option;
 }
 
-let src = Logs.Src.create "mesa.controller" ~doc:"MESA controller"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 (* Everything MESA retains about a translated region: one entry of the
    configuration cache (§4.3), keyed by the region's entry address. A loop
    re-encountered after it was mapped skips the translate/map pipeline and
@@ -407,8 +403,7 @@ let admit st (c : cached) =
        ~args:[ ("region_size", Json.Int (Region.size c.region)) ]
        ("translate " ^ rname entry));
   Hashtbl.replace st.cache entry c;
-  st.pending <- Some (c, cpu_cycles st.cpu_model + tcycles);
-  Log.debug (fun m -> m "accepted %a, translation %d cycles" Region.pp c.region tcycles)
+  st.pending <- Some (c, cpu_cycles st.cpu_model + tcycles)
 
 (* Present one retired instruction to the loop detector and act on its
    verdict: translate an accepted region, or record the rejection. *)
@@ -419,11 +414,9 @@ let detect st ev =
     match translate st.opts ~grid:st.fabric st.prog region with
     | Ok c -> admit st c
     | Error reason ->
-      Log.debug (fun m -> m "mapping failed for %a: %s" Region.pp region reason);
       reject st ~entry:region.Region.entry ~size:(Region.size region)
         ~pragma:region.Region.pragma reason)
   | Some (Loop_detector.Rejected { entry; reason }) ->
-    Log.debug (fun m -> m "rejected region 0x%x: %s" entry reason);
     reject st ~entry ~size:0 ~pragma:None reason
 
 (* With no configuration pending, look the PC up in the configuration cache.
@@ -474,7 +467,6 @@ let quarantine st o reason =
     (Trace.instant ~cat:"fault" ~ts:(wall_now st)
        ~args:[ ("reason", Json.String reason); ("backoff", Json.Int c.quarantine_backoff) ]
        ("quarantine " ^ rname c.region.Region.entry));
-  Log.debug (fun m -> m "quarantining %a: %s" Region.pp c.region reason);
   o.running <- false
 
 (* New permanent damage: mask it out of the pristine geometry (cumulatively)
@@ -502,8 +494,7 @@ let remap st o f =
     emit st
       (Trace.span ~cat:"fault" ~ts:(wall_now st) ~dur:stall
          ~args:[ ("masked_pes", Json.Int masked) ]
-         ("remap " ^ rname entry));
-    Log.debug (fun m -> m "remapped %a around %d masked PEs" Region.pp c.region masked)
+         ("remap " ^ rname entry))
 
 (* The recovery ladder for a faulted window: restore the checkpoint, then
    retry (transient), remap around masked damage (permanent), or quarantine
@@ -556,9 +547,6 @@ let recover st o ~checkpoint ~window_start ~kinds ~latency ~watchdog ~wasted =
 
 let reconfigure st o config ~stall ~previous ~latency =
   let c = o.c in
-  Log.debug (fun m ->
-      m "reconfiguring %a: modeled latency %.1f -> %.1f" Region.pp c.region previous
-        latency);
   c.config <- config;
   c.reconfigurations <- c.reconfigurations + 1;
   Stats.incr st.ctl.reconfigurations;
@@ -683,7 +671,6 @@ let offload_window st o =
 (* Transfer control to the fabric until the loop completes, is aborted or is
    quarantined; the CPU then resumes at the PC the engine left. *)
 let offload st (c : cached) =
-  Log.debug (fun m -> m "offloading %a" Region.pp c.region);
   (* Architectural state transfer both ways: configuration overhead. *)
   Stats.add st.ctl.overhead_cycles (2 * st.opts.offload_overhead);
   charge_att st (2 * st.opts.offload_overhead);

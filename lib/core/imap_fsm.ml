@@ -1,14 +1,13 @@
-type state = Fetch | Generate | Filter | Reduce of int | Writeback
-
-let state_name = function
-  | Fetch -> "fetch"
-  | Generate -> "generate"
-  | Filter -> "filter"
-  | Reduce k -> Printf.sprintf "reduce[%d]" k
-  | Writeback -> "writeback"
+type state =
+  | Fetch          (* read the next LDFG entry (Algorithm 1 line 1) *)
+  | Generate       (* position the candidate matrix (line 4) *)
+  | Filter         (* mask by F_free and F_op (line 5) *)
+  | Reduce of int  (* reduction level, finding argmin latency (lines 8-18) *)
+  | Writeback      (* commit the position to the SDFG (line 19) *)
 
 type step = { cycle : int; node : int; state : state }
 
+(* ceil(log2 (window_rows * window_cols)) *)
 let reduction_depth (cfg : Mapper.config) =
   let window = cfg.Mapper.window_rows * cfg.Mapper.window_cols in
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in

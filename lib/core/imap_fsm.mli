@@ -9,27 +9,6 @@
     entry. {!cycles} is the closed form {!Mapper.map_cycles} charges; the
     test suite keeps the two in lock step. *)
 
-type state =
-  | Fetch       (** read the next LDFG entry (Algorithm 1 line 1) *)
-  | Generate    (** position the candidate matrix (line 4) *)
-  | Filter      (** mask by F_free and F_op (line 5) *)
-  | Reduce of int  (** reduction level, finding argmin latency (lines 8-18) *)
-  | Writeback   (** commit the position to the SDFG (line 19) *)
-
-val state_name : state -> string
-
-type step = {
-  cycle : int;
-  node : int;
-  state : state;
-}
-
-val reduction_depth : Mapper.config -> int
-(** ceil(log2 (window_rows * window_cols)). *)
-
-val simulate : Mapper.config -> Dfg.t -> step list
-(** The full cycle-by-cycle trace of mapping every instruction. *)
-
 val cycles : Mapper.config -> Dfg.t -> int
 (** Total mapping cycles — equal to [Mapper.map_cycles]. *)
 

@@ -10,7 +10,8 @@
     test suite checks). *)
 
 val improvement_threshold : float
-(** Relative gain required to pay a reconfiguration (5%). *)
+(** Relative gain required to pay a reconfiguration (5%). Exposed for
+    tests. *)
 
 val absorb : Perf_model.t -> Engine.result -> unit
 (** Fold the window's counter readouts — per-node operation latency and

@@ -32,11 +32,3 @@ let mix t =
         | Isa.C_jump | Isa.C_system -> { c with unsupported = c.unsupported + 1 }))
     t.instrs;
   !m
-
-let pp ppf t =
-  Format.fprintf ppf "region 0x%x..0x%x (%d instrs%s)" t.entry t.back_branch_addr
-    (size t)
-    (match t.pragma with
-    | Some Program.Omp_parallel -> ", omp parallel"
-    | Some Program.Omp_simd -> ", omp simd"
-    | None -> "")

@@ -25,4 +25,3 @@ type mix = {
 }
 
 val mix : t -> mix
-val pp : Format.formatter -> t -> unit

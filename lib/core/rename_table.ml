@@ -42,9 +42,3 @@ let live_outs t file =
   List.filter_map
     (fun r -> match map.(r) with Dfg.Node _ as s -> Some (r, s) | Dfg.Reg_in _ -> None)
     (List.init Reg.count Fun.id)
-
-let reset t =
-  Array.iteri (fun r _ -> t.x.(r) <- Dfg.Reg_in (r, Dfg.X)) t.x;
-  Array.iteri (fun r _ -> t.f.(r) <- Dfg.Reg_in (r, Dfg.F)) t.f;
-  Array.fill t.x_read_unwritten 0 Reg.count false;
-  Array.fill t.f_read_unwritten 0 Reg.count false

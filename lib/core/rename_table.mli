@@ -23,5 +23,3 @@ val live_ins : t -> Dfg.file -> Reg.t list
 
 val live_outs : t -> Dfg.file -> (Reg.t * Dfg.src) list
 (** Registers currently renamed to a node — the region's live-out set. *)
-
-val reset : t -> unit

@@ -4,7 +4,6 @@ type t = {
   mutable count : int;              (* slots in the active window *)
   mutable valid : bool array;
   mutable data : int32 array;
-  mutable fills : int;
 }
 
 let create ~capacity =
@@ -15,10 +14,7 @@ let create ~capacity =
     count = 0;
     valid = Array.make capacity false;
     data = Array.make capacity 0l;
-    fills = 0;
   }
-
-let capacity t = t.cap
 
 let set_region t ~entry ~last =
   let count = ((last - entry) / 4) + 1 in
@@ -28,40 +24,22 @@ let set_region t ~entry ~last =
   t.count <- count;
   Array.fill t.valid 0 t.cap false
 
-let slot t addr =
-  if addr < t.entry || addr > t.entry + (4 * (t.count - 1)) || (addr - t.entry) mod 4 <> 0
-  then None
-  else Some ((addr - t.entry) / 4)
-
-let observe t ~addr ~word =
-  match slot t addr with
-  | Some i when not t.valid.(i) ->
-    t.valid.(i) <- true;
-    t.data.(i) <- word;
-    t.fills <- t.fills + 1
-  | Some _ | None -> ()
-
 let complete t =
   t.count > 0
   &&
   let rec go i = i >= t.count || (t.valid.(i) && go (i + 1)) in
   go 0
 
-let missing t =
-  List.filter_map
-    (fun i -> if t.valid.(i) then None else Some (t.entry + (4 * i)))
-    (List.init t.count Fun.id)
-
 let fill_from t fetch =
-  List.iter
-    (fun addr ->
-      match fetch addr with
-      | Some word -> observe t ~addr ~word
-      | None -> ())
-    (missing t)
+  for i = 0 to t.count - 1 do
+    if not t.valid.(i) then
+      match fetch (t.entry + (4 * i)) with
+      | Some word ->
+        t.valid.(i) <- true;
+        t.data.(i) <- word
+      | None -> ()
+  done
 
 let words t =
   if not (complete t) then failwith "Trace_cache.words: window incomplete";
   Array.sub t.data 0 t.count
-
-let fills t = t.fills

@@ -9,29 +9,19 @@
 type t
 
 val create : capacity:int -> t
-val capacity : t -> int
 
 val set_region : t -> entry:int -> last:int -> unit
 (** Start capturing the address window [\[entry, last\]] (inclusive),
     dropping previous contents. Raises [Invalid_argument] if the window
     exceeds capacity. *)
 
-val observe : t -> addr:int -> word:int32 -> unit
-(** Called for every fetched instruction; words inside the active window
-    are recorded (idempotently). *)
-
 val complete : t -> bool
 (** Whether every slot of the active window has been captured. *)
 
-val missing : t -> int list
-(** Addresses still missing (the case where MESA would stall fetch to read
-    the I-cache directly). *)
-
 val fill_from : t -> (int -> int32 option) -> unit
-(** Fill missing slots through a direct I-cache read function. *)
+(** Fill the window's missing slots, in address order, through a direct
+    I-cache read function: [None] leaves a slot missing, and a captured
+    slot is never read again. *)
 
 val words : t -> int32 array
 (** Captured words in address order. Raises [Failure] if incomplete. *)
-
-val fills : t -> int
-(** Total words written, across all regions (for stats). *)

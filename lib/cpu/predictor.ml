@@ -6,7 +6,6 @@ type t = {
   kind : kind;
   mutable history : int; (* global direction history, newest bit lowest *)
   mutable mispredicts : int;
-  mutable lookups : int;
 }
 
 let create ?(entries = 1024) ?(kind = Bimodal) () =
@@ -19,7 +18,6 @@ let create ?(entries = 1024) ?(kind = Bimodal) () =
     kind;
     history = 0;
     mispredicts = 0;
-    lookups = 0;
   }
 
 let index t addr =
@@ -39,11 +37,9 @@ let update t addr actual =
   | Gshare _ -> t.history <- (t.history lsl 1) lor (if actual then 1 else 0)
 
 let predict_and_update t addr actual =
-  t.lookups <- t.lookups + 1;
   let correct = predict t addr = actual in
   if not correct then t.mispredicts <- t.mispredicts + 1;
   update t addr actual;
   correct
 
 let mispredicts t = t.mispredicts
-let lookups t = t.lookups

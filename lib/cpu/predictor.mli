@@ -18,15 +18,8 @@ val create : ?entries:int -> ?kind:kind -> unit -> t
 (** [entries] must be a power of two (default 1024); [kind] defaults to
     [Bimodal]. *)
 
-val predict : t -> int -> bool
-(** Predicted direction for the branch at the given address. *)
-
-val update : t -> int -> bool -> unit
-(** Train with the resolved direction. *)
-
 val predict_and_update : t -> int -> bool -> bool
 (** [predict_and_update t addr actual] returns whether the prediction was
     correct, then trains. *)
 
 val mispredicts : t -> int
-val lookups : t -> int

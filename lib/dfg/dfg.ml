@@ -43,14 +43,6 @@ let edges t =
     t.nodes;
   List.rev !acc
 
-let data_preds t i =
-  let nd = t.nodes.(i) in
-  let from_srcs =
-    Array.to_list nd.srcs
-    |> List.filter_map (function Node p -> Some p | Reg_in _ -> None)
-  in
-  match nd.hidden with Some (Node p) -> p :: from_srcs | Some (Reg_in _) | None -> from_srcs
-
 let arrival_deps t =
   Array.map
     (fun nd ->
@@ -62,12 +54,6 @@ let arrival_deps t =
       Array.of_list (List.rev !ds))
     t.nodes
 
-let children t =
-  let out = Array.make (node_count t) [] in
-  List.iter (fun (i, j, _) -> out.(i) <- j :: out.(i)) (edges t);
-  Array.map List.rev out
-
-let is_memory_node t i = Isa.is_memory t.nodes.(i).instr
 let is_branch_node t i = Isa.op_class t.nodes.(i).instr = Isa.C_branch
 
 let validate t =

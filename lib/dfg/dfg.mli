@@ -59,18 +59,11 @@ val edges : t -> (int * int * edge_kind) list
 (** All (producer, consumer, kind) pairs; producers always have the smaller
     index. *)
 
-val data_preds : t -> int -> int list
-(** Producer nodes feeding node [i] through register data edges (including
-    the hidden-value edge). *)
-
 val arrival_deps : t -> int array array
 (** For each node, the producers its arrival time waits on, in the timing
     fold's order: operand sources, hidden value, guards, then (stores only)
     the store-order link. The one dependency order the engine and the cost
     model share. *)
-
-val children : t -> int list array
-(** For each node, the nodes consuming its output via any edge kind. *)
 
 val validate : t -> (unit, string) result
 (** Check structural invariants: sources strictly backward, guards refer to
@@ -80,9 +73,6 @@ val validate : t -> (unit, string) result
 val loop_carried : t -> (Reg.t * file * src) list
 (** Registers that are both live-in and written in the body: the
     iteration-to-iteration dependencies that bound pipelining. *)
-
-val is_memory_node : t -> int -> bool
-val is_branch_node : t -> int -> bool
 
 val completion_times :
   t -> op_latency:(int -> float) -> transfer:(int -> int -> float) -> float array

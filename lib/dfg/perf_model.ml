@@ -54,6 +54,3 @@ let completion_times t =
 let critical_path t =
   Dfg.critical_path t.dfg ~op_latency:(op_latency t) ~transfer:(transfer t)
 
-let reset_measurements t =
-  Array.iter Stats.Running.reset t.op_measured;
-  Hashtbl.reset t.transfer_measured

@@ -26,7 +26,7 @@ val observe_op : t -> int -> float -> unit
     AMAT is fed through here too. *)
 
 val transfer : t -> int -> int -> float
-(** Current weight of edge [(i, j)]. *)
+(** Current weight of edge [(i, j)]. Exposed for tests. *)
 
 val set_transfer_estimate : t -> int -> int -> float -> unit
 (** Install the analytic estimate for an edge (called by the mapper when
@@ -39,7 +39,3 @@ val iteration_latency : t -> float
 
 val completion_times : t -> float array
 val critical_path : t -> int list
-
-val reset_measurements : t -> unit
-(** Drop all measured samples, keeping estimates — used when the mapping
-    changes shape. *)

@@ -111,9 +111,6 @@ val stmt_count : spec -> int
 val fp_spec : spec -> bool
 (** Uses the FP pipeline anywhere. *)
 
-val innermost : spec -> for_loop option
-(** The deepest loop of the nest (after {!validate}, it always exists). *)
-
 val innermost_parallel : spec -> bool
 (** Conservative safety analysis for marking the innermost loop parallel
     (the pragma MESA's tiling keys on): every store indexed injectively by
@@ -134,7 +131,8 @@ val setup : spec -> Main_memory.t -> unit
 val eval : spec -> Main_memory.t -> unit
 (** Reference-execute the whole nest against [mem] with bit-exact RV32IMF
     semantics ({!Interp.Alu}); temporaries start at zero and persist across
-    iterations, exactly like the lowered registers. *)
+    iterations, exactly like the lowered registers. Exposed for tests,
+    which check the lowering against it. *)
 
 val check : spec -> Main_memory.t -> (unit, string) result
 (** Compare every array region of [mem] word-by-word (NaN-safe) against a
@@ -144,7 +142,6 @@ val check : spec -> Main_memory.t -> (unit, string) result
 
 (** {1 Serialization} *)
 
-val pp : Format.formatter -> spec -> unit
 val to_string : spec -> string
 val to_json : spec -> Json.t
 val of_json : Json.t -> (spec, string) result

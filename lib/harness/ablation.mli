@@ -13,11 +13,12 @@
 
 type variant = Full | No_tiling | No_pipelining | No_mem_opts | No_iterative | Nothing
 
-val variant_name : variant -> string
 val all_variants : variant list
+(** Exposed for tests; {!experiment} runs every variant. *)
 
 val run_variant : ?grid:Grid.t -> variant -> Kernel.t -> Runner.measurement
-(** One kernel under one variant (functional outputs are still verified). *)
+(** One kernel under one variant (functional outputs are still verified).
+    Exposed for tests, which check one variant on one kernel. *)
 
 val experiment : ?jobs:int -> ?grid:Grid.t -> ?kernels:Kernel.t list -> unit -> Experiments.outcome
 (** The full ablation table: per kernel, each variant's speedup over the

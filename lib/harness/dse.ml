@@ -215,6 +215,8 @@ let frontier outs =
     (fun o -> o.mapped && not (List.exists (fun x -> x.mapped && dominates x o) outs))
     outs
 
+(* Best first: mapped before rejected, then perf, with perf-per-watt and
+   the label as deterministic tie-breakers. *)
 let ranked outs =
   List.stable_sort
     (fun a b ->

@@ -69,13 +69,15 @@ val default_spec : spec
 
 val validate_spec : spec -> (unit, string) result
 (** Kernels exist, axes non-empty, geometries/ports/capacities positive
-    (capacities must keep the cache geometry valid: power-of-two KB). *)
+    (capacities must keep the cache geometry valid: power-of-two KB).
+    Exposed for tests, like every stage {!run} composes. *)
 
 val points_of_spec : spec -> point list
-(** The exhaustive enumeration (pure). *)
+(** The exhaustive enumeration (pure). Exposed for tests. *)
 
 val evaluate : point -> outcome
-(** Measure one point (deterministic; safe to call from pool workers). *)
+(** Measure one point (deterministic; safe to call from pool workers).
+    Exposed for tests. *)
 
 val kinds : (string * Interconnect.kind) list
 (** The interconnect backends by name: [mesh_noc], [hier_rows],
@@ -104,28 +106,14 @@ val strategies : (string * strategy) list
 val defects : (string * defect) list
 (** The strategies and defects by name, as `mesa_cli dse` spells them. *)
 
-val predict_point :
-  scale:float -> point -> (float * float, string) result
-(** The surrogate: model-predicted (perf, perf-per-watt) for a point,
-    mirroring {!evaluate}'s derivations with {!Cost_model} cycle estimates
-    and {!Cost_model.predicted_activity} energy. [scale] is the kernel's
-    measured-over-model cycles-per-iteration calibration factor (the model
-    prices every access at the L1 hit latency; the scale absorbs the
-    kernel's average miss penalty). [Error] when the mapper rejects the
-    point. Pure and deterministic. *)
-
 (** {2 Pareto frontier} *)
 
 val dominates : outcome -> outcome -> bool
 (** [dominates a b]: [a] is no worse on both (perf, perf-per-watt) axes and
-    strictly better on at least one. *)
+    strictly better on at least one. Exposed for tests. *)
 
 val frontier : outcome list -> outcome list
-(** The non-dominated mapped outcomes, in input order. *)
-
-val ranked : outcome list -> outcome list
-(** All outcomes sorted best-first: mapped before rejected, then perf,
-    perf-per-watt and label as deterministic tie-breakers. *)
+(** The non-dominated mapped outcomes, in input order. Exposed for tests. *)
 
 (** {2 Checkpoints} *)
 
@@ -187,12 +175,11 @@ val result_to_json : result -> Json.t
     interrupted-then-resumed sweep and an uninterrupted one (so not
     [evaluated]/[restored], which legitimately differ). *)
 
-val table : ?top:int -> result -> Tables.t
-(** The ranked table ([top] rows, default all), frontier points starred. *)
-
 val render : ?top:int -> result -> string
-(** {!table}, then the point counts, the measured share of the lattice and
-    one line per frontier point — what `mesa_cli dse` prints. *)
+(** The ranked table (mapped before rejected, then perf, then perf/W;
+    frontier points starred; [top] keeps the first rows), then the point
+    counts, the measured share of the lattice and one line per frontier
+    point — what `mesa_cli dse` prints. *)
 
 val frontier_labels : result -> string list
 (** The frontier's point labels, sorted: plain-diffable between runs. *)

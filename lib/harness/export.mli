@@ -1,15 +1,10 @@
 (** Machine-readable export of experiment outcomes, for plotting outside
     the repo. *)
 
-val table_to_csv : Tables.t -> string
-(** RFC-4180-style CSV: header row then data rows; cells containing commas,
-    quotes or newlines are quoted. *)
-
-val summary_to_csv : (string * float) list -> string
-(** Two-column [metric,value] CSV of an outcome's headline numbers. *)
-
 val outcome_to_csv : Experiments.outcome -> string
-(** The table followed by a blank line and the summary block. *)
+(** RFC-4180-style CSV: the table's header and data rows, a blank line,
+    then a two-column [metric,value] block of the summary. Cells containing
+    commas, quotes or newlines are quoted. *)
 
 val write_file : path:string -> string -> unit
-(** Write a string to a file (used by `mesa_cli bench --csv DIR`). *)
+(** Write a string to a file (used by `bench/main.exe --csv DIR`). *)

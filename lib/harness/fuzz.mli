@@ -39,13 +39,14 @@ val rows_choices : int array
 val cols_choices : int array
 val ports_choices : int array
 val kind_choices : Interconnect.kind array
-val l1_choices : int array
-val l2_choices : int array
+(** The fuzzer's fabric axes, exposed for tests: their qcheck generators
+    draw architectures from the same axes. *)
 
 val draw_fabric : Prng.t -> fabric
-val fabric_to_string : fabric -> string
 val fabric_to_json : fabric -> Json.t
 val fabric_of_json : Json.t -> (fabric, string) result
+(** The corpus entry's [fabric] codec, exposed for tests, which put every
+    document decoder through the same checks. *)
 
 (** A passing case's fingerprint — folded into the run digest. *)
 type observation = {
@@ -82,7 +83,7 @@ val shrink :
 (** Greedily minimize a failing spec under the same fabric; returns the
     smallest still-failing spec, its failure detail and the number of
     accepted steps. [max_attempts] bounds total re-executions (default
-    300). *)
+    300). Exposed for tests, which shrink a planted defect directly. *)
 
 type summary = {
   cases : int;
@@ -101,19 +102,13 @@ val run :
   unit ->
   summary
 
-val failure_to_json : master_seed:int -> failure -> Json.t
-(** Self-contained corpus entry: seeds, fabric, original + shrunk spec,
-    disassembly of the shrunk program, failure details. *)
-
-val write_corpus : dir:string -> master_seed:int -> failure -> string
-(** Write the corpus entry into [dir] (created if needed); returns the file
-    path. *)
-
 val report : corpus:string -> seed:int -> summary -> string
 (** The campaign report `mesa_cli fuzz` prints: a header with the digest,
     then either "no differential mismatches" or, per failure, its detail,
-    its shrink and the corpus entry it writes into [corpus]
-    ({!write_corpus}). *)
+    its shrink and the corpus entry it writes into [corpus] (created if
+    needed) as [fail-NNNN.json]: a self-contained entry with the seeds,
+    the fabric, the original and shrunk specs, the shrunk program's
+    disassembly and the failure details. *)
 
 (** Why a corpus entry did not replay cleanly: [Malformed] when it lacks a
     parseable spec ([shrunk], else [spec]) or [fabric]; [Still_fails] with

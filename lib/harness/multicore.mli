@@ -14,7 +14,7 @@ type result = {
 }
 
 val default_fork_join_cycles : int
-(** ~3 us at 2 GHz for a 16-thread parallel region. *)
+(** ~3 us at 2 GHz for a 16-thread parallel region. Exposed for tests. *)
 
 val run :
   ?cores:int ->

@@ -142,27 +142,21 @@ let translation_cache_capacity () = !memo_capacity
 let set_translation_cache_capacity n =
   if n < 1 then
     invalid_arg "Runner.set_translation_cache_capacity: capacity must be >= 1";
-  Mutex.lock memo_lock;
-  memo_capacity := n;
-  Mutex.unlock memo_lock
+  Mutex.protect memo_lock (fun () -> memo_capacity := n)
 
 let translation_cache_stats () =
   (Atomic.get memo_hits, Atomic.get memo_misses, Atomic.get memo_evictions)
 
 let clear_translation_cache () =
-  Mutex.lock memo_lock;
-  Hashtbl.reset dfg_memo;
-  Hashtbl.reset placement_memo;
-  Atomic.set memo_hits 0;
-  Atomic.set memo_misses 0;
-  Atomic.set memo_evictions 0;
-  Mutex.unlock memo_lock
+  Mutex.protect memo_lock (fun () ->
+      Hashtbl.reset dfg_memo;
+      Hashtbl.reset placement_memo;
+      Atomic.set memo_hits 0;
+      Atomic.set memo_misses 0;
+      Atomic.set memo_evictions 0)
 
 let memoized table key compute =
-  Mutex.lock memo_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_lock)
-    (fun () ->
+  Mutex.protect memo_lock (fun () ->
       match Hashtbl.find_opt table key with
       | Some v ->
         Atomic.incr memo_hits;

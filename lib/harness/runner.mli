@@ -96,7 +96,8 @@ val set_translation_cache_capacity : int -> unit
 (** Change the bound. When an insert would reach it, both tables reset and
     the eviction counter increments — a sweep over hundreds of placements
     stays bounded while single-figure workloads never evict. Raises
-    [Invalid_argument] on a capacity below 1. *)
+    [Invalid_argument] on a capacity below 1. Exposed for tests: reaching
+    the default bound would take 512 translations. *)
 
 val clear_translation_cache : unit -> unit
 (** Drop every memoized LDFG and placement (tests use this to measure cold

@@ -4,9 +4,7 @@
 
 type experiment = ?jobs:int -> unit -> Experiments.outcome
 
-val paper : (string * experiment) list
-(** The paper's evaluation, in paper order: fig11-fig16, table1, table2. *)
-
 val all : (string * experiment) list
-(** {!paper} followed by the repository's own experiments: ablation, dse,
+(** The paper's evaluation in paper order (fig11-fig16, table1, table2),
+    followed by the repository's own experiments: ablation, dse,
     dse-guided and refine. *)

@@ -36,7 +36,9 @@ val access : t -> int -> write:bool -> outcome
 
 val probe : t -> int -> bool
 (** Non-destructive lookup: would this address hit? Does not update LRU or
-    counters. *)
+    counters. Exposed for tests, like {!invalidate_all} and
+    {!reset_stats}: the differential test against a flat cache model
+    applies them. *)
 
 val invalidate_all : t -> unit
 (** Drop every line (e.g. at region boundaries in tests) by returning every
@@ -48,11 +50,9 @@ val invalidate_all : t -> unit
 val hits : t -> int
 val misses : t -> int
 val writebacks : t -> int
-val accesses : t -> int
-val hit_rate : t -> float
-(** 0 when no access has been made. *)
 
 val reset_stats : t -> unit
+(** Zero the hit, miss and writeback counters. *)
 
 val reset : t -> unit
 (** Restore the cache to its freshly-created state: every line invalid,

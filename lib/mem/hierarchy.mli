@@ -50,10 +50,12 @@ val min_latency : t -> int
 (** The L1 hit latency: lower bound of any access. *)
 
 val max_latency : t -> int
-(** Worst-case latency (L1 miss + L2 miss + dirty eviction). *)
+(** Worst-case latency (L1 miss + L2 miss + dirty eviction). Exposed for
+    tests. *)
 
 val l1 : t -> Cache.t
 val l2 : t -> Cache.t
+(** The two levels, exposed for tests of sharing and {!release}. *)
 
 val level_counts : t -> (string * int) list
 (** Direct readout of the per-level access mix

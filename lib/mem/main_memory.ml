@@ -16,7 +16,6 @@ let create ?(size = 16 * 1024 * 1024) () =
   { size; pages = Array.make ((size + page_mask) lsr page_bits) zero_page }
 
 let release t = Array.fill t.pages 0 (Array.length t.pages) zero_page
-let size t = t.size
 
 let check t addr width =
   if addr < 0 || addr + width > t.size then
@@ -166,4 +165,3 @@ let blit_floats t addr fs =
   done
 
 let read_words t addr n = Array.init n (fun i -> load_word t (addr + (4 * i)))
-let read_floats t addr n = Array.init n (fun i -> load_float32 t (addr + (4 * i)))

@@ -27,8 +27,6 @@ val release : t -> unit
     pages can be collected. Never needed for correctness: a memory that
     goes out of scope is collected as a whole. *)
 
-val size : t -> int
-
 val load_byte : t -> int -> int
 (** Sign-extended byte. *)
 
@@ -80,5 +78,3 @@ val blit_floats : t -> int -> float array -> unit
 
 val read_words : t -> int -> int -> int array
 (** [read_words t addr n] reads [n] consecutive sign-extended words. *)
-
-val read_floats : t -> int -> int -> float array

@@ -22,7 +22,9 @@ val mesa_extensions : capacity:int -> entry list
     count (512 at the paper's configuration). *)
 
 val cpu_additions : capacity:int -> entry list
-(** Per-core monitoring additions: trace cache and control/interface. *)
+(** Per-core monitoring additions: trace cache and control/interface.
+    Exposed for tests with {!mesa_extensions}: they calibrate each group
+    against Table 1. *)
 
 val accelerator : grid:Grid.t -> entry list
 (** The spatial accelerator: PE array (with 2x2 FP slices), load-store

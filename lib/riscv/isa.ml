@@ -64,9 +64,6 @@ let is_memory i =
 let is_load i = op_class i = C_load
 let is_store i = op_class i = C_store
 
-let is_control i =
-  match op_class i with C_branch | C_jump -> true | _ -> false
-
 let is_fp = function
   | Ftype _ | Fcmp _ | Flw _ | Fsw _ | Fcvt_w_s _ | Fcvt_s_w _ | Fmv_x_w _ | Fmv_w_x _ ->
     true
@@ -109,8 +106,6 @@ let branch_offset = function
   | Fcmp _ | Flw _ | Fsw _ | Fcvt_w_s _ | Fcvt_s_w _ | Fmv_x_w _ | Fmv_w_x _
   | Ecall | Ebreak | Fence ->
     None
-
-let equal (a : t) (b : t) = a = b
 
 let rop_name = function
   | ADD -> "add" | SUB -> "sub" | SLL -> "sll" | SLT -> "slt" | SLTU -> "sltu"

@@ -75,9 +75,6 @@ val is_memory : t -> bool
 val is_load : t -> bool
 val is_store : t -> bool
 
-val is_control : t -> bool
-(** Branches and jumps. *)
-
 val is_fp : t -> bool
 (** Uses the FP pipeline (includes flw/fsw). *)
 
@@ -99,6 +96,5 @@ val fold_reads : ('a -> Reg.t -> [ `Int | `Fp ] -> 'a) -> 'a -> t -> 'a
 val branch_offset : t -> int option
 (** Byte offset of a branch or jal, if this is one. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** Assembly-style rendering (same output as {!Disasm.to_string}). *)

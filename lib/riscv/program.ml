@@ -14,7 +14,6 @@ let make ?(base = 0x1000) ?entry ?(symbols = []) ?(pragmas = []) code =
 
 let base t = t.base
 let entry t = t.entry
-let length t = Array.length t.code
 let code t = t.code
 let end_address t = t.base + (4 * Array.length t.code)
 let in_range t addr = addr >= t.base && addr < end_address t
@@ -37,7 +36,6 @@ let index_of_addr t addr =
 let addr_of_index t i = t.base + (4 * i)
 
 let symbol t name = List.assoc name t.symbols
-let symbols t = t.symbols
 let pragma_at t addr = List.assoc_opt addr t.pragmas
 
 let words t = Array.map Encode.to_word t.code

@@ -24,17 +24,9 @@ val make :
 
 val base : t -> int
 val entry : t -> int
-val length : t -> int
-(** Number of instructions. *)
 
 val code : t -> Isa.t array
 (** The raw instruction array (do not mutate). *)
-
-val end_address : t -> int
-(** First address past the last instruction. *)
-
-val in_range : t -> int -> bool
-(** Whether an address falls inside the code region. *)
 
 val fetch : t -> int -> Isa.t option
 (** [fetch t addr] is the instruction at byte address [addr], or [None] if
@@ -50,8 +42,6 @@ val addr_of_index : t -> int -> int
 
 val symbol : t -> string -> int
 (** Address of a label. Raises [Not_found] if absent. *)
-
-val symbols : t -> (string * int) list
 
 val pragma_at : t -> int -> pragma option
 (** Annotation attached to the loop whose entry is at the given address. *)

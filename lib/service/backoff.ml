@@ -20,4 +20,3 @@ let next_ms t =
   t.attempts <- t.attempts + 1;
   Prng.float t.prng ceiling
 
-let attempt t = t.attempts

@@ -18,6 +18,3 @@ val create :
 val next_ms : t -> float
 (** The jittered delay for the next attempt, advancing the attempt
     counter. *)
-
-val attempt : t -> int
-(** Attempts drawn so far. *)

@@ -11,11 +11,6 @@ let validate_config c =
 
 type state = Closed | Open | Half_open
 
-let state_name = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half_open"
-
 type t = {
   cfg : config;
   mutable st : state;

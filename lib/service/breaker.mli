@@ -33,8 +33,6 @@ val validate_config : config -> (unit, string) result
 
 type state = Closed | Open | Half_open
 
-val state_name : state -> string
-
 type t
 
 val create : config -> t

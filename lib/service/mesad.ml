@@ -13,11 +13,7 @@ type t = {
 }
 
 let service t = t.svc
-let socket_path t = t.path
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Best-effort id recovery from a line that failed full decoding, so even
    a malformed request's error response carries the caller's id. *)
@@ -55,7 +51,7 @@ let handle_line t line =
     | Ok (Proto.Watch w) -> Stream_watch w
     | Ok (Proto.Trace tr) -> Stream_trace tr)
 
-let stopping t = locked t (fun () -> t.stopping)
+let stopping t = Mutex.protect t.lock (fun () -> t.stopping)
 
 let write_response oc rsp =
   output_string oc (Proto.response_to_line rsp);
@@ -155,12 +151,12 @@ let handler t fd =
     | line ->
       if String.trim line = "" then serve ()
       else begin
-        locked t (fun () -> t.active <- t.active + 1);
+        Mutex.protect t.lock (fun () -> t.active <- t.active + 1);
         let finished = ref false in
         let finish () =
           if not !finished then begin
             finished := true;
-            locked t (fun () ->
+            Mutex.protect t.lock (fun () ->
                 t.active <- t.active - 1;
                 Condition.broadcast t.idle)
           end
@@ -194,11 +190,11 @@ let handler t fd =
   in
   serve ();
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  locked t (fun () -> t.conns <- List.filter (fun c -> c <> fd) t.conns)
+  Mutex.protect t.lock (fun () -> t.conns <- List.filter (fun c -> c <> fd) t.conns)
 
 let accept_loop t =
   let rec loop () =
-    let stop = locked t (fun () -> t.stopping) in
+    let stop = Mutex.protect t.lock (fun () -> t.stopping) in
     if not stop then begin
       match Unix.select [ t.listen_fd ] [] [] 0.25 with
       | [], _, _ -> loop ()
@@ -207,7 +203,7 @@ let accept_loop t =
         | exception Unix.Unix_error _ -> loop ()
         | fd, _ ->
           let th = Thread.create (fun () -> handler t fd) () in
-          locked t (fun () ->
+          Mutex.protect t.lock (fun () ->
               t.conns <- fd :: t.conns;
               t.handlers <- th :: t.handlers);
           loop ())
@@ -262,10 +258,10 @@ let start ?service_config ~socket () =
   t
 
 let stop ?(grace_s = 5.0) t =
-  match locked t (fun () -> t.final) with
+  match Mutex.protect t.lock (fun () -> t.final) with
   | Some snap -> snap
   | None ->
-    locked t (fun () -> t.stopping <- true);
+    Mutex.protect t.lock (fun () -> t.stopping <- true);
     (* 1. No new admissions: everything arriving from here is shed with a
        structured overloaded error. *)
     Service.begin_drain t.svc;
@@ -276,7 +272,7 @@ let stop ?(grace_s = 5.0) t =
        to clients that keep sending) a bounded window to go idle. *)
     let deadline = Unix.gettimeofday () +. grace_s in
     let rec settle () =
-      let busy = locked t (fun () -> t.active > 0) in
+      let busy = Mutex.protect t.lock (fun () -> t.active > 0) in
       if busy && Unix.gettimeofday () < deadline then begin
         Unix.sleepf 0.01;
         settle ()
@@ -285,19 +281,19 @@ let stop ?(grace_s = 5.0) t =
     settle ();
     (* 4. Tear down: wake blocked readers, join everything. *)
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    let conns = locked t (fun () -> t.conns) in
+    let conns = Mutex.protect t.lock (fun () -> t.conns) in
     List.iter
       (fun fd ->
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       conns;
-    let handlers = locked t (fun () -> t.handlers) in
+    let handlers = Mutex.protect t.lock (fun () -> t.handlers) in
     List.iter Thread.join handlers;
     (* Shutdown joins the background refiner, so the snapshot taken after
        it includes every refine verdict — the count the CI gate closes
        watch frames against. *)
     Service.shutdown t.svc;
     let snap = Service.stats t.svc in
-    locked t (fun () -> t.final <- Some snap);
+    Mutex.protect t.lock (fun () -> t.final <- Some snap);
     snap
 
 let serve ?service_config ?stats_out ~socket () =

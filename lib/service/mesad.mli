@@ -27,7 +27,6 @@ val start : ?service_config:Service.config -> socket:string -> unit -> t
     the service down. *)
 
 val service : t -> Service.t
-val socket_path : t -> string
 
 val stop : ?grace_s:float -> t -> Stats.snapshot
 (** Graceful drain as described above; returns the final service stats.

@@ -36,6 +36,8 @@ val all_error_kinds : error_kind list
 
 val error_kind_to_string : error_kind -> string
 val error_kind_of_string : string -> (error_kind, string) result
+(** Inverse of {!error_kind_to_string}; exposed for tests, which pin the
+    taxonomy. *)
 
 type error = { kind : error_kind; message : string }
 
@@ -55,7 +57,8 @@ type run_request = {
 
 val run_request : ?deadline_ms:float -> ?inject:string -> ?fault_seed:int ->
   ?allow_fallback:bool -> id:int -> string -> run_request
-(** Defaults: no deadline, no injection, seed 0x5EED, fallback allowed. *)
+(** Defaults: no deadline, no injection, seed 0x5EED, fallback allowed.
+    Exposed for tests. *)
 
 (** A live-telemetry metrics subscription: the daemon answers with a
     stream of [frame] responses ({!body.Frame}, schema
@@ -134,6 +137,8 @@ val request_of_json : Json.t -> (request, string) result
 
 val response_to_json : response -> Json.t
 val response_of_json : Json.t -> (response, string) result
+(** The [_to_json] halves are exposed for tests, which round-trip the codec;
+    the wire uses {!request_to_line} and {!response_to_line}. *)
 
 val request_to_line : request -> string
 (** Compact single-line JSON (no embedded newline), ready to send. *)

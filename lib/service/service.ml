@@ -101,9 +101,6 @@ type t = {
 
 let config t = t.cfg
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* All counter mutation happens under [t.lock]: increments come from both
    sys-threads (dispatchers) and pool domains (workers), and the registry's
@@ -238,7 +235,7 @@ let compatible (cfg : Accel_config.t) (p : Placement.t) =
      = Array.length p.Placement.assign
 
 let tune_hook t kernel cfg =
-  match locked t (fun () -> Hashtbl.find_opt t.overrides kernel) with
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.overrides kernel) with
   | Some p when compatible cfg p -> { cfg with Accel_config.placement = p }
   | _ -> cfg
 
@@ -267,16 +264,16 @@ let controller_confirm t (k : Kernel.t) ~grid placement =
 
 let refine_one t (j : refine_job) =
   let reject detail =
-    locked t (fun () -> Stats.incr t.c.tel_refine_rejects);
+    Mutex.protect t.lock (fun () -> Stats.incr t.c.tel_refine_rejects);
     Telemetry.emit t.telemetry ~kernel:j.rj_kernel ~detail Telemetry.Refine
   in
-  locked t (fun () -> Stats.incr t.c.tel_refine_attempts);
+  Mutex.protect t.lock (fun () -> Stats.incr t.c.tel_refine_attempts);
   match Workloads.find j.rj_kernel with
   | exception Not_found -> reject "unknown kernel"
   | k -> (
     let grid = t.shards.(0).sh_grid in
     let baseline =
-      locked t (fun () -> Hashtbl.find_opt t.overrides j.rj_kernel)
+      Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.overrides j.rj_kernel)
     in
     match
       Refine.run_measured ~seed:t.cfg.seed ~grid ?baseline
@@ -294,7 +291,7 @@ let refine_one t (j : refine_job) =
             (Printf.sprintf "controller regression (%d > %d cycles)" cycles
                j.rj_cycles)
         | Some cycles ->
-          locked t (fun () ->
+          Mutex.protect t.lock (fun () ->
               Hashtbl.replace t.overrides j.rj_kernel r.Refine.placement;
               Stats.incr t.c.tel_refine_accepts);
           Telemetry.note_refine_accept t.telemetry ~kernel:j.rj_kernel;
@@ -307,7 +304,7 @@ let refine_one t (j : refine_job) =
 let refiner_loop t =
   let rec next () =
     let job =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           while Queue.is_empty t.refine_jobs && not t.refine_stop do
             Condition.wait t.refine_cv t.lock
           done;
@@ -319,11 +316,11 @@ let refiner_loop t =
     | Some j ->
       Fun.protect
         ~finally:(fun () ->
-          locked t (fun () -> Hashtbl.remove t.refine_pending j.rj_kernel))
+          Mutex.protect t.lock (fun () -> Hashtbl.remove t.refine_pending j.rj_kernel))
         (fun () ->
           try refine_one t j
           with e ->
-            locked t (fun () -> Stats.incr t.c.tel_refine_rejects);
+            Mutex.protect t.lock (fun () -> Stats.incr t.c.tel_refine_rejects);
             Telemetry.emit t.telemetry ~kernel:j.rj_kernel
               ~detail:("refiner exception: " ^ Printexc.to_string e)
               Telemetry.Refine);
@@ -335,7 +332,7 @@ let refiner_loop t =
    arrive far faster than refines complete, and a newer window for the
    same kernel supersedes an unserved older one anyway. *)
 let enqueue_refine t ~kernel ~measured ~cycles =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if
         (not t.refine_stop) && t.refiner <> None
         && (not (Hashtbl.mem t.refine_pending kernel))
@@ -359,6 +356,14 @@ let create ?(config = default_config) () =
     invalid_arg "Service.create: queue_depth must be >= 1";
   if config.max_retries < 0 then
     invalid_arg "Service.create: max_retries must be >= 0";
+  if not (config.backoff_base_ms > 0.0) then
+    invalid_arg "Service.create: backoff_base_ms must be > 0";
+  if not (config.backoff_cap_ms >= config.backoff_base_ms) then
+    invalid_arg "Service.create: backoff_cap_ms must be >= backoff_base_ms";
+  (match config.default_deadline_ms with
+  | Some d when not (d > 0.0) ->
+    invalid_arg "Service.create: default_deadline_ms must be > 0"
+  | _ -> ());
   (match Breaker.validate_config config.breaker with
   | Ok () -> ()
   | Error e -> invalid_arg ("Service.create: breaker " ^ e));
@@ -482,7 +487,7 @@ let err kind message = Proto.Err { Proto.kind; message }
 (* Route under the lock: advance every open breaker's cooldown, then scan
    round-robin for a shard whose breaker admits traffic. *)
 let route t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Array.iter (fun s -> Breaker.tick s.sh_breaker) t.shards;
       let n = Array.length t.shards in
       let start = t.rr in
@@ -501,7 +506,7 @@ let route t =
 
 let record_breaker t shard ~probe ~ok =
   let transition =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         if not ok then Stats.incr t.c.br_faults;
         let tr = Breaker.record shard.sh_breaker ~probe ~ok in
         (match tr with
@@ -533,7 +538,7 @@ let attempts t (k : Kernel.t) inject ~req ~profiled ~allow_fallback ~cancelled
   let kernel = k.Kernel.name in
   let rec go attempt inject any_reroute =
     if Atomic.get cancelled then begin
-      locked t (fun () -> Stats.incr t.c.exec_abandoned);
+      Mutex.protect t.lock (fun () -> Stats.incr t.c.exec_abandoned);
       err Proto.Deadline_exceeded "deadline elapsed before execution started"
     end
     else
@@ -542,7 +547,7 @@ let attempts t (k : Kernel.t) inject ~req ~profiled ~allow_fallback ~cancelled
         if allow_fallback then begin
           match cpu_exec k ~rerouted:any_reroute ~retries:attempt with
           | body, Ok () ->
-            locked t (fun () -> Stats.incr t.c.exec_cpu_fallback);
+            Mutex.protect t.lock (fun () -> Stats.incr t.c.exec_cpu_fallback);
             Telemetry.emit t.telemetry ~req ~kernel ~detail:"cpu-fallback"
               Telemetry.Execute;
             Proto.Ok_run body
@@ -572,7 +577,7 @@ let attempts t (k : Kernel.t) inject ~req ~profiled ~allow_fallback ~cancelled
           | Ok () ->
             if quarantines = 0 then begin
               record_breaker t shard ~probe ~ok:true;
-              locked t (fun () ->
+              Mutex.protect t.lock (fun () ->
                   Stats.incr t.c.exec_fabric;
                   if rerouted then Stats.incr t.c.exec_rerouted;
                   if attempt > 0 then Stats.incr t.c.exec_retry_successes);
@@ -581,7 +586,7 @@ let attempts t (k : Kernel.t) inject ~req ~profiled ~allow_fallback ~cancelled
                 Telemetry.Execute;
               (match measured with
               | Some snap ->
-                locked t (fun () -> Stats.incr t.c.tel_profile_windows);
+                Mutex.protect t.lock (fun () -> Stats.incr t.c.tel_profile_windows);
                 Telemetry.note_profile_window t.telemetry ~kernel;
                 Telemetry.emit t.telemetry ~req ~kernel ~shard:shard.sh_id
                   Telemetry.Profile_window;
@@ -591,8 +596,8 @@ let attempts t (k : Kernel.t) inject ~req ~profiled ~allow_fallback ~cancelled
                 then
                   Telemetry.emit t.telemetry ~req ~kernel
                     Telemetry.Oracle_refresh;
-                let cb = locked t (fun () -> t.on_window) in
-                cb (locked t (fun () -> Stats.snapshot t.reg))
+                let cb = Mutex.protect t.lock (fun () -> t.on_window) in
+                cb (Mutex.protect t.lock (fun () -> Stats.snapshot t.reg))
               | None -> ());
               Proto.Ok_run body
             end
@@ -605,7 +610,7 @@ let attempts t (k : Kernel.t) inject ~req ~profiled ~allow_fallback ~cancelled
               if attempt < t.cfg.max_retries && not (Atomic.get cancelled)
               then begin
                 let delay_ms = Backoff.next_ms backoff in
-                locked t (fun () ->
+                Mutex.protect t.lock (fun () ->
                     Stats.incr t.c.exec_retries;
                     Stats.observe t.c.backoff_ms delay_ms);
                 Telemetry.emit t.telemetry ~req ~kernel ~shard:shard.sh_id
@@ -615,7 +620,7 @@ let attempts t (k : Kernel.t) inject ~req ~profiled ~allow_fallback ~cancelled
                 go (attempt + 1) None true
               end
               else begin
-                locked t (fun () ->
+                Mutex.protect t.lock (fun () ->
                     Stats.incr t.c.exec_fabric;
                     if rerouted then Stats.incr t.c.exec_rerouted);
                 Telemetry.emit t.telemetry ~req ~kernel ~shard:shard.sh_id
@@ -648,7 +653,7 @@ let validate (req : Proto.run_request) =
         | Error e -> Error ("bad inject spec: " ^ e))))
 
 let tally t body =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match body with
       | Proto.Ok_run _ -> Stats.incr t.c.ok
       | Proto.Err e -> (
@@ -682,7 +687,7 @@ let execute t (req : Proto.run_request) =
   | Error msg -> bad_request t msg
   | Ok (k, inject) ->
     let admitted =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           if t.is_draining || t.shut then begin
             Stats.incr t.c.shed;
             Error (err Proto.Overloaded "service is draining")
@@ -715,7 +720,7 @@ let execute t (req : Proto.run_request) =
         let profiled =
           match t.cfg.profile_window with
           | Some n when inject = None ->
-            locked t (fun () ->
+            Mutex.protect t.lock (fun () ->
                 let tick = t.run_tick in
                 t.run_tick <- tick + 1;
                 tick mod n = 0)
@@ -734,7 +739,7 @@ let execute t (req : Proto.run_request) =
           Pool.submit t.pool (fun () ->
               Fun.protect
                 ~finally:(fun () ->
-                  locked t (fun () ->
+                  Mutex.protect t.lock (fun () ->
                       t.inflight <- t.inflight - 1;
                       Condition.broadcast t.settled))
                 (fun () ->
@@ -776,14 +781,12 @@ let execute t (req : Proto.run_request) =
 
 (* ------------------------------------------------------------------ *)
 
-let stats t = locked t (fun () -> Stats.snapshot t.reg)
+let stats t = Mutex.protect t.lock (fun () -> Stats.snapshot t.reg)
 
-let draining t = locked t (fun () -> t.is_draining)
-
-let begin_drain t = locked t (fun () -> t.is_draining <- true)
+let begin_drain t = Mutex.protect t.lock (fun () -> t.is_draining <- true)
 
 let drain t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.is_draining <- true;
       while t.inflight > 0 do
         Condition.wait t.settled t.lock
@@ -792,16 +795,17 @@ let drain t =
 
 let telemetry t = t.telemetry
 
-let set_on_window t f = locked t (fun () -> t.on_window <- f)
+let set_on_window t f = Mutex.protect t.lock (fun () -> t.on_window <- f)
 
 let refine_backlog t =
-  locked t (fun () -> Queue.length t.refine_jobs + Hashtbl.length t.refine_pending)
+  Mutex.protect t.lock (fun () ->
+      Queue.length t.refine_jobs + Hashtbl.length t.refine_pending)
 
 (* Stop accepting jobs and join the refiner, letting an in-flight refine
    finish: its acceptance still lands in the final stats snapshot. *)
 let stop_refiner t =
   let th =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         t.refine_stop <- true;
         Condition.broadcast t.refine_cv;
         let th = t.refiner in
@@ -813,7 +817,7 @@ let stop_refiner t =
 let shutdown t =
   ignore (drain t);
   stop_refiner t;
-  let was_shut = locked t (fun () ->
+  let was_shut = Mutex.protect t.lock (fun () ->
       let w = t.shut in
       t.shut <- true;
       w)

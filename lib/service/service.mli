@@ -75,7 +75,8 @@ type t
 
 val create : ?config:config -> unit -> t
 (** Raises [Invalid_argument] on a nonsensical config (no shards, empty
-    queue, negative retries, invalid breaker). *)
+    queue, negative retries, a non-positive backoff base or a cap below
+    it, a non-positive default deadline, invalid breaker). *)
 
 val config : t -> config
 
@@ -106,9 +107,8 @@ val set_on_window : t -> (Stats.snapshot -> unit) -> unit
 
 val refine_backlog : t -> int
 (** Refine jobs queued or in flight — 0 means every captured window has
-    been fully processed. *)
-
-val draining : t -> bool
+    been fully processed. Exposed for tests, which wait on it for the
+    refiner to drain. *)
 
 val begin_drain : t -> unit
 (** Stop admitting: every subsequent {!execute} resolves to [overloaded]

@@ -127,9 +127,6 @@ let create ?(ring = 4096) ?(windows = 8) ?(window_ms = 250.0) ?clock () =
     refine_accepts = Hashtbl.create 8;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Rotate the sketch rings to catch up with the clock. Advancing past the
    window depth clears everything, so catch-up work is bounded regardless
@@ -162,7 +159,7 @@ let count_for table key =
 
 let emit t ?(req = -1) ?(kernel = "") ?(shard = -1) ?(outcome = "")
     ?(detail = "") phase =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let now = t.clock () in
       tick t now;
       let sp =
@@ -181,31 +178,31 @@ let emit t ?(req = -1) ?(kernel = "") ?(shard = -1) ?(outcome = "")
       t.next_seq <- t.next_seq + 1)
 
 let observe_latency t ~outcome ms =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       tick t (t.clock ());
       Sketch.observe (sketch_for t t.latency outcome) ms)
 
 let observe_cycles t ~kernel cycles =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       tick t (t.clock ());
       Sketch.observe (sketch_for t t.cycles kernel) (float_of_int cycles))
 
 let note_profile_window t ~kernel =
-  locked t (fun () -> incr (count_for t.profile_windows kernel))
+  Mutex.protect t.lock (fun () -> incr (count_for t.profile_windows kernel))
 
 let note_refine_accept t ~kernel =
-  locked t (fun () -> incr (count_for t.refine_accepts kernel))
+  Mutex.protect t.lock (fun () -> incr (count_for t.refine_accepts kernel))
 
-let spans_emitted t = locked t (fun () -> t.next_seq)
+let spans_emitted t = Mutex.protect t.lock (fun () -> t.next_seq)
 
 (* ---------------- trace subscriptions ---------------- *)
 
 type cursor = { mutable cur : int; mutable dropped : int }
 
-let subscribe t = locked t (fun () -> { cur = t.next_seq; dropped = 0 })
+let subscribe t = Mutex.protect t.lock (fun () -> { cur = t.next_seq; dropped = 0 })
 
 let poll t cursor ~max:limit =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let cap = Array.length t.ring in
       let oldest = max 0 (t.next_seq - cap) in
       if cursor.cur < oldest then begin
@@ -289,7 +286,7 @@ let outcome_names =
   "ok" :: List.map Proto.error_kind_to_string Proto.all_error_kinds
 
 let next_frame t w snapshot =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let now = t.clock () in
       tick t now;
       let totals = int_totals snapshot in

@@ -42,9 +42,6 @@ type phase =
   | Oracle_refresh   (** measured oracles handed to the refiner *)
   | Refine           (** background refine finished (detail: accept/...) *)
 
-val phase_to_string : phase -> string
-val phase_of_string : string -> (phase, string) result
-
 type span = {
   sp_seq : int;        (** global, monotone, gap-free at the producer *)
   sp_at_ms : float;    (** hub clock at emission *)
@@ -110,7 +107,8 @@ val poll : t -> cursor -> max:int -> span list
     keep their original order and sequence numbers. *)
 
 val cursor_dropped : cursor -> int
-(** Spans shed by ring overrun for this subscriber so far. *)
+(** Spans shed by ring overrun for this subscriber so far. Exposed for
+    tests. *)
 
 (** {2 Watch frames} *)
 

@@ -20,8 +20,6 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let jobs t = t.jobs
-
 (* Pool domains run allocation-heavy simulations, and every minor
    collection stops all domains at once: with the default 256 Ki-word minor
    heap, busy domains meet at a barrier hundreds of times a second, and on
@@ -34,10 +32,6 @@ let spawn f =
   Domain.spawn (fun () ->
       Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words };
       f ())
-
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let worker_loop t =
   let rec next () =
@@ -75,7 +69,7 @@ let create ?jobs () =
   t
 
 let settle fut outcome =
-  locked fut.f_lock (fun () ->
+  Mutex.protect fut.f_lock (fun () ->
       fut.state <- outcome;
       Condition.broadcast fut.f_done)
 
@@ -94,7 +88,7 @@ let submit t f =
     run_task fut f
   end
   else
-    locked t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         if t.closed then invalid_arg "Pool.submit: pool is shut down";
         Queue.add (fun () -> run_task fut f) t.queue;
         Condition.signal t.wake);
@@ -103,7 +97,7 @@ let submit t f =
 let is_pending fut = match fut.state with Pending -> true | Done _ | Failed _ -> false
 
 let await fut =
-  locked fut.f_lock (fun () ->
+  Mutex.protect fut.f_lock (fun () ->
       while is_pending fut do
         Condition.wait fut.f_done fut.f_lock
       done;
@@ -112,8 +106,9 @@ let await fut =
       | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
       | Pending -> assert false)
 
+(* Non-blocking: [None] while pending; re-raises a failed task. *)
 let try_await fut =
-  locked fut.f_lock (fun () ->
+  Mutex.protect fut.f_lock (fun () ->
       match fut.state with
       | Pending -> None
       | Done v -> Some v
@@ -143,11 +138,9 @@ let await_timeout fut secs =
       poll 5e-5
     end
 
-let map t f xs = List.map await (List.map (fun x -> submit t (fun () -> f x)) xs)
-
 let shutdown t =
   let ws =
-    locked t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         t.closed <- true;
         Condition.broadcast t.wake;
         let ws = t.workers in

@@ -4,7 +4,7 @@
     measurement tasks whose results only need to be *assembled* in a fixed
     order. The pool runs the tasks on [jobs] worker domains (OCaml 5
     [Domain]s — real parallelism, no domainslib dependency) while
-    {!await}/{!map} hand results back in submission order, so any experiment
+    {!await}/{!run} hand results back in submission order, so any experiment
     driven through the pool is bit-identical to its sequential run.
 
     [jobs = 1] bypasses domains entirely: tasks execute inline at submission
@@ -30,8 +30,6 @@ val create : ?jobs:int -> unit -> t
     must be {!shutdown} (or created via {!with_pool}) or its domains leak
     until exit. Raises [Invalid_argument] on [jobs < 1]. *)
 
-val jobs : t -> int
-
 type 'a future
 (** The pending result of a submitted task. *)
 
@@ -43,16 +41,12 @@ val await : 'a future -> 'a
 (** Block until the task finishes; returns its value or re-raises the
     exception it raised (with its backtrace). Idempotent. *)
 
-val try_await : 'a future -> 'a option
-(** Non-blocking poll: [Some v] if the task has finished, [None] while it
-    is still pending. Re-raises like {!await} if the task failed. *)
-
 val await_timeout : 'a future -> float -> 'a option
 (** [await_timeout fut secs] waits at most [secs] (wall-clock) seconds for
     the task: [Some v] when it settles in time, [None] on timeout — the
     task itself keeps running and a later {!await} still yields its result.
     Re-raises like {!await} if the task failed within the window. A
-    non-positive [secs] is a {!try_await} — the initial poll always runs,
+    non-positive [secs] is a non-blocking poll — the initial poll always runs,
     so an already-settled future yields its result (or re-raises) even
     with a zero window; [None] on [secs <= 0.0] means strictly "still
     pending now". Waiting polls with exponential sleeps (50us up to 5ms):
@@ -60,11 +54,6 @@ val await_timeout : 'a future -> float -> 'a option
     poll step (within ~5ms, never lost to a missed wakeup), and a
     dispatcher enforcing deadlines never blocks forever on a wedged
     worker. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Submit [f x] for every element, then await them all; the result list is
-    in input order regardless of completion order. If several tasks raise,
-    the earliest (by submission order) exception wins. *)
 
 val shutdown : t -> unit
 (** Drain the queue, wait for in-flight tasks, and join the workers.
@@ -74,7 +63,7 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run the body, always [shutdown]. *)
 
 val run : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map] over a one-shot pool in which the caller computes too: it and
+(** [List.map] over a one-shot pool in which the caller computes too: it and
     [jobs - 1] spawned domains take the inputs in order from a shared
     counter, so [jobs] domains work and none sits parked. Results come back
     in input order, every task runs, and the earliest raising task's

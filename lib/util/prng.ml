@@ -29,12 +29,3 @@ let float_in t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let split t = { state = bits64 t }

@@ -31,10 +31,3 @@ val bool : t -> bool
 
 val bits64 : t -> int64
 (** The raw next 64-bit output of the generator. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
-val split : t -> t
-(** [split t] derives an independent generator; used to give each parallel
-    experiment its own stream without coupling their draws. *)

@@ -27,11 +27,12 @@ val create : ?buckets:int -> ?windows:int -> unit -> t
     [Invalid_argument] when either is below 1. *)
 
 val ratio : float
-(** The fixed bucket growth ratio, [2{^1/4}] — the quantile error bound. *)
+(** The fixed bucket growth ratio, [2{^1/4}] — the quantile error bound.
+    Exposed for tests, which hold quantiles to this bound. *)
 
 val floor_value : float
 (** The lowest bucket's upper bound ([1e-3]); observations at or below it
-    are indistinguishable. *)
+    are indistinguishable. Exposed for tests, like {!ratio}. *)
 
 val observe : t -> float -> unit
 (** Record one observation into the current sub-window. Non-finite or

@@ -8,14 +8,6 @@ let geomean = function
     let log_sum = List.fold_left (fun acc x -> acc +. log x) 0.0 xs in
     exp (log_sum /. float_of_int (List.length xs))
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) ** 2.0) xs) in
-    sqrt var
-
 let percentile p xs =
   match List.sort compare xs with
   | [] -> invalid_arg "Stats.percentile: empty list"
@@ -25,8 +17,6 @@ let percentile p xs =
     let rank = max 0 (min (n - 1) rank) in
     List.nth sorted rank
 
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
-let iclamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 let div_ceil a b = (a + b - 1) / b
 
 module Running = struct
@@ -39,13 +29,8 @@ module Running = struct
     t.count <- t.count + 1
 
   let count t = t.count
-  let sum t = t.sum
   let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
   let mean_or t default = if t.count = 0 then default else mean t
-
-  let reset t =
-    t.sum <- 0.0;
-    t.count <- 0
 end
 
 (* ===================================================================== *)
@@ -134,7 +119,6 @@ let counter (g : group) name =
 
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
-let set c n = c.c <- n
 let get c = c.c
 
 let histogram (g : group) name =
@@ -159,8 +143,6 @@ type entry = Value of value | Hist of hist
 
 type snapshot = (string * entry) list
 
-let empty : snapshot = []
-
 let snapshot (r : registry) : snapshot =
   let acc = ref [] in
   let rec walk prefix (g : group) =
@@ -180,7 +162,6 @@ let snapshot (r : registry) : snapshot =
   List.rev !acc
 
 let to_assoc (s : snapshot) = s
-let names (s : snapshot) = List.map fst s
 let find (s : snapshot) path =
   match List.assoc_opt path s with Some (Value v) -> Some v | _ -> None
 
@@ -278,22 +259,6 @@ let of_json (j : Json.t) : (snapshot, string) result =
       Error (Printf.sprintf "unexpected JSON at %S" prefix)
   in
   Result.map List.rev (walk "" j [])
-
-let to_flat_text (s : snapshot) =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun (path, entry) ->
-      match entry with
-      | Value (VInt i) -> Buffer.add_string buf (Printf.sprintf "%-42s %d\n" path i)
-      | Value (VFloat f) -> Buffer.add_string buf (Printf.sprintf "%-42s %.4f\n" path f)
-      | Hist h ->
-        Buffer.add_string buf
-          (Printf.sprintf "%-42s count=%d sum=%.2f mean=%.4f min=%.2f max=%.2f\n" path
-             h.hcount h.hsum (hist_mean h)
-             (if h.hcount = 0 then 0.0 else h.hmin)
-             (if h.hcount = 0 then 0.0 else h.hmax)))
-    s;
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Diff & invariants *)

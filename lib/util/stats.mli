@@ -9,18 +9,9 @@ val geomean : float list -> float
     ratios, for which the geometric mean is the appropriate aggregate.
     0 on the empty list; all inputs must be positive. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0 on lists shorter than 2. *)
-
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,1\]], nearest-rank on the sorted
     list. Raises [Invalid_argument] on the empty list. *)
-
-val clamp : lo:float -> hi:float -> float -> float
-(** Clamp a float into [\[lo, hi\]]. *)
-
-val iclamp : lo:int -> hi:int -> int -> int
-(** Clamp an int into [\[lo, hi\]]. *)
 
 val div_ceil : int -> int -> int
 (** [div_ceil a b] is ceil(a / b) for positive [b]. *)
@@ -33,24 +24,21 @@ module Running : sig
   val create : unit -> t
   val add : t -> float -> unit
   val count : t -> int
-  val sum : t -> float
 
   val mean : t -> float
   (** 0 before any sample has been added. *)
 
   val mean_or : t -> float -> float
   (** [mean_or t default] is the mean, or [default] before any sample. *)
-
-  val reset : t -> unit
 end
 
 (** {1 Hierarchical performance-counter registry}
 
     The uniform observability layer behind the measure-then-remap loop
     (paper §5): every timing model registers its counters under a named
-    group, and the whole tree can be snapshotted, dumped to JSON or flat
-    text, diffed, and checked for invariants. Hot-loop increments are a
-    single mutable-field store. *)
+    group, and the whole tree can be snapshotted, dumped to JSON, gated
+    against another snapshot, and checked for invariants. Hot-loop
+    increments are a single mutable-field store. *)
 
 type value = VInt of int | VFloat of float
 
@@ -74,10 +62,6 @@ val counter : group -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 
-val set : counter -> int -> unit
-(** For gauges mirrored from external state; prefer {!probe} when the
-    state already lives elsewhere. *)
-
 val get : counter -> int
 
 val histogram : group -> string -> histogram
@@ -85,10 +69,6 @@ val histogram : group -> string -> histogram
     paper's hardware counters expose per operation. *)
 
 val observe : histogram -> float -> unit
-
-val probe : group -> string -> (unit -> value) -> unit
-(** Register a closure sampled at {!snapshot} time — exposes pre-existing
-    mutable model state with zero hot-path cost. *)
 
 val derived : group -> string -> (unit -> float) -> unit
 (** Float probe (ratios such as IPC or hit rates). *)
@@ -106,10 +86,8 @@ type entry = Value of value | Hist of hist
 type snapshot
 (** Immutable dump of the registry: dotted paths in registration order. *)
 
-val empty : snapshot
 val snapshot : registry -> snapshot
 val to_assoc : snapshot -> (string * entry) list
-val names : snapshot -> string list
 val find : snapshot -> string -> value option
 val find_int : snapshot -> string -> int option
 val find_hist : snapshot -> string -> hist option
@@ -127,18 +105,13 @@ val of_json : Json.t -> (snapshot, string) result
 (** Inverse of {!to_json} (up to probe/counter distinction — every scalar
     parses as a plain value). *)
 
-val to_flat_text : snapshot -> string
-
 (** {2 Diff and invariants} *)
 
 type delta = { path : string; before : float; after : float }
 
-val diff : snapshot -> snapshot -> delta list
-(** Changed paths only. Histograms contribute their sample sum under the
-    histogram's own path and the count under [path ^ ".count"]. *)
-
-(** A regression gate over {!diff}: the verdict `mesa_cli stats-diff`
-    prints. *)
+(** A regression gate over the changed paths of two snapshots: the verdict
+    `mesa_cli stats-diff` prints. A histogram contributes its sample sum
+    under its own path and its count under [path ^ ".count"]. *)
 type gate = {
   deltas : delta list;      (** every changed path *)
   prefixes : string list;   (** the gated path prefixes *)
@@ -146,19 +119,17 @@ type gate = {
   violations : delta list;  (** gated deltas past the limit *)
 }
 
-val default_gate_prefixes : string list
-(** The cycle accounts: [controller.total_cycles], [accel_cycles],
-    [overhead_cycles] and [cpu.cycles]. *)
-
 val gate :
   ?prefixes:string list -> max_regress:float -> snapshot -> snapshot -> gate
 (** A delta is gated when its path starts with one of [prefixes] (empty or
-    absent: {!default_gate_prefixes}); it violates the gate when [after]
-    exceeds [before * (1 + max_regress / 100) + 1e-9]. *)
+    absent: [controller.total_cycles], [accel_cycles], [overhead_cycles]
+    and [cpu.cycles]); it violates the gate when [after] exceeds
+    [before * (1 + max_regress / 100) + 1e-9]. *)
 
 val render_gate : gate -> string
 (** One line per changed path (gated ones starred), then either the
     [stats-diff: OK] verdict or one [REGRESSED] line per violation. *)
 
 val check_invariants : snapshot -> (unit, string list) result
-(** No negative counters, no NaN probes, histogram min <= max. *)
+(** No negative counters, no NaN probes, histogram min <= max. Exposed for
+    tests: the property suites assert it on every snapshot. *)

@@ -20,7 +20,6 @@ let add_row t cells =
 let add_rule t = t.rows <- Rule :: t.rows
 
 let headers t = t.headers
-let title t = t.title
 
 let data_rows t =
   List.rev t.rows

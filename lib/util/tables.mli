@@ -26,8 +26,6 @@ val data_rows : t -> string list list
 (** The cell rows in insertion order (rules omitted) — used by the CSV
     exporter. *)
 
-val title : t -> string option
-
 val render : t -> string
 (** Render to an aligned multi-line string, including title and header. *)
 

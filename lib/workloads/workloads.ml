@@ -35,8 +35,6 @@ let find name =
   | Some k -> k
   | None -> raise Not_found
 
-let names () = List.map (fun k -> k.Kernel.name) registry
-
 let opencgra_compatible () =
   List.map find
     [ "backprop"; "btree"; "cfd"; "gaussian"; "hotspot"; "lud"; "nn"; "streamcluster" ]

@@ -9,8 +9,6 @@ val all : unit -> Kernel.t list
 val find : string -> Kernel.t
 (** Lookup by name. Raises [Not_found] on an unknown name. *)
 
-val names : unit -> string list
-
 val opencgra_compatible : unit -> Kernel.t list
 (** The eight kernels used for the OpenCGRA comparison (Figure 12) — the
     ones without predicated bodies, which the baseline scheduler handles. *)

@@ -83,11 +83,13 @@ let () =
       ( "serve --queue-depth 0",
         [ "serve"; "--queue-depth"; "0"; "--socket"; socket "queue.sock" ] );
       ("serve --shard-pes 2", [ "serve"; "--shard-pes"; "2"; "--socket"; socket "pes.sock" ]);
+      ( "serve --deadline-ms 0",
+        [ "serve"; "--deadline-ms"; "0"; "--socket"; socket "deadline.sock" ] );
     ];
   List.iter
     (fun name ->
       if Sys.file_exists (socket name) then fail "rejected serve left %s behind" (socket name))
-    [ "shards.sock"; "queue.sock"; "pes.sock" ];
+    [ "shards.sock"; "queue.sock"; "pes.sock"; "deadline.sock" ];
   Sys.rmdir sockets;
   Sys.remove malformed;
   Sys.remove nospec;

@@ -35,7 +35,7 @@ let cse_removes_duplicates () =
   check Alcotest.bool "still valid" true (Dfg.validate reduced = Ok ());
   (* The two loads now share one address producer. *)
   let loads =
-    List.filter (fun i -> Dfg.is_memory_node reduced i)
+    List.filter (fun i -> Isa.is_memory reduced.Dfg.nodes.(i).Dfg.instr)
       (List.init (Dfg.node_count reduced) Fun.id)
   in
   match loads with

@@ -6,11 +6,19 @@ let trace_cache_capture () =
   let tc = Trace_cache.create ~capacity:16 in
   Trace_cache.set_region tc ~entry:0x1000 ~last:0x100C;
   check Alcotest.bool "incomplete at start" false (Trace_cache.complete tc);
-  Trace_cache.observe tc ~addr:0x1000 ~word:1l;
-  Trace_cache.observe tc ~addr:0x1004 ~word:2l;
-  Trace_cache.observe tc ~addr:0x1010 ~word:9l; (* outside window: ignored *)
-  check (Alcotest.list Alcotest.int) "missing" [ 0x1008; 0x100C ] (Trace_cache.missing tc);
-  Trace_cache.fill_from tc (fun addr -> Some (Int32.of_int (addr land 0xFF)));
+  let asked = ref [] in
+  Trace_cache.fill_from tc (fun addr ->
+      asked := addr :: !asked;
+      if addr < 0x1008 then Some (Int32.of_int ((addr - 0x1000) / 4 + 1)) else None);
+  check (Alcotest.list Alcotest.int) "reads the window in order"
+    [ 0x1000; 0x1004; 0x1008; 0x100C ] (List.rev !asked);
+  check Alcotest.bool "incomplete after a partial fetch" false (Trace_cache.complete tc);
+  asked := [];
+  Trace_cache.fill_from tc (fun addr ->
+      asked := addr :: !asked;
+      Some (Int32.of_int (addr land 0xFF)));
+  check (Alcotest.list Alcotest.int) "refetches only the missing words"
+    [ 0x1008; 0x100C ] (List.rev !asked);
   check Alcotest.bool "complete" true (Trace_cache.complete tc);
   check (Alcotest.array Alcotest.int32) "contents in order" [| 1l; 2l; 8l; 0xCl |]
     (Trace_cache.words tc)
@@ -18,10 +26,9 @@ let trace_cache_capture () =
 let trace_cache_idempotent () =
   let tc = Trace_cache.create ~capacity:4 in
   Trace_cache.set_region tc ~entry:0 ~last:0;
-  Trace_cache.observe tc ~addr:0 ~word:5l;
-  Trace_cache.observe tc ~addr:0 ~word:6l; (* second write ignored *)
-  check (Alcotest.array Alcotest.int32) "first write sticks" [| 5l |] (Trace_cache.words tc);
-  check Alcotest.int "one fill" 1 (Trace_cache.fills tc)
+  Trace_cache.fill_from tc (fun _ -> Some 5l);
+  Trace_cache.fill_from tc (fun _ -> Some 6l); (* nothing missing: ignored *)
+  check (Alcotest.array Alcotest.int32) "first write sticks" [| 5l |] (Trace_cache.words tc)
 
 let trace_cache_capacity () =
   let tc = Trace_cache.create ~capacity:4 in

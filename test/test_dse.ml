@@ -393,10 +393,11 @@ let stats_and_timeline () =
     (get "dse.frontier_size");
   check Alcotest.int "one span per point" (List.length r.Dse.outcomes)
     (List.length r.Dse.timeline);
-  (* The ranked table renders one data row per outcome. *)
-  let t = Dse.table r in
-  check Alcotest.int "table rows" (List.length r.Dse.outcomes)
-    (List.length (Tables.data_rows t))
+  (* The ranked table renders one data row per outcome, under its header. *)
+  let rows =
+    List.filter (String.starts_with ~prefix:"| ") (String.split_on_char '\n' (Dse.render r))
+  in
+  check Alcotest.int "table rows" (List.length r.Dse.outcomes + 1) (List.length rows)
 
 let report_and_budget_gate () =
   let r = run_exn ~jobs:2 small_spec in

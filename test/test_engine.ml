@@ -166,7 +166,7 @@ let measurements_populated () =
     for i = 0 to Dfg.node_count dfg - 1 do
       check Alcotest.bool (Printf.sprintf "node %d measured" i) true
         (hist_mean (Printf.sprintf "node.%d.latency" i) > 0.0);
-      if Dfg.is_memory_node dfg i then
+      if Isa.is_memory dfg.Dfg.nodes.(i).Dfg.instr then
         check Alcotest.bool (Printf.sprintf "node %d amat" i) true
           (hist_mean (Printf.sprintf "node.%d.amat" i) > 0.0)
     done;

@@ -13,23 +13,32 @@ let fsm_matches_closed_form () =
 
 let fsm_stage_structure () =
   let dfg = Runner.dfg_of_kernel (Workloads.find "gaussian") in
-  let steps = Imap_fsm.simulate Mapper.default_config dfg in
-  (* Contiguous cycles, one state per cycle. *)
+  let n = Dfg.node_count dfg in
+  let diagram = Imap_fsm.timing_diagram ~max_nodes:n Mapper.default_config dfg in
+  let rows =
+    List.filteri (fun i l -> i >= 1 && l <> "") (String.split_on_char '\n' diagram)
+  in
+  check Alcotest.int "one row per node" n (List.length rows);
+  (* Node i occupies the cycles right after node i - 1: fetch, candidates,
+     filter, five reduction levels, writeback. *)
+  let per_node = 9 in
+  check Alcotest.int "cycles per node" (per_node * n)
+    (Imap_fsm.cycles Mapper.default_config dfg);
   List.iteri
-    (fun i s -> check Alcotest.int "cycle sequence" i s.Imap_fsm.cycle)
-    steps;
-  (* Each node passes through fetch..writeback in order. *)
-  let per_node = 4 + Imap_fsm.reduction_depth Mapper.default_config in
-  check Alcotest.int "steps per node" (per_node * Dfg.node_count dfg) (List.length steps);
-  let first = List.hd steps and last = List.nth steps (List.length steps - 1) in
-  check Alcotest.bool "starts with fetch" true (first.Imap_fsm.state = Imap_fsm.Fetch);
-  check Alcotest.bool "ends with writeback" true (last.Imap_fsm.state = Imap_fsm.Writeback)
+    (fun i row ->
+      let cells = String.sub row 5 (String.length row - 5) in
+      check Alcotest.string (Printf.sprintf "node %d stages" i)
+        (String.make (i * per_node) '.' ^ "FGLRRRRRW"
+        ^ String.make ((n - i - 1) * per_node) '.')
+        cells)
+    rows
 
 let fsm_reduction_depth () =
-  check Alcotest.int "4x8 window reduces in 5" 5
-    (Imap_fsm.reduction_depth Mapper.default_config);
-  check Alcotest.int "2x2 window reduces in 2" 2
-    (Imap_fsm.reduction_depth { Mapper.window_rows = 2; window_cols = 2 })
+  let dfg = Runner.dfg_of_kernel (Workloads.find "nn") in
+  let per_node cfg = Imap_fsm.cycles cfg dfg / Dfg.node_count dfg in
+  check Alcotest.int "4x8 window reduces in 5" (4 + 5) (per_node Mapper.default_config);
+  check Alcotest.int "2x2 window reduces in 2" (4 + 2)
+    (per_node { Mapper.window_rows = 2; window_cols = 2 })
 
 let fsm_timing_diagram () =
   let dfg = Runner.dfg_of_kernel (Workloads.find "gaussian") in
@@ -38,8 +47,7 @@ let fsm_timing_diagram () =
     (String.length d > 0
     && String.exists (( = ) 'F') d
     && String.exists (( = ) 'R') d
-    && String.exists (( = ) 'W') d);
-  check Alcotest.string "state names" "reduce[3]" (Imap_fsm.state_name (Imap_fsm.Reduce 3))
+    && String.exists (( = ) 'W') d)
 
 (* -------------------- schedule view -------------------- *)
 
@@ -61,7 +69,7 @@ let schedule_slots_consistent () =
     slots;
   check (Alcotest.float 1e-9) "makespan = model latency"
     (Perf_model.iteration_latency model)
-    (Schedule_view.makespan slots);
+    (Array.fold_left (fun acc s -> Float.max acc s.Schedule_view.finish) 0.0 slots);
   (* Dependencies never start before their producers finish. *)
   Array.iteri
     (fun j nd ->
@@ -118,13 +126,14 @@ let csv_escaping () =
   Tables.add_row t [ "plain"; "with,comma" ];
   Tables.add_rule t;
   Tables.add_row t [ "with\"quote"; "multi\nline" ];
-  let csv = Export.table_to_csv t in
+  let csv = Export.outcome_to_csv { Experiments.table = t; summary = [] } in
   check Alcotest.string "csv"
-    "a,b\nplain,\"with,comma\"\n\"with\"\"quote\",\"multi\nline\"\n" csv
+    "a,b\nplain,\"with,comma\"\n\"with\"\"quote\",\"multi\nline\"\n\nmetric,value\n" csv
 
 let csv_summary () =
-  check Alcotest.string "summary csv" "metric,value\nx,1.5\ny,2\n"
-    (Export.summary_to_csv [ ("x", 1.5); ("y", 2.0) ])
+  let table = Tables.create [ ("a", Tables.Left) ] in
+  check Alcotest.string "summary csv" "a\n\nmetric,value\nx,1.5\ny,2\n"
+    (Export.outcome_to_csv { Experiments.table; summary = [ ("x", 1.5); ("y", 2.0) ] })
 
 let csv_outcome_and_file () =
   let o = Experiments.table1 () in

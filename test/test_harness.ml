@@ -140,11 +140,11 @@ let dfg_of_kernel_total () =
 let speedup_and_efficiency_helpers () =
   let base =
     { Runner.label = "b"; cycles = 1000; energy_nj = 500.0; checked = Ok ();
-      stats = Stats.empty }
+      stats = Stats.snapshot (Stats.registry ()) }
   in
   let fast =
     { Runner.label = "f"; cycles = 250; energy_nj = 250.0; checked = Ok ();
-      stats = Stats.empty }
+      stats = Stats.snapshot (Stats.registry ()) }
   in
   check (Alcotest.float 1e-9) "speedup" 4.0 (Runner.speedup ~baseline:base fast);
   check (Alcotest.float 1e-9) "efficiency" 2.0 (Runner.efficiency ~baseline:base fast)

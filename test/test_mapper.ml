@@ -34,8 +34,8 @@ let consumers_placed_near_producers () =
     List.filter
       (fun (i, j, k) ->
         (match k with Dfg.Data _ -> true | _ -> false)
-        && (not (Dfg.is_memory_node dfg i))
-        && not (Dfg.is_memory_node dfg j))
+        && (not (Isa.is_memory dfg.Dfg.nodes.(i).Dfg.instr))
+        && not (Isa.is_memory dfg.Dfg.nodes.(j).Dfg.instr))
       (Dfg.edges dfg)
   in
   let close =
@@ -68,7 +68,7 @@ let installs_transfer_estimates () =
     (fun (i, j, _) ->
       check (Alcotest.float 1e-9)
         (Printf.sprintf "edge %d->%d estimate" i j)
-        (Placement.transfer_f p i j)
+        (float_of_int (Placement.transfer p i j))
         (Perf_model.transfer model i j))
     (Dfg.edges dfg)
 

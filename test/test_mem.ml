@@ -1,4 +1,5 @@
 let check = Alcotest.check
+let accesses c = Cache.hits c + Cache.misses c
 
 (* -------------------- main memory -------------------- *)
 
@@ -54,7 +55,7 @@ let mem_blit_read () =
   check (Alcotest.array Alcotest.int) "words" [| 1; -2; 3 |] (Main_memory.read_words m 16 3);
   Main_memory.blit_floats m 64 [| 1.0; 2.5 |];
   check (Alcotest.array (Alcotest.float 0.0)) "floats" [| 1.0; 2.5 |]
-    (Main_memory.read_floats m 64 2)
+    (Array.init 2 (fun i -> Main_memory.load_float32 m (64 + (4 * i))))
 
 (* The checksum of untouched memory, pinned to what the byte-at-a-time FNV
    loop gives over 16 MiB of zeros. *)
@@ -295,16 +296,22 @@ let cache_stats_conservation () =
   for _ = 1 to 500 do
     ignore (Cache.access c (Prng.int rng 8192) ~write:(Prng.bool rng))
   done;
-  check Alcotest.int "hits + misses = accesses" 500 (Cache.accesses c);
+  let reg = Stats.registry () in
+  Cache.register_stats c (Stats.group reg "l1");
+  let s = Stats.snapshot reg in
+  check Alcotest.(option int) "hits + misses = accesses" (Some 500)
+    (Stats.find_int s "l1.accesses");
   check Alcotest.bool "hit rate in [0,1]" true
-    (Cache.hit_rate c >= 0.0 && Cache.hit_rate c <= 1.0);
+    (match Stats.find s "l1.hit_rate" with
+     | Some (Stats.VFloat r) -> r >= 0.0 && r <= 1.0
+     | _ -> false);
   Cache.reset_stats c;
-  check Alcotest.int "stats reset" 0 (Cache.accesses c)
+  check Alcotest.int "stats reset" 0 (accesses c)
 
 let cache_probe_no_side_effect () =
   let c = small_cache () in
   check Alcotest.bool "cold probe" false (Cache.probe c 0);
-  check Alcotest.int "probe counts nothing" 0 (Cache.accesses c)
+  check Alcotest.int "probe counts nothing" 0 (accesses c)
 
 let cache_invalidate () =
   let c = small_cache () in
@@ -526,17 +533,17 @@ let hierarchy_independent () =
   let a = Hierarchy.create Hierarchy.default_config in
   let b = Hierarchy.create Hierarchy.default_config in
   ignore (Hierarchy.store_latency a 4096);
-  check Alcotest.int "a counted its access" 1 (Cache.accesses (Hierarchy.l2 a));
-  check Alcotest.int "b's L1 untouched" 0 (Cache.accesses (Hierarchy.l1 b));
-  check Alcotest.int "b's L2 untouched" 0 (Cache.accesses (Hierarchy.l2 b));
+  check Alcotest.int "a counted its access" 1 (accesses (Hierarchy.l2 a));
+  check Alcotest.int "b's L1 untouched" 0 (accesses (Hierarchy.l1 b));
+  check Alcotest.int "b's L2 untouched" 0 (accesses (Hierarchy.l2 b));
   check Alcotest.bool "line not in b" false (Cache.probe (Hierarchy.l1 b) 4096);
   let hs = Hierarchy.create_shared Hierarchy.default_config ~cores:2 in
   ignore (Hierarchy.load_latency hs.(0) 4096);
   check Alcotest.int "sibling sees the shared L2 miss" 1
     (Cache.misses (Hierarchy.l2 hs.(1)));
-  check Alcotest.int "sibling's L1 is private" 0 (Cache.accesses (Hierarchy.l1 hs.(1)));
+  check Alcotest.int "sibling's L1 is private" 0 (accesses (Hierarchy.l1 hs.(1)));
   Hierarchy.release a;
-  check Alcotest.int "release resets the counters" 0 (Cache.accesses (Hierarchy.l2 a));
+  check Alcotest.int "release resets the counters" 0 (accesses (Hierarchy.l2 a));
   check Alcotest.bool "release drops the lines" false (Cache.probe (Hierarchy.l1 a) 4096)
 
 let hierarchy_sharing_penalty () =

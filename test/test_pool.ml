@@ -122,11 +122,11 @@ let try_await_polls_without_blocking () =
             done;
             11)
       in
-      check (Alcotest.option Alcotest.int) "pending -> None" None (Pool.try_await f);
+      check (Alcotest.option Alcotest.int) "pending -> None" None (Pool.await_timeout f 0.0);
       Atomic.set gate true;
       check Alcotest.int "await still yields the value" 11 (Pool.await f);
       check (Alcotest.option Alcotest.int) "settled -> Some" (Some 11)
-        (Pool.try_await f))
+        (Pool.await_timeout f 0.0))
 
 let await_timeout_times_out_then_settles () =
   Pool.with_pool ~jobs:2 (fun pool ->
@@ -149,7 +149,7 @@ let await_timeout_times_out_then_settles () =
 
 let await_timeout_zero_polls_settled_state () =
   (* A non-positive window is a poll, not an unconditional None: the
-     initial try_await runs first, so a settled future still yields. *)
+     initial poll runs first, so a settled future still yields. *)
   Pool.with_pool ~jobs:2 (fun pool ->
       let f = Pool.submit pool (fun () -> 5) in
       check Alcotest.int "settle it" 5 (Pool.await f);
@@ -192,8 +192,8 @@ let await_timeout_propagates_exceptions () =
       let f = Pool.submit pool (fun () -> failwith "boom") in
       Alcotest.check_raises "failure re-raised within the window"
         (Failure "boom") (fun () -> ignore (Pool.await_timeout f 1.0));
-      Alcotest.check_raises "try_await re-raises too" (Failure "boom")
-        (fun () -> ignore (Pool.try_await f)))
+      Alcotest.check_raises "a zero window re-raises too" (Failure "boom")
+        (fun () -> ignore (Pool.await_timeout f 0.0)))
 
 (* qcheck: for settled futures a bounded wait agrees with await, at any
    jobs count (jobs=1 settles at submit; jobs>1 settles within the window). *)

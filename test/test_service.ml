@@ -174,15 +174,14 @@ let breaker_cfg =
 
 let breaker_trips_and_recloses () =
   let b = Breaker.create breaker_cfg in
-  check Alcotest.string "starts closed" "closed"
-    (Breaker.state_name (Breaker.state b));
+  check Alcotest.bool "starts closed" true (Breaker.state b = Breaker.Closed);
   (* One fault is below threshold; a clean run resets the count. *)
   (match Breaker.acquire b with Some `Route -> () | _ -> Alcotest.fail "route");
   ignore (Breaker.record b ~probe:false ~ok:false);
   ignore (Breaker.record b ~probe:false ~ok:true);
   ignore (Breaker.record b ~probe:false ~ok:false);
-  check Alcotest.string "still closed below threshold" "closed"
-    (Breaker.state_name (Breaker.state b));
+  check Alcotest.bool "still closed below threshold" true
+    (Breaker.state b = Breaker.Closed);
   (* Second consecutive fault trips. *)
   (match Breaker.record b ~probe:false ~ok:false with
   | Breaker.Tripped -> ()
@@ -201,8 +200,7 @@ let breaker_trips_and_recloses () =
   (match Breaker.record b ~probe:true ~ok:true with
   | Breaker.Reclosed -> ()
   | _ -> Alcotest.fail "clean probe must reclose");
-  check Alcotest.string "reclosed" "closed"
-    (Breaker.state_name (Breaker.state b))
+  check Alcotest.bool "reclosed" true (Breaker.state b = Breaker.Closed)
 
 let breaker_reopen_doubles_cooldown () =
   let b = Breaker.create breaker_cfg in
@@ -249,11 +247,7 @@ let backoff_seeded_and_bounded () =
       if d < 0.0 || d > 8.0 then
         Alcotest.fail
           (Printf.sprintf "draw %d = %f outside [0, cap]" i d))
-    (seq 7);
-  let b = Backoff.create ~seed:5 () in
-  ignore (Backoff.next_ms b);
-  ignore (Backoff.next_ms b);
-  check Alcotest.int "attempt counter advances" 2 (Backoff.attempt b)
+    (seq 7)
 
 (* ---------------- the live service ---------------- *)
 
@@ -291,6 +285,32 @@ let service_validates_requests () =
       | Proto.Err { Proto.kind = Proto.Bad_request; _ } -> ()
       | _ -> Alcotest.fail "malformed inject must be bad_request")
 
+(* A config that would fail every request is refused up front: a
+   non-positive default deadline expires every request, and an invalid
+   backoff pair would raise after admission and leak the in-flight slot. *)
+let service_rejects_bad_timing_config () =
+  List.iter
+    (fun (what, config, msg) ->
+      match Service.create ~config () with
+      | svc ->
+        Service.shutdown svc;
+        Alcotest.fail (what ^ " accepted")
+      | exception Invalid_argument m -> check Alcotest.string what msg m)
+    [
+      ( "negative default deadline",
+        { test_service_config with Service.default_deadline_ms = Some (-5.0) },
+        "Service.create: default_deadline_ms must be > 0" );
+      ( "zero default deadline",
+        { test_service_config with Service.default_deadline_ms = Some 0.0 },
+        "Service.create: default_deadline_ms must be > 0" );
+      ( "zero backoff base",
+        { test_service_config with Service.backoff_base_ms = 0.0 },
+        "Service.create: backoff_base_ms must be > 0" );
+      ( "backoff cap below base",
+        { test_service_config with Service.backoff_base_ms = 5.0; backoff_cap_ms = 2.0 },
+        "Service.create: backoff_cap_ms must be >= backoff_base_ms" );
+    ]
+
 let service_runs_and_counts () =
   with_service (fun svc ->
       (match Service.execute svc (Proto.run_request ~id:1 "nn") with
@@ -309,7 +329,7 @@ let service_runs_and_counts () =
    and [--stats-out] list them the way [Service.make_counters] reads. *)
 let counters_in_source_order () =
   with_service (fun svc ->
-      let names = Stats.names (Service.stats svc) in
+      let names = List.map fst (Stats.to_assoc (Service.stats svc)) in
       let index name =
         let rec go i = function
           | [] -> Alcotest.failf "%s not in the snapshot" name
@@ -450,8 +470,9 @@ let temp_socket () =
   path
 
 let with_daemon ?(config = test_service_config) f =
-  let d = Mesad.start ~service_config:config ~socket:(temp_socket ()) () in
-  Fun.protect ~finally:(fun () -> ignore (Mesad.stop d)) (fun () -> f d)
+  let socket = temp_socket () in
+  let d = Mesad.start ~service_config:config ~socket () in
+  Fun.protect ~finally:(fun () -> ignore (Mesad.stop d)) (fun () -> f d socket)
 
 let send_line fd line =
   let b = Bytes.of_string (line ^ "\n") in
@@ -473,12 +494,12 @@ let read_line_fd fd =
   go ()
 
 let daemon_answers_and_salvages_ids () =
-  with_daemon (fun d ->
+  with_daemon (fun _ socket ->
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          Unix.connect fd (Unix.ADDR_UNIX (Mesad.socket_path d));
+          Unix.connect fd (Unix.ADDR_UNIX socket);
           send_line fd {|{"op":"ping","id":41}|};
           (match
              Option.bind (read_line_fd fd) (fun l ->
@@ -511,13 +532,13 @@ let daemon_answers_and_salvages_ids () =
           | _ -> Alcotest.fail "salvaged id must come back on the error"))
 
 let drain_loses_no_inflight_request () =
-  with_daemon (fun d ->
+  with_daemon (fun d socket ->
       let got = ref None in
       let client =
         Thread.create
           (fun () ->
             let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Unix.connect fd (Unix.ADDR_UNIX (Mesad.socket_path d));
+            Unix.connect fd (Unix.ADDR_UNIX socket);
             send_line fd
               (Proto.request_to_line
                  (Proto.Run (Proto.run_request ~id:9 "nn")));
@@ -598,8 +619,7 @@ let rejected_config_binds_nothing () =
   check Alcotest.bool "no socket file left behind" false (Sys.file_exists socket)
 
 let subscribe_streams_frames () =
-  with_daemon (fun d ->
-      let socket = Mesad.socket_path d in
+  with_daemon (fun _ socket ->
       let watch = Proto.Watch (Proto.watch_request ~interval_ms:5.0 ~frames:3 ~id:1 ()) in
       let seen = ref 0 in
       let on_body = function
@@ -731,6 +751,8 @@ let suites =
       [
         Alcotest.test_case "validation errors are bad_request" `Quick
           service_validates_requests;
+        Alcotest.test_case "deadline and backoff config validated" `Quick
+          service_rejects_bad_timing_config;
         Alcotest.test_case "clean run succeeds and is counted" `Quick
           service_runs_and_counts;
         Alcotest.test_case "counters register in source order" `Quick

@@ -71,7 +71,7 @@ let frame_json_roundtrip () =
   now := 123.0;
   let w = Telemetry.watcher hub in
   Telemetry.note_missed w 2;
-  let f = Telemetry.next_frame hub w Stats.empty in
+  let f = Telemetry.next_frame hub w (Stats.snapshot (Stats.registry ())) in
   let j = Telemetry.frame_to_json f in
   (match Telemetry.frame_of_json j with
   | Error e -> Alcotest.fail ("frame decode: " ^ e)

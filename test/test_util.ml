@@ -31,29 +31,11 @@ let prng_float_range () =
     check Alcotest.bool "in [-2,2)" true (v >= -2.0 && v < 2.0)
   done
 
-let prng_shuffle_permutes () =
-  let rng = Prng.create 3 in
-  let a = Array.init 50 Fun.id in
-  Prng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  check (Alcotest.array Alcotest.int) "same multiset" (Array.init 50 Fun.id) sorted
-
-let prng_split_independent () =
-  let rng = Prng.create 11 in
-  let child = Prng.split rng in
-  let a = Prng.bits64 rng and b = Prng.bits64 child in
-  check Alcotest.bool "independent draws differ" true (a <> b)
-
 let stats_mean_geomean () =
   check float_eq "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
   check float_eq "mean empty" 0.0 (Stats.mean []);
   check float_eq "geomean" 2.0 (Stats.geomean [ 1.0; 2.0; 4.0 ]);
   check float_eq "geomean singleton" 3.0 (Stats.geomean [ 3.0 ])
-
-let stats_stddev () =
-  check float_eq "constant" 0.0 (Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  check (Alcotest.float 1e-6) "known" (sqrt 2.0) (Stats.stddev [ 1.0; 3.0; 1.0; 3.0 ] *. sqrt 2.0)
 
 let stats_percentile () =
   let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
@@ -64,9 +46,6 @@ let stats_percentile () =
       ignore (Stats.percentile 0.5 []))
 
 let stats_clamp_divceil () =
-  check float_eq "clamp low" 1.0 (Stats.clamp ~lo:1.0 ~hi:2.0 0.5);
-  check float_eq "clamp high" 2.0 (Stats.clamp ~lo:1.0 ~hi:2.0 3.0);
-  check Alcotest.int "iclamp" 4 (Stats.iclamp ~lo:0 ~hi:4 9);
   check Alcotest.int "div_ceil exact" 3 (Stats.div_ceil 9 3);
   check Alcotest.int "div_ceil round" 4 (Stats.div_ceil 10 3)
 
@@ -78,10 +57,7 @@ let stats_running () =
   Stats.Running.add r 4.0;
   check float_eq "mean" 3.0 (Stats.Running.mean r);
   check float_eq "mean_or ignores default" 3.0 (Stats.Running.mean_or r 7.0);
-  check Alcotest.int "count" 2 (Stats.Running.count r);
-  check float_eq "sum" 6.0 (Stats.Running.sum r);
-  Stats.Running.reset r;
-  check Alcotest.int "reset count" 0 (Stats.Running.count r)
+  check Alcotest.int "count" 2 (Stats.Running.count r)
 
 let tables_render () =
   let t = Tables.create ~title:"T" [ ("a", Tables.Left); ("b", Tables.Right) ] in
@@ -344,10 +320,7 @@ let suites =
         Alcotest.test_case "prng seed sensitivity" `Quick prng_seed_sensitivity;
         Alcotest.test_case "prng int ranges" `Quick prng_int_range;
         Alcotest.test_case "prng float ranges" `Quick prng_float_range;
-        Alcotest.test_case "prng shuffle permutes" `Quick prng_shuffle_permutes;
-        Alcotest.test_case "prng split" `Quick prng_split_independent;
         Alcotest.test_case "stats mean/geomean" `Quick stats_mean_geomean;
-        Alcotest.test_case "stats stddev" `Quick stats_stddev;
         Alcotest.test_case "stats percentile" `Quick stats_percentile;
         Alcotest.test_case "stats clamp/div_ceil" `Quick stats_clamp_divceil;
         Alcotest.test_case "running average" `Quick stats_running;

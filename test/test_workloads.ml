@@ -1,7 +1,7 @@
 let check = Alcotest.check
 
 let registry_complete () =
-  let names = Workloads.names () in
+  let names = List.map (fun k -> k.Kernel.name) (Workloads.all ()) in
   check Alcotest.int "twenty-three kernels" 23 (List.length names);
   check Alcotest.bool "sorted unique" true (names = List.sort_uniq compare names);
   List.iter
