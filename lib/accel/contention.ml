@@ -160,8 +160,8 @@ let claim_cycle t ~floor start =
   book t ~floor start
 
 let claim t ready =
-  Float.max ready
-    (float_of_int (book t ~floor:min_int (int_of_float (Float.ceil ready))))
+  Cycle_time.max ready
+    (float_of_int (book t ~floor:min_int (Cycle_time.ceil_int ready)))
 
 let claim_slot t ready =
   let issue = claim t ready in

@@ -21,14 +21,67 @@ type t = {
 let default_mem_latency =
   float_of_int Hierarchy.default_config.Hierarchy.l1.Cache.hit_latency
 
+(* One fixed-point snapshot, flat: booking [e < len] is table [tid.(e)],
+   cycle [off.(e)] past the frontier, [claims.(e)] claims; [phases] holds
+   each instance's next initiation past the frontier. [deep] marks a
+   backlog too long to be worth comparing. *)
+type snapshot = {
+  mutable deep : bool;
+  mutable len : int;
+  mutable tid : int array;
+  mutable off : float array;
+  mutable claims : int array;
+  phases : float array;
+}
+
+let snapshot tiling =
+  let size = 16 in
+  {
+    deep = true;
+    len = 0;
+    tid = Array.make size 0;
+    off = Array.make size 0.0;
+    claims = Array.make size 0;
+    phases = Array.make tiling 0.0;
+  }
+
+let push s tid off claims =
+  let k = s.len in
+  if k = Array.length s.tid then begin
+    let grow a fill =
+      let b = Array.make (2 * k) fill in
+      Array.blit a 0 b 0 k;
+      b
+    in
+    s.tid <- grow s.tid 0;
+    s.off <- grow s.off 0.0;
+    s.claims <- grow s.claims 0
+  end;
+  s.tid.(k) <- tid;
+  s.off.(k) <- off;
+  s.claims.(k) <- claims;
+  s.len <- k + 1
+
+(* Floats compare with [=], as the structural equality of the old
+   snapshot lists did. *)
+let same_snapshot a b =
+  (not a.deep) && (not b.deep) && a.len = b.len
+  &&
+  let eq = ref true in
+  for e = 0 to a.len - 1 do
+    if a.tid.(e) <> b.tid.(e) || a.off.(e) <> b.off.(e) || a.claims.(e) <> b.claims.(e)
+    then eq := false
+  done;
+  for k = 0 to Array.length a.phases - 1 do
+    if a.phases.(k) <> b.phases.(k) then eq := false
+  done;
+  !eq
+
 let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
     ~(config : Accel_config.t) ~(dfg : Dfg.t) () =
   let t = Timing.compile ~config ~dfg in
   let n = t.Timing.n in
   let iterations = max 1 iterations in
-  let op_latency =
-    match op_latency with Some f -> f | None -> fun j -> t.Timing.cls_lat.(j)
-  in
   let mem_latency =
     match mem_latency with Some f -> f | None -> fun _ -> default_mem_latency
   in
@@ -69,30 +122,44 @@ let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
      it the tail extrapolation. *)
   let snap_at b = b > 0 && (b land (b - 1) = 0 || (b - 1) land (b - 2) = 0) in
   let max_pending = 1024 in
-  let pending_snapshot frontier =
-    (* The bookings at or beyond the frontier as a (table, cycle - frontier,
-       claims) list in canonical order — ports (table 0) first, then router
-       [idx] as table [1 + idx], each table's cycles ascending — or [None]
-       when the backlog is too deep to be worth comparing. *)
-    let from = int_of_float (Float.ceil frontier) in
-    let pending tid table acc =
+  let take_snapshot s frontier =
+    (* The bookings at or beyond the frontier in canonical order — ports
+       (table 0) first, then router [idx] as table [1 + idx], each table's
+       cycles ascending — and the instance phases; [deep] when the backlog
+       is too long to be worth comparing. *)
+    let from = Cycle_time.ceil_int frontier in
+    s.len <- 0;
+    let pending tid table =
       Contention.fold_from table ~from
-        (fun c claims acc -> (tid, float_of_int c -. frontier, claims) :: acc)
-        acc
+        (fun c claims () ->
+          if s.len < max_pending then push s tid (float_of_int c -. frontier) claims
+          else s.len <- max_pending + 1)
+        ()
     in
-    let rev = ref (pending 0 st.Timing.ports []) in
-    Array.iteri
-      (fun idx -> Option.iter (fun table -> rev := pending (1 + idx) table !rev))
-      st.Timing.noc;
-    if List.compare_length_with !rev max_pending > 0 then None
-    else Some (List.rev !rev)
+    pending 0 st.Timing.ports;
+    Array.iteri (fun idx -> Option.iter (pending (1 + idx))) st.Timing.noc;
+    s.deep <- s.len > max_pending;
+    Array.iteri (fun k next -> s.phases.(k) <- next -. frontier) inst_next
   in
-  let prev_pending = ref None in
-  let fire ~inst j =
-    st.Timing.firing.oplat <-
-      (if t.Timing.kind.(j) = Timing.Mem_op then
-         Timing.mem_latency t st ~inst ~service:mem_latency j
-       else op_latency j)
+  (* The last two snapshots, reused: [cur] is filled and compared with
+     [prev], then they swap. *)
+  let cur = ref (snapshot tiling) and prev = ref (snapshot tiling) in
+  (* Without an op oracle the static latency is read in place: a call
+     through a closure would box the float it returns on every firing. *)
+  let fire =
+    match op_latency with
+    | None ->
+      fun ~inst j ->
+        st.Timing.firing.oplat <-
+          (if t.Timing.kind.(j) = Timing.Mem_op then
+             Timing.mem_latency t st ~inst ~service:mem_latency j
+           else t.Timing.cls_lat.(j))
+    | Some op_latency ->
+      fun ~inst j ->
+        st.Timing.firing.oplat <-
+          (if t.Timing.kind.(j) = Timing.Mem_op then
+             Timing.mem_latency t st ~inst ~service:mem_latency j
+           else op_latency j)
   in
   let last = st.Timing.last in
   let steady = ref false in
@@ -105,24 +172,20 @@ let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
       else if snap_at !boundaries then begin
         (* Round boundary: the frontier is the earliest next initiation —
            no claim in this or any later round can probe behind it. *)
-        let frontier = Array.fold_left Float.min inst_next.(0) inst_next in
-        let state =
-          match pending_snapshot frontier with
-          | None -> None
-          | Some pending ->
-            let phases =
-              Array.to_list (Array.map (fun t -> t -. frontier) inst_next)
-            in
-            Some (phases, pending)
-        in
+        let frontier = ref inst_next.(0) in
+        for i = 1 to tiling - 1 do
+          frontier := Cycle_time.min !frontier inst_next.(i)
+        done;
+        let s = !cur in
+        take_snapshot s !frontier;
         if
-          state <> None
-          && snap_at (!boundaries - 1)
-          && !prev_pending = state
+          snap_at (!boundaries - 1)
+          && same_snapshot s !prev
           && Array.for_all (fun s -> s) stable
           && Array.for_all (fun r -> r >= 2) ran
         then steady := true;
-        prev_pending := state
+        cur := !prev;
+        prev := s
       end
     end;
     if not !steady then begin
@@ -157,7 +220,7 @@ let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
       if k0 < iterations then begin
         let m = ((iterations - 1 - k0) / tiling) + 1 in
         let last_start = inst_next.(j) +. (float_of_int (m - 1) *. prev_ii.(j)) in
-        last.makespan <- Float.max last.makespan (last_start +. prev_lat.(j))
+        last.makespan <- Cycle_time.max last.makespan (last_start +. prev_lat.(j))
       end
     done
   end;
@@ -170,7 +233,7 @@ let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
     walk !best []
   in
   {
-    cycles = int_of_float (Float.ceil last.makespan);
+    cycles = Cycle_time.ceil_int last.makespan;
     iter_latency = last.latency;
     ii = last.ii;
     ii_rec = last.rec_;

@@ -55,6 +55,31 @@ let s32 = Engine_core.s32
 (* Fibonacci multiplicative hash for the store-disambiguation table. *)
 let[@inline] word_hash w mask = (w * 0x2545F4914F6CDD1D) land max_int land mask
 
+(* Operand slots. A window resolves each {!Dfg.src} once into a slot of
+   the int value file [vx] and one of the float value file [vf]: node [i]
+   at slot [i], live-in register [r] at [n + r]. A source read from the
+   wrong file gets the negative slot [-(r + 1)], which fails the read with
+   the message a direct read would give. Slot [n] of [vx] is [x0], always
+   0; the extra last slot of [vf] holds 0.0 and is never written. *)
+let int_slot n = function
+  | Dfg.Node i -> i
+  | Dfg.Reg_in (r, Dfg.X) -> n + r
+  | Dfg.Reg_in (r, Dfg.F) -> -(r + 1)
+
+let fp_slot n = function
+  | Dfg.Node i -> i
+  | Dfg.Reg_in (r, Dfg.F) -> n + r
+  | Dfg.Reg_in (r, Dfg.X) -> -(r + 1)
+
+let int_read_fail s =
+  raise (Exec_fail (Printf.sprintf "int read of FP live-in f%d" (-s - 1)))
+
+let fp_read_fail s =
+  raise (Exec_fail (Printf.sprintf "FP read of int live-in %s" (Reg.name (-s - 1))))
+
+let[@inline] read_x vx s = if s >= 0 then vx.(s) else int_read_fail s
+let[@inline] read_f (vf : float array) s = if s >= 0 then vf.(s) else fp_read_fail s
+
 let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
     ?(watchdog_window = 512) ?attribution ~(config : Accel_config.t)
     ~(dfg : Dfg.t) ~(machine : Machine.t) ~(hier : Hierarchy.t) () =
@@ -86,12 +111,37 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
             | Placement.Pe c -> Attribution.pe_lane a c
             | Placement.Ls e -> Attribution.ls_lane a e)
     in
-    let live_out_x = Array.of_list dfg.Dfg.live_out_x in
-    let live_out_f = Array.of_list dfg.Dfg.live_out_f in
-    let vx = Array.make n 0 in
-    let vf = Array.make n 0.0 in
-    let in_x = Array.init Reg.count (Machine.get_x machine) in
-    let in_f = Array.init Reg.count (Machine.get_f machine) in
+    (* The value files and every node's operand slots, resolved once. *)
+    let vx = Array.make (n + Reg.count) 0 in
+    let vf = Array.make (n + Reg.count + 1) 0.0 in
+    for r = 0 to Reg.count - 1 do
+      vx.(n + r) <- Machine.get_x machine r;
+      vf.(n + r) <- Machine.get_f machine r
+    done;
+    let x_zero = n and f_zero = n + Reg.count in
+    let operand slot zero k =
+      Array.map
+        (fun nd -> if Array.length nd.Dfg.srcs > k then slot n nd.Dfg.srcs.(k) else zero)
+        nodes
+    in
+    let xa = operand int_slot x_zero 0 and xb = operand int_slot x_zero 1 in
+    let fa = operand fp_slot f_zero 0 and fb = operand fp_slot f_zero 1 in
+    (* What a disabled node writes into its own slot: its hidden value, 0
+       without one, itself when it writes no register of that file. *)
+    let writes_x = Array.map (fun nd -> Isa.writes_int nd.Dfg.instr <> None) nodes in
+    let writes_f = Array.map (fun nd -> Isa.writes_fp nd.Dfg.instr <> None) nodes in
+    let hidden slot writes zero =
+      Array.mapi
+        (fun j nd ->
+          if not writes.(j) then j
+          else match nd.Dfg.hidden with Some h -> slot n h | None -> zero)
+        nodes
+    in
+    let hid_x = hidden int_slot writes_x x_zero in
+    let hid_f = hidden fp_slot writes_f f_zero in
+    let live_outs slot l = Array.of_list (List.map (fun (r, src) -> (r, slot n src)) l) in
+    let live_out_x = live_outs int_slot dfg.Dfg.live_out_x in
+    let live_out_f = live_outs fp_slot dfg.Dfg.live_out_f in
     let pe_coord =
       Array.init n (fun i ->
           match Placement.loc_of pl i with
@@ -167,18 +217,6 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
     let port_queue = Stats.histogram contention_grp "port_queue_delay" in
     let ii_achieved = Stats.histogram (Stats.group reg "ii") "achieved" in
     let act = Activity.create () in
-    let val_i = function
-      | Dfg.Node i -> vx.(i)
-      | Dfg.Reg_in (r, Dfg.X) -> in_x.(r)
-      | Dfg.Reg_in (r, Dfg.F) ->
-        raise (Exec_fail (Printf.sprintf "int read of FP live-in f%d" r))
-    in
-    let val_f = function
-      | Dfg.Node i -> vf.(i)
-      | Dfg.Reg_in (r, Dfg.F) -> in_f.(r)
-      | Dfg.Reg_in (r, Dfg.X) ->
-        raise (Exec_fail (Printf.sprintf "FP read of int live-in %s" (Reg.name r)))
-    in
     (* Find-or-create an edge histogram; shared by compiled edges (which
        then cache the result) and dynamic alias edges. *)
     let edge_hist i j =
@@ -197,13 +235,10 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
         Hashtbl.add edge_lat (i, j) h;
         h
     in
-    let observe_edge j d lat =
-      match ehist.(j).(d) with
-      | Some h -> Stats.observe h lat
-      | None ->
-        let h = edge_hist sched.Timing.deps.(j).(d) j in
-        ehist.(j).(d) <- Some h;
-        Stats.observe h lat
+    let new_edge_hist j d =
+      let h = edge_hist sched.Timing.deps.(j).(d) j in
+      ehist.(j).(d) <- Some h;
+      h
     in
     (* Cursor state, hoisted so the hot closures below are built once per
        execution rather than once per node firing: the memory access in
@@ -265,18 +300,17 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       firing.oplat <- lat
     in
     let corrupt_latch j ~value ~stuck =
-      let nd = nodes.(j) in
       if sched.Timing.kind.(j) = Timing.Branch_op then begin
         let old = vx.(j) in
         vx.(j) <- (if stuck then 1 else if old <> 0 then 0 else 1);
         vx.(j) <> old
       end
-      else if Isa.writes_int nd.Dfg.instr <> None then begin
+      else if writes_x.(j) then begin
         let old = vx.(j) in
         vx.(j) <- s32 (if stuck then value else old lxor value);
         vx.(j) <> old
       end
-      else if Isa.writes_fp nd.Dfg.instr <> None then begin
+      else if writes_f.(j) then begin
         let old = vf.(j) in
         let bits = Interp.Alu.fmv_x_w old in
         vf.(j) <- Interp.Alu.fmv_w_x (if stuck then value else bits lxor value);
@@ -310,8 +344,10 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       let claims = st.Timing.nclaims in
       act.Activity.local_transfers <- act.Activity.local_transfers + ndeps - claims;
       act.Activity.noc_transfers <- act.Activity.noc_transfers + claims;
+      let hists = ehist.(j) in
       for d = 0 to ndeps - 1 do
-        observe_edge j d st.Timing.lat.(d)
+        let h = match hists.(d) with Some h -> h | None -> new_edge_hist j d in
+        Stats.observe h st.Timing.lat.(d)
       done;
       for c = 0 to claims - 1 do
         Stats.observe noc_queue st.Timing.claim_wait.(c)
@@ -320,14 +356,8 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       if disabled then begin
         firing.oplat <- 1.0;
         act.Activity.disabled_ops <- act.Activity.disabled_ops + 1;
-        (match (Isa.writes_int nd.Dfg.instr, nd.Dfg.hidden) with
-        | Some _, Some h -> vx.(j) <- val_i h
-        | Some _, None -> vx.(j) <- 0
-        | None, _ -> ());
-        (match (Isa.writes_fp nd.Dfg.instr, nd.Dfg.hidden) with
-        | Some _, Some h -> vf.(j) <- val_f h
-        | Some _, None -> vf.(j) <- 0.0
-        | None, _ -> ());
+        vx.(j) <- read_x vx hid_x.(j);
+        vf.(j) <- read_f vf hid_f.(j);
         if sched.Timing.kind.(j) = Timing.Branch_op then vx.(j) <- 0
       end
       else begin
@@ -335,44 +365,40 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
         firing.oplat <- sched.Timing.cls_lat.(j);
         match nd.Dfg.instr with
         | Isa.Rtype (op, _, _, _) ->
-          vx.(j) <- Interp.Alu.rtype op (val_i nd.Dfg.srcs.(0)) (val_i nd.Dfg.srcs.(1))
-        | Isa.Itype (op, _, _, imm) ->
-          vx.(j) <- Interp.Alu.itype op (val_i nd.Dfg.srcs.(0)) imm
+          vx.(j) <- Interp.Alu.rtype op (read_x vx xa.(j)) (read_x vx xb.(j))
+        | Isa.Itype (op, _, _, imm) -> vx.(j) <- Interp.Alu.itype op (read_x vx xa.(j)) imm
         | Isa.Lui (_, imm) -> vx.(j) <- s32 imm
         | Isa.Auipc (_, imm) -> vx.(j) <- s32 (nd.Dfg.addr + imm)
         | Isa.Load (op, _, _, off) ->
-          let addr = u32 (val_i nd.Dfg.srcs.(0) + off) in
+          let addr = u32 (read_x vx xa.(j) + off) in
           vx.(j) <- Interp.Alu.load op mem addr;
           mem_access ~inst j ~load:true ~addr
         | Isa.Flw (_, _, off) ->
-          let addr = u32 (val_i nd.Dfg.srcs.(0) + off) in
+          let addr = u32 (read_x vx xa.(j) + off) in
           vf.(j) <- Main_memory.load_float32 mem addr;
           mem_access ~inst j ~load:true ~addr
         | Isa.Store (op, _, _, off) ->
-          let addr = u32 (val_i nd.Dfg.srcs.(1) + off) in
-          Interp.Alu.store op mem addr (val_i nd.Dfg.srcs.(0));
+          let addr = u32 (read_x vx xb.(j) + off) in
+          Interp.Alu.store op mem addr (read_x vx xa.(j));
           store_record j addr;
           mem_access ~inst j ~load:false ~addr
         | Isa.Fsw (_, _, off) ->
-          let addr = u32 (val_i nd.Dfg.srcs.(1) + off) in
-          Main_memory.store_float32 mem addr (val_f nd.Dfg.srcs.(0));
+          let addr = u32 (read_x vx xb.(j) + off) in
+          Main_memory.store_float32 mem addr (read_f vf fa.(j));
           store_record j addr;
           mem_access ~inst j ~load:false ~addr
         | Isa.Branch (op, _, _, _) ->
-          let taken =
-            Interp.Alu.branch_taken op (val_i nd.Dfg.srcs.(0)) (val_i nd.Dfg.srcs.(1))
-          in
+          let taken = Interp.Alu.branch_taken op (read_x vx xa.(j)) (read_x vx xb.(j)) in
           vx.(j) <- (if taken then 1 else 0)
         | Isa.Ftype (op, _, _, _) ->
-          let a = val_f nd.Dfg.srcs.(0) in
-          let b = if Array.length nd.Dfg.srcs > 1 then val_f nd.Dfg.srcs.(1) else 0.0 in
-          vf.(j) <- Interp.Alu.ftype op a b
+          let a = read_f vf fa.(j) in
+          vf.(j) <- Interp.Alu.ftype op a (read_f vf fb.(j))
         | Isa.Fcmp (op, _, _, _) ->
-          vx.(j) <- Interp.Alu.fcmp op (val_f nd.Dfg.srcs.(0)) (val_f nd.Dfg.srcs.(1))
-        | Isa.Fcvt_w_s (_, _) -> vx.(j) <- Interp.Alu.fcvt_w_s (val_f nd.Dfg.srcs.(0))
-        | Isa.Fcvt_s_w (_, _) -> vf.(j) <- Interp.Alu.fcvt_s_w (val_i nd.Dfg.srcs.(0))
-        | Isa.Fmv_x_w (_, _) -> vx.(j) <- Interp.Alu.fmv_x_w (val_f nd.Dfg.srcs.(0))
-        | Isa.Fmv_w_x (_, _) -> vf.(j) <- Interp.Alu.fmv_w_x (val_i nd.Dfg.srcs.(0))
+          vx.(j) <- Interp.Alu.fcmp op (read_f vf fa.(j)) (read_f vf fb.(j))
+        | Isa.Fcvt_w_s (_, _) -> vx.(j) <- Interp.Alu.fcvt_w_s (read_f vf fa.(j))
+        | Isa.Fcvt_s_w (_, _) -> vf.(j) <- Interp.Alu.fcvt_s_w (read_x vx xa.(j))
+        | Isa.Fmv_x_w (_, _) -> vx.(j) <- Interp.Alu.fmv_x_w (read_f vf fa.(j))
+        | Isa.Fmv_w_x (_, _) -> vf.(j) <- Interp.Alu.fmv_w_x (read_x vx xa.(j))
         | Isa.Jal _ | Isa.Jalr _ | Isa.Ecall | Isa.Ebreak | Isa.Fence ->
           raise
             (Exec_fail
@@ -440,12 +466,12 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
         let continue_loop = vx.(dfg.Dfg.back_branch) <> 0 in
         (* Next iteration's live-ins are this iteration's live-outs. *)
         for k = 0 to Array.length live_out_x - 1 do
-          let r, src = live_out_x.(k) in
-          if r <> 0 then in_x.(r) <- val_i src
+          let r, s = live_out_x.(k) in
+          if r <> 0 then vx.(n + r) <- read_x vx s
         done;
         for k = 0 to Array.length live_out_f - 1 do
-          let r, src = live_out_f.(k) in
-          in_f.(r) <- val_f src
+          let r, s = live_out_f.(k) in
+          vf.(n + r) <- read_f vf s
         done;
         if not continue_loop then exit_reached := true
         else begin
@@ -472,8 +498,8 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       done;
       (* Architectural writeback: loop live-outs, and either the exit PC or
          (when pausing mid-loop) the entry PC so execution can resume. *)
-      Array.iter (fun (r, src) -> Machine.set_x machine r (val_i src)) live_out_x;
-      Array.iter (fun (r, src) -> Machine.set_f machine r (val_f src)) live_out_f;
+      Array.iter (fun (r, s) -> Machine.set_x machine r (read_x vx s)) live_out_x;
+      Array.iter (fun (r, s) -> Machine.set_f machine r (read_f vf s)) live_out_f;
       machine.Machine.pc <- (if !paused then dfg.Dfg.entry_addr else dfg.Dfg.exit_addr);
       let makespan = st.Timing.last.Timing.makespan in
       act.Activity.cycles <- int_of_float (Float.ceil makespan);

@@ -106,6 +106,7 @@ type state = {
   acquire : int -> Contention.t;
   next : float array;
   mutable floor : int;
+  mutable floor_due : int;
   completes : float array;
   arrival : float array;
   uncontended : float array;
@@ -131,6 +132,7 @@ let start ?(acquire = fun capacity -> Contention.create ~capacity) t ~ports =
     acquire;
     next = Array.make t.tiling 0.0;
     floor = 0;
+    floor_due = 0;
     completes = Array.make t.n 0.0;
     arrival = Array.make t.n 0.0;
     uncontended = Array.make t.n 0.0;
@@ -144,12 +146,12 @@ let start ?(acquire = fun capacity -> Contention.create ~capacity) t ~ports =
   }
 
 (* Claim [table] at [ready]; log the queueing delay and return it. This is
-   [Contention.claim] with the float arithmetic on this side of the call. *)
+   [Contention.claim] with the float arithmetic on this side of the call.
+   Every float below is a cycle time, so {!Cycle_time} stands in for
+   [Float]'s max, min, ceil and floor, which call C. *)
 let[@inline] claim st table ready =
-  let cycle =
-    Contention.claim_cycle table ~floor:st.floor (int_of_float (Float.ceil ready))
-  in
-  let wait = Float.max ready (float_of_int cycle) -. ready in
+  let cycle = Contention.claim_cycle table ~floor:st.floor (Cycle_time.ceil_int ready) in
+  let wait = Cycle_time.max ready (float_of_int cycle) -. ready in
   let k = st.nclaims in
   st.claim_wait.(k) <- wait;
   st.nclaims <- k + 1;
@@ -177,7 +179,7 @@ let[@inline] edge t st inst j i base slice =
     st.arrival.(j) <- c +. lat;
     st.argmax.(j) <- i
   end;
-  st.uncontended.(j) <- Float.max st.uncontended.(j) (c +. base);
+  st.uncontended.(j) <- Cycle_time.max st.uncontended.(j) (c +. base);
   lat
 
 let fold t st ~inst j =
@@ -193,7 +195,7 @@ let fold t st ~inst j =
 let alias t st ~inst i j =
   edge t st inst j i (transfer t.placement i j) (slice_of t.placement i j)
 
-let mem_latency t st ~inst ~service j =
+let[@inline] mem_latency t st ~inst ~service j =
   st.accesses <- st.accesses + 1;
   if t.is_load.(j) && t.forwarded.(j) then 2.0
   else if t.is_load.(j) && t.vector_member.(j) then 1.0
@@ -203,27 +205,27 @@ let mem_latency t st ~inst ~service j =
     wait +. service j
   end
 
-let initiate t st ~inst ~fu =
+let[@inline] initiate t st ~inst ~fu =
   let b = st.last in
-  (* A loop, not [Array.fold_left Float.max]: the closure would box every
-     partial maximum. *)
+  (* A loop, not [Array.fold_left Cycle_time.max]: the closure would box
+     every partial maximum. *)
   let latency = ref 0.0 in
   for j = 0 to t.n - 1 do
-    latency := Float.max !latency st.completes.(j)
+    latency := Cycle_time.max !latency st.completes.(j)
   done;
   let latency = !latency in
   b.latency <- latency;
-  b.makespan <- Float.max b.makespan (st.next.(inst) +. latency);
+  b.makespan <- Cycle_time.max b.makespan (st.next.(inst) +. latency);
   if t.pipelined then begin
     let r = ref 1.0 in
     for k = 0 to Array.length t.carried - 1 do
-      r := Float.max !r st.completes.(t.carried.(k))
+      r := Cycle_time.max !r st.completes.(t.carried.(k))
     done;
     let mem = float_of_int (Stats.div_ceil st.accesses st.port_cap) in
     b.rec_ <- !r;
     b.mem <- mem;
     b.fu <- fu;
-    b.ii <- Float.max (Float.max !r mem) fu
+    b.ii <- Cycle_time.max (Cycle_time.max !r mem) fu
   end
   else begin
     b.ii <- latency +. 1.0;
@@ -237,23 +239,30 @@ let initiate t st ~inst ~fu =
 (* Every claim of an iteration is ready at [next.(inst)] plus an arrival
    or a completion (both >= 0), and [next] only grows, so no claim from
    here on starts below the earliest initiation: the tables may forget the
-   cycles behind it. *)
+   cycles behind it. A floor taken earlier stays below every clock, so it
+   is rescanned once per [tiling] steps rather than on each: at M-512 a
+   loop runs 85 instances, and the per-step scan cost more than the
+   iteration's own arithmetic. *)
 let set_floor st =
   let m = ref st.next.(0) in
   for k = 1 to Array.length st.next - 1 do
-    m := Float.min !m st.next.(k)
+    m := Cycle_time.min !m st.next.(k)
   done;
-  st.floor <- int_of_float (Float.floor !m)
+  st.floor <- Cycle_time.floor_int !m
 
 let step t st ~inst ~fire =
-  set_floor st;
+  if st.floor_due = 0 then begin
+    set_floor st;
+    st.floor_due <- t.tiling
+  end;
+  st.floor_due <- st.floor_due - 1;
   let fu = ref 1.0 in
   for j = 0 to t.n - 1 do
     fold t st ~inst j;
     st.firing.port_wait <- 0.0;
     fire ~inst j;
     let oplat = st.firing.oplat in
-    if t.long_op.(j) then fu := Float.max !fu oplat;
+    if t.long_op.(j) then fu := Cycle_time.max !fu oplat;
     st.completes.(j) <- st.arrival.(j) +. oplat
   done;
   initiate t st ~inst ~fu:!fu

@@ -72,9 +72,12 @@ type state = {
   acquire : int -> Contention.t;
   next : float array;         (** per-instance next initiation time *)
   mutable floor : int;
-      (** [⌊min next⌋], set by {!step}: the frontier below which no claim
-          of this or any later iteration starts, so the tables may forget
-          it *)
+      (** a cycle at or below every instance's next initiation, so below
+          every claim of this or any later iteration: the tables may forget
+          the cycles behind it. {!step} sets it to [⌊min next⌋] once per
+          [tiling] steps; the clocks only grow, so it stays a lower bound
+          in between. *)
+  mutable floor_due : int;    (** steps until {!step} rescans [floor] *)
   completes : float array;    (** per-node completion, relative to its
                                   iteration's start *)
   arrival : float array;      (** per-node Equation-2 arrival *)
@@ -124,13 +127,13 @@ val initiate : t -> state -> inst:int -> fu:float -> unit
     latency plus one. Exposed for tests, like {!fold}. *)
 
 val step : t -> state -> inst:int -> fire:(inst:int -> int -> unit) -> unit
-(** One iteration of instance [inst]: it sets [floor], then for each node
-    [j] in order it runs {!fold} on it, calls [fire ~inst j] (which must set [firing.oplat]; [port_wait]
-    starts at 0), bounds the II by [oplat] if [j] is an iterative unit and
-    sets [completes.(j)] to its arrival plus [oplat]; then {!initiate}.
-    Beyond what [fire] allocates, a step allocates one boxed float (the
-    [fu] it passes to {!initiate}) and each router table on its first
-    claim: nothing per node firing. *)
+(** One iteration of instance [inst]: it rescans [floor] when due, then
+    for each node [j] in order it runs {!fold} on it, calls [fire ~inst j]
+    (which must set [firing.oplat]; [port_wait] starts at 0), bounds the
+    II by [oplat] if [j] is an iterative unit and sets [completes.(j)] to
+    its arrival plus [oplat]; then {!initiate}. Beyond what [fire]
+    allocates, a step allocates only each router table on its first
+    claim: nothing per node firing and nothing per iteration. *)
 
 val router_use : t -> state -> (int * int * int) list
 (** [(slice, claims, busy cycles)] of every router table created, in

@@ -202,23 +202,33 @@ let taken_of (m : Machine.t) = function
     else Some false
   | _ -> None
 
+(* Index of the instruction at [pc] in [code], or -1 outside the program
+   or off a word boundary: [Program.fetch] without its option. *)
+let[@inline] slot code base pc =
+  let off = pc - base in
+  if off >= 0 && off land 3 = 0 && off lsr 2 < Array.length code then off lsr 2 else -1
+
 let step prog (m : Machine.t) =
-  match Program.fetch prog m.pc with
-  | None -> Error Exited
-  | Some (Isa.Ecall | Isa.Ebreak) -> Error Ecall_halt
-  | Some instr -> (
-    let pc = m.pc in
-    match
-      let mem_addr = mem_addr_of m instr and taken = taken_of m instr in
-      let next_pc = exec m pc instr in
-      { addr = pc; instr; mem_addr; taken; next_pc }
-    with
-    | ev ->
-      m.pc <- ev.next_pc;
-      Ok ev
-    | exception Invalid_argument msg -> Error (Fault msg))
+  let code = Program.code prog in
+  let i = slot code (Program.base prog) m.pc in
+  if i < 0 then Error Exited
+  else
+    match code.(i) with
+    | Isa.Ecall | Isa.Ebreak -> Error Ecall_halt
+    | instr -> (
+      let pc = m.pc in
+      match
+        let mem_addr = mem_addr_of m instr and taken = taken_of m instr in
+        let next_pc = exec m pc instr in
+        { addr = pc; instr; mem_addr; taken; next_pc }
+      with
+      | ev ->
+        m.pc <- ev.next_pc;
+        Ok ev
+      | exception Invalid_argument msg -> Error (Fault msg))
 
 let run ?(max_steps = 100_000_000) ?on_event prog (m : Machine.t) =
+  let code = Program.code prog and base = Program.base prog in
   let rec go retired =
     if retired >= max_steps then (Step_limit, retired)
     else
@@ -230,14 +240,16 @@ let run ?(max_steps = 100_000_000) ?on_event prog (m : Machine.t) =
           go (retired + 1)
         | Error halt -> (halt, retired))
       | None -> (
-        match Program.fetch prog m.pc with
-        | None -> (Exited, retired)
-        | Some (Isa.Ecall | Isa.Ebreak) -> (Ecall_halt, retired)
-        | Some instr -> (
-          match exec m m.pc instr with
-          | next_pc ->
-            m.pc <- next_pc;
-            go (retired + 1)
-          | exception Invalid_argument msg -> (Fault msg, retired)))
+        let i = slot code base m.pc in
+        if i < 0 then (Exited, retired)
+        else
+          match code.(i) with
+          | Isa.Ecall | Isa.Ebreak -> (Ecall_halt, retired)
+          | instr -> (
+            match exec m m.pc instr with
+            | next_pc ->
+              m.pc <- next_pc;
+              go (retired + 1)
+            | exception Invalid_argument msg -> (Fault msg, retired)))
   in
   go 0

@@ -49,8 +49,6 @@ type t = {
   fp_free : int array;
   port_free : int array;
   commit_ring : int array; (* commit cycles of the last rob_size instrs *)
-  operand_ready : int -> Reg.t -> [ `Int | `Fp ] -> int;
-      (* Isa.fold_reads step over the ready arrays, built once per model *)
   mutable seq : int;
   mutable fetch_cycle : int;
   mutable fetched_this_cycle : int;
@@ -81,11 +79,6 @@ let create cfg hier =
     fp_free = Array.make cfg.fp_units 0;
     port_free = Array.make cfg.mem_ports 0;
     commit_ring = Array.make cfg.rob_size 0;
-    operand_ready =
-      (fun acc r file ->
-        match file with
-        | `Int -> Int.max acc int_ready.(r)
-        | `Fp -> Int.max acc fp_ready.(r));
     seq = 0;
     fetch_cycle = 0;
     fetched_this_cycle = 0;
@@ -136,50 +129,80 @@ let commit_time t ~complete =
   t.last_commit <- t.commit_cycle;
   t.commit_cycle
 
+(* Cycle at which [instr]'s source operands ({!Isa.reads}) are ready,
+   matched directly: no list, no callback. *)
+let operands_ready t instr =
+  let x = t.int_ready and f = t.fp_ready in
+  match instr with
+  | Isa.Rtype (_, _, rs1, rs2) | Isa.Branch (_, rs1, rs2, _) -> Int.max x.(rs1) x.(rs2)
+  | Isa.Store (_, src, base, _) -> Int.max x.(src) x.(base)
+  | Isa.Itype (_, _, rs1, _) | Isa.Load (_, _, rs1, _) | Isa.Jalr (_, rs1, _)
+  | Isa.Flw (_, rs1, _) | Isa.Fcvt_s_w (_, rs1) | Isa.Fmv_w_x (_, rs1) ->
+    x.(rs1)
+  | Isa.Lui (_, _) | Isa.Auipc (_, _) | Isa.Jal (_, _) | Isa.Ecall | Isa.Ebreak
+  | Isa.Fence ->
+    0
+  | Isa.Ftype (Isa.FSQRT, _, fs1, _) | Isa.Fcvt_w_s (_, fs1) | Isa.Fmv_x_w (_, fs1) ->
+    f.(fs1)
+  | Isa.Ftype (_, _, fs1, fs2) | Isa.Fcmp (_, _, fs1, fs2) -> Int.max f.(fs1) f.(fs2)
+  | Isa.Fsw (fsrc, base, _) -> Int.max f.(fsrc) x.(base)
+
+(* Mark [instr]'s destination register ready at [complete] ([x0] never
+   is): {!Isa.writes_int} and {!Isa.writes_fp} without their options. *)
+let write_back t instr complete =
+  match instr with
+  | Isa.Rtype (_, rd, _, _) | Isa.Itype (_, rd, _, _) | Isa.Load (_, rd, _, _)
+  | Isa.Lui (rd, _) | Isa.Auipc (rd, _) | Isa.Jal (rd, _) | Isa.Jalr (rd, _, _)
+  | Isa.Fcmp (_, rd, _, _) | Isa.Fcvt_w_s (rd, _) | Isa.Fmv_x_w (rd, _) ->
+    if rd <> 0 then t.int_ready.(rd) <- complete
+  | Isa.Ftype (_, fd, _, _) | Isa.Flw (fd, _, _) | Isa.Fcvt_s_w (fd, _)
+  | Isa.Fmv_w_x (fd, _) ->
+    t.fp_ready.(fd) <- complete
+  | Isa.Store _ | Isa.Branch _ | Isa.Fsw _ | Isa.Ecall | Isa.Ebreak | Isa.Fence -> ()
+
 let feed t (ev : Interp.event) =
   let cfg = t.cfg in
   let cls = Isa.op_class ev.instr in
   (* Operand readiness. *)
-  let ready = Isa.fold_reads t.operand_ready 0 ev.instr in
+  let ready = operands_ready t ev.instr in
   (* Structural constraints: fetch slot and ROB space. *)
   let fetched = fetch_time t in
   let rob_slot = t.commit_ring.(t.seq mod cfg.rob_size) in
   if rob_slot > ready && rob_slot > fetched then t.rob_stalls <- t.rob_stalls + 1;
   let not_before = Int.max (Int.max ready fetched) rob_slot in
-  (* Functional unit and latency. *)
-  let issue, latency =
+  (* Latency, then the functional unit. *)
+  let latency =
     match cls with
-    | Isa.C_alu | Isa.C_branch | Isa.C_jump | Isa.C_system ->
-      (claim_unit t.alu_free ~not_before ~occupancy:1, cfg.latencies cls)
-    | Isa.C_mul -> (claim_unit t.mul_free ~not_before ~occupancy:1, cfg.latencies cls)
-    | Isa.C_div ->
-      let occ = Latency.occupancy_cpu Isa.C_div in
-      (claim_unit t.div_free ~not_before ~occupancy:occ, cfg.latencies cls)
-    | Isa.C_fadd | Isa.C_fmul ->
-      (claim_unit t.fp_free ~not_before ~occupancy:1, cfg.latencies cls)
-    | Isa.C_fdiv ->
-      let occ = Latency.occupancy_cpu Isa.C_fdiv in
-      (claim_unit t.fp_free ~not_before ~occupancy:occ, cfg.latencies cls)
     | Isa.C_load ->
       let addr = Option.value ev.mem_addr ~default:0 in
       let lat = Hierarchy.load_latency t.hier addr in
       t.load_latency_sum <- t.load_latency_sum + lat;
-      (claim_unit t.port_free ~not_before ~occupancy:1, lat)
+      lat
     | Isa.C_store ->
       let addr = Option.value ev.mem_addr ~default:0 in
       (* Stores retire into the store buffer; cache state is updated but the
          latency is off the critical path. *)
       ignore (Hierarchy.store_latency t.hier addr);
-      (claim_unit t.port_free ~not_before ~occupancy:1, 1)
+      1
+    | Isa.C_alu | Isa.C_branch | Isa.C_jump | Isa.C_system | Isa.C_mul | Isa.C_div
+    | Isa.C_fadd | Isa.C_fmul | Isa.C_fdiv ->
+      cfg.latencies cls
+  in
+  let issue =
+    match cls with
+    | Isa.C_alu | Isa.C_branch | Isa.C_jump | Isa.C_system ->
+      claim_unit t.alu_free ~not_before ~occupancy:1
+    | Isa.C_mul -> claim_unit t.mul_free ~not_before ~occupancy:1
+    | Isa.C_div ->
+      claim_unit t.div_free ~not_before ~occupancy:(Latency.occupancy_cpu Isa.C_div)
+    | Isa.C_fadd | Isa.C_fmul -> claim_unit t.fp_free ~not_before ~occupancy:1
+    | Isa.C_fdiv ->
+      claim_unit t.fp_free ~not_before ~occupancy:(Latency.occupancy_cpu Isa.C_fdiv)
+    | Isa.C_load | Isa.C_store -> claim_unit t.port_free ~not_before ~occupancy:1
   in
   let complete = issue + latency in
   (* Destination readiness. *)
-  (match Isa.writes_int ev.instr with
-  | Some rd when rd <> 0 -> t.int_ready.(rd) <- complete
-  | Some _ | None -> ());
-  (match Isa.writes_fp ev.instr with
-  | Some fd -> t.fp_ready.(fd) <- complete
-  | None -> ());
+  write_back t ev.instr complete;
   (* Branch resolution and misprediction. *)
   (match (cls, ev.taken) with
   | Isa.C_branch, Some actual ->

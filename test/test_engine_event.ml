@@ -20,7 +20,7 @@ type draw = { arch : Gen.arch_case; tiling : int; pipelined : bool }
 let gen_draw =
   let open QCheck2.Gen in
   Gen.arch_case () >>= fun arch ->
-  oneofl [ 1; 2; 4 ] >>= fun tiling ->
+  oneofl [ 1; 2; 4; 32 ] >>= fun tiling ->
   bool >>= fun pipelined -> return { arch; tiling; pipelined }
 
 let print_draw d =

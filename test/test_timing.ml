@@ -135,8 +135,9 @@ let step_matches_both_callers =
       true)
 
 (* Words allocated per [step], over many steps of loops from fixed seeds:
-   [initiate]'s boxed [fu] argument is the only allocation, so the count
-   stays at that constant whatever the node count and NoC traffic. *)
+   once its router tables exist a step allocates nothing (the [fu] bound
+   reaches the inlined [initiate] unboxed), whatever the node count and
+   NoC traffic. *)
 let step_allocation () =
   let rec placed seed =
     let c =
@@ -163,10 +164,85 @@ let step_allocation () =
       let before = Gc.minor_words () in
       run ();
       let per_step = (Gc.minor_words () -. before) /. float_of_int steps in
-      if per_step > 4.0 then
+      if per_step > 1.0 then
         Alcotest.failf "seed %d (%d nodes): %.2f minor words per step" seed t.Timing.n
           per_step)
     (List.init 20 Fun.id)
+
+(* Words allocated per simulated iteration by the cost model with the
+   fast path off, over compute-only loops of every drawn size: the
+   difference of two runs of different lengths, so the per-call setup
+   cancels. The static-latency oracle is read in place, so no firing boxes
+   its latency and the count does not grow with the node count. *)
+let estimate_allocation () =
+  let words (dfg, config) iterations =
+    let before = Gc.minor_words () in
+    ignore (Cost_model.estimate ~config ~dfg ~iterations ~extrapolate:false ());
+    Gc.minor_words () -. before
+  in
+  let sizes = Hashtbl.create 8 in
+  let seed = ref 0 in
+  while Hashtbl.length sizes < 6 && !seed < 400 do
+    let c =
+      QCheck2.Gen.generate1 ~rand:(Random.State.make [| !seed |])
+        Test_cost_model.gen_compute_loop
+    in
+    incr seed;
+    match Test_cost_model.run_compute_loop c with
+    | None -> ()
+    | Some (dfg, config, _) ->
+      let n = Dfg.node_count dfg in
+      if not (Hashtbl.mem sizes n) then begin
+        Hashtbl.add sizes n ();
+        let loop = (dfg, config) in
+        ignore (words loop 100);
+        let short = words loop 1000 and long = words loop 3000 in
+        let per_iteration = (long -. short) /. 2000.0 in
+        if per_iteration > 1.0 then
+          Alcotest.failf "%d nodes: %.2f minor words per iteration" n per_iteration
+      end
+  done;
+  check Alcotest.bool "several loop sizes measured" true (Hashtbl.length sizes >= 4)
+
+(* {2 The plane's branch-only helpers.}
+
+   {!Cycle_time} must return [Float]'s exact bits on the plane's domain:
+   non-negative finite floats without -0.0. The draw leans on the edges
+   of the truncation trick: +0.0, integers, x.5 values, the fractional
+   values just below 2^52 and the integral ones around and above it. *)
+
+let two52 = 4503599627370496.0
+
+let gen_cycle_time =
+  let open QCheck2.Gen in
+  oneof
+    [
+      return 0.0;
+      float_bound_inclusive 1e6;
+      map float_of_int (int_bound 1_000_000);
+      map (fun i -> float_of_int i +. 0.5) (int_bound 1_000_000);
+      map (fun k -> two52 -. (0.5 *. float_of_int k)) (int_bound 64);
+      map (fun k -> two52 +. float_of_int k) (int_range (-64) 64);
+      map (fun k -> Float.ldexp 1.0 k) (int_range 53 61);
+      map (fun x -> Float.succ x) (float_bound_inclusive 64.0);
+    ]
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let print_pair = QCheck2.Print.(pair float float)
+
+let cycle_time_unary =
+  QCheck2.Test.make ~name:"Cycle_time ceil/floor = Float bit for bit" ~count:2000
+    ~print:QCheck2.Print.float gen_cycle_time (fun x ->
+      same_bits (float_of_int (Cycle_time.ceil_int x)) (Float.ceil x)
+      && same_bits (float_of_int (Cycle_time.floor_int x)) (Float.floor x))
+
+let cycle_time_binary =
+  QCheck2.Test.make ~name:"Cycle_time max/min = Float bit for bit" ~count:2000
+    ~print:print_pair
+    QCheck2.Gen.(oneof [ pair gen_cycle_time gen_cycle_time; map (fun x -> (x, x)) gen_cycle_time ])
+    (fun (a, b) ->
+      same_bits (Cycle_time.max a b) (Float.max a b)
+      && same_bits (Cycle_time.min a b) (Float.min a b))
 
 let suites =
   [
@@ -175,5 +251,9 @@ let suites =
         Alcotest.test_case "issue and II rules" `Quick rules_hold;
         QCheck_alcotest.to_alcotest step_matches_both_callers;
         Alcotest.test_case "step allocates nothing per node" `Quick step_allocation;
+        Alcotest.test_case "estimate allocates nothing per firing" `Quick
+          estimate_allocation;
+        QCheck_alcotest.to_alcotest cycle_time_unary;
+        QCheck_alcotest.to_alcotest cycle_time_binary;
       ] );
   ]
