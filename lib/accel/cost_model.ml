@@ -21,50 +21,53 @@ type t = {
 let default_mem_latency =
   float_of_int Hierarchy.default_config.Hierarchy.l1.Cache.hit_latency
 
+(* The fixed-point detector compares at most this many pending bookings;
+   a deeper backlog is not worth comparing. *)
+let max_pending = 1024
+
 (* One fixed-point snapshot, flat: booking [e < len] is table [tid.(e)],
-   cycle [off.(e)] past the frontier, [claims.(e)] claims; [phases] holds
-   each instance's next initiation past the frontier. [deep] marks a
-   backlog too long to be worth comparing. *)
+   cycle [off.(e)] past the frontier, [claims.(e)] claims; [phases.(k)]
+   is instance [k]'s next initiation past the frontier. [deep] marks a
+   backlog too long to compare, or no snapshot yet. *)
 type snapshot = {
   mutable deep : bool;
   mutable len : int;
-  mutable tid : int array;
-  mutable off : float array;
-  mutable claims : int array;
-  phases : float array;
+  tid : int array;
+  off : float array;
+  claims : int array;
+  mutable phases : float array;
 }
 
-let snapshot tiling =
-  let size = 16 in
-  {
-    deep = true;
-    len = 0;
-    tid = Array.make size 0;
-    off = Array.make size 0.0;
-    claims = Array.make size 0;
-    phases = Array.make tiling 0.0;
-  }
+(* Snapshot buffers are recycled like the contention tables, in a
+   domain-local pool behind a mutex (see {!Engine_core}). Each holds
+   [max_pending] bookings; a fresh pair per estimate would put 48 KiB on
+   the major heap per call, and buffers grown on demand raised refine's
+   peak RSS by 6%. *)
+let snapshot_pool : (Mutex.t * snapshot Stack.t) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> (Mutex.create (), Stack.create ()))
 
-let push s tid off claims =
-  let k = s.len in
-  if k = Array.length s.tid then begin
-    let grow a fill =
-      let b = Array.make (2 * k) fill in
-      Array.blit a 0 b 0 k;
-      b
-    in
-    s.tid <- grow s.tid 0;
-    s.off <- grow s.off 0.0;
-    s.claims <- grow s.claims 0
-  end;
-  s.tid.(k) <- tid;
-  s.off.(k) <- off;
-  s.claims.(k) <- claims;
-  s.len <- k + 1
+let take_snapshot_buffer () =
+  let lock, stack = Domain.DLS.get snapshot_pool in
+  match Mutex.protect lock (fun () -> Stack.pop_opt stack) with
+  | Some s -> s
+  | None ->
+    {
+      deep = true;
+      len = 0;
+      tid = Array.make max_pending 0;
+      off = Array.make max_pending 0.0;
+      claims = Array.make max_pending 0;
+      phases = [||];
+    }
 
-(* Floats compare with [=], as the structural equality of the old
-   snapshot lists did. *)
-let same_snapshot a b =
+let park_snapshot_buffer s =
+  let lock, stack = Domain.DLS.get snapshot_pool in
+  Mutex.protect lock (fun () -> Stack.push s stack)
+
+(* Offsets and phases compare with float [=], like the structural
+   equality the detector has always used: its decisions are pinned by the
+   golden model outputs. *)
+let same_snapshot ~tiling a b =
   (not a.deep) && (not b.deep) && a.len = b.len
   &&
   let eq = ref true in
@@ -72,12 +75,12 @@ let same_snapshot a b =
     if a.tid.(e) <> b.tid.(e) || a.off.(e) <> b.off.(e) || a.claims.(e) <> b.claims.(e)
     then eq := false
   done;
-  for k = 0 to Array.length a.phases - 1 do
+  for k = 0 to tiling - 1 do
     if a.phases.(k) <> b.phases.(k) then eq := false
   done;
   !eq
 
-let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
+let run ~acquire ~snapshots:(a, b) ?op_latency ?mem_latency ~iterations ~extrapolate
     ~(config : Accel_config.t) ~(dfg : Dfg.t) () =
   let t = Timing.compile ~config ~dfg in
   let n = t.Timing.n in
@@ -121,7 +124,6 @@ let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
      fires at the first matching pair, so it fixes [simulated] and with
      it the tail extrapolation. *)
   let snap_at b = b > 0 && (b land (b - 1) = 0 || (b - 1) land (b - 2) = 0) in
-  let max_pending = 1024 in
   let take_snapshot s frontier =
     (* The bookings at or beyond the frontier in canonical order — ports
        (table 0) first, then router [idx] as table [1 + idx], each table's
@@ -132,8 +134,13 @@ let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
     let pending tid table =
       Contention.fold_from table ~from
         (fun c claims () ->
-          if s.len < max_pending then push s tid (float_of_int c -. frontier) claims
-          else s.len <- max_pending + 1)
+          let e = s.len in
+          if e < max_pending then begin
+            s.tid.(e) <- tid;
+            s.off.(e) <- float_of_int c -. frontier;
+            s.claims.(e) <- claims
+          end;
+          s.len <- Int.min (e + 1) (max_pending + 1))
         ()
     in
     pending 0 st.Timing.ports;
@@ -141,9 +148,14 @@ let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
     s.deep <- s.len > max_pending;
     Array.iteri (fun k next -> s.phases.(k) <- next -. frontier) inst_next
   in
-  (* The last two snapshots, reused: [cur] is filled and compared with
-     [prev], then they swap. *)
-  let cur = ref (snapshot tiling) and prev = ref (snapshot tiling) in
+  (* The last two snapshots: [cur] is filled and compared with [prev],
+     then they swap. *)
+  List.iter
+    (fun s ->
+      s.deep <- true;
+      if Array.length s.phases < tiling then s.phases <- Array.make tiling 0.0)
+    [ a; b ];
+  let cur = ref a and prev = ref b in
   (* Without an op oracle the static latency is read in place: a call
      through a closure would box the float it returns on every firing. *)
   let fire =
@@ -180,7 +192,7 @@ let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
         take_snapshot s !frontier;
         if
           snap_at (!boundaries - 1)
-          && same_snapshot s !prev
+          && same_snapshot ~tiling s !prev
           && Array.for_all (fun s -> s) stable
           && Array.for_all (fun r -> r >= 2) ran
         then steady := true;
@@ -246,14 +258,18 @@ let run ~acquire ?op_latency ?mem_latency ~iterations ~extrapolate
 
 (* The tables come from the engine's recycling pool: a warm estimate
    allocates no ring, and [Contention.reset] zeroes only what the last run
-   booked. *)
+   booked. The snapshot buffers are recycled too. *)
 let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
     ~config ~dfg () =
   let scratch = Engine_core.scratch () in
+  let a = take_snapshot_buffer () and b = take_snapshot_buffer () in
   Fun.protect
-    ~finally:(fun () -> Engine_core.park scratch)
-    (run ~acquire:(Engine_core.acquire scratch) ?op_latency ?mem_latency
-       ~iterations ~extrapolate ~config ~dfg)
+    ~finally:(fun () ->
+      Engine_core.park scratch;
+      park_snapshot_buffer a;
+      park_snapshot_buffer b)
+    (run ~acquire:(Engine_core.acquire scratch) ~snapshots:(a, b) ?op_latency
+       ?mem_latency ~iterations ~extrapolate ~config ~dfg)
 
 (* ------------------------------------------------------------------ *)
 (* Modeled activity counters: what the engine would tally with every guard
