@@ -170,35 +170,31 @@ let feed t (ev : Interp.event) =
   let rob_slot = t.commit_ring.(t.seq mod cfg.rob_size) in
   if rob_slot > ready && rob_slot > fetched then t.rob_stalls <- t.rob_stalls + 1;
   let not_before = Int.max (Int.max ready fetched) rob_slot in
-  (* Latency, then the functional unit. *)
-  let latency =
+  (* Functional unit and latency. *)
+  let issue, latency =
     match cls with
+    | Isa.C_alu | Isa.C_branch | Isa.C_jump | Isa.C_system ->
+      (claim_unit t.alu_free ~not_before ~occupancy:1, cfg.latencies cls)
+    | Isa.C_mul -> (claim_unit t.mul_free ~not_before ~occupancy:1, cfg.latencies cls)
+    | Isa.C_div ->
+      let occ = Latency.occupancy_cpu Isa.C_div in
+      (claim_unit t.div_free ~not_before ~occupancy:occ, cfg.latencies cls)
+    | Isa.C_fadd | Isa.C_fmul ->
+      (claim_unit t.fp_free ~not_before ~occupancy:1, cfg.latencies cls)
+    | Isa.C_fdiv ->
+      let occ = Latency.occupancy_cpu Isa.C_fdiv in
+      (claim_unit t.fp_free ~not_before ~occupancy:occ, cfg.latencies cls)
     | Isa.C_load ->
       let addr = Option.value ev.mem_addr ~default:0 in
       let lat = Hierarchy.load_latency t.hier addr in
       t.load_latency_sum <- t.load_latency_sum + lat;
-      lat
+      (claim_unit t.port_free ~not_before ~occupancy:1, lat)
     | Isa.C_store ->
       let addr = Option.value ev.mem_addr ~default:0 in
       (* Stores retire into the store buffer; cache state is updated but the
          latency is off the critical path. *)
       ignore (Hierarchy.store_latency t.hier addr);
-      1
-    | Isa.C_alu | Isa.C_branch | Isa.C_jump | Isa.C_system | Isa.C_mul | Isa.C_div
-    | Isa.C_fadd | Isa.C_fmul | Isa.C_fdiv ->
-      cfg.latencies cls
-  in
-  let issue =
-    match cls with
-    | Isa.C_alu | Isa.C_branch | Isa.C_jump | Isa.C_system ->
-      claim_unit t.alu_free ~not_before ~occupancy:1
-    | Isa.C_mul -> claim_unit t.mul_free ~not_before ~occupancy:1
-    | Isa.C_div ->
-      claim_unit t.div_free ~not_before ~occupancy:(Latency.occupancy_cpu Isa.C_div)
-    | Isa.C_fadd | Isa.C_fmul -> claim_unit t.fp_free ~not_before ~occupancy:1
-    | Isa.C_fdiv ->
-      claim_unit t.fp_free ~not_before ~occupancy:(Latency.occupancy_cpu Isa.C_fdiv)
-    | Isa.C_load | Isa.C_store -> claim_unit t.port_free ~not_before ~occupancy:1
+      (claim_unit t.port_free ~not_before ~occupancy:1, 1)
   in
   let complete = issue + latency in
   (* Destination readiness. *)
