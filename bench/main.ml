@@ -236,8 +236,7 @@ let staged_translation () =
   match Mapper.map ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc model with
   | Ok placement ->
     ignore
-      (Config_manager.translation_cycles Mapper.default_config dfg
-         (Accel_config.plain placement))
+      (Config_manager.translation_cycles dfg (Accel_config.plain placement))
   | Error _ -> ()
 
 let micro_benchmarks () =

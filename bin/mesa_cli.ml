@@ -161,8 +161,8 @@ let imap_cmd =
   let run name =
     let* k = find_kernel name in
     let dfg = Runner.dfg_of_kernel k in
-    print_string (Imap_fsm.timing_diagram Mapper.default_config dfg);
-    Ok (Printf.printf "total mapping cycles: %d\n" (Imap_fsm.cycles Mapper.default_config dfg))
+    print_string (Imap_fsm.timing_diagram dfg);
+    Ok (Printf.printf "total mapping cycles: %d\n" (Imap_fsm.cycles dfg))
   in
   Cmd.v
     (Cmd.info "imap" ~doc:"Show the Figure 8 instruction-mapping FSM timing diagram")

@@ -44,9 +44,7 @@ let () =
   Optimizer.absorb model res;
   Printf.printf "modeled latency under measured weights: %.1f cycles\n"
     (Perf_model.iteration_latency model);
-  (match Optimizer.step ~grid ~kind:Interconnect.Mesh_noc ~mapper:Mapper.default_config
-           ~model ~current:config
-   with
+  (match Optimizer.step ~grid ~kind:Interconnect.Mesh_noc ~model ~current:config with
   | Optimizer.Adopt { latency; previous; _ } ->
     Printf.printf "optimizer: ADOPT a remap, modeled %.1f -> %.1f cycles\n" previous latency
   | Optimizer.Keep latency ->

@@ -31,16 +31,11 @@ let () =
     (Perf_model.iteration_latency model)
     (String.concat " -> " (List.map string_of_int (Perf_model.critical_path model)));
 
-  (* T3 — configuration sizing. *)
-  let mo = Mem_opt.analyze dfg in
-  let ld =
-    Loop_opt.decide ~grid:Grid.m128 ~dfg
-      ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
-  in
+  (* T3 — the memory and loop optimizations, and configuration sizing. *)
   let config =
-    Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-      ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-      ~tiling:ld.Loop_opt.tiling ~pipelined:ld.Loop_opt.pipelined placement
+    Controller.optimized_config ~grid:Grid.m128 ~dfg
+      ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
+      placement
   in
   Printf.printf
     "configuration (T3): %d bits, %d cycles to write; tiling x%d; %d prefetched load(s)\n\n"

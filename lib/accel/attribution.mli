@@ -42,7 +42,8 @@ type t
 
 val create : ?ring:int -> grid:Grid.t -> unit -> t
 (** A collector for [grid]'s geometry. [ring] bounds the per-lane interval
-    ring buffers (default 256 intervals per lane; must be positive). *)
+    ring buffers (default 256 intervals per lane; must be positive); it is
+    exposed for tests. *)
 
 val grid : t -> Grid.t
 

@@ -61,4 +61,5 @@ val reset : ?capacity:int -> t -> unit
     the table to its freshly-created state. It zeroes only the booked
     window, so a warm table costs what its last use booked. The engine and
     the cost model recycle contention tables through this instead of
-    allocating fresh rings each time. *)
+    allocating fresh rings each time; their pool always passes [capacity],
+    and keeping the old one is exposed for tests. *)

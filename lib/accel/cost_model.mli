@@ -57,7 +57,7 @@ val estimate :
     {!mem_oracle_of_measured} to tighten the estimate after a profiling
     window. [extrapolate:false] forces every iteration to be simulated —
     the fixed-point fast path must be observationally identical, and the
-    property suite checks it. *)
+    property suite checks it; it is exposed for tests. *)
 
 val predicted_activity :
   config:Accel_config.t -> dfg:Dfg.t -> iterations:int -> cycles:int ->

@@ -49,7 +49,7 @@ type spec = { seed : int; events : event list }
 
 val spec : ?seed:int -> event list -> spec
 (** A schedule from explicit events, as tests build one without
-    {!spec_of_string}'s syntax. *)
+    {!spec_of_string}'s syntax. Exposed for tests. *)
 
 val spec_of_string : ?seed:int -> string -> (spec, string) result
 (** Comma-separated [KIND@AT] or [KIND@AT:ROWxCOL] tokens, where KIND is

@@ -6,24 +6,24 @@ let manhattan a b = abs (a.row - b.row) + abs (a.col - b.col)
 type t = {
   rows : int;
   cols : int;
-  fp_tile : int;
   ls_entries : int;
   mem_ports : int;
-  slice_width : int;
   name : string;
   masked : coord list;
 }
 
-let make ?(fp_tile = 2) ?(mem_ports = 2) ?(slice_width = 4) ?name ~rows ~cols () =
+(* FP slices are [fp_tile x fp_tile] blocks. *)
+let fp_tile = 2
+let slice_width = 4
+
+let make ?(mem_ports = 2) ?name ~rows ~cols () =
   if rows <= 0 || cols <= 0 then invalid_arg "Grid.make: empty grid";
   let name = Option.value name ~default:(Printf.sprintf "M-%d" (rows * cols)) in
   {
     rows;
     cols;
-    fp_tile;
     ls_entries = max 4 (rows * cols / 2);
     mem_ports;
-    slice_width;
     name;
     masked = [];
   }
@@ -51,8 +51,8 @@ let mask t coords =
 
 let healthy_pe_count t = pe_count t - List.length t.masked
 
-let has_fp t c =
-  ((c.row / t.fp_tile) + (c.col / t.fp_tile)) mod 2 = 0
+let has_fp c =
+  ((c.row / fp_tile) + (c.col / fp_tile)) mod 2 = 0
 
 let supports t c (cls : Isa.op_class) =
   in_bounds t c
@@ -60,7 +60,7 @@ let supports t c (cls : Isa.op_class) =
   &&
   match cls with
   | Isa.C_alu | Isa.C_mul | Isa.C_div | Isa.C_branch -> true
-  | Isa.C_fadd | Isa.C_fmul | Isa.C_fdiv -> has_fp t c
+  | Isa.C_fadd | Isa.C_fmul | Isa.C_fdiv -> has_fp c
   | Isa.C_load | Isa.C_store | Isa.C_jump | Isa.C_system -> false
 
 let ls_row t e = e mod t.rows

@@ -14,18 +14,18 @@ val manhattan : coord -> coord -> int
 type t = {
   rows : int;
   cols : int;
-  fp_tile : int;        (** FP slices are [fp_tile x fp_tile] blocks *)
   ls_entries : int;     (** load-store entry count *)
   mem_ports : int;      (** cache ports shared by all LS entries *)
-  slice_width : int;    (** PEs per NoC router slice (Figure 9: 4) *)
   name : string;
   masked : coord list;  (** PEs masked out of the fabric (fault recovery) *)
 }
 
-val make :
-  ?fp_tile:int -> ?mem_ports:int -> ?slice_width:int -> ?name:string ->
-  rows:int -> cols:int -> unit -> t
-(** Custom geometry; [ls_entries] is set to half the PE count. *)
+val make : ?mem_ports:int -> ?name:string -> rows:int -> cols:int -> unit -> t
+(** Custom geometry; [ls_entries] is set to half the PE count (at least
+    4). *)
+
+val slice_width : int
+(** PEs per NoC router slice (Figure 9: 4). *)
 
 val m64 : t
 val m128 : t

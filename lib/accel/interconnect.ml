@@ -10,7 +10,7 @@ let route _grid kind a b =
   | Hierarchical_rows | Pure_mesh -> Local
   | Mesh_noc -> if Grid.manhattan a b <= local_reach then Local else Noc
 
-let latency (grid : Grid.t) kind (a : Grid.coord) (b : Grid.coord) =
+let latency _grid kind (a : Grid.coord) (b : Grid.coord) =
   let d = Grid.manhattan a b in
   match kind with
   | Pure_mesh -> max 1 d
@@ -19,12 +19,12 @@ let latency (grid : Grid.t) kind (a : Grid.coord) (b : Grid.coord) =
     if d <= local_reach then max 1 d
     else
       (* Inject + ride the half-ring (one hop per slice of PEs) + eject. *)
-      2 + Stats.div_ceil d grid.slice_width + 1
+      2 + Stats.div_ceil d Grid.slice_width + 1
 
 let noc_slice (grid : Grid.t) (c : Grid.coord) =
-  (c.row * grid.cols + c.col) / grid.slice_width
+  (c.row * grid.cols + c.col) / Grid.slice_width
 
 let slices (grid : Grid.t) =
-  ((grid.rows * grid.cols) - 1) / grid.slice_width + 1
+  ((grid.rows * grid.cols) - 1) / Grid.slice_width + 1
 
 let ls_coord (grid : Grid.t) e = Grid.coord (Grid.ls_row grid e) (-1)

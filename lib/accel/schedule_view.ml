@@ -20,7 +20,10 @@ let compute (model : Perf_model.t) (placement : Placement.t) =
 
 let makespan slots = Array.fold_left (fun acc s -> Float.max acc s.finish) 0.0 slots
 
-let gantt ?(width = 60) (dfg : Dfg.t) slots =
+(* Columns the makespan is scaled to. *)
+let width = 60
+
+let gantt (dfg : Dfg.t) slots =
   let total = Float.max 1.0 (makespan slots) in
   let scale = float_of_int width /. total in
   let buf = Buffer.create 1024 in

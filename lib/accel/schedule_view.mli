@@ -18,6 +18,6 @@ val compute : Perf_model.t -> Placement.t -> slot array
     from the placement first, so the result always reflects the placement
     given. *)
 
-val gantt : ?width:int -> Dfg.t -> slot array -> string
+val gantt : Dfg.t -> slot array -> string
 (** One row per node: location, disassembly and a bar spanning
-    [start, finish) scaled to [width] columns. *)
+    [start, finish) scaled to 60 columns. *)

@@ -94,7 +94,8 @@ type state = {
 val start : ?acquire:(int -> Contention.t) -> t -> ports:int -> state
 (** Fresh timing state with [ports] cache ports (at least one). [acquire]
     supplies each contention table from its capacity (default: a new
-    table); the engine and the cost model pass {!Engine_core.acquire}. *)
+    table); the engine and the cost model pass {!Engine_core.acquire}, and
+    the default is exposed for tests. *)
 
 val fold : t -> state -> inst:int -> int -> unit
 (** [fold t st ~inst j] folds node [j]'s compiled in-edges (Equation 2) at

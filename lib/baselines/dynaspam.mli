@@ -29,7 +29,8 @@ type config = {
 val default_config : config
 
 val run : ?config:config -> Dfg.t -> iterations:int -> result
-(** Analytic execution model of the loop on the DynaSpAM fabric. When the
+(** Analytic execution model of the loop on the DynaSpAM fabric under
+    [config] (default {!default_config}; exposed for tests). When the
     loop exceeds the window, [qualified] is false and the result carries
     the iteration count untouched ([cycles] = 0) — the caller falls back to
     the CPU baseline. *)

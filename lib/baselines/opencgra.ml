@@ -92,7 +92,10 @@ let try_ii (dfg : Dfg.t) (grid : Grid.t) ii =
   in
   go 0
 
-let schedule ?(max_ii = 128) dfg ~grid =
+(* The II search gives up past this bound. *)
+let max_ii = 128
+
+let schedule dfg ~grid =
   let mii = max (resource_mii dfg ~pes:(Grid.pe_count grid)) (recurrence_mii dfg) in
   let rec search ii =
     if ii > max_ii then

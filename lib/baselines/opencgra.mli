@@ -23,10 +23,9 @@ val recurrence_mii : Dfg.t -> int
 (** Longest loop-carried dependence chain under unit transfers. Exposed
     for tests. *)
 
-val schedule : ?max_ii:int -> Dfg.t -> grid:Grid.t -> (schedule, string) result
+val schedule : Dfg.t -> grid:Grid.t -> (schedule, string) result
 (** Iterative-II modulo scheduling on [grid] (every PE general-purpose, as
-    OpenCGRA configures FUs per need). Fails if no II up to [max_ii]
-    (default 128) routes. *)
+    OpenCGRA configures FUs per need). Fails if no II up to 128 routes. *)
 
 val ipc : Dfg.t -> schedule -> float
 (** Per-iteration IPC: instructions over the one-iteration makespan. *)

@@ -7,7 +7,7 @@
     (configuration latency) and the energy amortization study (Figure 16).
     LDFG renaming is pipelined at one instruction per cycle plus setup. *)
 
-val translation_cycles : Mapper.config -> Dfg.t -> Accel_config.t -> int
+val translation_cycles : Dfg.t -> Accel_config.t -> int
 (** Full pipeline: LDFG build + instruction mapping FSM + bitstream write.
     This is the configuration latency reported against Table 2. *)
 

@@ -1,18 +1,12 @@
 type options = {
   grid : Grid.t;
   kind : Interconnect.kind;
-  detector : Loop_detector.config;
-  mapper : Mapper.config;
-  cpu : Ooo_model.config;
   optimize : bool;
   iterative : bool;
   profile_chunk : int;
-  max_reopts : int;
-  offload_overhead : int;
   max_steps : int;
   engine_max_iterations : int;
   watchdog_window : int;
-  max_fault_retries : int;
   inject : Fault.spec option;
   profile : bool;
   tune : Accel_config.t -> Accel_config.t;
@@ -20,26 +14,30 @@ type options = {
 
 let default_options ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true)
     ?inject ?(profile = false) () =
-  let capacity = min 512 (Grid.pe_count grid + grid.Grid.ls_entries) in
   {
     grid;
     kind = Interconnect.Mesh_noc;
-    detector = { Loop_detector.default_config with Loop_detector.capacity };
-    mapper = Mapper.default_config;
-    cpu = Ooo_model.default_config;
     optimize;
     iterative;
     profile_chunk = 64;
-    max_reopts = 3;
-    offload_overhead = 80;
     max_steps = 200_000_000;
     engine_max_iterations = 4_000_000;
     watchdog_window = 512;
-    max_fault_retries = 3;
     inject;
     profile;
     tune = Fun.id;
   }
+
+(* MESA's fixed controller budgets: re-optimisations per offload, cycles
+   to transfer architectural state each way, and consecutive faulted
+   windows tolerated before a region is quarantined. *)
+let max_reopts = 3
+let offload_overhead = 80
+let max_fault_retries = 3
+
+(* C1 bound and trace-cache size: the pristine fabric's PEs plus
+   load-store entries, at most 512 instructions. *)
+let capacity (grid : Grid.t) = min 512 (Grid.pe_count grid + grid.Grid.ls_entries)
 
 type region_report = {
   entry : int;
@@ -202,7 +200,7 @@ let charge_stall st stall =
    subsystem registers a named group, and the whole tree is snapshotted into
    the report in registration order. *)
 let create_state opts ~hier prog machine =
-  let cpu_model = Ooo_model.create opts.cpu hier in
+  let cpu_model = Ooo_model.create Ooo_model.default_config hier in
   let activity = Activity.create () in
   let reg = Stats.registry () in
   Ooo_model.register_stats cpu_model (Stats.group reg "cpu");
@@ -250,7 +248,7 @@ let create_state opts ~hier prog machine =
     machine;
     hier;
     cpu_model;
-    detector = Loop_detector.create ~config:opts.detector prog;
+    detector = Loop_detector.create ~capacity:(capacity opts.grid) prog;
     cache = Hashtbl.create 8;
     activity;
     injector;
@@ -267,28 +265,29 @@ let create_state opts ~hier prog machine =
     rejected = [];
   }
 
-(* Build the optimization bundle for [dfg]'s model on [grid] — shared by
+let optimized_config ~grid ~dfg ~pragma placement =
+  let mo = Mem_opt.analyze dfg in
+  let ld = Loop_opt.decide ~grid ~dfg ~pragma in
+  Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
+    ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
+    ~tiling:ld.Loop_opt.tiling ~pipelined:ld.Loop_opt.pipelined placement
+
+(* Map [dfg]'s model on [grid] and configure the placement — shared by
    initial translation and by post-fault remapping onto a degraded fabric. *)
 let configure (opts : options) ~grid ~dfg ~model ~pragma =
-  match Mapper.map ~config:opts.mapper ~grid ~kind:opts.kind model with
+  match Mapper.map ~grid ~kind:opts.kind model with
   | Error e -> Error e
   | Ok placement ->
-    let mo = if opts.optimize then Mem_opt.analyze dfg else Mem_opt.none in
-    let ld =
-      if opts.optimize then Loop_opt.decide ~grid ~dfg ~pragma
-      else Loop_opt.no_opt
-    in
     Ok
       (opts.tune
-         (Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-            ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-            ~tiling:ld.Loop_opt.tiling ~pipelined:ld.Loop_opt.pipelined placement))
+         (if opts.optimize then optimized_config ~grid ~dfg ~pragma placement
+          else Accel_config.plain placement))
 
 (* Translate an accepted region end to end: capture through the trace cache,
    build the LDFG, map it, and bundle the optimization decisions. [grid] is
    the current (possibly fault-degraded) fabric. *)
 let translate (opts : options) ~grid prog (region : Region.t) =
-  let tc = Trace_cache.create ~capacity:opts.detector.Loop_detector.capacity in
+  let tc = Trace_cache.create ~capacity:(capacity opts.grid) in
   Trace_cache.set_region tc ~entry:region.Region.entry ~last:region.Region.back_branch_addr;
   Trace_cache.fill_from tc (fun addr ->
       Option.map Encode.to_word (Program.fetch prog addr));
@@ -390,7 +389,7 @@ let admit st (c : cached) =
   let entry = c.region.Region.entry in
   let tcycles =
     config_write_cost st entry
-      (Config_manager.translation_cycles st.opts.mapper c.dfg c.config)
+      (Config_manager.translation_cycles c.dfg c.config)
   in
   c.translation_cycles <- tcycles;
   Stats.add st.ctl.mesa_busy_cycles tcycles;
@@ -483,7 +482,7 @@ let remap st o f =
   | Ok config ->
     let stall =
       config_write_cost st entry
-        (Mapper.map_cycles st.opts.mapper c.dfg + Accel_config.config_cycles config c.dfg)
+        (Mapper.map_cycles c.dfg + Accel_config.config_cycles config c.dfg)
     in
     let masked = List.length st.fabric.Grid.masked in
     c.config <- config;
@@ -510,7 +509,7 @@ let recover st o ~checkpoint ~window_start ~kinds ~latency ~watchdog ~wasted =
      not useful accelerator work. The profiler discards the window's
      attribution and re-charges the same cycles as Config, so closure
      against the run's wall-clock accounting is preserved. *)
-  let lost = wasted + st.opts.offload_overhead in
+  let lost = wasted + offload_overhead in
   Stats.add st.ctl.overhead_cycles lost;
   (match st.att with
   | Some a ->
@@ -533,7 +532,7 @@ let recover st o ~checkpoint ~window_start ~kinds ~latency ~watchdog ~wasted =
   end
   else begin
     o.consecutive_faults <- o.consecutive_faults + 1;
-    if o.consecutive_faults > st.opts.max_fault_retries then
+    if o.consecutive_faults > max_fault_retries then
       quarantine st o "persistent faults exceeded retry budget"
     else begin
       c.fault_retries <- c.fault_retries + 1;
@@ -572,8 +571,8 @@ let reoptimise st o res =
   Stats.incr st.ctl.reopt_rounds;
   Optimizer.absorb c.model res;
   match
-    Optimizer.step ~grid:st.fabric ~kind:st.opts.kind ~mapper:st.opts.mapper
-      ~model:c.model ~current:c.config
+    Optimizer.step ~grid:st.fabric ~kind:st.opts.kind ~model:c.model
+      ~current:c.config
   with
   | Optimizer.Keep _ -> o.budget <- 0
   | Optimizer.Adopt { config; latency; previous } ->
@@ -672,11 +671,11 @@ let offload_window st o =
    quarantined; the CPU then resumes at the PC the engine left. *)
 let offload st (c : cached) =
   (* Architectural state transfer both ways: configuration overhead. *)
-  Stats.add st.ctl.overhead_cycles (2 * st.opts.offload_overhead);
-  charge_att st (2 * st.opts.offload_overhead);
+  Stats.add st.ctl.overhead_cycles (2 * offload_overhead);
+  charge_att st (2 * offload_overhead);
   Stats.incr st.ctl.offloads;
   c.offloads <- c.offloads + 1;
-  let budget = if st.opts.iterative then st.opts.max_reopts else 0 in
+  let budget = if st.opts.iterative then max_reopts else 0 in
   let o = { c; budget; consecutive_faults = 0; running = true } in
   while o.running do offload_window st o done
 

@@ -15,28 +15,29 @@
     Wall-clock accounting:
     [total = cpu_cycles + accel_cycles + offload transfers + reconfiguration
     stalls]. Translation overlaps the CPU and is tracked separately as
-    [mesa_busy_cycles] for the energy model. *)
+    [mesa_busy_cycles] for the energy model.
+
+    The budgets are fixed, as in the hardware: an offload transfers state
+    in 80 cycles each way and re-optimises at most 3 times, a faulted
+    window is retried at most 3 times in a row before the region is
+    quarantined, and the C1 capacity (the trace-cache size) is the grid's
+    PEs plus load-store entries, at most 512 instructions. *)
 
 type options = {
   grid : Grid.t;
   kind : Interconnect.kind;
-  detector : Loop_detector.config;
-  mapper : Mapper.config;
-  cpu : Ooo_model.config;
   optimize : bool;         (** memory + loop-level optimizations (tiling,
                                pipelining, forwarding, ...) *)
   iterative : bool;        (** runtime reoptimization from counters *)
-  profile_chunk : int;     (** iterations per profiling window *)
-  max_reopts : int;        (** reconfiguration budget per offload *)
-  offload_overhead : int;  (** cycles to transfer architectural state each way *)
-  max_steps : int;         (** interpreter safety budget *)
+  profile_chunk : int;     (** iterations per profiling window (64);
+                               exposed for tests *)
+  max_steps : int;         (** interpreter safety budget; exposed for tests *)
   engine_max_iterations : int;
       (** engine safety budget per offload; exceeding it aborts acceleration
-          of the region with a distinct reason and CPU fallback *)
+          of the region with a distinct reason and CPU fallback. Exposed for
+          tests *)
   watchdog_window : int;   (** iterations a corrupted window may spin before
                                the forward-progress watchdog cuts it off *)
-  max_fault_retries : int; (** consecutive faulted windows tolerated before
-                               the region is quarantined *)
   inject : Fault.spec option;
       (** fault schedule to arm for this run; [None] (the default) keeps
           every fault path cold and timing bit-identical to a build without
@@ -56,6 +57,14 @@ val default_options :
   ?profile:bool -> unit -> options
 (** M-128, mesh+NoC interconnect, optimizations and iterative mode on;
     profiling off. *)
+
+val optimized_config :
+  grid:Grid.t -> dfg:Dfg.t -> pragma:Program.pragma option -> Placement.t ->
+  Accel_config.t
+(** The optimization bundle (§4.2-4.3): [placement] with {!Mem_opt}'s
+    forwarding, vector groups and prefetches and {!Loop_opt}'s tiling
+    (honouring [pragma]) and pipelining. What the controller configures when
+    [optimize] is set, and what the engine-level experiments execute. *)
 
 (** Per-region outcome, for the evaluation tables. *)
 type region_report = {

@@ -7,19 +7,19 @@ type state =
 
 type step = { cycle : int; node : int; state : state }
 
-(* ceil(log2 (window_rows * window_cols)) *)
-let reduction_depth (cfg : Mapper.config) =
-  let window = cfg.Mapper.window_rows * cfg.Mapper.window_cols in
+let window = Mapper.window_rows * Mapper.window_cols
+
+(* ceil(log2 window) *)
+let reduction_depth =
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
   log2 window 0
 
-let stages cfg =
+let stages =
   [ Fetch; Generate; Filter ]
-  @ List.init (reduction_depth cfg) (fun k -> Reduce k)
+  @ List.init reduction_depth (fun k -> Reduce k)
   @ [ Writeback ]
 
-let simulate cfg (dfg : Dfg.t) =
-  let stages = stages cfg in
+let simulate (dfg : Dfg.t) =
   let steps = ref [] in
   let cycle = ref 0 in
   for node = 0 to Dfg.node_count dfg - 1 do
@@ -31,8 +31,8 @@ let simulate cfg (dfg : Dfg.t) =
   done;
   List.rev !steps
 
-let cycles cfg dfg =
-  match List.rev (simulate cfg dfg) with [] -> 0 | last :: _ -> last.cycle + 1
+let cycles dfg =
+  match List.rev (simulate dfg) with [] -> 0 | last :: _ -> last.cycle + 1
 
 let glyph = function
   | Fetch -> 'F'
@@ -41,10 +41,10 @@ let glyph = function
   | Reduce _ -> 'R'
   | Writeback -> 'W'
 
-let timing_diagram ?(max_nodes = 8) cfg dfg =
-  let steps = simulate cfg dfg in
+let timing_diagram ?(max_nodes = 8) dfg =
+  let steps = simulate dfg in
   let shown = min max_nodes (Dfg.node_count dfg) in
-  let per_node = List.length (stages cfg) in
+  let per_node = List.length stages in
   let width = shown * per_node in
   let rows = Array.init shown (fun _ -> Bytes.make width '.') in
   List.iter
@@ -54,7 +54,7 @@ let timing_diagram ?(max_nodes = 8) cfg dfg =
   Buffer.add_string buf
     (Printf.sprintf
        "imap FSM, %d-entry candidate window: F=fetch G=candidates L=filter R=reduce W=writeback\n"
-       (cfg.Mapper.window_rows * cfg.Mapper.window_cols));
+       window);
   Array.iteri
     (fun i row ->
       Buffer.add_string buf (Printf.sprintf "i%-3d %s\n" i (Bytes.to_string row)))
@@ -62,5 +62,5 @@ let timing_diagram ?(max_nodes = 8) cfg dfg =
   if Dfg.node_count dfg > shown then
     Buffer.add_string buf
       (Printf.sprintf "... %d more instructions, %d cycles total\n"
-         (Dfg.node_count dfg - shown) (cycles cfg dfg));
+         (Dfg.node_count dfg - shown) (cycles dfg));
   Buffer.contents buf

@@ -1,31 +1,21 @@
-type config = {
-  capacity : int;
-  confirm_iterations : int;
-  min_compute_fraction : float;
-  max_memory_fraction : float;
-}
-
-let default_config =
-  {
-    capacity = 512;
-    confirm_iterations = 8;
-    min_compute_fraction = 0.2;
-    max_memory_fraction = 0.6;
-  }
+(* Stability threshold before vetting, and the C3 instruction-mix bounds. *)
+let confirm_iterations = 8
+let min_compute_fraction = 0.2
+let max_memory_fraction = 0.6
 
 type verdict = Accepted of Region.t | Rejected of { entry : int; reason : string }
 
 type candidate = { entry : int; last : int; mutable consecutive : int }
 
 type t = {
-  cfg : config;
+  capacity : int;  (* C1 bound = trace-cache capacity *)
   prog : Program.t;
   mutable candidate : candidate option;
   decided : (int, unit) Hashtbl.t; (* entries already accepted or rejected *)
 }
 
-let create ?(config = default_config) prog =
-  { cfg = config; prog; candidate = None; decided = Hashtbl.create 16 }
+let create ~capacity prog =
+  { capacity; prog; candidate = None; decided = Hashtbl.create 16 }
 
 (* C2: vet every instruction of the body. The final instruction must be the
    confirming backward branch; everything else must be fabric-executable. *)
@@ -57,8 +47,8 @@ let control_check (instrs : Isa.t array) ~entry ~last =
 
 let vet t ~entry ~last ~observed =
   let n = ((last - entry) / 4) + 1 in
-  if n > t.cfg.capacity then
-    Error (Printf.sprintf "C1: %d instructions exceed capacity %d" n t.cfg.capacity)
+  if n > t.capacity then
+    Error (Printf.sprintf "C1: %d instructions exceed capacity %d" n t.capacity)
   else begin
     let instrs = Array.init n (fun i -> Program.fetch_exn t.prog (entry + (4 * i))) in
     match control_check instrs ~entry ~last with
@@ -78,9 +68,9 @@ let vet t ~entry ~last ~observed =
       let compute_frac = float_of_int mix.Region.compute /. size in
       let memory_frac = float_of_int mix.Region.memory /. size in
       if mix.Region.unsupported > 0 then Error "C2: unsupported instruction"
-      else if compute_frac < t.cfg.min_compute_fraction then
+      else if compute_frac < min_compute_fraction then
         Error (Printf.sprintf "C3: compute fraction %.2f too low" compute_frac)
-      else if memory_frac > t.cfg.max_memory_fraction then
+      else if memory_frac > max_memory_fraction then
         Error (Printf.sprintf "C3: memory fraction %.2f too high" memory_frac)
       else Ok region
   end
@@ -95,7 +85,7 @@ let feed t (ev : Interp.event) =
       | Some c when c.entry = entry && c.last = last -> c.consecutive <- c.consecutive + 1
       | Some _ | None -> t.candidate <- Some { entry; last; consecutive = 1 });
       match t.candidate with
-      | Some c when c.consecutive >= t.cfg.confirm_iterations ->
+      | Some c when c.consecutive >= confirm_iterations ->
         Hashtbl.replace t.decided entry ();
         t.candidate <- None;
         (match vet t ~entry ~last ~observed:c.consecutive with

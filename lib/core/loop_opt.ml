@@ -1,7 +1,5 @@
 type decision = { tiling : int; pipelined : bool }
 
-let no_opt = { tiling = 1; pipelined = false }
-
 let max_tiling ~(grid : Grid.t) ~(dfg : Dfg.t) =
   let mem_nodes =
     Array.fold_left

@@ -16,8 +16,6 @@ type decision = {
   pipelined : bool;
 }
 
-val no_opt : decision
-
 val decide :
   grid:Grid.t -> dfg:Dfg.t -> pragma:Program.pragma option -> decision
 (** Largest legal tiling for the annotated loop on this grid (1 when the

@@ -1,8 +1,7 @@
-type config = { window_rows : int; window_cols : int }
+let window_rows = 4
+let window_cols = 8
 
-let default_config = { window_rows = 4; window_cols = 8 }
-
-let map ?(config = default_config) ~(grid : Grid.t) ~kind (model : Perf_model.t) =
+let map ~(grid : Grid.t) ~kind (model : Perf_model.t) =
   let dfg = Perf_model.graph model in
   let n = Dfg.node_count dfg in
   let free = Array.make_matrix grid.Grid.rows grid.Grid.cols true in
@@ -72,11 +71,11 @@ let map ?(config = default_config) ~(grid : Grid.t) ~kind (model : Perf_model.t)
   in
   let window_candidates j a =
     let cls = Isa.op_class dfg.Dfg.nodes.(j).Dfg.instr in
-    let r0 = a.Grid.row - ((config.window_rows - 1) / 2) in
-    let c0 = a.Grid.col - (config.window_cols / 2) in
+    let r0 = a.Grid.row - ((window_rows - 1) / 2) in
+    let c0 = a.Grid.col - (window_cols / 2) in
     let cands = ref [] in
-    for dr = 0 to config.window_rows - 1 do
-      for dc = 0 to config.window_cols - 1 do
+    for dr = 0 to window_rows - 1 do
+      for dc = 0 to window_cols - 1 do
         let c = Grid.coord (r0 + dr) (c0 + dc) in
         if
           Grid.in_bounds grid c
@@ -296,8 +295,8 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4) ?(jobs = 1)
 (* Figure 8: per instruction the FSM spends fixed stages (LDFG read,
    candidate generation, filtering, writeback) plus a reduction whose depth
    follows the window size. *)
-let map_cycles config (dfg : Dfg.t) =
-  let window = config.window_rows * config.window_cols in
+let map_cycles (dfg : Dfg.t) =
+  let window = window_rows * window_cols in
   let reduction =
     let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
     log2 window 0

@@ -19,16 +19,11 @@
     producers and consumers together. As a side effect the mapper installs
     its analytic transfer estimates into the model for every edge. *)
 
-type config = {
-  window_rows : int;
-  window_cols : int;
-}
-
-val default_config : config
+val window_rows : int
+val window_cols : int
 (** The paper's fixed 4x8 candidate matrix. *)
 
 val map :
-  ?config:config ->
   grid:Grid.t ->
   kind:Interconnect.kind ->
   Perf_model.t ->
@@ -73,7 +68,7 @@ val refine :
     so [predict] must be safe to call from several domains at once; the
     result does not depend on [jobs]. *)
 
-val map_cycles : config -> Dfg.t -> int
+val map_cycles : Dfg.t -> int
 (** Hardware cost of running the imap FSM (Figure 8): a constant pipeline
     of stages per instruction plus a reduction tree over the candidate
     window. *)

@@ -5,8 +5,6 @@ type t = {
   induction_regs : Reg.t list;
 }
 
-let none = { forwarding = []; vector_groups = []; prefetched = []; induction_regs = [] }
-
 type kind = K_int_load | K_fp_load | K_int_store | K_fp_store
 
 let mem_info (nd : Dfg.node) =

@@ -23,6 +23,3 @@ type t = {
 }
 
 val analyze : Dfg.t -> t
-
-val none : t
-(** The empty analysis (used when optimizations are disabled). *)

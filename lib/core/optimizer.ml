@@ -28,14 +28,14 @@ type outcome =
   | Keep of float
   | Adopt of { config : Accel_config.t; latency : float; previous : float }
 
-let step ~grid ~kind ~mapper ~model ~(current : Accel_config.t) =
+let step ~grid ~kind ~model ~(current : Accel_config.t) =
   (* Compare both placements under the same analytic transfer model (with
      measured operation latencies): measured transfer samples embed the old
      placement's contention, which would bias the comparison toward any
      remap. *)
   Placement.seed_transfers current.Accel_config.placement model;
   let current_latency = Perf_model.iteration_latency model in
-  match Mapper.map ~config:mapper ~grid ~kind model with
+  match Mapper.map ~grid ~kind model with
   | Error _ ->
     Placement.seed_transfers current.Accel_config.placement model;
     Keep current_latency

@@ -26,7 +26,6 @@ type outcome =
 val step :
   grid:Grid.t ->
   kind:Interconnect.kind ->
-  mapper:Mapper.config ->
   model:Perf_model.t ->
   current:Accel_config.t ->
   outcome

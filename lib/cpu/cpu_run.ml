@@ -1,6 +1,6 @@
 type result = { halt : Interp.halt; summary : Ooo_model.summary }
 
-let run ?max_steps ?(config = Ooo_model.default_config) ?hierarchy prog machine =
+let run ?(config = Ooo_model.default_config) ?hierarchy prog machine =
   let hierarchy =
     match hierarchy with
     | Some h -> h
@@ -8,7 +8,7 @@ let run ?max_steps ?(config = Ooo_model.default_config) ?hierarchy prog machine 
   in
   let model = Ooo_model.create config hierarchy in
   let halt, _retired =
-    Interp.run ?max_steps ~on_event:(Ooo_model.feed model) prog machine
+    Interp.run ~on_event:(Ooo_model.feed model) prog machine
   in
   let r = { halt; summary = Ooo_model.summary model } in
   Sim_meter.add r.summary.Ooo_model.cycles;

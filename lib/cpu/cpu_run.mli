@@ -6,7 +6,6 @@ type result = {
 }
 
 val run :
-  ?max_steps:int ->
   ?config:Ooo_model.config ->
   ?hierarchy:Hierarchy.t ->
   Program.t ->

@@ -36,8 +36,8 @@ val run :
   Machine.t ->
   halt * int
 (** [run prog m] steps until a halt condition, returning the reason and the
-    number of instructions retired. [max_steps] defaults to 100 million.
-    Without [on_event] no event is built. *)
+    number of instructions retired. [max_steps] defaults to 100 million
+    and is exposed for tests. Without [on_event] no event is built. *)
 
 (** {1 32-bit arithmetic semantics}
 

@@ -14,7 +14,8 @@ type t = {
 }
 
 val create : ?pc:int -> Main_memory.t -> t
-(** Fresh state with zeroed registers. *)
+(** Fresh state with zeroed registers, starting at [pc] (default 0x1000,
+    the program base; exposed for tests). *)
 
 val get_x : t -> Reg.t -> int
 (** Read an integer register; [x0] always reads 0. *)

@@ -16,7 +16,8 @@ type t
 
 val create : ?entries:int -> ?kind:kind -> unit -> t
 (** [entries] must be a power of two (default 1024); [kind] defaults to
-    [Bimodal]. *)
+    [Bimodal]. The OoO model takes the defaults; both options are exposed
+    for tests. *)
 
 val predict_and_update : t -> int -> bool -> bool
 (** [predict_and_update t addr actual] returns whether the prediction was

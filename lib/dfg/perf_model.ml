@@ -6,13 +6,13 @@ type t = {
   transfer_measured : (int * int, Stats.Running.t) Hashtbl.t;
 }
 
-let create ?(defaults = Latency.accel) dfg =
+let create dfg =
   let n = Dfg.node_count dfg in
   {
     dfg;
     defaults =
       Array.init n (fun i ->
-          float_of_int (defaults (Isa.op_class dfg.Dfg.nodes.(i).Dfg.instr)));
+          float_of_int (Latency.accel (Isa.op_class dfg.Dfg.nodes.(i).Dfg.instr)));
     op_measured = Array.init n (fun _ -> Stats.Running.create ());
     transfer_estimate = Hashtbl.create 64;
     transfer_measured = Hashtbl.create 64;

@@ -11,9 +11,9 @@
 
 type t
 
-val create : ?defaults:Latency.table -> Dfg.t -> t
-(** Fresh model; node weights seeded from [defaults] (default
-    {!Latency.accel}), all transfers at the 1-cycle neighbour estimate. *)
+val create : Dfg.t -> t
+(** Fresh model; node weights seeded from {!Latency.accel}, all transfers
+    at the 1-cycle neighbour estimate. *)
 
 val graph : t -> Dfg.t
 

@@ -195,7 +195,7 @@ let lower ?defect spec =
         check = check spec;
       }
 
-let lower_exn ?defect spec =
-  match lower ?defect spec with
+let lower_exn spec =
+  match lower spec with
   | Ok b -> b
   | Error e -> failwith ("Tile_lower: " ^ e)

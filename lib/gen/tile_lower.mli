@@ -40,4 +40,4 @@ val lower : ?defect:defect -> Tile_dsl.spec -> (built, string) result
 (** Validate, then emit. Lowering is deterministic: equal specs produce
     byte-identical programs. *)
 
-val lower_exn : ?defect:defect -> Tile_dsl.spec -> built
+val lower_exn : Tile_dsl.spec -> built

@@ -32,7 +32,9 @@ let iterative_of = function
   | No_iterative | Nothing -> false
   | Full | No_tiling | No_pipelining | No_mem_opts -> true
 
-let run_variant ?(grid = Grid.m128) variant (k : Kernel.t) =
+let grid = Grid.m128
+
+let run_variant variant (k : Kernel.t) =
   let options =
     {
       (Controller.default_options ~grid ~optimize:true ~iterative:(iterative_of variant) ())
@@ -58,7 +60,7 @@ let run_variant ?(grid = Grid.m128) variant (k : Kernel.t) =
 let default_kernels () =
   List.map Workloads.find [ "gaussian"; "kmeans"; "btree"; "bfs" ]
 
-let experiment ?jobs ?(grid = Grid.m128) ?kernels () =
+let experiment ?jobs ?kernels () =
   let kernels = match kernels with Some ks -> ks | None -> default_kernels () in
   let t =
     Tables.create
@@ -76,7 +78,7 @@ let experiment ?jobs ?(grid = Grid.m128) ?kernels () =
                ( k,
                  Pool.submit pool (fun () -> Runner.multicore k),
                  List.map
-                   (fun v -> (v, Pool.submit pool (fun () -> run_variant ~grid v k)))
+                   (fun v -> (v, Pool.submit pool (fun () -> run_variant v k)))
                    all_variants ))
         |> List.map (fun (k, b, vs) ->
                (k, Pool.await b, List.map (fun (v, f) -> (v, Pool.await f)) vs)))

@@ -16,13 +16,16 @@ type variant = Full | No_tiling | No_pipelining | No_mem_opts | No_iterative | N
 val all_variants : variant list
 (** Exposed for tests; {!experiment} runs every variant. *)
 
-val run_variant : ?grid:Grid.t -> variant -> Kernel.t -> Runner.measurement
-(** One kernel under one variant (functional outputs are still verified).
+val run_variant : variant -> Kernel.t -> Runner.measurement
+(** One kernel under one variant on M-128 (functional outputs are still
+    verified).
     Exposed for tests, which check one variant on one kernel. *)
 
-val experiment : ?jobs:int -> ?grid:Grid.t -> ?kernels:Kernel.t list -> unit -> Experiments.outcome
-(** The full ablation table: per kernel, each variant's speedup over the
-    16-core baseline. [jobs] fans the per-(kernel, variant) runs out on a
-    domain {!Pool} (the outcome is bit-identical for every value); a geomean row summarizes how much each mechanism is
-    worth. Defaults to four representative kernels (one FP-streaming, one
-    predicated, one vectorizable, one memory-bound). *)
+val experiment : ?jobs:int -> ?kernels:Kernel.t list -> unit -> Experiments.outcome
+(** The full ablation table on M-128: per kernel, each variant's speedup
+    over the 16-core baseline. [jobs] fans the per-(kernel, variant) runs
+    out on a domain {!Pool} (the outcome is bit-identical for every value);
+    a geomean row summarizes how much each mechanism is worth. [kernels]
+    defaults to four representative kernels (one FP-streaming, one
+    predicated, one vectorizable, one memory-bound); it is exposed for
+    tests. *)

@@ -323,7 +323,7 @@ let read_spec j =
   let l2_kb = field "l2_kb" (list int) j in
   { kernels; grids; ports; kinds; l1_kb; l2_kb }
 
-let checkpoint_to_json ?(strategy = Exhaustive) spec outcomes =
+let checkpoint_to_json ~strategy spec outcomes =
   Json.Assoc
     (("version", Json.Int 1)
      ::

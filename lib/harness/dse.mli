@@ -117,7 +117,7 @@ val frontier : outcome list -> outcome list
 
 (** {2 Checkpoints} *)
 
-val checkpoint_to_json : ?strategy:strategy -> spec -> outcome list -> Json.t
+val checkpoint_to_json : strategy:strategy -> spec -> outcome list -> Json.t
 (** The ["strategy"] field is emitted only for [Guided] (absent means
     exhaustive), so checkpoints written before guided search existed — and
     exhaustive ones written today — keep their exact byte format. *)

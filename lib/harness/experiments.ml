@@ -144,12 +144,8 @@ let fig12 ?jobs ?kernels () =
 (* ------------------------------------------------------------------ *)
 (* Figure 13: area / power / energy breakdown by component.            *)
 
-let fig13 ?jobs ?kernels () =
-  let kernels =
-    match kernels with
-    | Some ks -> ks
-    | None -> List.map Workloads.find [ "nn"; "kmeans"; "hotspot"; "cfd" ]
-  in
+let fig13 ?jobs () =
+  let kernels = List.map Workloads.find [ "nn"; "kmeans"; "hotspot"; "cfd" ] in
   let grid = Grid.m128 in
   (* Energy shares measured across the four benchmarks. *)
   let sum = ref { Energy_model.compute_nj = 0.; memory_nj = 0.; interconnect_nj = 0.; control_nj = 0.; total_nj = 0. } in
@@ -427,7 +423,7 @@ let table2 ?jobs () =
             let config = Accel_config.plain placement in
             Some
               (float_of_int
-                 (Config_manager.translation_cycles Mapper.default_config dfg config))
+                 (Config_manager.translation_cycles dfg config))
           | Error _ -> None)
         | exception _ -> None)
       (Workloads.all ())

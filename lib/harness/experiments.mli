@@ -13,7 +13,9 @@ type outcome = {
     configuration) measurements run on a {!Pool} of that many domains
     (default [1], i.e. fully sequential). Results are assembled in
     submission order and each measurement is deterministic, so the outcome
-    — table text and summary — is bit-identical for every [jobs] value. *)
+    — table text and summary — is bit-identical for every [jobs] value.
+    [?kernels] (fig11, fig12, fig14) and [?n] (fig15, fig16) shrink an
+    experiment's input; they are exposed for tests. *)
 
 val fig11 : ?jobs:int -> ?kernels:Kernel.t list -> unit -> outcome
 (** Speedup and energy efficiency of M-128/M-512 over the 16-core CPU
@@ -24,7 +26,7 @@ val fig12 : ?jobs:int -> ?kernels:Kernel.t list -> unit -> outcome
 (** Per-iteration IPC against the OpenCGRA modulo scheduler: MESA without
     optimizations slightly behind, with optimizations clearly ahead. *)
 
-val fig13 : ?jobs:int -> ?kernels:Kernel.t list -> unit -> outcome
+val fig13 : ?jobs:int -> unit -> outcome
 (** Area / power / energy breakdown by component (nn, kmeans, hotspot,
     cfd): memory + compute should carry ~87% of energy. *)
 

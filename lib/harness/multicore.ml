@@ -6,12 +6,11 @@ type result = {
 
 let default_fork_join_cycles = 6000
 
-let run ?(cores = 16) ?(fork_join_cycles = default_fork_join_cycles)
-    ?(cpu = Ooo_model.default_config) (k : Kernel.t) mem =
+let run ?(cores = 16) (k : Kernel.t) mem =
   if (not k.Kernel.parallel) || cores <= 1 then begin
     let hier = Hierarchy.create Hierarchy.default_config in
     let machine = Kernel.prepare_slice k mem ~lo:0 ~hi:k.Kernel.n in
-    let r = Cpu_run.run ~config:cpu ~hierarchy:hier k.Kernel.program machine in
+    let r = Cpu_run.run ~hierarchy:hier k.Kernel.program machine in
     { cycles = r.Cpu_run.summary.Ooo_model.cycles; threads = 1; summaries = [ r.Cpu_run.summary ] }
   end
   else begin
@@ -34,12 +33,12 @@ let run ?(cores = 16) ?(fork_join_cycles = default_fork_join_cycles)
       List.mapi
         (fun i (lo, hi) ->
           let machine = Kernel.prepare_slice k mem ~lo ~hi in
-          let r = Cpu_run.run ~config:cpu ~hierarchy:hiers.(i) k.Kernel.program machine in
+          let r = Cpu_run.run ~hierarchy:hiers.(i) k.Kernel.program machine in
           r.Cpu_run.summary)
         slices
     in
     let slowest =
       List.fold_left (fun acc s -> max acc s.Ooo_model.cycles) 0 summaries
     in
-    { cycles = slowest + fork_join_cycles; threads = populated; summaries }
+    { cycles = slowest + default_fork_join_cycles; threads = populated; summaries }
   end

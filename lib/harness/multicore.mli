@@ -16,16 +16,13 @@ type result = {
 val default_fork_join_cycles : int
 (** ~3 us at 2 GHz for a 16-thread parallel region. Exposed for tests. *)
 
-val run :
-  ?cores:int ->
-  ?fork_join_cycles:int ->
-  ?cpu:Ooo_model.config ->
-  Kernel.t ->
-  Main_memory.t ->
-  result
-(** Execute the kernel (memory must already contain its inputs). Slices are
-    simulated sequentially, which is functionally equivalent for the
-    independent iterations the annotation guarantees.
+val run : ?cores:int -> Kernel.t -> Main_memory.t -> result
+(** Execute the kernel (memory must already contain its inputs) on [cores]
+    OoO cores of the default configuration (16 by default; [cores] is
+    exposed for tests), paying {!default_fork_join_cycles} per parallel
+    region. Slices are simulated
+    sequentially, which is functionally equivalent for the independent
+    iterations the annotation guarantees.
 
     When [n < cores], the surplus slices are empty and spawn no thread:
     [threads] counts only populated slices, [summaries] has one entry per

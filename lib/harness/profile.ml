@@ -107,8 +107,7 @@ let of_report ~kernel (report : Controller.report) =
         dominant = dominant_of totals;
       }
 
-let of_attribution ~kernel ?(critical_path = ([], 0.0)) ?(mem_levels = [])
-    (a : Attribution.t) =
+let of_attribution ~kernel ~critical_path (a : Attribution.t) =
   let grid = Attribution.grid a in
   let nlanes = Attribution.lane_count a in
   let cp_nodes, cp_lat = critical_path in
@@ -142,7 +141,7 @@ let of_attribution ~kernel ?(critical_path = ([], 0.0)) ?(mem_levels = [])
     noc_busy = Attribution.noc_busy a;
     port_claims = Attribution.port_claims a;
     port_busy = Attribution.port_busy a;
-    mem_levels;
+    mem_levels = [];
     dominant = dominant_of totals;
   }
 

@@ -54,16 +54,11 @@ val of_report : kernel:string -> Controller.report -> (t, string) result
     (the run was made without [profile:true]). *)
 
 val of_attribution :
-  kernel:string ->
-  ?critical_path:int list * float ->
-  ?mem_levels:(string * int) list ->
-  Attribution.t ->
-  t
+  kernel:string -> critical_path:int list * float -> Attribution.t -> t
 (** Summarize a bare engine-level run from its attribution collector (no
     {!Controller.report} required — [total_cycles] is the attributed total,
-    there being no CPU side). [critical_path] is the chain to report (the
-    refinement pass feeds the cost model's); [mem_levels] the hierarchy
-    access mix if the caller kept the hierarchy around. *)
+    there being no CPU side, and [mem_levels] is empty). [critical_path] is
+    the chain to report (the refinement pass feeds the cost model's). *)
 
 val closes : t -> bool
 (** Every lane's bucket sum equals [attributed_cycles] and the totals row

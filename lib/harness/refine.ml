@@ -33,13 +33,13 @@ let execute_once ?attribution ~(k : Kernel.t) ~dfg config =
   | Ok (_, Error e) -> Error ("output check failed: " ^ e)
   | Ok (res, Ok ()) -> Ok res
 
-let run_core ?(seed = 0) ?max_rounds ?beam ?jobs ~kind ~grid ?baseline ?measured
+let run ?(seed = 0) ?max_rounds ?beam ?jobs ?(grid = Grid.m64) ?baseline ?measured
     (k : Kernel.t) =
   let dfg = Runner.dfg_of_kernel k in
   let baseline =
     match baseline with
     | Some p -> Ok p
-    | None -> Runner.placement_of ~kind ~grid k
+    | None -> Runner.placement_of ~grid k
   in
   match baseline with
   | Error e -> Error e
@@ -92,14 +92,6 @@ let run_core ?(seed = 0) ?max_rounds ?beam ?jobs ~kind ~grid ?baseline ?measured
           config = config_of r.Mapper.placement;
           dfg;
         })
-
-let run ?seed ?max_rounds ?beam ?jobs ?(kind = Interconnect.Mesh_noc)
-    ?(grid = Grid.m64) (k : Kernel.t) =
-  run_core ?seed ?max_rounds ?beam ?jobs ~kind ~grid k
-
-let run_measured ?seed ?max_rounds ?beam ?(kind = Interconnect.Mesh_noc)
-    ?(grid = Grid.m64) ?baseline ~measured (k : Kernel.t) =
-  run_core ?seed ?max_rounds ?beam ~kind ~grid ?baseline ~measured k
 
 let config_for (r : report) placement =
   let grid = placement.Placement.grid in

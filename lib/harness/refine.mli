@@ -30,36 +30,24 @@ val run :
   ?max_rounds:int ->
   ?beam:int ->
   ?jobs:int ->
-  ?kind:Interconnect.kind ->
-  ?grid:Grid.t ->
-  Kernel.t ->
-  (report, string) result
-(** Refine [kernel]'s Algorithm-1 placement on [grid] (default
-    {!Grid.m64}). Deterministic for fixed arguments: the model is pure, the
-    engine is deterministic, and ranking ties break on [seed] (default 0).
-    [jobs] (default 1) domains score each round's candidates; the report
-    is the same for every [jobs]. [Error] when the kernel cannot be mapped
-    at all or its baseline execution fails. *)
-
-val run_measured :
-  ?seed:int ->
-  ?max_rounds:int ->
-  ?beam:int ->
-  ?kind:Interconnect.kind ->
   ?grid:Grid.t ->
   ?baseline:Placement.t ->
-  measured:Stats.snapshot ->
+  ?measured:Stats.snapshot ->
   Kernel.t ->
   (report, string) result
-(** {!run} with the cost model's latency oracles fed from [measured] — a
-    profiled engine window's per-node snapshot
+(** Refine [kernel]'s placement on [grid] (default {!Grid.m64}), starting
+    from [baseline] (default: the memoized Algorithm-1 placement).
+    Deterministic for fixed arguments: the model is pure, the engine is
+    deterministic, and ranking ties break on [seed] (default 0). [jobs]
+    (default 1) domains score each round's candidates; the report is the
+    same for every [jobs]. [measured] — a profiled engine window's per-node
+    snapshot — feeds the cost model's latency oracles
     ({!Cost_model.op_oracle_of_measured} /
-    {!Cost_model.mem_oracle_of_measured}) — and an optional starting
-    [baseline] placement (default: the memoized Algorithm-1 placement).
-    The backend of mesad's profiling-window feedback loop: the model ranks
-    candidates with the latencies this kernel actually exhibited, and the
-    engine still confirms every adoption, so never-regress holds
-    unchanged. *)
+    {!Cost_model.mem_oracle_of_measured}), so the model ranks candidates
+    with the latencies this kernel actually exhibited; the engine still
+    confirms every adoption, so never-regress holds unchanged. This is the
+    backend of mesad's profiling-window feedback loop. [Error] when the
+    kernel cannot be mapped at all or its baseline execution fails. *)
 
 val config_for : report -> Placement.t -> Accel_config.t
 (** The kernel's optimization flags around an arbitrary placement — what

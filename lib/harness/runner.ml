@@ -54,10 +54,10 @@ let single_core (k : Kernel.t) =
     stats = summary_snapshot r.Cpu_run.summary;
   }
 
-let multicore ?(cores = 16) (k : Kernel.t) =
+let multicore (k : Kernel.t) =
   let mem = Main_memory.create () in
   k.Kernel.setup mem;
-  let r = Multicore.run ~cores k mem in
+  let r = Multicore.run k mem in
   let stats =
     let reg = Stats.registry () in
     let grp = Stats.group reg "cpu" in
@@ -69,7 +69,7 @@ let multicore ?(cores = 16) (k : Kernel.t) =
     Stats.snapshot reg
   in
   {
-    label = Printf.sprintf "%d-core OoO" cores;
+    label = "16-core OoO";
     cycles = r.Multicore.cycles;
     energy_nj = Energy_model.multicore_energy_nj r.Multicore.summaries;
     checked = k.Kernel.check mem;
@@ -205,14 +205,9 @@ let dfg_of_kernel (k : Kernel.t) =
   memoized dfg_memo (k.Kernel.name, k.Kernel.n) (fun () -> dfg_of_kernel_uncached k)
 
 let optimized_config ~grid (k : Kernel.t) (dfg : Dfg.t) placement =
-  let mo = Mem_opt.analyze dfg in
-  let ld =
-    Loop_opt.decide ~grid ~dfg
-      ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
-  in
-  Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-    ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-    ~tiling:ld.Loop_opt.tiling ~pipelined:true placement
+  Controller.optimized_config ~grid ~dfg
+    ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
+    placement
 
 let execute_loop ?attribution ?(hier = Hierarchy.default_config) (k : Kernel.t)
     dfg config =

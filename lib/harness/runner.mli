@@ -23,7 +23,7 @@ val comparison_table : Kernel.t -> measurement list -> Tables.t
 val single_core : Kernel.t -> measurement
 (** One OoO core (the Figure 14 baseline). *)
 
-val multicore : ?cores:int -> Kernel.t -> measurement
+val multicore : Kernel.t -> measurement
 (** The 16-core baseline (Figure 11). *)
 
 val mesa :
@@ -68,9 +68,9 @@ val placement_of :
 
 val optimized_config :
   grid:Grid.t -> Kernel.t -> Dfg.t -> Placement.t -> Accel_config.t
-(** [placement] with the kernel's memory optimizations ({!Mem_opt}) and
-    loop tiling ({!Loop_opt}, honouring its pragma), pipelined — the
-    configuration the engine-level experiments, refine and DSE execute. *)
+(** {!Controller.optimized_config} under the pragma of the kernel's hot
+    loop — the configuration the engine-level experiments, refine and DSE
+    execute. *)
 
 val execute_loop :
   ?attribution:Attribution.t ->
@@ -106,4 +106,5 @@ val clear_translation_cache : unit -> unit
 val dynaspam : ?config:Dynaspam.config -> Kernel.t -> measurement
 (** DynaSpAM analytic model over the same dynamic iteration count; the
     non-loop remainder is charged at single-core cost. Unqualified kernels
-    return the single-core measurement. *)
+    return the single-core measurement. [config] (default
+    {!Dynaspam.default_config}) is exposed for tests. *)

@@ -4,7 +4,7 @@ let paper : (string * experiment) list =
   [
     ("fig11", fun ?jobs () -> Experiments.fig11 ?jobs ());
     ("fig12", fun ?jobs () -> Experiments.fig12 ?jobs ());
-    ("fig13", fun ?jobs () -> Experiments.fig13 ?jobs ());
+    ("fig13", Experiments.fig13);
     ("fig14", fun ?jobs () -> Experiments.fig14 ?jobs ());
     ("fig15", fun ?jobs () -> Experiments.fig15 ?jobs ());
     ("fig16", fun ?jobs () -> Experiments.fig16 ?jobs ());

@@ -26,7 +26,8 @@ type t
 
 val create : ?sharers:int -> config -> t
 (** A fresh hierarchy with a private L1 and its own L2. [sharers] scales
-    the L2 latency penalty (default 1 = no sharing). The caches are
+    the L2 latency penalty (default 1 = no sharing; exposed for tests —
+    {!create_shared} sets it for multicore runs). The caches are
     set-lazy ({!Cache}), so building one per measurement is cheap. *)
 
 val release : t -> unit

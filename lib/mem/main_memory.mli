@@ -19,8 +19,9 @@
 type t
 
 val create : ?size:int -> unit -> t
-(** [create ~size ()] is [size] bytes of zeroed memory (default 16 MiB).
-    Only the page table is allocated; pages follow on first store. *)
+(** [create ~size ()] is [size] bytes of zeroed memory (default 16 MiB;
+    [size] is exposed for tests). Only the page table is allocated; pages
+    follow on first store. *)
 
 val release : t -> unit
 (** Drop every page, so [t] reads as freshly created memory again and its

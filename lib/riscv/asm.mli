@@ -22,7 +22,8 @@
 type t
 
 val create : ?base:int -> unit -> t
-(** Fresh builder; code will be placed at [base] (default 0x1000). *)
+(** Fresh builder; code will be placed at [base] (default 0x1000; exposed
+    for tests). *)
 
 val label : t -> string -> unit
 (** Define a label at the current position. *)

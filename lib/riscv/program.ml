@@ -2,18 +2,16 @@ type pragma = Omp_parallel | Omp_simd
 
 type t = {
   base : int;
-  entry : int;
   code : Isa.t array;
   symbols : (string * int) list;
   pragmas : (int * pragma) list;
 }
 
-let make ?(base = 0x1000) ?entry ?(symbols = []) ?(pragmas = []) code =
-  let entry = Option.value entry ~default:base in
-  { base; entry; code; symbols; pragmas }
+let make ?(base = 0x1000) ?(symbols = []) ?(pragmas = []) code =
+  { base; code; symbols; pragmas }
 
 let base t = t.base
-let entry t = t.entry
+let entry t = t.base
 let code t = t.code
 let end_address t = t.base + (4 * Array.length t.code)
 let in_range t addr = addr >= t.base && addr < end_address t

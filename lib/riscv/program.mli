@@ -14,13 +14,12 @@ type t
 
 val make :
   ?base:int ->
-  ?entry:int ->
   ?symbols:(string * int) list ->
   ?pragmas:(int * pragma) list ->
   Isa.t array ->
   t
-(** [make code] builds a program. [base] defaults to 0x1000; [entry] to
-    [base]. Symbol and pragma addresses are absolute. *)
+(** [make code] builds a program whose entry is its [base] (default 0x1000;
+    exposed for tests). Symbol and pragma addresses are absolute. *)
 
 val base : t -> int
 val entry : t -> int
@@ -51,7 +50,8 @@ val words : t -> int32 array
     memory. *)
 
 val of_words : ?base:int -> int32 array -> (t, string) result
-(** Decode a binary image back into a program (no symbols/pragmas). *)
+(** Decode a binary image back into a program (no symbols/pragmas).
+    Exposed for tests. *)
 
 val pp : Format.formatter -> t -> unit
 (** Disassembly listing with addresses and labels. *)

@@ -2,7 +2,7 @@
     ladder.
 
     Attempt [k] draws a delay uniformly from
-    [\[0, min (cap_ms, base_ms * factor^k))] using one splitmix PRNG, so a
+    [\[0, min (cap_ms, base_ms * 2^k))] using one splitmix PRNG, so a
     request's whole retry schedule is a pure function of its seed — the
     load generator's determinism digest relies on this (delays affect only
     wall-clock latency, which the digest excludes, but the *number* of
@@ -10,10 +10,9 @@
 
 type t
 
-val create :
-  ?base_ms:float -> ?cap_ms:float -> ?factor:float -> seed:int -> unit -> t
-(** Defaults: base 1 ms, cap 20 ms, factor 2. Raises [Invalid_argument] on
-    a non-positive base/cap or a factor below 1. *)
+val create : base_ms:float -> cap_ms:float -> seed:int -> t
+(** Raises [Invalid_argument] on a non-positive base or a cap below the
+    base. *)
 
 val next_ms : t -> float
 (** The jittered delay for the next attempt, advancing the attempt

@@ -257,7 +257,10 @@ let start ?service_config ~socket () =
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   t
 
-let stop ?(grace_s = 5.0) t =
+(* Seconds [stop] waits for handlers still answering post-drain traffic. *)
+let grace_s = 5.0
+
+let stop t =
   match Mutex.protect t.lock (fun () -> t.final) with
   | Some snap -> snap
   | None ->

@@ -28,9 +28,9 @@ val start : ?service_config:Service.config -> socket:string -> unit -> t
 
 val service : t -> Service.t
 
-val stop : ?grace_s:float -> t -> Stats.snapshot
+val stop : t -> Stats.snapshot
 (** Graceful drain as described above; returns the final service stats.
-    [grace_s] (default 5) bounds how long to wait, after all in-flight
+    A 5 s grace window bounds how long to wait, after all in-flight
     requests have settled, for handler threads still writing shed
     responses to clients that keep sending. Idempotent — later calls
     return the drained snapshot. *)

@@ -276,8 +276,7 @@ let refine_one t (j : refine_job) =
       Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.overrides j.rj_kernel)
     in
     match
-      Refine.run_measured ~seed:t.cfg.seed ~grid ?baseline
-        ~measured:j.rj_measured k
+      Refine.run ~seed:t.cfg.seed ~grid ?baseline ~measured:j.rj_measured k
     with
     | Error e -> reject ("refine failed: " ^ e)
     | Ok r ->
@@ -733,7 +732,6 @@ let execute t (req : Proto.run_request) =
           Backoff.create ~base_ms:t.cfg.backoff_base_ms
             ~cap_ms:t.cfg.backoff_cap_ms
             ~seed:(t.cfg.seed + (ticket * 0x9E3779B9))
-            ()
         in
         let fut =
           Pool.submit t.pool (fun () ->

@@ -71,7 +71,8 @@ val create :
 (** [ring] spans kept for trace subscribers (default 4096), [windows]
     sketch sub-windows (default 8) of [window_ms] each (default 250 —
     a 2 s sliding window), [clock] the millisecond time source (default:
-    wall clock since creation). Raises [Invalid_argument] on a
+    wall clock since creation). The service takes every default; the
+    options are exposed for tests. Raises [Invalid_argument] on a
     non-positive ring, windows or window_ms. *)
 
 val emit :

@@ -1,32 +1,24 @@
-let scale_for ~width values =
+(* Characters spanned by the longest bar. *)
+let width = 50
+
+let scale_for values =
   let vmax = List.fold_left Float.max 0.0 values in
   if vmax <= 0.0 then 0.0 else float_of_int width /. vmax
 
 let bar ~scale v = String.make (max 0 (int_of_float (Float.round (v *. scale)))) '#'
 
-let bars ?(width = 50) ?baseline ~title series =
+let bars ~title series =
   let buf = Buffer.create 256 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';
   let label_w =
     List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 series
   in
-  let scale = scale_for ~width (List.map snd series) in
-  let marker =
-    match baseline with
-    | Some b when scale > 0.0 -> Some (int_of_float (Float.round (b *. scale)))
-    | _ -> None
-  in
+  let scale = scale_for (List.map snd series) in
   List.iter
     (fun (label, v) ->
-      let b = Bytes.of_string (bar ~scale v ^ String.make width ' ') in
-      (match marker with
-      | Some m when m >= 0 && m < Bytes.length b -> Bytes.set b m '|'
-      | _ -> ());
       Buffer.add_string buf
-        (Printf.sprintf "  %-*s %s %.2f\n" label_w label
-           (String.trim (Bytes.to_string b) |> fun s -> Printf.sprintf "%-*s" width s)
-           v))
+        (Printf.sprintf "  %-*s %-*s %.2f\n" label_w label width (bar ~scale v) v))
     series;
   Buffer.contents buf
 
@@ -35,7 +27,7 @@ let glyphs = [| '#'; '='; '-'; '+'; '*' |]
 (* Cold-to-hot ramp for [heat]. *)
 let ramp = [| '.'; ':'; '-'; '='; '+'; '*'; '#'; '%'; '@'; 'X' |]
 
-let heat ?(legend = true) ~title ~rows ~cols f =
+let heat ~title ~rows ~cols f =
   let buf = Buffer.create 256 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';
@@ -55,14 +47,12 @@ let heat ?(legend = true) ~title ~rows ~cols f =
     done;
     Buffer.add_char buf '\n'
   done;
-  if legend then begin
-    Buffer.add_string buf "      ";
-    Array.iter (Buffer.add_char buf) ramp;
-    Buffer.add_string buf (Printf.sprintf "  (max %.2f)\n" !vmax)
-  end;
+  Buffer.add_string buf "      ";
+  Array.iter (Buffer.add_char buf) ramp;
+  Buffer.add_string buf (Printf.sprintf "  (max %.2f)\n" !vmax);
   Buffer.contents buf
 
-let grouped ?(width = 50) ~title ~series_names rows =
+let grouped ~title ~series_names rows =
   let buf = Buffer.create 256 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';
@@ -72,7 +62,7 @@ let grouped ?(width = 50) ~title ~series_names rows =
         (Printf.sprintf "  [%c] %s\n" glyphs.(i mod Array.length glyphs) name))
     series_names;
   let label_w = List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 rows in
-  let scale = scale_for ~width (List.concat_map snd rows) in
+  let scale = scale_for (List.concat_map snd rows) in
   List.iter
     (fun (label, values) ->
       List.iteri

@@ -1,16 +1,12 @@
 (** Horizontal ASCII bar charts, for rendering the paper's figures as
     pictures next to their numeric tables. *)
 
-val bars :
-  ?width:int -> ?baseline:float -> title:string -> (string * float) list -> string
+val bars : title:string -> (string * float) list -> string
 (** [bars ~title series] renders one bar per (label, value). Values are
-    scaled so the largest bar spans [width] characters (default 50). When
-    [baseline] is given, a marker [|] is drawn at that value's position
-    (e.g. the 1.0x line of a speedup chart). Returns a multi-line string
-    ending in a newline; the empty series renders just the title. *)
+    scaled so the largest bar spans 50 characters. Returns a multi-line
+    string ending in a newline; the empty series renders just the title. *)
 
 val grouped :
-  ?width:int ->
   title:string ->
   series_names:string list ->
   (string * float list) list ->
@@ -18,12 +14,10 @@ val grouped :
 (** Multi-series variant: each row carries one bar per series, tagged with
     the series' index glyph. Used for figures comparing M-128 vs M-512. *)
 
-val heat :
-  ?legend:bool -> title:string -> rows:int -> cols:int -> (int -> int -> float) ->
-  string
+val heat : title:string -> rows:int -> cols:int -> (int -> int -> float) -> string
 (** [heat ~title ~rows ~cols f] renders an ASCII heatmap, one glyph per
     cell, with [f row col] giving each cell's intensity. Intensities are
     normalized to the maximum (a non-positive maximum renders all-cold);
     the 10-step ramp runs [. : - = + * # % @ X]. The profiler draws per-PE
-    utilization and per-NoC-link occupancy with this. [legend] (default
-    true) appends the ramp with its value thresholds. *)
+    utilization and per-NoC-link occupancy with this. A legend line shows
+    the ramp and the maximum. *)

@@ -2,6 +2,9 @@ let ratio = Float.pow 2.0 0.25
 let floor_value = 1e-3
 let log_ratio = Float.log ratio
 
+(* Log-spaced buckets per sub-window. *)
+let buckets = 128
+
 type sub = {
   mutable s_count : int;
   mutable s_max : float; (* neg_infinity when empty *)
@@ -9,17 +12,14 @@ type sub = {
 }
 
 type t = {
-  n_buckets : int;
   n_windows : int;
   subs : sub array;
   mutable cursor : int; (* subs.(cursor) is the current sub-window *)
 }
 
-let create ?(buckets = 128) ?(windows = 8) () =
-  if buckets < 1 then invalid_arg "Sketch.create: buckets must be >= 1";
+let create ?(windows = 8) () =
   if windows < 1 then invalid_arg "Sketch.create: windows must be >= 1";
   {
-    n_buckets = buckets;
     n_windows = windows;
     subs =
       Array.init windows (fun _ ->
@@ -30,13 +30,13 @@ let create ?(buckets = 128) ?(windows = 8) () =
 (* Bucket 0 covers (-inf, floor]; bucket i covers
    (floor * r^(i-1), floor * r^i]. The last bucket absorbs everything
    above the geometric range. *)
-let bucket_of t v =
+let bucket_of v =
   if not (Float.is_finite v) || v <= floor_value then 0
   else
     let i =
       int_of_float (Float.ceil (Float.log (v /. floor_value) /. log_ratio))
     in
-    if i < 1 then 1 else if i >= t.n_buckets then t.n_buckets - 1 else i
+    if i < 1 then 1 else if i >= buckets then buckets - 1 else i
 
 let upper_bound i =
   if i = 0 then floor_value else floor_value *. Float.pow ratio (float_of_int i)
@@ -44,7 +44,7 @@ let upper_bound i =
 let observe t v =
   let v = if Float.is_finite v && v > 0.0 then v else 0.0 in
   let s = t.subs.(t.cursor) in
-  s.b.(bucket_of t v) <- s.b.(bucket_of t v) + 1;
+  s.b.(bucket_of v) <- s.b.(bucket_of v) + 1;
   s.s_count <- s.s_count + 1;
   if v > s.s_max then s.s_max <- v
 
@@ -72,7 +72,7 @@ let quantile t q =
     let cum = ref 0 in
     let result = ref (window_max t) in
     (try
-       for i = 0 to t.n_buckets - 1 do
+       for i = 0 to buckets - 1 do
          Array.iter (fun s -> cum := !cum + s.b.(i)) t.subs;
          if !cum >= rank then begin
            result := Float.min (upper_bound i) (window_max t);

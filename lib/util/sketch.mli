@@ -21,10 +21,10 @@
 
 type t
 
-val create : ?buckets:int -> ?windows:int -> unit -> t
-(** A fresh, empty sketch. [buckets] (default 128) log-spaced buckets per
-    sub-window, [windows] (default 8) sub-windows in the ring. Raises
-    [Invalid_argument] when either is below 1. *)
+val create : ?windows:int -> unit -> t
+(** A fresh, empty sketch: 128 log-spaced buckets per sub-window, [windows]
+    (default 8) sub-windows in the ring. Raises [Invalid_argument] when
+    [windows] is below 1. *)
 
 val ratio : float
 (** The fixed bucket growth ratio, [2{^1/4}] — the quantile error bound.

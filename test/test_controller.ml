@@ -34,8 +34,8 @@ let optimizer_monotone_adoption () =
   in
   Optimizer.absorb model res;
   (match
-     Optimizer.step ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc
-       ~mapper:Mapper.default_config ~model ~current:config
+     Optimizer.step ~grid:Grid.m128 ~kind:Interconnect.Mesh_noc ~model
+       ~current:config
    with
   | Optimizer.Adopt { latency; previous; config = config' } ->
     check Alcotest.bool "strict improvement" true
@@ -241,6 +241,28 @@ let controller_speedup_helper () =
   check (Alcotest.float 1e-9) "speedup arithmetic" 2.0
     (Controller.speedup ~baseline_cycles:(2 * r.Controller.total_cycles) r)
 
+(* C1 through the controller: the capacity is the fabric's PEs plus
+   load-store entries, 4 + 4 = 8 instructions on a 2x2 grid, fewer than
+   kmeans' hot loop. The region is rejected before translation, nothing is
+   offloaded, and the CPU finishes the kernel with correct outputs. *)
+let controller_c1_rejects_oversized_region () =
+  let k = Workloads.find "kmeans" in
+  let mem = Main_memory.create () in
+  let machine = Kernel.prepare k mem in
+  let options = Controller.default_options ~grid:(Grid.make ~rows:2 ~cols:2 ()) () in
+  let report = Controller.run ~options k.Kernel.program machine in
+  let reasons =
+    List.map
+      (fun r -> Option.value r.Controller.reject_reason ~default:"accepted")
+      report.Controller.regions
+  in
+  check Alcotest.bool
+    ("C1 rejects every region: " ^ String.concat "; " reasons)
+    true
+    (reasons <> [] && List.for_all (String.starts_with ~prefix:"C1") reasons);
+  check Alcotest.int "no offloads" 0 report.Controller.offloads;
+  check Alcotest.(result unit string) "outputs" (Ok ()) (k.Kernel.check mem)
+
 let suites =
   [
     ( "optimizer",
@@ -261,5 +283,7 @@ let suites =
         Alcotest.test_case "adopts one reconfiguration" `Quick
           controller_reconfigures_once;
         Alcotest.test_case "speedup helper" `Quick controller_speedup_helper;
+        Alcotest.test_case "C1 rejects an oversized region" `Quick
+          controller_c1_rejects_oversized_region;
       ] );
   ]

@@ -264,16 +264,7 @@ let model_tight_on_reference_kernels () =
       match Runner.placement_of ~grid k with
       | Error _ -> ()
       | Ok placement ->
-        let mo = Mem_opt.analyze dfg in
-        let ld =
-          Loop_opt.decide ~grid ~dfg
-            ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
-        in
-        let config =
-          Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-            ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-            ~tiling:ld.Loop_opt.tiling ~pipelined:true placement
-        in
+        let config = Runner.optimized_config ~grid k dfg placement in
         let mem = Main_memory.create () in
         let machine = Kernel.prepare k mem in
         let hier = Hierarchy.create Hierarchy.default_config in

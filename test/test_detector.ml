@@ -58,7 +58,7 @@ let accepts_hot_loop () =
   let k = Workloads.find "gaussian" in
   let mem = Main_memory.create () in
   let m = Kernel.prepare k mem in
-  let detector = Loop_detector.create k.Kernel.program in
+  let detector = Loop_detector.create ~capacity:512 k.Kernel.program in
   match feed_program k.Kernel.program m detector 2000 with
   | [ Loop_detector.Accepted region ] ->
     check Alcotest.int "entry at loop" (Program.entry k.Kernel.program) region.Region.entry;
@@ -72,7 +72,7 @@ let verdict_is_single () =
   let k = Workloads.find "gaussian" in
   let mem = Main_memory.create () in
   let m = Kernel.prepare k mem in
-  let detector = Loop_detector.create k.Kernel.program in
+  let detector = Loop_detector.create ~capacity:512 k.Kernel.program in
   let verdicts = feed_program k.Kernel.program m detector 100000 in
   check Alcotest.int "exactly one verdict" 1 (List.length verdicts)
 
@@ -88,7 +88,7 @@ let rejects_loop_with_jump () =
   let prog = Asm.assemble b in
   let m = Machine.create ~pc:(Program.entry prog) (Main_memory.create ~size:4096 ()) in
   Machine.set_x m a0 100;
-  let detector = Loop_detector.create prog in
+  let detector = Loop_detector.create ~capacity:512 prog in
   match feed_program prog m detector 5000 with
   | [ Loop_detector.Rejected { reason; _ } ] ->
     check Alcotest.bool "C2 reason" true
@@ -114,7 +114,7 @@ let rejects_inner_loop () =
   let m = Machine.create ~pc:(Program.entry prog) (Main_memory.create ~size:4096 ()) in
   Machine.set_x m a0 50;
   Machine.set_x m a1 20;
-  let detector = Loop_detector.create prog in
+  let detector = Loop_detector.create ~capacity:512 prog in
   let verdicts = feed_program prog m detector 50000 in
   let accepted_entries =
     List.filter_map
@@ -157,7 +157,7 @@ let rejects_memory_only_loop () =
   let mem = Main_memory.create () in
   let m = Machine.create ~pc:(Program.entry prog) mem in
   Machine.set_args m [ (a0, 0x1000_0); (a1, 0x2000_0); (a2, 0x1000_0 + 4096) ];
-  let detector = Loop_detector.create prog in
+  let detector = Loop_detector.create ~capacity:512 prog in
   match feed_program prog m detector 50000 with
   | [ Loop_detector.Rejected { reason; _ } ] ->
     check Alcotest.bool "C3 reason" true
@@ -165,11 +165,10 @@ let rejects_memory_only_loop () =
   | _ -> Alcotest.fail "expected a C3 rejection"
 
 let rejects_oversized_loop () =
-  let detector_cfg = { Loop_detector.default_config with Loop_detector.capacity = 8 } in
   let k = Workloads.find "kmeans" in
   let mem = Main_memory.create () in
   let m = Kernel.prepare k mem in
-  let detector = Loop_detector.create ~config:detector_cfg k.Kernel.program in
+  let detector = Loop_detector.create ~capacity:8 k.Kernel.program in
   match feed_program k.Kernel.program m detector 5000 with
   | [ Loop_detector.Rejected { reason; _ } ] ->
     check Alcotest.bool "C1 reason" true

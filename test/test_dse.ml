@@ -212,7 +212,7 @@ let checkpoint_roundtrip_random =
 let checkpoint_strategy_field_compat () =
   (* Exhaustive checkpoints carry no strategy field at all — the pre-guided
      byte format — and decode as Exhaustive. *)
-  let j = Dse.checkpoint_to_json Dse.default_spec [] in
+  let j = Dse.checkpoint_to_json ~strategy:Dse.Exhaustive Dse.default_spec [] in
   check Alcotest.bool "no strategy field when exhaustive" true
     (Json.member "strategy" j = None);
   (match Dse.checkpoint_of_json j with

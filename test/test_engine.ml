@@ -11,16 +11,7 @@ let engine_setup ?(grid = Grid.m128) ?(optimize = false) ?(pipelined = true) (k 
     Result.get_ok (Mapper.map ~grid ~kind:Interconnect.Mesh_noc model)
   in
   let config =
-    if optimize then begin
-      let mo = Mem_opt.analyze dfg in
-      let ld =
-        Loop_opt.decide ~grid ~dfg
-          ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
-      in
-      Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-        ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-        ~tiling:ld.Loop_opt.tiling ~pipelined placement
-    end
+    if optimize then Runner.optimized_config ~grid k dfg placement
     else Accel_config.with_opts ~pipelined placement
   in
   (dfg, config)

@@ -7,14 +7,14 @@ let fsm_matches_closed_form () =
     (fun name ->
       let dfg = Runner.dfg_of_kernel (Workloads.find name) in
       check Alcotest.int (name ^ " cycles")
-        (Mapper.map_cycles Mapper.default_config dfg)
-        (Imap_fsm.cycles Mapper.default_config dfg))
+        (Mapper.map_cycles dfg)
+        (Imap_fsm.cycles dfg))
     [ "nn"; "kmeans"; "btree" ]
 
 let fsm_stage_structure () =
   let dfg = Runner.dfg_of_kernel (Workloads.find "gaussian") in
   let n = Dfg.node_count dfg in
-  let diagram = Imap_fsm.timing_diagram ~max_nodes:n Mapper.default_config dfg in
+  let diagram = Imap_fsm.timing_diagram ~max_nodes:n dfg in
   let rows =
     List.filteri (fun i l -> i >= 1 && l <> "") (String.split_on_char '\n' diagram)
   in
@@ -23,7 +23,7 @@ let fsm_stage_structure () =
      filter, five reduction levels, writeback. *)
   let per_node = 9 in
   check Alcotest.int "cycles per node" (per_node * n)
-    (Imap_fsm.cycles Mapper.default_config dfg);
+    (Imap_fsm.cycles dfg);
   List.iteri
     (fun i row ->
       let cells = String.sub row 5 (String.length row - 5) in
@@ -35,14 +35,12 @@ let fsm_stage_structure () =
 
 let fsm_reduction_depth () =
   let dfg = Runner.dfg_of_kernel (Workloads.find "nn") in
-  let per_node cfg = Imap_fsm.cycles cfg dfg / Dfg.node_count dfg in
-  check Alcotest.int "4x8 window reduces in 5" (4 + 5) (per_node Mapper.default_config);
-  check Alcotest.int "2x2 window reduces in 2" (4 + 2)
-    (per_node { Mapper.window_rows = 2; window_cols = 2 })
+  check Alcotest.int "4x8 window reduces in 5" (4 + 5)
+    (Imap_fsm.cycles dfg / Dfg.node_count dfg)
 
 let fsm_timing_diagram () =
   let dfg = Runner.dfg_of_kernel (Workloads.find "gaussian") in
-  let d = Imap_fsm.timing_diagram ~max_nodes:4 Mapper.default_config dfg in
+  let d = Imap_fsm.timing_diagram ~max_nodes:4 dfg in
   check Alcotest.bool "mentions stages" true
     (String.length d > 0
     && String.exists (( = ) 'F') d
@@ -149,11 +147,10 @@ let csv_outcome_and_file () =
   check Alcotest.string "file written" "component,area,power" line
 
 let chart_rendering () =
-  let c = Chart.bars ~title:"speedups" ~baseline:1.0 [ ("a", 2.0); ("bb", 0.5) ] in
+  let c = Chart.bars ~title:"speedups" [ ("a", 2.0); ("bb", 0.5) ] in
   let lines = String.split_on_char '\n' c in
   check Alcotest.bool "title" true (List.hd lines = "speedups");
   check Alcotest.bool "bars drawn" true (String.exists (( = ) '#') c);
-  check Alcotest.bool "baseline marker" true (String.exists (( = ) '|') c);
   let g =
     Chart.grouped ~title:"t" ~series_names:[ "m128"; "m512" ]
       [ ("k", [ 1.0; 2.0 ]) ]

@@ -121,7 +121,7 @@ let window_fallback_large_graph () =
 
 let map_cycles_model () =
   let dfg = dfg_of_kernel "nn" in
-  let c = Mapper.map_cycles Mapper.default_config dfg in
+  let c = Mapper.map_cycles dfg in
   (* Figure 8: a handful of FSM stages per instruction. *)
   check Alcotest.int "9 cycles per instruction" (9 * Dfg.node_count dfg) c
 

@@ -236,7 +236,7 @@ let breaker_reopen_doubles_cooldown () =
 
 let backoff_seeded_and_bounded () =
   let seq seed =
-    let b = Backoff.create ~base_ms:1.0 ~cap_ms:8.0 ~seed () in
+    let b = Backoff.create ~base_ms:1.0 ~cap_ms:8.0 ~seed in
     List.init 6 (fun _ -> Backoff.next_ms b)
   in
   check (Alcotest.list (Alcotest.float 0.0)) "same seed, same schedule"
