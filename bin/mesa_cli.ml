@@ -136,11 +136,10 @@ let map_cmd =
       "memory optimizations: %d forwarding pair(s), %d vector group(s), %d prefetched load(s)@."
       (List.length mo.Mem_opt.forwarding) (List.length mo.Mem_opt.vector_groups)
       (List.length mo.Mem_opt.prefetched);
-    let ld =
-      Loop_opt.decide ~grid ~dfg ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
+    let tiling =
+      Loop_opt.tiling ~grid ~dfg ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
     in
-    Format.printf "loop optimizations: tiling x%d, pipelined %b@." ld.Loop_opt.tiling
-      ld.Loop_opt.pipelined;
+    Format.printf "loop optimizations: tiling x%d, pipelined true@." tiling;
     Ok ()
   in
   Cmd.v (Cmd.info "map" ~doc:"Run Algorithm 1 and show the spatial placement")

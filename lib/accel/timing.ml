@@ -88,6 +88,42 @@ let compile ~(config : Accel_config.t) ~(dfg : Dfg.t) =
     placement = pl;
   }
 
+(* The placement enters [compile] only through [base] and [slice]. Each
+   edge writes its transfer latency, then its router slice renumbered in
+   order of first use, plus one (0 for PE-local): one byte below 255, else
+   255 and eight more, so the encoding is prefix-free. *)
+let schedule_key ~dfg =
+  let deps = Dfg.arrival_deps dfg in
+  let edges = Array.fold_left (fun k ds -> k + Array.length ds) 0 deps in
+  fun (pl : Placement.t) ->
+    let key = Buffer.create (2 * edges) in
+    let put v =
+      if v < 255 then Buffer.add_char key (Char.unsafe_chr v)
+      else begin
+        Buffer.add_char key '\255';
+        Buffer.add_int64_le key (Int64.of_int v)
+      end
+    in
+    let renumbered = Array.make (Interconnect.slices pl.grid) 0 in
+    let used = ref 0 in
+    Array.iteri
+      (fun j ds ->
+        Array.iter
+          (fun i ->
+            put (Placement.transfer pl i j);
+            let s = slice_of pl i j in
+            if s < 0 then put 0
+            else begin
+              if renumbered.(s) = 0 then begin
+                incr used;
+                renumbered.(s) <- !used
+              end;
+              put renumbered.(s)
+            end)
+          ds)
+      deps;
+    Buffer.contents key
+
 type bounds = {
   mutable latency : float;
   mutable rec_ : float;

@@ -39,6 +39,17 @@ type t = {
 val compile : config:Accel_config.t -> dfg:Dfg.t -> t
 (** The static schedule of [dfg] under [config]. *)
 
+val schedule_key : dfg:Dfg.t -> Placement.t -> string
+(** What a placement contributes to {!compile}: per {!Dfg.arrival_deps}
+    edge, in fold order, its static transfer latency and the router table
+    it books, with router slices renumbered in order of first use. Router
+    tables are per (instance, slice) and never interact, so two placements
+    of [dfg] on one grid with equal keys give equal schedules, and every
+    run over them (with the other [config] fields fixed) times equally:
+    the same {!Cost_model.estimate}. The key is an opaque byte string,
+    compared with [String.equal]; [schedule_key ~dfg] reads the edges of
+    [dfg] once and can be applied to many placements. *)
+
 val count : Activity.t -> kind -> int -> unit
 (** [count act kind k] adds [k] firings of [kind] to the matching
     per-class counter of [act]. *)

@@ -267,10 +267,9 @@ let create_state opts ~hier prog machine =
 
 let optimized_config ~grid ~dfg ~pragma placement =
   let mo = Mem_opt.analyze dfg in
-  let ld = Loop_opt.decide ~grid ~dfg ~pragma in
   Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
     ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-    ~tiling:ld.Loop_opt.tiling ~pipelined:ld.Loop_opt.pipelined placement
+    ~tiling:(Loop_opt.tiling ~grid ~dfg ~pragma) ~pipelined:true placement
 
 (* Map [dfg]'s model on [grid] and configure the placement — shared by
    initial translation and by post-fault remapping onto a degraded fabric. *)

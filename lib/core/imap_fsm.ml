@@ -9,14 +9,9 @@ type step = { cycle : int; node : int; state : state }
 
 let window = Mapper.window_rows * Mapper.window_cols
 
-(* ceil(log2 window) *)
-let reduction_depth =
-  let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-  log2 window 0
-
 let stages =
   [ Fetch; Generate; Filter ]
-  @ List.init reduction_depth (fun k -> Reduce k)
+  @ List.init Mapper.reduction_depth (fun k -> Reduce k)
   @ [ Writeback ]
 
 let simulate (dfg : Dfg.t) =

@@ -1,5 +1,3 @@
-type decision = { tiling : int; pipelined : bool }
-
 let max_tiling ~(grid : Grid.t) ~(dfg : Dfg.t) =
   let mem_nodes =
     Array.fold_left
@@ -22,10 +20,7 @@ let max_tiling ~(grid : Grid.t) ~(dfg : Dfg.t) =
   in
   max 1 (min by_pe (min by_ls by_fp))
 
-let decide ~grid ~dfg ~pragma =
-  let tiling =
-    match pragma with
-    | Some (Program.Omp_parallel | Program.Omp_simd) -> max_tiling ~grid ~dfg
-    | None -> 1
-  in
-  { tiling; pipelined = true }
+let tiling ~grid ~dfg ~pragma =
+  match pragma with
+  | Some (Program.Omp_parallel | Program.Omp_simd) -> max_tiling ~grid ~dfg
+  | None -> 1

@@ -11,13 +11,7 @@
     initiation interval and is applied whenever optimizations are on (the
     engine's II computation already respects loop-carried recurrences). *)
 
-type decision = {
-  tiling : int;
-  pipelined : bool;
-}
-
-val decide :
-  grid:Grid.t -> dfg:Dfg.t -> pragma:Program.pragma option -> decision
+val tiling : grid:Grid.t -> dfg:Dfg.t -> pragma:Program.pragma option -> int
 (** Largest legal tiling for the annotated loop on this grid (1 when the
-    loop carries no annotation), with pipelining on. The capacity bound is
+    loop carries no annotation). The capacity bound is
     [min(PEs / compute nodes, LS entries / memory nodes)], at least 1. *)

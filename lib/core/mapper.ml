@@ -163,8 +163,11 @@ type refinement = {
   placement : Placement.t;
   baseline_cycles : int;
   refined_cycles : int;
+  baseline_estimate : Cost_model.t;
+  refined_estimate : Cost_model.t;
   rounds : int;
   proposed : int;
+  estimated : int;
   confirmed : int;
   accepted : int;
 }
@@ -182,6 +185,21 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4) ?(jobs = 1)
      the ranking is a pure function of (seed, candidate set) and immune to
      generation order. *)
   let tie descr = Prng.int (Prng.create (seed lxor Hashtbl.hash descr)) max_int in
+  (* Many candidates land their node at the same transfer latencies and
+     router-sharing pattern as another: one schedule key, one estimate.
+     The tables live for this call only, so every call does its own work.
+     A candidate is ranked only when it beats the current estimate, and
+     an adoption lowers that estimate, so a schedule that did not beat it
+     when estimated never will: [cycles] keeps every key's cycles, and
+     only the schedules that did beat it keep their whole estimate, the
+     next round's critical chain. *)
+  let key_of = Timing.schedule_key ~dfg in
+  let cycles = Hashtbl.create 256 in
+  let improving = Hashtbl.create 16 in
+  let baseline_estimate = predict placement in
+  Hashtbl.replace cycles (key_of placement) baseline_estimate.Cost_model.cycles;
+  let estimated = ref 1 in
+  let current_estimate = ref baseline_estimate in
   let current = ref placement in
   let current_cycles = ref baseline_cycles in
   let proposed = ref 0 in
@@ -191,7 +209,7 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4) ?(jobs = 1)
   let continue_ = ref true in
   while !continue_ && !rounds < max_rounds do
     continue_ := false;
-    let est = predict !current in
+    let est = !current_estimate in
     let assign = (!current).Placement.assign in
     (* Occupancy maps for the current placement. *)
     let pe_owner = Hashtbl.create 64 in
@@ -250,18 +268,38 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4) ?(jobs = 1)
                     then add (`Swap (min j j2, max j j2)) (swap_with j j2)))
       est.Cost_model.critical;
     (* Model-rank every candidate; only predicted improvements survive.
-       Scoring is a pure map, so it runs on [jobs] domains; the sort below
-       fixes the ranking whatever order the scores complete in. *)
+       Each key not yet estimated is estimated once, by its first
+       candidate; that is a pure map, so it runs on [jobs] domains, and the
+       sort below fixes the ranking whatever order the scores complete
+       in. *)
     proposed := !proposed + List.length !cands;
+    let keyed = List.map (fun (descr, pl) -> (descr, pl, key_of pl)) !cands in
+    let todo =
+      List.filter
+        (fun (_, _, key) ->
+          (* Claimed here by the key's first candidate, scored below. *)
+          let fresh = not (Hashtbl.mem cycles key) in
+          if fresh then Hashtbl.replace cycles key max_int;
+          fresh)
+        keyed
+    in
+    let score (_, pl, _) =
+      let e = predict pl in
+      let c = e.Cost_model.cycles in
+      (c, if c < est.Cost_model.cycles then Some e else None)
+    in
+    List.iter2
+      (fun (_, _, key) (c, e) ->
+        Hashtbl.replace cycles key c;
+        Option.iter (Hashtbl.add improving key) e)
+      todo (Pool.run ~jobs score todo);
+    estimated := !estimated + List.length todo;
     let scored =
-      List.filter_map Fun.id
-        (Pool.run ~jobs
-           (fun (descr, pl) ->
-             let e = predict pl in
-             if e.Cost_model.cycles < est.Cost_model.cycles then
-               Some (e.Cost_model.cycles, tie descr, pl)
-             else None)
-           !cands)
+      List.filter_map
+        (fun (descr, pl, key) ->
+          let c = Hashtbl.find cycles key in
+          if c < est.Cost_model.cycles then Some (c, tie descr, pl) else None)
+        keyed
     in
     let ranked = List.sort compare scored in
     (* Engine-confirm the top of the ranking; first strict improvement
@@ -275,6 +313,7 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4) ?(jobs = 1)
         | Some cycles when cycles < !current_cycles ->
           current := pl;
           current_cycles := cycles;
+          current_estimate := Hashtbl.find improving (key_of pl);
           incr accepted;
           continue_ := true
         | Some _ | None -> try_beam (k + 1) rest)
@@ -286,8 +325,11 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4) ?(jobs = 1)
     placement = !current;
     baseline_cycles;
     refined_cycles = !current_cycles;
+    baseline_estimate;
+    refined_estimate = !current_estimate;
     rounds = !rounds;
     proposed = !proposed;
+    estimated = !estimated;
     confirmed = !confirmed;
     accepted = !accepted;
   }
@@ -295,10 +337,8 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4) ?(jobs = 1)
 (* Figure 8: per instruction the FSM spends fixed stages (LDFG read,
    candidate generation, filtering, writeback) plus a reduction whose depth
    follows the window size. *)
-let map_cycles (dfg : Dfg.t) =
-  let window = window_rows * window_cols in
-  let reduction =
-    let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-    log2 window 0
-  in
-  Dfg.node_count dfg * (4 + reduction)
+let reduction_depth =
+  let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
+  log2 (window_rows * window_cols) 0
+
+let map_cycles (dfg : Dfg.t) = Dfg.node_count dfg * (4 + reduction_depth)

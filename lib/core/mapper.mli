@@ -37,8 +37,12 @@ type refinement = {
   placement : Placement.t;   (** best accepted placement (input if none) *)
   baseline_cycles : int;     (** engine cycles of the input placement *)
   refined_cycles : int;      (** engine cycles of [placement] *)
+  baseline_estimate : Cost_model.t;  (** the model's estimate of the input *)
+  refined_estimate : Cost_model.t;   (** the model's estimate of [placement] *)
   rounds : int;              (** refinement rounds run *)
-  proposed : int;            (** candidates scored by the model *)
+  proposed : int;            (** legal candidates ranked by the model *)
+  estimated : int;           (** [predict] calls: distinct schedule keys,
+                                 the input's included *)
   confirmed : int;           (** engine confirmations attempted *)
   accepted : int;            (** moves/swaps accepted *)
 }
@@ -63,10 +67,19 @@ val refine :
     [max_rounds] (default 8) rounds. Ties in the model ranking are broken
     by a [seed]-keyed PRNG draw per candidate, making the pass a
     deterministic pure function of its inputs. [confirm] returning [None]
-    (a rejected or failed run) just skips the candidate. A round's
-    candidates are scored on [jobs] domains (default 1: on the caller),
-    so [predict] must be safe to call from several domains at once; the
-    result does not depend on [jobs]. *)
+    (a rejected or failed run) just skips the candidate.
+
+    [predict] must depend on a placement only through its
+    {!Timing.schedule_key}: the pass calls it once per distinct key (the
+    input's included) and ranks every candidate with its key's estimate,
+    in a table that dies with the call. A round's new keys are estimated
+    on [jobs] domains (default 1: on the caller), so [predict] must be
+    safe to call from several domains at once; the result does not depend
+    on [jobs]. *)
+
+val reduction_depth : int
+(** Levels of the imap FSM's reduction tree over the candidate window:
+    log2 of its 32 entries, 5. *)
 
 val map_cycles : Dfg.t -> int
 (** Hardware cost of running the imap FSM (Figure 8): a constant pipeline

@@ -50,6 +50,7 @@ type t = {
   port_free : int array;
   commit_ring : int array; (* commit cycles of the last rob_size instrs *)
   mutable seq : int;
+  mutable rob_head : int;  (* [seq mod rob_size], kept without a divide *)
   mutable fetch_cycle : int;
   mutable fetched_this_cycle : int;
   mutable last_commit : int;
@@ -80,6 +81,7 @@ let create cfg hier =
     port_free = Array.make cfg.mem_ports 0;
     commit_ring = Array.make cfg.rob_size 0;
     seq = 0;
+    rob_head = 0;
     fetch_cycle = 0;
     fetched_this_cycle = 0;
     last_commit = 0;
@@ -167,7 +169,7 @@ let feed t (ev : Interp.event) =
   let ready = operands_ready t ev.instr in
   (* Structural constraints: fetch slot and ROB space. *)
   let fetched = fetch_time t in
-  let rob_slot = t.commit_ring.(t.seq mod cfg.rob_size) in
+  let rob_slot = t.commit_ring.(t.rob_head) in
   if rob_slot > ready && rob_slot > fetched then t.rob_stalls <- t.rob_stalls + 1;
   let not_before = Int.max (Int.max ready fetched) rob_slot in
   (* Functional unit and latency. *)
@@ -224,8 +226,9 @@ let feed t (ev : Interp.event) =
   | Isa.C_branch | Isa.C_jump | Isa.C_system -> ());
   (* In-order commit bounds ROB reuse. *)
   let commit = commit_time t ~complete in
-  t.commit_ring.(t.seq mod cfg.rob_size) <- commit;
-  t.seq <- t.seq + 1
+  t.commit_ring.(t.rob_head) <- commit;
+  t.seq <- t.seq + 1;
+  t.rob_head <- (if t.rob_head + 1 = cfg.rob_size then 0 else t.rob_head + 1)
 
 let summary t =
   {

@@ -45,18 +45,48 @@ let dominant_of totals =
     None stall_buckets
   |> Option.get |> fst
 
+(* Everything but the run's total, its memory mix and the critical path
+   to report is read off the collector. *)
+let build ~kernel ~total_cycles ~mem_levels ~critical_path:(cp_nodes, cp_lat, cp_pct)
+    (a : Attribution.t) =
+  let grid = Attribution.grid a in
+  let nlanes = Attribution.lane_count a in
+  let totals = Attribution.totals a in
+  {
+    kernel;
+    grid_name = grid.Grid.name;
+    rows = grid.Grid.rows;
+    cols = grid.Grid.cols;
+    ls_entries = grid.Grid.ls_entries;
+    mem_ports = grid.Grid.mem_ports;
+    total_cycles;
+    accel_cycles = Attribution.engine_cycles a;
+    config_cycles = Attribution.config_cycles a;
+    attributed_cycles = Attribution.total_cycles a;
+    iterations = Attribution.iterations a;
+    windows = Attribution.windows a;
+    lane_labels = Array.init nlanes (Attribution.lane_label a);
+    lane_buckets = Array.init nlanes (Attribution.lane_buckets a);
+    totals;
+    ii = Attribution.ii_summary a;
+    critical_path = cp_nodes;
+    critical_path_latency = cp_lat;
+    critical_path_pct = cp_pct;
+    noc_claims = Attribution.noc_claims a;
+    noc_busy = Attribution.noc_busy a;
+    port_claims = Attribution.port_claims a;
+    port_busy = Attribution.port_busy a;
+    mem_levels;
+    dominant = dominant_of totals;
+  }
+
 let of_report ~kernel (report : Controller.report) =
   match report.Controller.attribution with
   | None -> Error "report carries no attribution (run with profile:true)"
   | Some a ->
-    let grid = Attribution.grid a in
-    let nlanes = Attribution.lane_count a in
-    let lane_labels = Array.init nlanes (Attribution.lane_label a) in
-    let lane_buckets = Array.init nlanes (Attribution.lane_buckets a) in
-    let totals = Attribution.totals a in
     (* The dominant region (most fabric cycles) carries the critical path
        the one-liner reports. *)
-    let cp_nodes, cp_lat, cp_pct =
+    let critical_path =
       let best =
         List.fold_left
           (fun best (r : Controller.region_report) ->
@@ -79,71 +109,17 @@ let of_report ~kernel (report : Controller.report) =
         (r.Controller.critical_path, r.Controller.critical_path_latency, pct)
     in
     Ok
-      {
-        kernel;
-        grid_name = grid.Grid.name;
-        rows = grid.Grid.rows;
-        cols = grid.Grid.cols;
-        ls_entries = grid.Grid.ls_entries;
-        mem_ports = grid.Grid.mem_ports;
-        total_cycles = report.Controller.total_cycles;
-        accel_cycles = Attribution.engine_cycles a;
-        config_cycles = Attribution.config_cycles a;
-        attributed_cycles = Attribution.total_cycles a;
-        iterations = Attribution.iterations a;
-        windows = Attribution.windows a;
-        lane_labels;
-        lane_buckets;
-        totals;
-        ii = Attribution.ii_summary a;
-        critical_path = cp_nodes;
-        critical_path_latency = cp_lat;
-        critical_path_pct = cp_pct;
-        noc_claims = Attribution.noc_claims a;
-        noc_busy = Attribution.noc_busy a;
-        port_claims = Attribution.port_claims a;
-        port_busy = Attribution.port_busy a;
-        mem_levels = Hierarchy.level_counts report.Controller.hier;
-        dominant = dominant_of totals;
-      }
+      (build ~kernel ~total_cycles:report.Controller.total_cycles
+         ~mem_levels:(Hierarchy.level_counts report.Controller.hier) ~critical_path a)
 
-let of_attribution ~kernel ~critical_path (a : Attribution.t) =
-  let grid = Attribution.grid a in
-  let nlanes = Attribution.lane_count a in
-  let cp_nodes, cp_lat = critical_path in
+let of_attribution ~kernel ~critical_path:(cp_nodes, cp_lat) (a : Attribution.t) =
   let cp_pct =
     100.0 *. cp_lat
     *. float_of_int (Attribution.iterations a)
     /. float_of_int (max 1 (Attribution.engine_cycles a))
   in
-  let totals = Attribution.totals a in
-  {
-    kernel;
-    grid_name = grid.Grid.name;
-    rows = grid.Grid.rows;
-    cols = grid.Grid.cols;
-    ls_entries = grid.Grid.ls_entries;
-    mem_ports = grid.Grid.mem_ports;
-    total_cycles = Attribution.total_cycles a;
-    accel_cycles = Attribution.engine_cycles a;
-    config_cycles = Attribution.config_cycles a;
-    attributed_cycles = Attribution.total_cycles a;
-    iterations = Attribution.iterations a;
-    windows = Attribution.windows a;
-    lane_labels = Array.init nlanes (Attribution.lane_label a);
-    lane_buckets = Array.init nlanes (Attribution.lane_buckets a);
-    totals;
-    ii = Attribution.ii_summary a;
-    critical_path = cp_nodes;
-    critical_path_latency = cp_lat;
-    critical_path_pct = cp_pct;
-    noc_claims = Attribution.noc_claims a;
-    noc_busy = Attribution.noc_busy a;
-    port_claims = Attribution.port_claims a;
-    port_busy = Attribution.port_busy a;
-    mem_levels = [];
-    dominant = dominant_of totals;
-  }
+  build ~kernel ~total_cycles:(Attribution.total_cycles a) ~mem_levels:[]
+    ~critical_path:(cp_nodes, cp_lat, cp_pct) a
 
 let closes t =
   Array.for_all

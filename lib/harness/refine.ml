@@ -11,6 +11,7 @@ type report = {
   model_refined : int;
   rounds : int;
   proposed : int;
+  estimated : int;
   confirmed : int;
   accepted : int;
   iterations : int;
@@ -80,10 +81,11 @@ let run ?(seed = 0) ?max_rounds ?beam ?jobs ?(grid = Grid.m64) ?baseline ?measur
           kernel = k.Kernel.name;
           baseline_cycles = r.Mapper.baseline_cycles;
           refined_cycles = r.Mapper.refined_cycles;
-          model_baseline = (predict baseline).Cost_model.cycles;
-          model_refined = (predict r.Mapper.placement).Cost_model.cycles;
+          model_baseline = r.Mapper.baseline_estimate.Cost_model.cycles;
+          model_refined = r.Mapper.refined_estimate.Cost_model.cycles;
           rounds = r.Mapper.rounds;
           proposed = r.Mapper.proposed;
+          estimated = r.Mapper.estimated;
           confirmed = r.Mapper.confirmed;
           accepted = r.Mapper.accepted;
           iterations;
@@ -126,6 +128,7 @@ let experiment ?jobs () =
         ("speedup", Tables.Right);
         ("rounds", Tables.Right);
         ("proposed", Tables.Right);
+        ("estimated", Tables.Right);
         ("confirmed", Tables.Right);
         ("accepted", Tables.Right);
       ]
@@ -135,7 +138,7 @@ let experiment ?jobs () =
   List.iter
     (fun name ->
       match run ?jobs (Workloads.find name) with
-      | Error e -> Tables.add_row t [ name; "-"; "-"; "-"; "-"; "-"; "-"; e ]
+      | Error e -> Tables.add_row t [ name; "-"; "-"; "-"; "-"; "-"; "-"; "-"; e ]
       | Ok r ->
         if r.refined_cycles < r.baseline_cycles then incr improved;
         gains :=
@@ -150,6 +153,7 @@ let experiment ?jobs () =
               (float_of_int r.baseline_cycles /. float_of_int (max 1 r.refined_cycles));
             string_of_int r.rounds;
             string_of_int r.proposed;
+            string_of_int r.estimated;
             string_of_int r.confirmed;
             string_of_int r.accepted;
           ])
@@ -173,10 +177,10 @@ let render (r : report) =
   in
   Printf.sprintf
     "%s: baseline %d cycles -> refined %d cycles (%.1f%% better)\n\
-     model: baseline %d, refined %d; %d round(s), %d proposed, %d confirmed, \
-     %d accepted\n"
+     model: baseline %d, refined %d; %d round(s), %d proposed, %d estimated, \
+     %d confirmed, %d accepted\n"
     r.kernel r.baseline_cycles r.refined_cycles gain r.model_baseline
-    r.model_refined r.rounds r.proposed r.confirmed r.accepted
+    r.model_refined r.rounds r.proposed r.estimated r.confirmed r.accepted
 
 let report_to_json (r : report) =
   Json.Assoc
@@ -189,6 +193,7 @@ let report_to_json (r : report) =
       ("model_refined", Json.Int r.model_refined);
       ("rounds", Json.Int r.rounds);
       ("proposed", Json.Int r.proposed);
+      ("estimated", Json.Int r.estimated);
       ("confirmed", Json.Int r.confirmed);
       ("accepted", Json.Int r.accepted);
       ("iterations", Json.Int r.iterations);

@@ -14,7 +14,10 @@ type report = {
   model_baseline : int;      (** cost-model estimate of the baseline *)
   model_refined : int;       (** cost-model estimate of the result *)
   rounds : int;
-  proposed : int;            (** candidates scored by the model *)
+  proposed : int;            (** legal candidates ranked by the model *)
+  estimated : int;           (** cost-model estimates run: one per distinct
+                                 {!Timing.schedule_key} among the baseline
+                                 and the candidates *)
   confirmed : int;           (** engine confirmations run *)
   accepted : int;            (** moves/swaps adopted *)
   iterations : int;          (** hot-loop trip count used throughout *)

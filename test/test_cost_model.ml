@@ -281,12 +281,146 @@ let model_tight_on_reference_kernels () =
               k.Kernel.name est.Cost_model.cycles res.Engine.cycles (100.0 *. err)))
     (List.map Workloads.find reference_kernels)
 
+(* {2 Property: equal schedule keys, equal estimates.}
+
+   {!Mapper.refine} estimates each distinct {!Timing.schedule_key} once
+   and ranks every candidate with that key by the one estimate, so two
+   placements with the same key must give the same estimate on every
+   field. The candidates are the ones refine proposes: every legal
+   relocation and swap of a node. *)
+
+let neighbourhood dfg (pl : Placement.t) j =
+  let grid = pl.Placement.grid and assign = pl.Placement.assign in
+  let owner loc =
+    let rec find i =
+      if i >= Array.length assign then None
+      else if assign.(i) = loc then Some i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let targets =
+    match assign.(j) with
+    | Placement.Ls _ -> List.init grid.Grid.ls_entries (fun e -> Placement.Ls e)
+    | Placement.Pe _ ->
+      let cs = ref [] in
+      Grid.iter_coords grid (fun c -> cs := Placement.Pe c :: !cs);
+      List.rev !cs
+  in
+  List.filter_map
+    (fun loc ->
+      if loc = assign.(j) then None
+      else
+        let a = Array.copy assign in
+        (match owner loc with
+        | None -> a.(j) <- loc
+        | Some j2 ->
+          a.(j) <- loc;
+          a.(j2) <- assign.(j));
+        let pl' = Placement.make grid pl.Placement.kind a in
+        match Placement.validate dfg pl' with Ok () -> Some pl' | Error _ -> None)
+    targets
+
+(* Group [placements] by key and compare each group's estimates with its
+   first member's; returns the number of groups with more than one
+   distinct placement. *)
+let check_equal_keys ~what ~config_of ~dfg ~iterations placements =
+  let key_of = Timing.schedule_key ~dfg in
+  let groups = Hashtbl.create 64 in
+  List.iter
+    (fun pl ->
+      let key = key_of pl in
+      let members = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+      if not (List.mem pl members) then Hashtbl.replace groups key (pl :: members))
+    placements;
+  let estimate pl = Cost_model.estimate ~config:(config_of pl) ~dfg ~iterations () in
+  Hashtbl.fold
+    (fun _ members shared ->
+      match members with
+      | [] | [ _ ] -> shared
+      | first :: rest ->
+        let e = estimate first in
+        List.iter
+          (fun pl ->
+            let e' = estimate pl in
+            if e' <> e then
+              Alcotest.failf
+                "%s: equal keys, different estimates (%d vs %d cycles, %d vs %d \
+                 simulated, critical %s vs %s)"
+                what e.Cost_model.cycles e'.Cost_model.cycles e.Cost_model.simulated
+                e'.Cost_model.simulated
+                (String.concat "," (List.map string_of_int e.Cost_model.critical))
+                (String.concat "," (List.map string_of_int e'.Cost_model.critical)))
+          rest;
+        shared + 1)
+    groups 0
+
+let gen_key_draw =
+  QCheck2.Gen.(pair gen_draw (pair (int_bound 1_000_000) (int_bound 1_000_000)))
+
+let print_key_draw (d, (a, b)) = Printf.sprintf "%s nodes#%d,%d" (print_draw d) a b
+
+let equal_keys_equal_estimates =
+  QCheck2.Test.make
+    ~name:"random moves and swaps: equal schedule keys give equal estimates"
+    ~count:12 ~print:print_key_draw gen_key_draw
+    (fun ((d, (a, b)) as draw) ->
+      let k = Gen.arch_case_kernel d.arch in
+      let grid =
+        Grid.make ~rows:d.arch.Gen.rows ~cols:d.arch.Gen.cols
+          ~mem_ports:d.arch.Gen.ports ()
+      in
+      let dfg = Runner.dfg_of_kernel k in
+      (match Mapper.map ~grid ~kind:d.arch.Gen.kind (Perf_model.create dfg) with
+      | Error _ -> ()
+      | Ok placement ->
+        let n = Dfg.node_count dfg in
+        let config_of pl =
+          Accel_config.with_opts ~tiling:d.tiling ~pipelined:d.pipelined pl
+        in
+        (* One node's neighbourhood, then the neighbourhood of a second
+           node in one of those candidates: a move followed by a swap. *)
+        let first = neighbourhood dfg placement (a mod n) in
+        let second =
+          match first with
+          | [] -> []
+          | _ -> neighbourhood dfg (List.nth first (b mod List.length first)) (b mod n)
+        in
+        ignore
+          (check_equal_keys ~what:(print_key_draw draw) ~config_of ~dfg
+             ~iterations:(min k.Kernel.n 128)
+             ((placement :: first) @ second)));
+      true)
+
+(* Refine's own scene, where router sharing matters most: kmeans at M-64,
+   every candidate of every node on the model's critical chain. *)
+let equal_keys_on_kmeans () =
+  let k = Workloads.find "kmeans" in
+  let grid = Grid.m64 in
+  let dfg = Runner.dfg_of_kernel k in
+  let placement = Result.get_ok (Runner.placement_of ~grid k) in
+  let config_of = Runner.optimized_config ~grid k dfg in
+  let iterations = 128 in
+  let est = Cost_model.estimate ~config:(config_of placement) ~dfg ~iterations () in
+  let cands =
+    List.concat_map (neighbourhood dfg placement) est.Cost_model.critical
+  in
+  let shared =
+    check_equal_keys ~what:"kmeans M-64" ~config_of ~dfg ~iterations
+      (placement :: cands)
+  in
+  check Alcotest.bool "kmeans M-64: some distinct placements share a key" true
+    (shared > 0)
+
 let suites =
   [
     ( "cost-model",
       [
         QCheck_alcotest.to_alcotest model_error_bounded;
         QCheck_alcotest.to_alcotest model_exact_on_compute_only;
+        QCheck_alcotest.to_alcotest equal_keys_equal_estimates;
+        Alcotest.test_case "equal schedule keys: kmeans critical chain at M-64"
+          `Quick equal_keys_on_kmeans;
         Alcotest.test_case "model is pure (deterministic, no meter writes)" `Quick
           model_is_pure;
         Alcotest.test_case "model within 5% on reference kernels at M-64" `Slow

@@ -16,7 +16,13 @@ let run_exn ?jobs name =
   | Ok r -> r
   | Error e -> Alcotest.failf "refine %s: %s" name e
 
-(* {2 Refinement never regresses, and its report is internally consistent.} *)
+(* {2 Refinement never regresses, and its report is internally consistent.}
+
+   Cost-model estimates per pass are pinned too: one per distinct schedule
+   key, fewer than the candidates ranked. *)
+
+let estimated_pins =
+  [ ("nn", 75); ("kmeans", 948); ("bfs", 226); ("cfd", 204); ("hotspot", 250) ]
 
 let refine_never_regresses () =
   List.iter
@@ -25,6 +31,12 @@ let refine_never_regresses () =
       if r.Refine.refined_cycles > r.Refine.baseline_cycles then
         Alcotest.failf "%s: refined %d cycles > baseline %d" name
           r.Refine.refined_cycles r.Refine.baseline_cycles;
+      check Alcotest.int (name ^ ": estimates per pass")
+        (List.assoc name estimated_pins) r.Refine.estimated;
+      check Alcotest.bool
+        (name ^ ": fewer estimates than proposals")
+        true
+        (r.Refine.estimated < r.Refine.proposed);
       check Alcotest.bool
         (name ^ ": confirmations within proposals")
         true
@@ -121,6 +133,7 @@ let refine_is_deterministic () =
         b.Refine.refined_cycles;
       check Alcotest.int (name ^ ": rounds") a.Refine.rounds b.Refine.rounds;
       check Alcotest.int (name ^ ": proposed") a.Refine.proposed b.Refine.proposed;
+      check Alcotest.int (name ^ ": estimated") a.Refine.estimated b.Refine.estimated;
       check Alcotest.int (name ^ ": confirmed") a.Refine.confirmed b.Refine.confirmed;
       check Alcotest.int (name ^ ": accepted") a.Refine.accepted b.Refine.accepted;
       check Alcotest.bool (name ^ ": same placement") true
@@ -133,15 +146,11 @@ let refine_is_deterministic () =
 (* {2 Parallel scoring: the pass does not depend on [jobs].} *)
 
 let refinement_of (r : Refine.report) =
-  {
-    Mapper.placement = r.Refine.placement;
-    baseline_cycles = r.Refine.baseline_cycles;
-    refined_cycles = r.Refine.refined_cycles;
-    rounds = r.Refine.rounds;
-    proposed = r.Refine.proposed;
-    confirmed = r.Refine.confirmed;
-    accepted = r.Refine.accepted;
-  }
+  ( r.Refine.placement,
+    (r.Refine.baseline_cycles, r.Refine.refined_cycles),
+    (r.Refine.model_baseline, r.Refine.model_refined),
+    r.Refine.rounds,
+    (r.Refine.proposed, r.Refine.estimated, r.Refine.confirmed, r.Refine.accepted) )
 
 let refine_jobs_invariant () =
   let serial = run_exn ~jobs:1 "kmeans" and parallel = run_exn ~jobs:2 "kmeans" in
