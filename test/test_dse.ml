@@ -223,6 +223,55 @@ let checkpoint_strategy_field_compat () =
   | Ok (_, Dse.Guided, []) -> ()
   | _ -> Alcotest.fail "guided strategy must round-trip"
 
+(* The checkpoint's exact bytes, as written before the fabric point was
+   shared with the fuzzer: the round trip above would still pass if the
+   keys, their order or a backend's name drifted. *)
+let pinned_outcomes =
+  [
+    { Dse.point =
+        { Dse.kernel = "nn"; rows = 16; cols = 8; mem_ports = 8; kind = Interconnect.Pure_mesh;
+          l1_kb = 64; l2_kb = 1024 };
+      mapped = true; reject = None; cycles = 9961; iterations = 4096;
+      energy_nj = 22663.875512669551; power_w = 0.46098518250487247; area_mm2 = 3.32;
+      perf = 411.24485493424354; perf_per_watt = 0.1 };
+    { Dse.point =
+        { Dse.kernel = "bfs"; rows = 4; cols = 4; mem_ports = 2;
+          kind = Interconnect.Hierarchical_rows; l1_kb = 16; l2_kb = 8192 };
+      mapped = false; reject = Some "mapper: no route"; cycles = 0; iterations = 0;
+      energy_nj = 0.0; power_w = 0.0; area_mm2 = 0.0; perf = 0.0; perf_per_watt = 0.0 };
+  ]
+
+let pinned_spec =
+  {
+    Dse.kernels = [ "nn"; "bfs" ];
+    grids = [ (4, 4); (16, 8) ];
+    ports = [ 2; 8 ];
+    kinds = [ Interconnect.Mesh_noc; Interconnect.Pure_mesh ];
+    l1_kb = [ 64 ];
+    l2_kb = [ 1024; 8192 ];
+  }
+
+let pinned_body =
+  {|"spec":{"kernels":["nn","bfs"],"grids":[[4,4],[16,8]],"ports":[2,8],"kinds":["mesh_noc","pure_mesh"],"l1_kb":[64],"l2_kb":[1024,8192]},"outcomes":[{"point":{"kernel":"nn","rows":16,"cols":8,"ports":8,"kind":"pure_mesh","l1_kb":64,"l2_kb":1024},"mapped":true,"reject":null,"cycles":9961,"iterations":4096,"energy_nj":22663.875512669551,"power_w":0.46098518250487247,"area_mm2":3.3199999999999998,"perf":411.24485493424356,"perf_per_watt":0.10000000000000001},{"point":{"kernel":"bfs","rows":4,"cols":4,"ports":2,"kind":"hier_rows","l1_kb":16,"l2_kb":8192},"mapped":false,"reject":"mapper: no route","cycles":0,"iterations":0,"energy_nj":0.0,"power_w":0.0,"area_mm2":0.0,"perf":0.0,"perf_per_watt":0.0}]}|}
+
+let checkpoint_bytes_pinned () =
+  List.iter
+    (fun (strategy, text) ->
+      check Alcotest.string "encoded bytes" text
+        (Json.to_string ~indent:0 (Dse.checkpoint_to_json ~strategy pinned_spec pinned_outcomes));
+      match Result.bind (Json.of_string text) Dse.checkpoint_of_json with
+      | Ok (spec, strategy', outs) ->
+        check Alcotest.bool "decodes to the pinned sweep" true
+          (spec = pinned_spec && strategy' = strategy && outs = pinned_outcomes)
+      | Error e -> Alcotest.fail e)
+    [
+      (Dse.Exhaustive, {|{"version":1,|} ^ pinned_body);
+      (Dse.Guided, {|{"version":1,"strategy":"guided",|} ^ pinned_body);
+    ];
+  check Alcotest.(list string) "point labels"
+    [ "nn@16x8 p8 pure_mesh L1:64K L2:1024K"; "bfs@4x4 p2 hier_rows L1:16K L2:8192K" ]
+    (List.map (fun o -> Dse.point_label o.Dse.point) pinned_outcomes)
+
 (* -------------------- resumable runs -------------------- *)
 
 let small_spec =
@@ -432,6 +481,7 @@ let suites =
         QCheck_alcotest.to_alcotest checkpoint_roundtrip_random;
         Alcotest.test_case "checkpoint strategy field compat" `Quick
           checkpoint_strategy_field_compat;
+        Alcotest.test_case "checkpoint bytes pinned" `Quick checkpoint_bytes_pinned;
         Alcotest.test_case "resume is bit-identical" `Slow resume_is_bit_identical;
         Alcotest.test_case "jobs value immaterial" `Slow jobs_value_is_immaterial;
         Alcotest.test_case "mismatched checkpoint rejected" `Quick

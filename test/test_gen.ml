@@ -339,6 +339,31 @@ let replay_tells_malformed_from_failing () =
   malformed "bad fabric" (entry [ ("fabric", Json.String "x"); ("shrunk", Tile_dsl.to_json spec) ]);
   malformed "not an object" (Json.List [])
 
+(* A corpus entry's [fabric] object, byte for byte as written before the
+   fabric point was shared with the DSE; entries written without the
+   [profile] key decode as unprofiled. *)
+let fabric_bytes_pinned () =
+  let f =
+    { Fuzz.rows = 6; cols = 4; ports = 16; kind = Interconnect.Hierarchical_rows;
+      l1_kb = 32; l2_kb = 4096; profile = true }
+  in
+  let unprofiled = { f with Fuzz.kind = Interconnect.Pure_mesh; profile = false } in
+  List.iter
+    (fun (f, text) ->
+      chk Alcotest.string "encoded bytes" text (Json.to_string ~indent:0 (Fuzz.fabric_to_json f));
+      chk Alcotest.bool "decodes to the pinned fabric" true
+        (Result.bind (Json.of_string text) Fuzz.fabric_of_json = Ok f))
+    [
+      (f, {|{"rows":6,"cols":4,"ports":16,"kind":"hier_rows","l1_kb":32,"l2_kb":4096,"profile":true}|});
+      ( unprofiled,
+        {|{"rows":6,"cols":4,"ports":16,"kind":"pure_mesh","l1_kb":32,"l2_kb":4096,"profile":false}|} );
+    ];
+  chk Alcotest.bool "absent profile decodes as unprofiled" true
+    (Result.bind
+       (Json.of_string {|{"rows":6,"cols":4,"ports":16,"kind":"pure_mesh","l1_kb":32,"l2_kb":4096}|})
+       Fuzz.fabric_of_json
+    = Ok unprofiled)
+
 let report_writes_the_corpus () =
   let clean =
     { Fuzz.cases = 3; offloaded_cases = 2; total_offloads = 5; failures = []; digest = 0xab }
@@ -355,6 +380,9 @@ let report_writes_the_corpus () =
   in
   let text = Fuzz.report ~corpus:dir ~seed:7 { clean with Fuzz.failures = [ failure ] } in
   let path = Filename.concat dir "fail-0004.json" in
+  chk Alcotest.bool "names the fabric" true
+    (List.mem "FAIL case 4 (kernel seed 9, 8x8 ports=4 mesh_noc L1:32K L2:4096K): mismatch"
+       (String.split_on_char '\n' text));
   chk Alcotest.bool "names the corpus entry" true
     (List.mem ("  corpus: " ^ path) (String.split_on_char '\n' text));
   chk Alcotest.bool "counts the failures" true
@@ -401,5 +429,6 @@ let suites =
         Alcotest.test_case "replay tells malformed from failing" `Quick
           replay_tells_malformed_from_failing;
         Alcotest.test_case "report writes the corpus" `Quick report_writes_the_corpus;
+        Alcotest.test_case "fabric bytes pinned" `Quick fabric_bytes_pinned;
       ] );
   ]
