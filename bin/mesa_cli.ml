@@ -161,7 +161,7 @@ let imap_cmd =
     let* k = find_kernel name in
     let dfg = Runner.dfg_of_kernel k in
     print_string (Imap_fsm.timing_diagram dfg);
-    Ok (Printf.printf "total mapping cycles: %d\n" (Imap_fsm.cycles dfg))
+    Ok (Printf.printf "total mapping cycles: %d\n" (Mapper.map_cycles dfg))
   in
   Cmd.v
     (Cmd.info "imap" ~doc:"Show the Figure 8 instruction-mapping FSM timing diagram")
@@ -209,7 +209,11 @@ let run_cmd =
     let single = Runner.single_core k in
     let multi = Runner.multicore k in
     let mesa, report =
-      Runner.mesa ~grid:(grid_of pes) ~optimize:(not no_opt) ~iterative:(not no_iter) ?inject k
+      Runner.mesa
+        ~options:
+          (Controller.default_options ~grid:(grid_of pes) ~optimize:(not no_opt)
+             ~iterative:(not no_iter) ?inject ())
+        k
     in
     Tables.print (Runner.comparison_table k [ single; multi; mesa ]);
     print_newline ();
@@ -240,8 +244,11 @@ let profile_cmd =
   let run name pes no_opt no_iter json_out trace_out =
     let* k = find_kernel name in
     let _, report =
-      Runner.mesa ~grid:(grid_of pes) ~optimize:(not no_opt) ~iterative:(not no_iter)
-        ~profile:true k
+      Runner.mesa
+        ~options:
+          (Controller.default_options ~grid:(grid_of pes) ~optimize:(not no_opt)
+             ~iterative:(not no_iter) ~profile:true ())
+        k
     in
     let* p = msg (Profile.of_report ~kernel:k.Kernel.name report) in
     print_string (Profile.render p);
@@ -401,7 +408,7 @@ let dse_cmd =
     in
     let ports = axis Arg.int d.Dse.ports "ports" ~docv:"N,..." ~doc:"Cache-port counts." in
     let kinds =
-      axis (Arg.enum Dse.kinds) d.Dse.kinds "kinds" ~docv:"KIND,..."
+      axis (Arg.enum Interconnect.kinds) d.Dse.kinds "kinds" ~docv:"KIND,..."
         ~doc:"Interconnect backends: mesh_noc, hier_rows, pure_mesh."
     in
     let l1 = axis Arg.int d.Dse.l1_kb "l1" ~docv:"KB,..." ~doc:"L1 capacities in KB." in

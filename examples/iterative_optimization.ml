@@ -52,7 +52,7 @@ let () =
 
   (* Amortization (Figure 16): configuration energy is a sunk cost that the
      per-iteration energy dilutes over time. *)
-  let _, report = Runner.mesa ~grid k in
+  let _, report = Runner.mesa ~options:(Controller.default_options ~grid ()) k in
   let accel = Energy_model.accel_energy ~grid report.Controller.activity in
   let iters = report.Controller.activity.Activity.iterations in
   let e_iter = accel.Energy_model.total_nj /. float_of_int (max 1 iters) in

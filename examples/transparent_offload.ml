@@ -47,7 +47,7 @@ let () =
   (* End to end against the baselines. *)
   let single = Runner.single_core k in
   let multi = Runner.multicore k in
-  let mesa, report = Runner.mesa ~grid:Grid.m128 k in
+  let mesa, report = Runner.mesa ~options:(Controller.default_options ~grid:Grid.m128 ()) k in
   Printf.printf "1-core OoO : %7d cycles\n" single.Runner.cycles;
   Printf.printf "16-core OoO: %7d cycles (%.2fx)\n" multi.Runner.cycles
     (Runner.speedup ~baseline:single multi);

@@ -203,3 +203,28 @@ let reset ?capacity t =
   t.occupied <- 0;
   t.claimed <- 0;
   t.last_slot <- 0
+
+(* Tables are recycled per domain: an execution (or a cost-model estimate)
+   claims one table per cache-port group and one per active (instance, NoC
+   slice) pair, and allocating each ring afresh would cost its whole
+   footprint. [reset] zeroes only the window the last run booked. *)
+let parked : t Pool.free_list = Pool.free_list ()
+
+type scratch = { mutable acquired : t list }
+
+let scratch () = { acquired = [] }
+
+let acquire s capacity =
+  let c =
+    match Pool.take parked with
+    | Some c ->
+      reset ~capacity c;
+      c
+    | None -> create ~capacity
+  in
+  s.acquired <- c :: s.acquired;
+  c
+
+let park s =
+  Pool.give parked s.acquired;
+  s.acquired <- []

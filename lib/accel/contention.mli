@@ -63,3 +63,23 @@ val reset : ?capacity:int -> t -> unit
     the cost model recycle contention tables through this instead of
     allocating fresh rings each time; their pool always passes [capacity],
     and keeping the old one is exposed for tests. *)
+
+(** {2 Recycling}
+
+    Tables come from a per-domain {!Pool.free_list}, so a warm run
+    allocates no ring. *)
+
+type scratch
+(** The tables one run (an engine execution or a cost-model estimate)
+    acquired. *)
+
+val scratch : unit -> scratch
+(** A run that has acquired nothing yet. *)
+
+val acquire : scratch -> int -> t
+(** [acquire s capacity] revives a parked table with {!reset} (or creates
+    one when the domain has none parked) and records it in [s]. *)
+
+val park : scratch -> unit
+(** Return every table [s] acquired to the domain's free list. The run
+    must not touch them afterwards. *)

@@ -38,17 +38,14 @@ type snapshot = {
   mutable phases : float array;
 }
 
-(* Snapshot buffers are recycled like the contention tables, in a
-   domain-local pool behind a mutex (see {!Engine_core}). Each holds
-   [max_pending] bookings; a fresh pair per estimate would put 48 KiB on
-   the major heap per call, and buffers grown on demand raised refine's
-   peak RSS by 6%. *)
-let snapshot_pool : (Mutex.t * snapshot Stack.t) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (Mutex.create (), Stack.create ()))
+(* Snapshot buffers are recycled like the contention tables, on a
+   per-domain {!Pool.free_list}. Each holds [max_pending] bookings; a fresh
+   pair per estimate would put 48 KiB on the major heap per call, and
+   buffers grown on demand raised refine's peak RSS by 6%. *)
+let snapshot_pool : snapshot Pool.free_list = Pool.free_list ()
 
 let take_snapshot_buffer () =
-  let lock, stack = Domain.DLS.get snapshot_pool in
-  match Mutex.protect lock (fun () -> Stack.pop_opt stack) with
+  match Pool.take snapshot_pool with
   | Some s -> s
   | None ->
     {
@@ -59,10 +56,6 @@ let take_snapshot_buffer () =
       claims = Array.make max_pending 0;
       phases = [||];
     }
-
-let park_snapshot_buffer s =
-  let lock, stack = Domain.DLS.get snapshot_pool in
-  Mutex.protect lock (fun () -> Stack.push s stack)
 
 (* Offsets and phases compare with float [=], like the structural
    equality the detector has always used: its decisions are pinned by the
@@ -256,19 +249,18 @@ let run ~acquire ~snapshots:(a, b) ?op_latency ?mem_latency ~iterations ~extrapo
     steady = !steady;
   }
 
-(* The tables come from the engine's recycling pool: a warm estimate
+(* The tables come from {!Contention}'s recycling pool: a warm estimate
    allocates no ring, and [Contention.reset] zeroes only what the last run
    booked. The snapshot buffers are recycled too. *)
 let estimate ?op_latency ?mem_latency ?(iterations = 1) ?(extrapolate = true)
     ~config ~dfg () =
-  let scratch = Engine_core.scratch () in
+  let scratch = Contention.scratch () in
   let a = take_snapshot_buffer () and b = take_snapshot_buffer () in
   Fun.protect
     ~finally:(fun () ->
-      Engine_core.park scratch;
-      park_snapshot_buffer a;
-      park_snapshot_buffer b)
-    (run ~acquire:(Engine_core.acquire scratch) ~snapshots:(a, b) ?op_latency
+      Contention.park scratch;
+      Pool.give snapshot_pool [ a; b ])
+    (run ~acquire:(Contention.acquire scratch) ~snapshots:(a, b) ?op_latency
        ?mem_latency ~iterations ~extrapolate ~config ~dfg)
 
 (* ------------------------------------------------------------------ *)

@@ -30,13 +30,13 @@
    [Engine_reference.execute]. The differential qcheck harness enforces
    this. *)
 
-type detection = Engine_core.detection = {
+type detection = {
   d_kinds : Fault.kind list;
   d_latency : int;
   d_watchdog : bool;
 }
 
-type result = Engine_core.result = {
+type result = {
   cycles : int;
   iterations : int;
   completed : bool;
@@ -47,10 +47,10 @@ type result = Engine_core.result = {
   measured : Stats.snapshot;
 }
 
-exception Exec_fail = Engine_core.Exec_fail
+exception Exec_fail of string
 
-let u32 = Engine_core.u32
-let s32 = Engine_core.s32
+let u32 = Machine.to_u32
+let s32 = Machine.to_s32
 
 (* Fibonacci multiplicative hash for the store-disambiguation table. *)
 let[@inline] word_hash w mask = (w * 0x2545F4914F6CDD1D) land max_int land mask
@@ -157,9 +157,9 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       let lost = match fault with Some f -> Fault.ports_lost f | None -> 0 in
       max 1 (grid.Grid.mem_ports - lost)
     in
-    let scratch = Engine_core.scratch () in
+    let scratch = Contention.scratch () in
     let st =
-      Timing.start ~acquire:(Engine_core.acquire scratch) sched
+      Timing.start ~acquire:(Contention.acquire scratch) sched
         ~ports:effective_ports
     in
     let arrival = st.Timing.arrival and firing = st.Timing.firing in
@@ -542,5 +542,5 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       }
     in
     Fun.protect
-      ~finally:(fun () -> Engine_core.park scratch)
+      ~finally:(fun () -> Contention.park scratch)
       (fun () -> try Ok (run ()) with Exec_fail msg -> Error msg))

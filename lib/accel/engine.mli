@@ -22,7 +22,7 @@
     The loop runs until its backward branch falls through, like the
     hardware: MESA only regains control at loop exit. *)
 
-type detection = Engine_core.detection = {
+type detection = {
   d_kinds : Fault.kind list;  (** corruption kinds applied this window *)
   d_latency : int;
       (** cycles between the first applied corruption and the end of the
@@ -32,7 +32,7 @@ type detection = Engine_core.detection = {
           off: the corrupted loop was spinning *)
 }
 
-type result = Engine_core.result = {
+type result = {
   cycles : int;                       (** makespan of the accelerated loop *)
   iterations : int;
   completed : bool;                   (** false when [stop_after] paused the

@@ -1,6 +1,16 @@
 type kind = Mesh_noc | Hierarchical_rows | Pure_mesh
 type route = Local | Noc
 
+let kinds = [ ("mesh_noc", Mesh_noc); ("hier_rows", Hierarchical_rows); ("pure_mesh", Pure_mesh) ]
+let kind_to_string k = fst (List.find (fun (_, x) -> x = k) kinds)
+
+let kind_of_string s =
+  match List.assoc_opt s kinds with
+  | Some k -> Ok k
+  | None ->
+    Error
+      (Printf.sprintf "unknown interconnect %S (%s)" s (String.concat "|" (List.map fst kinds)))
+
 (* Direct links reach immediate neighbours; values can chain through at most
    [local_reach] hops before the NoC becomes the faster/only path. *)
 let local_reach = 3

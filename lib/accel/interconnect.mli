@@ -13,6 +13,13 @@ type kind =
   | Hierarchical_rows
   | Pure_mesh
 
+val kinds : (string * kind) list
+(** The backends by name, as checkpoints, corpus entries and the CLI spell
+    them: [mesh_noc], [hier_rows], [pure_mesh]. *)
+
+val kind_to_string : kind -> string
+val kind_of_string : string -> (kind, string) result
+
 (** Which fabric a transfer used — the engine charges energy and contention
     differently for the two. *)
 type route = Local | Noc

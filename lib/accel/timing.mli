@@ -105,7 +105,7 @@ type state = {
 val start : ?acquire:(int -> Contention.t) -> t -> ports:int -> state
 (** Fresh timing state with [ports] cache ports (at least one). [acquire]
     supplies each contention table from its capacity (default: a new
-    table); the engine and the cost model pass {!Engine_core.acquire}, and
+    table); the engine and the cost model pass {!Contention.acquire}, and
     the default is exposed for tests. *)
 
 val fold : t -> state -> inst:int -> int -> unit

@@ -6,11 +6,8 @@
     traversal to find the latency-minimizing position (depth = log2 of the
     candidate-matrix size: 5 levels for the fixed 4x8 window of
     {!Mapper.window_rows} x {!Mapper.window_cols}), and one cycle writing
-    the SDFG entry. {!cycles} is the closed form {!Mapper.map_cycles}
-    charges; the test suite keeps the two in lock step. *)
-
-val cycles : Dfg.t -> int
-(** Total mapping cycles — equal to [Mapper.map_cycles]. *)
+    the SDFG entry. The total, one instruction after another, is
+    {!Mapper.map_cycles}. *)
 
 val timing_diagram : ?max_nodes:int -> Dfg.t -> string
 (** A Figure 8-style text rendering: one row per instruction, one column

@@ -34,28 +34,12 @@ let iterative_of = function
 
 let grid = Grid.m128
 
-let run_variant variant (k : Kernel.t) =
+let run_variant variant k =
   let options =
-    {
-      (Controller.default_options ~grid ~optimize:true ~iterative:(iterative_of variant) ())
-      with
-      Controller.tune = tune_of variant;
-    }
+    { (Controller.default_options ~grid ~iterative:(iterative_of variant) ()) with
+      Controller.tune = tune_of variant }
   in
-  let mem = Main_memory.create () in
-  let machine = Kernel.prepare k mem in
-  let report = Controller.run ~options k.Kernel.program machine in
-  let accel = Energy_model.accel_energy ~grid report.Controller.activity in
-  {
-    Runner.label = variant_name variant;
-    cycles = report.Controller.total_cycles;
-    energy_nj =
-      Energy_model.cpu_energy_nj report.Controller.cpu_summary
-      +. accel.Energy_model.total_nj
-      +. Energy_model.mesa_energy_nj ~busy_cycles:report.Controller.mesa_busy_cycles;
-    checked = k.Kernel.check mem;
-    stats = report.Controller.stats;
-  }
+  { (fst (Runner.mesa ~options k)) with Runner.label = variant_name variant }
 
 let default_kernels () =
   List.map Workloads.find [ "gaussian"; "kmeans"; "btree"; "bfs" ]

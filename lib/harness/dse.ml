@@ -1,12 +1,4 @@
-type point = {
-  kernel : string;
-  rows : int;
-  cols : int;
-  mem_ports : int;
-  kind : Interconnect.kind;
-  l1_kb : int;
-  l2_kb : int;
-}
+type point = { kernel : string; fabric : Fabric.t }
 
 type outcome = {
   point : point;
@@ -37,13 +29,6 @@ type defect = Inverted_rank
 let strategies = [ ("exhaustive", Exhaustive); ("guided", Guided) ]
 let defects = [ ("inverted-rank", Inverted_rank) ]
 
-let kinds =
-  [
-    ("mesh_noc", Interconnect.Mesh_noc);
-    ("hier_rows", Interconnect.Hierarchical_rows);
-    ("pure_mesh", Interconnect.Pure_mesh);
-  ]
-
 let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
 
 let of_name what table s =
@@ -56,12 +41,10 @@ let of_name what table s =
 
 let strategy_to_string = name_in strategies
 let strategy_of_string = of_name "strategy" strategies
-let kind_to_string = name_in kinds
-let kind_of_string = of_name "interconnect" kinds
 
-let point_label (p : point) =
-  Printf.sprintf "%s@%dx%d p%d %s L1:%dK L2:%dK" p.kernel p.rows p.cols
-    p.mem_ports (kind_to_string p.kind) p.l1_kb p.l2_kb
+let point_label { kernel; fabric = f } =
+  Printf.sprintf "%s@%dx%d p%d %s L1:%dK L2:%dK" kernel f.rows f.cols f.ports
+    (Interconnect.kind_to_string f.kind) f.l1_kb f.l2_kb
 
 let default_spec =
   {
@@ -129,33 +112,19 @@ let points_of_spec s =
   let axis xs f = List.concat_map f (dedup xs) in
   axis s.kernels (fun kernel ->
       axis s.grids (fun (rows, cols) ->
-          axis s.ports (fun mem_ports ->
+          axis s.ports (fun ports ->
               axis s.kinds (fun kind ->
                   axis s.l1_kb (fun l1_kb ->
                       axis s.l2_kb (fun l2_kb ->
-                          [ { kernel; rows; cols; mem_ports; kind; l1_kb; l2_kb } ]))))))
+                          [ { kernel; fabric = { rows; cols; ports; kind; l1_kb; l2_kb } } ]))))))
 
 (* ------------------------------------------------------------------ *)
 (* Point measurement.                                                  *)
 
-let grid_of_point (p : point) =
-  Grid.make ~rows:p.rows ~cols:p.cols ~mem_ports:p.mem_ports
-    ~name:(Printf.sprintf "G%dx%d" p.rows p.cols)
-    ()
-
-let hier_config_of_point (p : point) =
-  let dc = Hierarchy.default_config in
-  {
-    dc with
-    Hierarchy.l1 =
-      Cache.config ~size_bytes:(p.l1_kb * 1024) ~ways:dc.Hierarchy.l1.Cache.ways
-        ~line_bytes:dc.Hierarchy.l1.Cache.line_bytes
-        ~hit_latency:dc.Hierarchy.l1.Cache.hit_latency;
-    l2 =
-      Cache.config ~size_bytes:(p.l2_kb * 1024) ~ways:dc.Hierarchy.l2.Cache.ways
-        ~line_bytes:dc.Hierarchy.l2.Cache.line_bytes
-        ~hit_latency:dc.Hierarchy.l2.Cache.hit_latency;
-  }
+(* Sweep grids are named "G<rows>x<cols>". The name is part of Runner's
+   placement-memo key, so it decides which memo entries a sweep shares. *)
+let grid_of_point { fabric = f; _ } =
+  { (Fabric.grid f) with Grid.name = Printf.sprintf "G%dx%d" f.rows f.cols }
 
 let rejected (p : point) reason =
   {
@@ -175,11 +144,11 @@ let evaluate (p : point) =
   let k = Workloads.find p.kernel in
   let grid = grid_of_point p in
   let dfg = Runner.dfg_of_kernel k in
-  match Runner.placement_of ~kind:p.kind ~grid k with
+  match Runner.placement_of ~kind:p.fabric.kind ~grid k with
   | Error e -> rejected p e
   | Ok placement -> (
     let config = Runner.optimized_config ~grid k dfg placement in
-    match Runner.execute_loop ~hier:(hier_config_of_point p) k dfg config with
+    match Runner.execute_loop ~hier:(Fabric.hier_config p.fabric) k dfg config with
     | Error e -> rejected p e
     | Ok (res, _) ->
       let cycles = max 1 res.Engine.cycles in
@@ -236,28 +205,12 @@ let ranked outs =
    (Json.to_string), so decode∘encode is the identity and a frontier over
    restored outcomes is bit-identical to one over fresh measurements.     *)
 
-let point_to_json (p : point) =
-  Json.Assoc
-    [
-      ("kernel", Json.String p.kernel);
-      ("rows", Json.Int p.rows);
-      ("cols", Json.Int p.cols);
-      ("ports", Json.Int p.mem_ports);
-      ("kind", Json.String (kind_to_string p.kind));
-      ("l1_kb", Json.Int p.l1_kb);
-      ("l2_kb", Json.Int p.l2_kb);
-    ]
+let point_to_json p =
+  Json.Assoc (("kernel", Json.String p.kernel) :: Fabric.to_fields p.fabric)
 
 let read_point j =
-  let open Json in
-  let kernel = field "kernel" string j in
-  let rows = field "rows" int j in
-  let cols = field "cols" int j in
-  let mem_ports = field "ports" int j in
-  let kind = field "kind" (lift kind_of_string) j in
-  let l1_kb = field "l1_kb" int j in
-  let l2_kb = field "l2_kb" int j in
-  { kernel; rows; cols; mem_ports; kind; l1_kb; l2_kb }
+  let kernel = Json.(field "kernel" string j) in
+  { kernel; fabric = Fabric.of_fields j }
 
 let outcome_to_json o =
   Json.Assoc
@@ -307,7 +260,8 @@ let spec_to_json s =
         Json.List
           (List.map (fun (r, c) -> Json.List [ Json.Int r; Json.Int c ]) s.grids) );
       ("ports", Json.List (List.map (fun p -> Json.Int p) s.ports));
-      ("kinds", Json.List (List.map (fun k -> Json.String (kind_to_string k)) s.kinds));
+      ( "kinds",
+        Json.List (List.map (fun k -> Json.String (Interconnect.kind_to_string k)) s.kinds) );
       ("l1_kb", Json.List (List.map (fun k -> Json.Int k) s.l1_kb));
       ("l2_kb", Json.List (List.map (fun k -> Json.Int k) s.l2_kb));
     ]
@@ -318,7 +272,7 @@ let read_spec j =
   let kernels = field "kernels" (list string) j in
   let grids = field "grids" (list grid) j in
   let ports = field "ports" (list int) j in
-  let kinds = field "kinds" (list (lift kind_of_string)) j in
+  let kinds = field "kinds" (list (lift Interconnect.kind_of_string)) j in
   let l1_kb = field "l1_kb" (list int) j in
   let l2_kb = field "l2_kb" (list int) j in
   { kernels; grids; ports; kinds; l1_kb; l2_kb }
@@ -373,7 +327,7 @@ let model_of_point (p : point) =
   let k = Workloads.find p.kernel in
   let grid = grid_of_point p in
   let dfg = Runner.dfg_of_kernel k in
-  match Runner.placement_of ~kind:p.kind ~grid k with
+  match Runner.placement_of ~kind:p.fabric.kind ~grid k with
   | Error e -> Error e
   | Ok placement ->
     let config = Runner.optimized_config ~grid k dfg placement in
@@ -708,15 +662,16 @@ let table ?top r =
   let rows = match top with None -> rows | Some n -> List.filteri (fun i _ -> i < n) rows in
   List.iter
     (fun o ->
+      let f = o.point.fabric in
       Tables.add_row t
         [
           (if on_front o then "*" else "");
           o.point.kernel;
-          Printf.sprintf "%dx%d" o.point.rows o.point.cols;
-          string_of_int o.point.mem_ports;
-          kind_to_string o.point.kind;
-          string_of_int o.point.l1_kb;
-          string_of_int o.point.l2_kb;
+          Printf.sprintf "%dx%d" f.rows f.cols;
+          string_of_int f.ports;
+          Interconnect.kind_to_string f.kind;
+          string_of_int f.l1_kb;
+          string_of_int f.l2_kb;
           (if o.mapped then Tables.icell o.cycles else "-");
           (if o.mapped then Tables.fcell o.perf else "-");
           (if o.mapped then Tables.fcell o.perf_per_watt else "-");

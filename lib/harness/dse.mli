@@ -21,16 +21,8 @@
     (points_evaluated / cache_hits / points_rejected / frontier_size) and
     Chrome-trace timeline spans. *)
 
-(** One configuration of the joint space. *)
-type point = {
-  kernel : string;
-  rows : int;
-  cols : int;
-  mem_ports : int;
-  kind : Interconnect.kind;
-  l1_kb : int;
-  l2_kb : int;
-}
+(** One configuration of the joint space: a kernel on a fabric point. *)
+type point = { kernel : string; fabric : Fabric.t }
 
 val point_label : point -> string
 (** ["nn@16x8 p4 mesh_noc L1:64K L2:8192K"] — stable display/trace name. *)
@@ -78,13 +70,6 @@ val points_of_spec : spec -> point list
 val evaluate : point -> outcome
 (** Measure one point (deterministic; safe to call from pool workers).
     Exposed for tests. *)
-
-val kinds : (string * Interconnect.kind) list
-(** The interconnect backends by name: [mesh_noc], [hier_rows],
-    [pure_mesh]. *)
-
-val kind_to_string : Interconnect.kind -> string
-val kind_of_string : string -> (Interconnect.kind, string) result
 
 (** {2 Search strategies} *)
 

@@ -3,6 +3,8 @@ type outcome = {
   summary : (string * float) list;
 }
 
+(* MESA with every mechanism on, on [grid]. *)
+let on grid = Controller.default_options ~grid ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11: speedup & energy efficiency vs the 16-core CPU.          *)
@@ -27,8 +29,8 @@ let fig11 ?jobs ?kernels () =
         |> List.map (fun k ->
                ( k,
                  Pool.submit pool (fun () -> Runner.multicore k),
-                 Pool.submit pool (fun () -> fst (Runner.mesa ~grid:Grid.m128 k)),
-                 Pool.submit pool (fun () -> fst (Runner.mesa ~grid:Grid.m512 k)) ))
+                 Pool.submit pool (fun () -> fst (Runner.mesa k)),
+                 Pool.submit pool (fun () -> fst (Runner.mesa ~options:(on Grid.m512) k)) ))
         |> List.map (fun (k, b, m1, m5) ->
                (k, Pool.await b, Pool.await m1, Pool.await m5)))
   in
@@ -149,7 +151,7 @@ let fig13 ?jobs () =
   let grid = Grid.m128 in
   (* Energy shares measured across the four benchmarks. *)
   let sum = ref { Energy_model.compute_nj = 0.; memory_nj = 0.; interconnect_nj = 0.; control_nj = 0.; total_nj = 0. } in
-  let reports = Pool.run ?jobs (fun k -> snd (Runner.mesa ~grid k)) kernels in
+  let reports = Pool.run ?jobs (fun k -> snd (Runner.mesa ~options:(on grid) k)) kernels in
   List.iter
     (fun report ->
       let b = Energy_model.accel_energy ~grid report.Controller.activity in
@@ -226,6 +228,7 @@ let fig14 ?jobs ?kernels () =
       ]
   in
   let ds = ref [] and m64 = ref [] and m64i = ref [] in
+  let on_m64 iterative = Controller.default_options ~grid:Grid.m64 ~iterative () in
   let measured =
     Pool.with_pool ?jobs (fun pool ->
         kernels
@@ -236,10 +239,8 @@ let fig14 ?jobs ?kernels () =
                      Runner.dynaspam
                        ~config:{ Dynaspam.default_config with Dynaspam.window = 24 }
                        k),
-                 Pool.submit pool (fun () ->
-                     fst (Runner.mesa ~grid:Grid.m64 ~iterative:false k)),
-                 Pool.submit pool (fun () ->
-                     fst (Runner.mesa ~grid:Grid.m64 ~iterative:true k)) ))
+                 Pool.submit pool (fun () -> fst (Runner.mesa ~options:(on_m64 false) k)),
+                 Pool.submit pool (fun () -> fst (Runner.mesa ~options:(on_m64 true) k)) ))
         |> List.map (fun (k, b, d, x, y) ->
                (k, Pool.await b, Pool.await d, Pool.await x, Pool.await y)))
   in
@@ -271,7 +272,9 @@ let fig15 ?jobs ?(n = 2048) () =
   let pe_counts = [ 16; 32; 64; 128; 256; 512 ] in
   let k = Workloads.nn ~n () in
   let measure ?mem_ports pes =
-    fst (Runner.mesa ~grid:(Grid.of_pe_count pes) ?mem_ports k)
+    let grid = Grid.of_pe_count pes in
+    let grid = Option.fold ~none:grid ~some:(fun p -> { grid with Grid.mem_ports = p }) mem_ports in
+    fst (Runner.mesa ~options:(on grid) k)
   in
   let base_default, base_ideal, points =
     Pool.with_pool ?jobs (fun pool ->
@@ -322,7 +325,7 @@ let fig15 ?jobs ?(n = 2048) () =
 let fig16 ?jobs ?(n = 2048) () =
   ignore (jobs : int option);  (* a single measurement; nothing to fan out *)
   let k = Workloads.nn ~n () in
-  let _, report = Runner.mesa ~grid:Grid.m128 k in
+  let _, report = Runner.mesa k in
   let grid = Grid.m128 in
   let accel = Energy_model.accel_energy ~grid report.Controller.activity in
   let iterations = report.Controller.activity.Activity.iterations in

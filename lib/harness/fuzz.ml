@@ -2,15 +2,7 @@
    per-case seeds are drawn sequentially before any work is distributed, so
    the worker count never changes what each case computes. *)
 
-type fabric = {
-  rows : int;
-  cols : int;
-  ports : int;
-  kind : Interconnect.kind;
-  l1_kb : int;
-  l2_kb : int;
-  profile : bool;
-}
+type fabric = { fabric : Fabric.t; profile : bool }
 
 (* The same axes the PR 4 differential qcheck draws from, plus the DSE's
    cache-size axes. *)
@@ -25,44 +17,30 @@ let l1_choices = [| 16; 32; 64 |]
 let l2_choices = [| 1024; 4096; 8192 |]
 let pick rng a = a.(Prng.int rng (Array.length a))
 
+(* Drawn last field first, the order in which OCaml evaluated the record
+   literal this replaced: a fabric seed (and so the campaign digest)
+   reproduces the same fabric it always has. *)
 let draw_fabric rng =
-  {
-    rows = pick rng rows_choices;
-    cols = pick rng cols_choices;
-    ports = pick rng ports_choices;
-    kind = pick rng kind_choices;
-    l1_kb = pick rng l1_choices;
-    l2_kb = pick rng l2_choices;
-    profile = Prng.int rng 8 = 0;
-  }
+  let profile = Prng.int rng 8 = 0 in
+  let l2_kb = pick rng l2_choices in
+  let l1_kb = pick rng l1_choices in
+  let kind = pick rng kind_choices in
+  let ports = pick rng ports_choices in
+  let cols = pick rng cols_choices in
+  let rows = pick rng rows_choices in
+  { fabric = { Fabric.rows; cols; ports; kind; l1_kb; l2_kb }; profile }
 
-let fabric_to_string f =
-  Printf.sprintf "%dx%d ports=%d %s L1:%dK L2:%dK%s" f.rows f.cols f.ports
-    (Dse.kind_to_string f.kind) f.l1_kb f.l2_kb
-    (if f.profile then " +profile" else "")
+let fabric_to_string { fabric = f; profile } =
+  Printf.sprintf "%dx%d ports=%d %s L1:%dK L2:%dK%s" f.Fabric.rows f.cols f.ports
+    (Interconnect.kind_to_string f.kind) f.l1_kb f.l2_kb
+    (if profile then " +profile" else "")
 
 let fabric_to_json f =
-  Json.Assoc
-    [
-      ("rows", Json.Int f.rows);
-      ("cols", Json.Int f.cols);
-      ("ports", Json.Int f.ports);
-      ("kind", Json.String (Dse.kind_to_string f.kind));
-      ("l1_kb", Json.Int f.l1_kb);
-      ("l2_kb", Json.Int f.l2_kb);
-      ("profile", Json.Bool f.profile);
-    ]
+  Json.Assoc (Fabric.to_fields f.fabric @ [ ("profile", Json.Bool f.profile) ])
 
 let read_fabric j =
-  let open Json in
-  let rows = field "rows" int j in
-  let cols = field "cols" int j in
-  let ports = field "ports" int j in
-  let kind = field "kind" (lift Dse.kind_of_string) j in
-  let l1_kb = field "l1_kb" int j in
-  let l2_kb = field "l2_kb" int j in
-  let profile = field_or ~default:false "profile" bool j in
-  { rows; cols; ports; kind; l1_kb; l2_kb; profile }
+  let fabric = Fabric.of_fields j in
+  { fabric; profile = Json.(field_or ~default:false "profile" bool j) }
 
 let fabric_of_json = Json.decode ~what:"fabric" read_fabric
 
@@ -70,20 +48,6 @@ let fabric_of_json = Json.decode ~what:"fabric" read_fabric
 (* One differential case.                                              *)
 
 type observation = { cycles : int; offloads : int; mem_checksum : int }
-
-let hier_config (f : fabric) =
-  let dc = Hierarchy.default_config in
-  {
-    dc with
-    Hierarchy.l1 =
-      Cache.config ~size_bytes:(f.l1_kb * 1024) ~ways:dc.Hierarchy.l1.Cache.ways
-        ~line_bytes:dc.Hierarchy.l1.Cache.line_bytes
-        ~hit_latency:dc.Hierarchy.l1.Cache.hit_latency;
-    l2 =
-      Cache.config ~size_bytes:(f.l2_kb * 1024) ~ways:dc.Hierarchy.l2.Cache.ways
-        ~line_bytes:dc.Hierarchy.l2.Cache.line_bytes
-        ~hit_latency:dc.Hierarchy.l2.Cache.hit_latency;
-  }
 
 let run_case ?defect spec (f : fabric) =
   let ( let* ) = Result.bind in
@@ -98,12 +62,11 @@ let run_case ?defect spec (f : fabric) =
     if i_halt = Interp.Ecall_halt then Ok ()
     else Error "interpreter did not reach ecall"
   in
-  let grid = Grid.make ~rows:f.rows ~cols:f.cols ~mem_ports:f.ports () in
   let options =
-    { (Controller.default_options ~grid ~profile:f.profile ()) with
-      Controller.kind = f.kind }
+    { (Controller.default_options ~grid:(Fabric.grid f.fabric) ~profile:f.profile ()) with
+      Controller.kind = f.fabric.kind }
   in
-  let hier = Hierarchy.create (hier_config f) in
+  let hier = Hierarchy.create (Fabric.hier_config f.fabric) in
   let report = Controller.run ~options ~hier b.Tile_lower.program machine in
   let* () =
     if report.Controller.halt = Interp.Ecall_halt then Ok ()

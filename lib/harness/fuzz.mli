@@ -23,12 +23,7 @@
     directory as JSON and replayed with [mesa_cli fuzz --replay]. *)
 
 type fabric = {
-  rows : int;
-  cols : int;
-  ports : int;
-  kind : Interconnect.kind;
-  l1_kb : int;
-  l2_kb : int;
+  fabric : Fabric.t;
   profile : bool;  (** arm the cycle-attribution collector for this case *)
 }
 

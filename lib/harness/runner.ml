@@ -76,14 +76,8 @@ let multicore (k : Kernel.t) =
     stats;
   }
 
-let mesa ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true) ?mem_ports
-    ?inject ?profile (k : Kernel.t) =
-  let grid =
-    match mem_ports with None -> grid | Some p -> { grid with Grid.mem_ports = p }
-  in
-  let options =
-    Controller.default_options ~grid ~optimize ~iterative ?inject ?profile ()
-  in
+let mesa ?(options = Controller.default_options ()) (k : Kernel.t) =
+  let grid = options.Controller.grid in
   let mem = Main_memory.create () in
   let machine = Kernel.prepare k mem in
   let report = Controller.run ~options k.Kernel.program machine in

@@ -26,23 +26,15 @@ val single_core : Kernel.t -> measurement
 val multicore : Kernel.t -> measurement
 (** The 16-core baseline (Figure 11). *)
 
-val mesa :
-  ?grid:Grid.t ->
-  ?optimize:bool ->
-  ?iterative:bool ->
-  ?mem_ports:int ->
-  ?inject:Fault.spec ->
-  ?profile:bool ->
-  Kernel.t ->
-  measurement * Controller.report
-(** Full MESA run (CPU + transparent offload). [mem_ports] overrides the
-    accelerator's cache ports (Figure 15's ideal-memory variant); [inject]
-    arms a fault schedule for the run (the output check still validates
-    bit-exact results after recovery); [profile] arms the cycle-attribution
-    collector, returned in [report.attribution] (timing stays
-    bit-identical — see {!Profile.of_report}). The report owns a fresh
-    cache hierarchy and needs no release: callers that only want the
-    measurement take [fst]. *)
+val mesa : ?options:Controller.options -> Kernel.t -> measurement * Controller.report
+(** Full MESA run (CPU + transparent offload) under [options] (default
+    {!Controller.default_options}), labelled with the grid's name. The
+    energy is the CPU's, plus the accelerator's, plus MESA's own. With
+    [options.inject] the output check still validates bit-exact results
+    after recovery; with [options.profile] the report carries the
+    attribution collector (timing stays bit-identical — see
+    {!Profile.of_report}). The report owns a fresh cache hierarchy and
+    needs no release: callers that only want the measurement take [fst]. *)
 
 val dfg_of_kernel : Kernel.t -> Dfg.t
 (** The kernel's hot-loop LDFG, for the analytic baselines (OpenCGRA /

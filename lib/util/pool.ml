@@ -184,3 +184,15 @@ let run ?jobs f xs =
       | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
       | Pending -> assert false)
     (Array.to_list outcomes)
+
+type 'a free_list = (Mutex.t * 'a Stack.t) Domain.DLS.key
+
+let free_list () = Domain.DLS.new_key (fun () -> (Mutex.create (), Stack.create ()))
+
+let take fl =
+  let lock, stack = Domain.DLS.get fl in
+  Mutex.protect lock (fun () -> Stack.pop_opt stack)
+
+let give fl xs =
+  let lock, stack = Domain.DLS.get fl in
+  Mutex.protect lock (fun () -> List.iter (fun x -> Stack.push x stack) xs)

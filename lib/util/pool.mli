@@ -69,3 +69,26 @@ val run : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     in input order, every task runs, and the earliest raising task's
     exception is re-raised. [jobs = 1] runs everything on the caller.
     Raises [Invalid_argument] on [jobs < 1]. *)
+
+(** {2 Per-domain free lists}
+
+    Recycled buffers that are costly to allocate per use (the engine's and
+    the cost model's contention tables, the cost model's snapshot
+    buffers): a finished run parks what it took, the next run on the same
+    domain takes it back warm, at whatever size it grew to. Each domain
+    has its own list, so parallel jobs never share one; a mutex per domain
+    covers `mesad`, whose shards are sys-threads sharing a domain, where a
+    preempted push could otherwise hand one buffer to two runs. A buffer
+    belongs to one run between {!take} and {!give}. *)
+
+type 'a free_list
+
+val free_list : unit -> 'a free_list
+(** A new, empty free list on every domain. *)
+
+val take : 'a free_list -> 'a option
+(** The most recently parked buffer of this domain, if any. *)
+
+val give : 'a free_list -> 'a list -> unit
+(** Park buffers on this domain's list, under one lock hop. The caller
+    must not touch them afterwards. *)

@@ -203,6 +203,6 @@ let arch_case ?max_ports () =
 let arch_case_print c =
   let k = List.nth (Workloads.all ()) c.kernel in
   Printf.sprintf "%s on %dx%d ports=%d kind=%s" k.Kernel.name c.rows c.cols
-    c.ports (Dse.kind_to_string c.kind)
+    c.ports (Interconnect.kind_to_string c.kind)
 
 let arch_case_kernel c = List.nth (Workloads.all ()) c.kernel

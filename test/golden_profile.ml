@@ -11,7 +11,7 @@
 
 let () =
   let k = Workloads.find "bfs" in
-  let _, report = Runner.mesa ~grid:Grid.m64 ~profile:true k in
+  let _, report = Runner.mesa ~options:(Controller.default_options ~grid:Grid.m64 ~profile:true ()) k in
   let p =
     match Profile.of_report ~kernel:"bfs" report with
     | Ok p -> p

@@ -11,7 +11,7 @@
 
 let () =
   let k = Workloads.find "bfs" in
-  let _, report = Runner.mesa ~grid:Grid.m128 k in
+  let _, report = Runner.mesa ~options:(Controller.default_options ~grid:Grid.m128 ()) k in
   let s = report.Controller.stats in
   let pick p =
     match Stats.find s p with

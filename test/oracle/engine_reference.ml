@@ -1,11 +1,17 @@
 (* The legacy engine: every DFG node re-evaluated on every fabric
    iteration, arrival folds recomputed from scratch each time. Kept verbatim
-   as the differential oracle for the event-driven engine in [Engine] — the
-   qcheck harness and `mesa_cli --engine reference` run both implementations
-   and assert bit-identical cycles, memory, registers, stats and attribution
-   sums. Not used on any production path; prefer [Engine.execute]. *)
+   as the differential oracle for the event-driven engine in [Engine]: the
+   qcheck harness in the test suite runs both implementations and asserts
+   bit-identical cycles, memory, registers, stats and attribution sums. It
+   returns [Engine]'s own result records. Not used on any production path;
+   prefer [Engine.execute]. *)
 
-open Engine_core
+open Engine
+
+let u32 = Machine.to_u32
+let s32 = Machine.to_s32
+
+exception Exec_fail of string
 
 let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window = 512)
     ?attribution ~(config : Accel_config.t) ~(dfg : Dfg.t)
@@ -101,8 +107,8 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
     in
     (* Timing state. *)
     let completes = Array.make n 0.0 in
-    let scratch = Engine_core.scratch () in
-    let ports = Engine_core.acquire scratch effective_ports in
+    let scratch = Contention.scratch () in
+    let ports = Contention.acquire scratch effective_ports in
     let tiling = max 1 config.tiling in
     (* Tiled instances occupy disjoint physical regions, so each gets its
        own router slices; slot [inst * nslices + slice] serves (instance,
@@ -114,7 +120,7 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
       match noc.(idx) with
       | Some c -> c
       | None ->
-        let c = Engine_core.acquire scratch 1 in
+        let c = Contention.acquire scratch 1 in
         noc.(idx) <- Some c;
         c
     in
@@ -554,5 +560,5 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
       }
     in
     Fun.protect
-      ~finally:(fun () -> Engine_core.park scratch)
+      ~finally:(fun () -> Contention.park scratch)
       (fun () -> try Ok (run ()) with Exec_fail msg -> Error msg))

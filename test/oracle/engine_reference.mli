@@ -2,9 +2,7 @@
     differential oracle for the event-driven {!Engine}. Semantics and result
     schema are documented on {!Engine.execute}; this implementation is the
     definition the event-driven core must match bit-for-bit (cycles, memory,
-    registers, stats snapshots, attribution sums). Reached in production
-    only through [Engine.execute ~engine:`Reference] / [MESA_ENGINE=reference];
-    tests may call it directly. *)
+    registers, stats snapshots, attribution sums). Only tests call it. *)
 
 val execute :
   ?max_iterations:int ->
@@ -17,4 +15,4 @@ val execute :
   machine:Machine.t ->
   hier:Hierarchy.t ->
   unit ->
-  (Engine_core.result, string) Stdlib.result
+  (Engine.result, string) Stdlib.result

@@ -8,12 +8,9 @@ let check = Alcotest.check
 let base_point =
   {
     Dse.kernel = "nn";
-    rows = 8;
-    cols = 8;
-    mem_ports = 4;
-    kind = Interconnect.Mesh_noc;
-    l1_kb = 64;
-    l2_kb = 8192;
+    fabric =
+      { Fabric.rows = 8; cols = 8; ports = 4; kind = Interconnect.Mesh_noc; l1_kb = 64;
+        l2_kb = 8192 };
   }
 
 (* -------------------- enumeration -------------------- *)
@@ -35,9 +32,10 @@ let points_of_spec_shape () =
   check Alcotest.string "kernels outermost" "nn" (List.hd pts).Dse.kernel;
   (* L2 is the innermost axis: the first two points differ only in L2. *)
   let p0 = List.nth pts 0 and p1 = List.nth pts 1 in
-  check Alcotest.int "first L2" 1024 p0.Dse.l2_kb;
-  check Alcotest.int "second L2" 8192 p1.Dse.l2_kb;
-  check Alcotest.bool "otherwise equal" true (p0 = { p1 with Dse.l2_kb = 1024 });
+  check Alcotest.int "first L2" 1024 p0.Dse.fabric.l2_kb;
+  check Alcotest.int "second L2" 8192 p1.Dse.fabric.l2_kb;
+  check Alcotest.bool "otherwise equal" true
+    (p0 = { p1 with Dse.fabric = { p1.Dse.fabric with l2_kb = 1024 } });
   check Alcotest.int "labels are unique" (List.length pts)
     (List.length (List.sort_uniq compare (List.map Dse.point_label pts)))
 
@@ -66,7 +64,8 @@ let evaluate_mapped_and_rejected () =
   (* kmeans needs more FP PEs than an 8x4 fabric offers (cf. the robustness
      fallback test): the mapper rejects, metrics stay zero. *)
   let bad =
-    Dse.evaluate { base_point with Dse.kernel = "kmeans"; rows = 8; cols = 4 }
+    Dse.evaluate
+      { Dse.kernel = "kmeans"; fabric = { base_point.Dse.fabric with rows = 8; cols = 4 } }
   in
   check Alcotest.bool "kmeans on 8x4 rejected" false bad.Dse.mapped;
   check Alcotest.bool "reject reason recorded" true (bad.Dse.reject <> None);
@@ -148,11 +147,11 @@ let gen_point =
   oneofl [ "nn"; "kmeans"; "bfs"; "lud" ] >>= fun kernel ->
   int_range 1 16 >>= fun rows ->
   int_range 1 16 >>= fun cols ->
-  oneofl [ 1; 2; 4; 8 ] >>= fun mem_ports ->
+  oneofl [ 1; 2; 4; 8 ] >>= fun ports ->
   gen_kind >>= fun kind ->
   oneofl [ 16; 64; 256 ] >>= fun l1_kb ->
   oneofl [ 1024; 8192 ] >>= fun l2_kb ->
-  return { Dse.kernel; rows; cols; mem_ports; kind; l1_kb; l2_kb }
+  return { Dse.kernel; fabric = { Fabric.rows; cols; ports; kind; l1_kb; l2_kb } }
 
 let gen_saved_outcome =
   let open QCheck2.Gen in
@@ -229,14 +228,18 @@ let checkpoint_strategy_field_compat () =
 let pinned_outcomes =
   [
     { Dse.point =
-        { Dse.kernel = "nn"; rows = 16; cols = 8; mem_ports = 8; kind = Interconnect.Pure_mesh;
-          l1_kb = 64; l2_kb = 1024 };
+        { Dse.kernel = "nn";
+          fabric =
+            { Fabric.rows = 16; cols = 8; ports = 8; kind = Interconnect.Pure_mesh; l1_kb = 64;
+              l2_kb = 1024 } };
       mapped = true; reject = None; cycles = 9961; iterations = 4096;
       energy_nj = 22663.875512669551; power_w = 0.46098518250487247; area_mm2 = 3.32;
       perf = 411.24485493424354; perf_per_watt = 0.1 };
     { Dse.point =
-        { Dse.kernel = "bfs"; rows = 4; cols = 4; mem_ports = 2;
-          kind = Interconnect.Hierarchical_rows; l1_kb = 16; l2_kb = 8192 };
+        { Dse.kernel = "bfs";
+          fabric =
+            { Fabric.rows = 4; cols = 4; ports = 2; kind = Interconnect.Hierarchical_rows;
+              l1_kb = 16; l2_kb = 8192 } };
       mapped = false; reject = Some "mapper: no route"; cycles = 0; iterations = 0;
       energy_nj = 0.0; power_w = 0.0; area_mm2 = 0.0; perf = 0.0; perf_per_watt = 0.0 };
   ]

@@ -2,15 +2,6 @@ let check = Alcotest.check
 
 (* -------------------- imap FSM -------------------- *)
 
-let fsm_matches_closed_form () =
-  List.iter
-    (fun name ->
-      let dfg = Runner.dfg_of_kernel (Workloads.find name) in
-      check Alcotest.int (name ^ " cycles")
-        (Mapper.map_cycles dfg)
-        (Imap_fsm.cycles dfg))
-    [ "nn"; "kmeans"; "btree" ]
-
 let fsm_stage_structure () =
   let dfg = Runner.dfg_of_kernel (Workloads.find "gaussian") in
   let n = Dfg.node_count dfg in
@@ -22,8 +13,7 @@ let fsm_stage_structure () =
   (* Node i occupies the cycles right after node i - 1: fetch, candidates,
      filter, five reduction levels, writeback. *)
   let per_node = 9 in
-  check Alcotest.int "cycles per node" (per_node * n)
-    (Imap_fsm.cycles dfg);
+  check Alcotest.int "cycles per node" (per_node * n) (Mapper.map_cycles dfg);
   List.iteri
     (fun i row ->
       let cells = String.sub row 5 (String.length row - 5) in
@@ -36,7 +26,7 @@ let fsm_stage_structure () =
 let fsm_reduction_depth () =
   let dfg = Runner.dfg_of_kernel (Workloads.find "nn") in
   check Alcotest.int "4x8 window reduces in 5" (4 + 5)
-    (Imap_fsm.cycles dfg / Dfg.node_count dfg)
+    (Mapper.map_cycles dfg / Dfg.node_count dfg)
 
 let fsm_timing_diagram () =
   let dfg = Runner.dfg_of_kernel (Workloads.find "gaussian") in
@@ -163,7 +153,6 @@ let suites =
   [
     ( "imap_fsm",
       [
-        Alcotest.test_case "matches closed form" `Quick fsm_matches_closed_form;
         Alcotest.test_case "stage structure" `Quick fsm_stage_structure;
         Alcotest.test_case "reduction depth" `Quick fsm_reduction_depth;
         Alcotest.test_case "timing diagram" `Quick fsm_timing_diagram;

@@ -274,12 +274,9 @@ let programs_terminate =
 
 let mutation_fabric =
   {
-    Fuzz.rows = 8;
-    cols = 8;
-    ports = 4;
-    kind = Interconnect.Mesh_noc;
-    l1_kb = 32;
-    l2_kb = 4096;
+    Fuzz.fabric =
+      { Fabric.rows = 8; cols = 8; ports = 4; kind = Interconnect.Mesh_noc; l1_kb = 32;
+        l2_kb = 4096 };
     profile = false;
   }
 
@@ -343,11 +340,14 @@ let replay_tells_malformed_from_failing () =
    fabric point was shared with the DSE; entries written without the
    [profile] key decode as unprofiled. *)
 let fabric_bytes_pinned () =
-  let f =
-    { Fuzz.rows = 6; cols = 4; ports = 16; kind = Interconnect.Hierarchical_rows;
-      l1_kb = 32; l2_kb = 4096; profile = true }
+  let fabric =
+    { Fabric.rows = 6; cols = 4; ports = 16; kind = Interconnect.Hierarchical_rows;
+      l1_kb = 32; l2_kb = 4096 }
   in
-  let unprofiled = { f with Fuzz.kind = Interconnect.Pure_mesh; profile = false } in
+  let f = { Fuzz.fabric; profile = true } in
+  let unprofiled =
+    { Fuzz.fabric = { fabric with kind = Interconnect.Pure_mesh }; profile = false }
+  in
   List.iter
     (fun (f, text) ->
       chk Alcotest.string "encoded bytes" text (Json.to_string ~indent:0 (Fuzz.fabric_to_json f));

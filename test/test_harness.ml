@@ -126,8 +126,9 @@ let mesa_measurement_checked () =
 
 let mesa_mem_ports_override () =
   let k = Workloads.nn ~n:1024 () in
-  let narrow, _ = Runner.mesa ~mem_ports:1 k in
-  let wide, _ = Runner.mesa ~mem_ports:64 k in
+  let ports p = Controller.default_options ~grid:{ Grid.m128 with Grid.mem_ports = p } () in
+  let narrow, _ = Runner.mesa ~options:(ports 1) k in
+  let wide, _ = Runner.mesa ~options:(ports 64) k in
   check Alcotest.bool "ports matter" true (wide.Runner.cycles < narrow.Runner.cycles)
 
 let dfg_of_kernel_total () =

@@ -7,7 +7,7 @@ let check = Alcotest.check
 
 let profile_of ?(grid = Grid.m64) name =
   let k = Workloads.find name in
-  let _, report = Runner.mesa ~grid ~profile:true k in
+  let _, report = Runner.mesa ~options:(Controller.default_options ~grid ~profile:true ()) k in
   match Profile.of_report ~kernel:name report with
   | Ok p -> (p, report)
   | Error e -> Alcotest.failf "profile of %s: %s" name e
@@ -87,7 +87,7 @@ let reference_cycles_with_profiling () =
   List.iter
     (fun (name, cycles) ->
       let k = Workloads.find name in
-      let m, _ = Runner.mesa ~profile:true k in
+      let m, _ = Runner.mesa ~options:(Controller.default_options ~profile:true ()) k in
       check Alcotest.int (name ^ " reference cycles") cycles m.Runner.cycles)
     [ ("nn", 11464); ("kmeans", 8469); ("bfs", 14081) ]
 

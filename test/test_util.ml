@@ -249,8 +249,10 @@ let decoder_table () =
     }
   in
   let point =
-    { Dse.kernel = "nn"; rows = 4; cols = 4; mem_ports = 2; kind = Interconnect.Mesh_noc;
-      l1_kb = 64; l2_kb = 8192 }
+    { Dse.kernel = "nn";
+      fabric =
+        { Fabric.rows = 4; cols = 4; ports = 2; kind = Interconnect.Mesh_noc; l1_kb = 64;
+          l2_kb = 8192 } }
   in
   let outcome =
     { Dse.point; mapped = false; reject = Some "too big"; cycles = 0; iterations = 0;
@@ -272,7 +274,11 @@ let decoder_table () =
       sp_phase = Telemetry.Execute; sp_outcome = "ok"; sp_detail = "d" }
   in
   let profile =
-    let _, report = Runner.mesa ~grid:Grid.m64 ~profile:true (Workloads.find "nn") in
+    let _, report =
+      Runner.mesa
+        ~options:(Controller.default_options ~grid:Grid.m64 ~profile:true ())
+        (Workloads.find "nn")
+    in
     match Profile.of_report ~kernel:"nn" report with
     | Ok p -> Profile.to_json p
     | Error e -> Alcotest.fail e
