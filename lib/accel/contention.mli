@@ -59,10 +59,9 @@ val busy_cycles : t -> int
 val reset : ?capacity:int -> t -> unit
 (** Forget every booked slot (and optionally change the capacity), restoring
     the table to its freshly-created state. It zeroes only the booked
-    window, so a warm table costs what its last use booked. The engine and
-    the cost model recycle contention tables through this instead of
-    allocating fresh rings each time; their pool always passes [capacity],
-    and keeping the old one is exposed for tests. *)
+    window, so a warm table costs what its last use booked. {!acquire}
+    revives parked tables through this and always passes [capacity];
+    keeping the old one is exposed for tests. *)
 
 (** {2 Recycling}
 

@@ -29,7 +29,7 @@ let fig11 ?jobs ?kernels () =
         |> List.map (fun k ->
                ( k,
                  Pool.submit pool (fun () -> Runner.multicore k),
-                 Pool.submit pool (fun () -> fst (Runner.mesa k)),
+                 Pool.submit pool (fun () -> fst (Runner.mesa ~options:(on Grid.m128) k)),
                  Pool.submit pool (fun () -> fst (Runner.mesa ~options:(on Grid.m512) k)) ))
         |> List.map (fun (k, b, m1, m5) ->
                (k, Pool.await b, Pool.await m1, Pool.await m5)))
@@ -273,7 +273,9 @@ let fig15 ?jobs ?(n = 2048) () =
   let k = Workloads.nn ~n () in
   let measure ?mem_ports pes =
     let grid = Grid.of_pe_count pes in
-    let grid = Option.fold ~none:grid ~some:(fun p -> { grid with Grid.mem_ports = p }) mem_ports in
+    let grid =
+      match mem_ports with None -> grid | Some p -> { grid with Grid.mem_ports = p }
+    in
     fst (Runner.mesa ~options:(on grid) k)
   in
   let base_default, base_ideal, points =
@@ -325,8 +327,8 @@ let fig15 ?jobs ?(n = 2048) () =
 let fig16 ?jobs ?(n = 2048) () =
   ignore (jobs : int option);  (* a single measurement; nothing to fan out *)
   let k = Workloads.nn ~n () in
-  let _, report = Runner.mesa k in
   let grid = Grid.m128 in
+  let _, report = Runner.mesa ~options:(on grid) k in
   let accel = Energy_model.accel_energy ~grid report.Controller.activity in
   let iterations = report.Controller.activity.Activity.iterations in
   let e_iter = accel.Energy_model.total_nj /. float_of_int (max 1 iterations) in

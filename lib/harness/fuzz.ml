@@ -17,9 +17,9 @@ let l1_choices = [| 16; 32; 64 |]
 let l2_choices = [| 1024; 4096; 8192 |]
 let pick rng a = a.(Prng.int rng (Array.length a))
 
-(* Drawn last field first, the order in which OCaml evaluated the record
-   literal this replaced: a fabric seed (and so the campaign digest)
-   reproduces the same fabric it always has. *)
+(* The draw order, last field first, is part of what a fabric seed
+   means: another order draws other fabrics and moves every campaign
+   digest. *)
 let draw_fabric rng =
   let profile = Prng.int rng 8 = 0 in
   let l2_kb = pick rng l2_choices in

@@ -222,9 +222,8 @@ let checkpoint_strategy_field_compat () =
   | Ok (_, Dse.Guided, []) -> ()
   | _ -> Alcotest.fail "guided strategy must round-trip"
 
-(* The checkpoint's exact bytes, as written before the fabric point was
-   shared with the fuzzer: the round trip above would still pass if the
-   keys, their order or a backend's name drifted. *)
+(* The checkpoint's exact bytes: the round trip above would still pass if
+   the keys, their order or a backend's name drifted. *)
 let pinned_outcomes =
   [
     { Dse.point =

@@ -336,9 +336,8 @@ let replay_tells_malformed_from_failing () =
   malformed "bad fabric" (entry [ ("fabric", Json.String "x"); ("shrunk", Tile_dsl.to_json spec) ]);
   malformed "not an object" (Json.List [])
 
-(* A corpus entry's [fabric] object, byte for byte as written before the
-   fabric point was shared with the DSE; entries written without the
-   [profile] key decode as unprofiled. *)
+(* A corpus entry's [fabric] object, byte for byte; entries written
+   without the [profile] key decode as unprofiled. *)
 let fabric_bytes_pinned () =
   let fabric =
     { Fabric.rows = 6; cols = 4; ports = 16; kind = Interconnect.Hierarchical_rows;
