@@ -149,22 +149,23 @@ let run ~acquire ~snapshots:(a, b) ?op_latency ?mem_latency ~iterations ~extrapo
       if Array.length s.phases < tiling then s.phases <- Array.make tiling 0.0)
     [ a; b ];
   let cur = ref a and prev = ref b in
-  (* Without an op oracle the static latency is read in place: a call
-     through a closure would box the float it returns on every firing. *)
-  let fire =
+  (* Each oracle is read once per node it prices, into a float array: an
+     oracle is a pure function of the node index, and a call through a
+     closure on every firing would box the float it returns. *)
+  let op_lat =
     match op_latency with
-    | None ->
-      fun ~inst j ->
-        st.Timing.firing.oplat <-
-          (if t.Timing.kind.(j) = Timing.Mem_op then
-             Timing.mem_latency t st ~inst ~service:mem_latency j
-           else t.Timing.cls_lat.(j))
-    | Some op_latency ->
-      fun ~inst j ->
-        st.Timing.firing.oplat <-
-          (if t.Timing.kind.(j) = Timing.Mem_op then
-             Timing.mem_latency t st ~inst ~service:mem_latency j
-           else op_latency j)
+    | None -> t.Timing.cls_lat
+    | Some f -> Array.init n (fun j -> if t.Timing.kind.(j) = Timing.Mem_op then 0.0 else f j)
+  in
+  let service =
+    Array.init n (fun j -> if t.Timing.claims_port.(j) then mem_latency j else 0.0)
+  in
+  let fire ~inst j =
+    st.Timing.firing.oplat <-
+      (if t.Timing.kind.(j) <> Timing.Mem_op then op_lat.(j)
+       else if t.Timing.claims_port.(j) then
+         Timing.port_latency st ~inst ~service:service.(j) j
+       else Timing.portless_latency t st j)
   in
   let last = st.Timing.last in
   let steady = ref false in
@@ -295,18 +296,38 @@ let hist_mean_of snapshot path =
   | Some h when h.Stats.hcount > 0 -> Some (Stats.hist_mean h)
   | Some _ | None -> None
 
+(* One pass over the snapshot resolves the mean of every sampled
+   ["node.<i>.<leaf>"] histogram, keyed by [i], so an oracle answers
+   without formatting a path or scanning the snapshot. A path counts only
+   as [Printf.sprintf "node.%d.%s"] prints it, and its first occurrence
+   decides, as it would for {!Stats.find_hist}. *)
+let node_means snapshot leaf =
+  let means = Hashtbl.create 64 and seen = Hashtbl.create 64 in
+  List.iter
+    (fun (path, entry) ->
+      if not (Hashtbl.mem seen path) then begin
+        Hashtbl.add seen path ();
+        match (entry, String.split_on_char '.' path) with
+        | Stats.Hist h, [ "node"; i; l ] when l = leaf && h.Stats.hcount > 0 -> (
+          match int_of_string_opt i with
+          | Some k when string_of_int k = i -> Hashtbl.replace means k (Stats.hist_mean h)
+          | Some _ | None -> ())
+        | _ -> ()
+      end)
+    (Stats.to_assoc snapshot);
+  means
+
 let op_oracle_of_measured snapshot =
-  fun j ->
-    match hist_mean_of snapshot (Printf.sprintf "node.%d.latency" j) with
-    | Some m -> m
-    | None -> 1.0
+  let latency = node_means snapshot "latency" in
+  fun j -> Option.value ~default:1.0 (Hashtbl.find_opt latency j)
 
 let mem_oracle_of_measured snapshot =
   let queue_mean =
     Option.value ~default:0.0
       (hist_mean_of snapshot "contention.port_queue_delay")
   in
+  let amat = node_means snapshot "amat" in
   fun j ->
-    match hist_mean_of snapshot (Printf.sprintf "node.%d.amat" j) with
+    match Hashtbl.find_opt amat j with
     | Some amat -> Float.max 1.0 (amat -. queue_mean)
     | None -> default_mem_latency

@@ -55,7 +55,9 @@ val estimate :
     excluding the modeled port queueing (default: the L1 hit latency of
     {!Hierarchy.default_config}); feed measured AMATs through
     {!mem_oracle_of_measured} to tighten the estimate after a profiling
-    window. [extrapolate:false] forces every iteration to be simulated —
+    window. Each oracle must be a pure function of the node index: the
+    estimate reads it once per node it prices, before simulating, and
+    prices every firing of that node from the reading. [extrapolate:false] forces every iteration to be simulated —
     the fixed-point fast path must be observationally identical, and the
     property suite checks it; it is exposed for tests. *)
 
@@ -69,7 +71,8 @@ val predicted_activity :
 
 val op_oracle_of_measured : Stats.snapshot -> (int -> float)
 (** An [op_latency] oracle reading ["node.<i>.latency"] means out of an
-    engine window's measured snapshot. A node with no samples costs 1
+    engine window's measured snapshot, resolved in one pass when the
+    oracle is built. A node with no samples costs 1
     cycle, not its static-table latency. An engine window samples every
     node on every firing, guarded-off ones included, so that fallback is
     reached only when the snapshot comes from another loop (or holds no
@@ -77,7 +80,8 @@ val op_oracle_of_measured : Stats.snapshot -> (int -> float)
     them through [mem_latency]. *)
 
 val mem_oracle_of_measured : Stats.snapshot -> (int -> float)
-(** A [mem_latency] oracle reading ["node.<i>.amat"] means with the window's
+(** A [mem_latency] oracle reading ["node.<i>.amat"] means (resolved in one
+    pass when the oracle is built, like {!op_oracle_of_measured}) with the window's
     mean port-queue delay deducted (the model re-applies its own queueing),
     clamped to at least one cycle; unmeasured nodes fall back to the default
     L1-hit service time. *)

@@ -18,17 +18,31 @@
      cycles via union-find pointers rather than stepping cycle by cycle;
    - each iteration is one {!Timing.step} over the compiled arrays, and
      this module supplies only its per-node [fire]; every node folds every
-     iteration, since skipping a fold would still observe every edge and
-     so saves only a few float maxes;
+     iteration;
+   - what the compiled schedule fixes is charged once per window: a
+     PE-local in-edge always takes its static transfer latency and a
+     non-memory node its class latency (1 when guarded off), so a firing
+     only counts a guarded-off node, and the window charges those samples
+     and the Activity per-class, disabled and transfer counts in bulk
+     before its snapshot. A firing observes only what it alone can know:
+     NoC in-edges and their router waits, memory latencies and port
+     queueing, alias edges, attribution and faults;
+   - a firing allocates nothing: cache lookups return constant outcomes,
+     float values and latencies stay unboxed (the ALU's float operations
+     and the timing plane's memory rule are inlined), and the cache is
+     consulted only on the port path;
    - store-to-load disambiguation uses a word-indexed, generation-stamped
      table reused across iterations instead of a per-iteration list scan.
 
-   Every observation hook fires exactly as in the reference engine — same
-   Stats observes with the same values in the same order, same Activity
-   counts, same Attribution charges, same fault strikes — so cycle counts,
-   memory checksums and profiler bucket sums are bit-identical to
-   [Engine_reference.execute]. The differential qcheck harness enforces
-   this. *)
+   The window ends with the same snapshot as the reference engine, its
+   histograms created in the same order (each in-edge's on its consumer's
+   first firing, each alias edge's on first use) and holding the same
+   samples: every bulk-charged value is an integer-valued float, so its
+   sums are exact whatever their order, and no bulk-charged histogram
+   also takes a per-firing sample. Activity counts, Attribution charges
+   and fault strikes are the same too, so cycle counts, memory checksums
+   and profiler bucket sums are bit-identical to [Engine_reference.execute].
+   The differential qcheck harness enforces this. *)
 
 type detection = {
   d_kinds : Fault.kind list;
@@ -71,14 +85,16 @@ let fp_slot n = function
   | Dfg.Reg_in (r, Dfg.F) -> n + r
   | Dfg.Reg_in (r, Dfg.X) -> -(r + 1)
 
-let int_read_fail s =
+let int_read_fail s : int =
   raise (Exec_fail (Printf.sprintf "int read of FP live-in f%d" (-s - 1)))
 
-let fp_read_fail s =
+let fp_read_fail s : int =
   raise (Exec_fail (Printf.sprintf "FP read of int live-in %s" (Reg.name (-s - 1))))
 
-let[@inline] read_x vx s = if s >= 0 then vx.(s) else int_read_fail s
-let[@inline] read_f (vf : float array) s = if s >= 0 then vf.(s) else fp_read_fail s
+(* The failing branch picks the index, not the value: a branch that calls
+   out for a float would make every let-bound read a boxed float. *)
+let[@inline] read_x (vx : int array) s = vx.(if s >= 0 then s else int_read_fail s)
+let[@inline] read_f (vf : float array) s = vf.(if s >= 0 then s else fp_read_fail s)
 
 let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
     ?(watchdog_window = 512) ?attribution ~(config : Accel_config.t)
@@ -93,13 +109,26 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
     let mem = machine.Machine.mem in
     let sched = Timing.compile ~config ~dfg in
     let guards_of = Array.map (fun nd -> Array.of_list nd.Dfg.guards) nodes in
-    (* Lazily-created edge histograms, cached per compiled edge. Creation
-       still goes through the shared find-or-create path so first-use
-       registration order (and thus snapshot ordering) matches the
-       reference engine exactly, including dynamic alias edges. *)
-    let ehist =
-      Array.map (fun deps -> Array.make (Array.length deps) None) sched.Timing.deps
+    (* Each node's compiled in-edges split by route, as indices into
+       [sched.deps.(j)]: a PE-local edge always takes its static transfer
+       latency, so the window charges it in bulk; a NoC edge's latency
+       includes its router wait, so each firing observes it. *)
+    let edges_where p =
+      Array.map
+        (fun slices ->
+          Array.of_list
+            (List.filter (fun d -> p slices.(d)) (List.init (Array.length slices) Fun.id)))
+        sched.Timing.slice
     in
+    let local_edges = edges_where (fun s -> s < 0) in
+    let noc_edges = edges_where (fun s -> s >= 0) in
+    (* Edge histograms per compiled edge, created on the consumer's first
+       firing. Creation goes through the find-or-create path shared with
+       dynamic alias edges, so first-use registration order (and thus
+       snapshot ordering) matches the reference engine exactly. *)
+    let ehist = Array.make n [||] in
+    (* Guarded-off firings per node; every node fires once per iteration. *)
+    let disabled_firings = Array.make n 0 in
     (* Cycle attribution: pure observation — charging never feeds back into
        timing, so a profiled run is bit-identical to an unprofiled one. *)
     let lane_of =
@@ -211,18 +240,19 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
     let amat = Array.map (fun g -> Stats.histogram g "amat") node_subgrps in
     let edge_grp = Stats.group reg "edge" in
     let edge_subgrps : (int, Stats.group) Hashtbl.t = Hashtbl.create 16 in
-    let edge_lat : (int * int, Stats.histogram) Hashtbl.t = Hashtbl.create 64 in
+    let edge_lat : (int, Stats.histogram) Hashtbl.t = Hashtbl.create 64 in
     let contention_grp = Stats.group reg "contention" in
     let noc_queue = Stats.histogram contention_grp "noc_queue_delay" in
     let port_queue = Stats.histogram contention_grp "port_queue_delay" in
     let ii_achieved = Stats.histogram (Stats.group reg "ii") "achieved" in
     let act = Activity.create () in
-    (* Find-or-create an edge histogram; shared by compiled edges (which
-       then cache the result) and dynamic alias edges. *)
+    (* Find-or-create the histogram of edge [i -> j]; shared by compiled
+       edges (which then cache the result) and dynamic alias edges. An int
+       key and [Hashtbl.find] keep the alias path's lookup allocation-free. *)
     let edge_hist i j =
-      match Hashtbl.find_opt edge_lat (i, j) with
-      | Some h -> h
-      | None ->
+      match Hashtbl.find edge_lat ((i * n) + j) with
+      | h -> h
+      | exception Not_found ->
         let sub =
           match Hashtbl.find_opt edge_subgrps i with
           | Some g -> g
@@ -232,19 +262,12 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
             g
         in
         let h = Stats.histogram sub (string_of_int j) in
-        Hashtbl.add edge_lat (i, j) h;
+        Hashtbl.add edge_lat ((i * n) + j) h;
         h
     in
-    let new_edge_hist j d =
-      let h = edge_hist sched.Timing.deps.(j).(d) j in
-      ehist.(j).(d) <- Some h;
-      h
-    in
     (* Cursor state, hoisted so the hot closures below are built once per
-       execution rather than once per node firing: the memory access in
-       flight, this iteration's fault strikes and the first corruption. *)
-    let cur_load = ref false in
-    let cur_addr = ref 0 in
+       execution rather than once per node firing: this iteration's fault
+       strikes and the first corruption. *)
     let strikes = ref [] in
     let first_corrupt = ref None in
     (* Dynamic (alias) dependence: a load waiting on a same-word store
@@ -260,17 +283,6 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       end;
       Stats.observe (edge_hist i j) lat
     in
-    (* Cache service time of the access in the cursor. *)
-    let service j =
-      let cache =
-        if !cur_load then Hierarchy.load_latency hier !cur_addr
-        else Hierarchy.store_latency hier !cur_addr
-      in
-      if !cur_load && sched.Timing.prefetched.(j) then
-        (* Issued an iteration ahead: only the hit path shows. *)
-        float_of_int (Hierarchy.min_latency hier)
-      else float_of_int cache
-    in
     let mem_access ~inst j ~load ~addr =
       (* Dynamic disambiguation: an aliasing earlier store forwards
          through the LSU broadcast; wait for it. *)
@@ -278,26 +290,35 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
         let s = store_lookup addr in
         if s >= 0 then dep_dyn ~inst s j
       end;
-      cur_load := load;
-      cur_addr := addr;
-      let before = st.Timing.nclaims in
-      let lat = Timing.mem_latency sched st ~inst ~service j in
-      if st.Timing.nclaims = before then begin
-        if load && sched.Timing.forwarded.(j) then
-          act.Activity.forwarded_loads <- act.Activity.forwarded_loads + 1
-      end
-      else begin
+      if sched.Timing.claims_port.(j) then begin
+        let cache =
+          if load then Hierarchy.load_latency hier addr
+          else Hierarchy.store_latency hier addr
+        in
+        let service =
+          if load && sched.Timing.prefetched.(j) then
+            (* Issued an iteration ahead: only the hit path shows. *)
+            float_of_int (Hierarchy.min_latency hier)
+          else float_of_int cache
+        in
+        let before = st.Timing.nclaims in
+        let lat = Timing.port_latency st ~inst ~service j in
         let queue = st.Timing.claim_wait.(before) in
         Stats.observe port_queue queue;
         Stats.observe amat.(j) lat;
-        match attribution with
+        (match attribution with
         | Some a ->
           Attribution.note_port_access a ~port:(Contention.last_slot st.Timing.ports)
             ~issue:(st.Timing.next.(inst) +. arrival.(j) +. queue)
             ~service:(lat -. queue)
-        | None -> ()
-      end;
-      firing.oplat <- lat
+        | None -> ());
+        firing.oplat <- lat
+      end
+      else begin
+        if sched.Timing.forwarded.(j) then
+          act.Activity.forwarded_loads <- act.Activity.forwarded_loads + 1;
+        firing.oplat <- Timing.portless_latency sched st j
+      end
     in
     let corrupt_latch j ~value ~stuck =
       if sched.Timing.kind.(j) = Timing.Branch_op then begin
@@ -339,29 +360,29 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
           !d
         end
       in
-      (* Observe the fold: per-edge latencies and router-claim queueing. *)
-      let ndeps = Array.length sched.Timing.deps.(j) in
-      let claims = st.Timing.nclaims in
-      act.Activity.local_transfers <- act.Activity.local_transfers + ndeps - claims;
-      act.Activity.noc_transfers <- act.Activity.noc_transfers + claims;
-      let hists = ehist.(j) in
-      for d = 0 to ndeps - 1 do
-        let h = match hists.(d) with Some h -> h | None -> new_edge_hist j d in
-        Stats.observe h st.Timing.lat.(d)
+      (* Observe the fold's NoC edges and their router queueing; the
+         window charges the PE-local edges. The first firing creates every
+         in-edge's histogram, in fold order. *)
+      let deps = sched.Timing.deps.(j) in
+      if Array.length ehist.(j) < Array.length deps then
+        ehist.(j) <- Array.map (fun i -> edge_hist i j) deps;
+      let hists = ehist.(j) and noc = noc_edges.(j) in
+      for k = 0 to Array.length noc - 1 do
+        let d = noc.(k) in
+        Stats.observe hists.(d) st.Timing.lat.(d)
       done;
-      for c = 0 to claims - 1 do
+      for c = 0 to st.Timing.nclaims - 1 do
         Stats.observe noc_queue st.Timing.claim_wait.(c)
       done;
       (* Functional execution + operation latency. *)
       if disabled then begin
         firing.oplat <- 1.0;
-        act.Activity.disabled_ops <- act.Activity.disabled_ops + 1;
+        disabled_firings.(j) <- disabled_firings.(j) + 1;
         vx.(j) <- read_x vx hid_x.(j);
         vf.(j) <- read_f vf hid_f.(j);
         if sched.Timing.kind.(j) = Timing.Branch_op then vx.(j) <- 0
       end
       else begin
-        Timing.count act sched.Timing.kind.(j) 1;
         firing.oplat <- sched.Timing.cls_lat.(j);
         match nd.Dfg.instr with
         | Isa.Rtype (op, _, _, _) ->
@@ -374,8 +395,10 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
           vx.(j) <- Interp.Alu.load op mem addr;
           mem_access ~inst j ~load:true ~addr
         | Isa.Flw (_, _, off) ->
+          (* The word's bits, as [Main_memory.load_float32] reads them;
+             that call would box its float result. *)
           let addr = u32 (read_x vx xa.(j) + off) in
-          vf.(j) <- Main_memory.load_float32 mem addr;
+          vf.(j) <- Interp.Alu.fmv_w_x (Main_memory.load_word mem addr);
           mem_access ~inst j ~load:true ~addr
         | Isa.Store (op, _, _, off) ->
           let addr = u32 (read_x vx xb.(j) + off) in
@@ -384,7 +407,7 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
           mem_access ~inst j ~load:false ~addr
         | Isa.Fsw (_, _, off) ->
           let addr = u32 (read_x vx xb.(j) + off) in
-          Main_memory.store_float32 mem addr (read_f vf fa.(j));
+          Main_memory.store_word mem addr (Interp.Alu.fmv_x_w (read_f vf fa.(j)));
           store_record j addr;
           mem_access ~inst j ~load:false ~addr
         | Isa.Branch (op, _, _, _) ->
@@ -406,7 +429,7 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
                   (Format.asprintf "%a" Isa.pp nd.Dfg.instr)))
       end;
       let oplat = firing.oplat in
-      Stats.observe node_lat.(j) oplat;
+      if sched.Timing.kind.(j) = Timing.Mem_op then Stats.observe node_lat.(j) oplat;
       let iter_start = st.Timing.next.(inst) in
       (match attribution with
       | Some a ->
@@ -439,6 +462,34 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
           if !first_corrupt = None then first_corrupt := Some iter_start
         | None -> ())
       | _ -> ()
+    in
+    (* The window's bulk charges, before its snapshot: every node fired
+       [iterations] times, each PE-local in-edge at its static transfer
+       latency and each non-memory node at its class latency (1 when
+       guarded off). Every value is an integer-valued float and no
+       histogram charged here takes a per-firing sample (an alias edge
+       runs store -> load, and no store is among a load's compiled
+       in-edges), so each histogram ends bit-identical to one observed
+       firing by firing. *)
+    let charge_constants iterations =
+      for j = 0 to n - 1 do
+        let disabled = disabled_firings.(j) in
+        let enabled = iterations - disabled in
+        Timing.count act sched.Timing.kind.(j) enabled;
+        act.Activity.disabled_ops <- act.Activity.disabled_ops + disabled;
+        let local = local_edges.(j) in
+        act.Activity.local_transfers <-
+          act.Activity.local_transfers + (iterations * Array.length local);
+        act.Activity.noc_transfers <-
+          act.Activity.noc_transfers + (iterations * Array.length noc_edges.(j));
+        if sched.Timing.kind.(j) <> Timing.Mem_op then begin
+          Stats.observe_n node_lat.(j) sched.Timing.cls_lat.(j) enabled;
+          Stats.observe_n node_lat.(j) 1.0 disabled
+        end;
+        Array.iter
+          (fun d -> Stats.observe_n ehist.(j).(d) sched.Timing.base.(j).(d) iterations)
+          local
+      done
     in
     let run () =
       let iterations = ref 0 in
@@ -501,6 +552,7 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault
       Array.iter (fun (r, s) -> Machine.set_x machine r (read_x vx s)) live_out_x;
       Array.iter (fun (r, s) -> Machine.set_f machine r (read_f vf s)) live_out_f;
       machine.Machine.pc <- (if !paused then dfg.Dfg.entry_addr else dfg.Dfg.exit_addr);
+      charge_constants !iterations;
       let makespan = st.Timing.last.Timing.makespan in
       act.Activity.cycles <- int_of_float (Float.ceil makespan);
       (* Window-end profiler readouts: per-slice NoC contention (tiled

@@ -10,7 +10,6 @@ type t = {
   n : int;
   cls_lat : float array;
   long_op : bool array;
-  is_load : bool array;
   kind : kind array;
   deps : int array array;
   base : float array array;
@@ -19,6 +18,7 @@ type t = {
   carried : int array;
   forwarded : bool array;
   vector_member : bool array;
+  claims_port : bool array;
   prefetched : bool array;
   tiling : int;
   nslices : int;
@@ -63,11 +63,15 @@ let compile ~(config : Accel_config.t) ~(dfg : Dfg.t) =
     List.iter (fun i -> a.(i) <- true) l;
     a
   in
+  let is_load = Array.map (fun nd -> Isa.is_load nd.Dfg.instr) nodes in
+  let forwarded = mark (List.map fst config.forwarding) in
+  let vector_member =
+    mark (List.concat_map (function [] -> [] | _ :: m -> m) config.vector_groups)
+  in
   {
     n;
     cls_lat = Array.map (fun c -> float_of_int (Latency.accel c)) cls;
     long_op = Array.map (function Isa.C_div | Isa.C_fdiv -> true | _ -> false) cls;
-    is_load = Array.map (fun nd -> Isa.is_load nd.Dfg.instr) nodes;
     kind = Array.map (fun nd -> kind_of nd.Dfg.instr) nodes;
     deps;
     base = per_edge transfer;
@@ -78,9 +82,14 @@ let compile ~(config : Accel_config.t) ~(dfg : Dfg.t) =
       |> List.filter_map (fun (_, _, src) ->
              match src with Dfg.Node p -> Some p | Dfg.Reg_in _ -> None)
       |> Array.of_list;
-    forwarded = mark (List.map fst config.forwarding);
-    vector_member =
-      mark (List.concat_map (function [] -> [] | _ :: m -> m) config.vector_groups);
+    forwarded;
+    vector_member;
+    claims_port =
+      Array.mapi
+        (fun j nd ->
+          kind_of nd.Dfg.instr = Mem_op
+          && not (is_load.(j) && (forwarded.(j) || vector_member.(j))))
+        nodes;
     prefetched = mark config.prefetched;
     tiling = max 1 config.tiling;
     nslices = Interconnect.slices pl.grid;
@@ -228,18 +237,18 @@ let fold t st ~inst j =
     st.lat.(d) <- edge t st inst j deps.(d) base.(d) slice.(d)
   done
 
-let alias t st ~inst i j =
+let[@inline] alias t st ~inst i j =
   edge t st inst j i (transfer t.placement i j) (slice_of t.placement i j)
 
-let[@inline] mem_latency t st ~inst ~service j =
+let[@inline] portless_latency t st j =
   st.accesses <- st.accesses + 1;
-  if t.is_load.(j) && t.forwarded.(j) then 2.0
-  else if t.is_load.(j) && t.vector_member.(j) then 1.0
-  else begin
-    let wait = claim st st.ports (st.next.(inst) +. st.arrival.(j)) in
-    st.firing.port_wait <- wait;
-    wait +. service j
-  end
+  if t.forwarded.(j) then 2.0 else 1.0
+
+let[@inline] port_latency st ~inst ~service j =
+  st.accesses <- st.accesses + 1;
+  let wait = claim st st.ports (st.next.(inst) +. st.arrival.(j)) in
+  st.firing.port_wait <- wait;
+  wait +. service
 
 let[@inline] initiate t st ~inst ~fu =
   let b = st.last in

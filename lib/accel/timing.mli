@@ -9,9 +9,10 @@
     the claims of the node firing in progress. Each iteration is one
     {!step}: per node it runs {!fold} (Equation 2 over the compiled
     in-edges, with router-slice claims), then the caller's [fire], which
-    prices the operation ({!mem_latency} for memory nodes, its own oracle
-    otherwise) into [firing], then the iterative-unit bound and
-    [completes]; it ends with {!initiate} (the II rule). *)
+    prices the operation ({!port_latency} or {!portless_latency} for
+    memory nodes, its own oracle otherwise) into [firing], then the
+    iterative-unit bound and [completes]; it ends with {!initiate} (the II
+    rule). *)
 
 (** Activity class of a node's enabled firing. *)
 type kind = Int_op | Fp_op | Mem_op | Branch_op | Not_fabric
@@ -20,7 +21,6 @@ type t = {
   n : int;
   cls_lat : float array;       (** static {!Latency.accel} latency *)
   long_op : bool array;        (** iterative divide/sqrt unit *)
-  is_load : bool array;
   kind : kind array;
   deps : int array array;      (** {!Dfg.arrival_deps}, fold order *)
   base : float array array;    (** static transfer latency per in-edge *)
@@ -29,6 +29,9 @@ type t = {
   carried : int array;         (** producers of loop-carried registers *)
   forwarded : bool array;      (** store-to-load forwarded loads *)
   vector_member : bool array;  (** non-leader members of a vector group *)
+  claims_port : bool array;
+      (** a memory node that issues to a cache port: every one but a
+          forwarded load and a vector-group member load *)
   prefetched : bool array;
   tiling : int;
   nslices : int;
@@ -71,7 +74,7 @@ type bounds = {
 type firing = {
   mutable oplat : float;      (** operation latency, set by the caller *)
   mutable port_wait : float;  (** its port-queue share: set by
-                                  {!mem_latency} on a claim, else 0 *)
+                                  {!port_latency}, else 0 *)
 }
 
 type state = {
@@ -121,13 +124,19 @@ val alias : t -> state -> inst:int -> int -> int -> float
     [j]'s arrival (a load waiting on a same-word store found at run time),
     appending its router claim, if any, to the log. Returns its latency. *)
 
-val mem_latency :
-  t -> state -> inst:int -> service:(int -> float) -> int -> float
-(** The memory-issue rule for node [j] at its arrival, counted as one of
-    the iteration's accesses: a forwarded load costs 2, a vector-group
-    member 1; any other access claims a cache port (appended to the log,
-    its queueing delay also in [firing.port_wait]) and costs the queueing
-    delay plus [service j]. *)
+(** The memory-issue rule, in two halves split by [claims_port], counted
+    either way as one of the iteration's accesses. Both are inlined, so
+    their float arguments and results are never boxed; a caller consults
+    its cache (or its oracle) only on the port path. *)
+
+val portless_latency : t -> state -> int -> float
+(** A memory node [j] that claims no port: a forwarded load costs 2, a
+    vector-group member 1. *)
+
+val port_latency : state -> inst:int -> service:float -> int -> float
+(** A memory node [j] with [claims_port.(j)] at its arrival: it claims a
+    cache port (appended to the log, its queueing delay also in
+    [firing.port_wait]) and costs the queueing delay plus [service]. *)
 
 val initiate : t -> state -> inst:int -> fu:float -> unit
 (** The II rule, once per iteration after every node completed: fills

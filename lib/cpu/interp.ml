@@ -69,13 +69,15 @@ module Alu = struct
     | BLTU -> u32 a < u32 b
     | BGEU -> u32 a >= u32 b
 
-  let sign_bit f = Int32.logand (Int32.bits_of_float f) Int32.min_int
+  (* Inlined, like every float operation below: a call that is not
+     inlined boxes each float argument and result. *)
+  let[@inline] sign_bit f = Int32.logand (Int32.bits_of_float f) Int32.min_int
 
-  let with_sign f sign =
+  let[@inline] with_sign f sign =
     Int32.float_of_bits
       (Int32.logor (Int32.logand (Int32.bits_of_float f) Int32.max_int) sign)
 
-  let ftype (op : Isa.fop) a b =
+  let[@inline] ftype (op : Isa.fop) a b =
     match op with
     | FADD -> r32 (a +. b)
     | FSUB -> r32 (a -. b)
@@ -96,21 +98,21 @@ module Alu = struct
     | FSGNJN -> with_sign a (Int32.logxor (sign_bit b) Int32.min_int)
     | FSGNJX -> with_sign a (Int32.logxor (sign_bit a) (sign_bit b))
 
-  let fcmp (op : Isa.fcmp) a b =
+  let[@inline] fcmp (op : Isa.fcmp) a b =
     if Float.is_nan a || Float.is_nan b then 0
     else
       let r = match op with FEQ -> a = b | FLT -> a < b | FLE -> a <= b in
       if r then 1 else 0
 
-  let fcvt_w_s f =
+  let[@inline] fcvt_w_s f =
     if Float.is_nan f then 0x7FFFFFFF
     else if f >= 2147483647.0 then 0x7FFFFFFF
     else if f <= -2147483648.0 then int_min32
     else int_of_float f (* OCaml truncates toward zero = RTZ *)
 
-  let fcvt_s_w v = r32 (float_of_int v)
-  let fmv_x_w f = s32 (Int32.to_int (Int32.bits_of_float f))
-  let fmv_w_x v = Int32.float_of_bits (Int32.of_int v)
+  let[@inline] fcvt_s_w v = r32 (float_of_int v)
+  let[@inline] fmv_x_w f = s32 (Int32.to_int (Int32.bits_of_float f))
+  let[@inline] fmv_w_x v = Int32.float_of_bits (Int32.of_int v)
 
   let load (op : Isa.lop) mem addr =
     match op with

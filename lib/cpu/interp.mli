@@ -43,7 +43,8 @@ val run :
 
     Exposed for reuse by the accelerator engine, which must compute the very
     same values PE-side. All functions take and return sign-extended 32-bit
-    native ints. *)
+    native ints. The float operations are inlined at their call sites, so
+    neither their float arguments nor their float results are boxed. *)
 
 module Alu : sig
   val rtype : Isa.rop -> int -> int -> int

@@ -10,7 +10,7 @@ let create ?(pc = 0x1000) mem =
 
 let to_s32 v = (v lsl (Sys.int_size - 32)) asr (Sys.int_size - 32)
 let to_u32 v = v land 0xFFFFFFFF
-let round32 f = Int32.float_of_bits (Int32.bits_of_float f)
+let[@inline] round32 f = Int32.float_of_bits (Int32.bits_of_float f)
 
 let get_x t r = if r = 0 then 0 else t.xregs.(r)
 let set_x t r v = if r <> 0 then t.xregs.(r) <- to_s32 v

@@ -17,7 +17,7 @@ let config ~size_bytes ~ways ~line_bytes ~hit_latency =
   if hit_latency < 0 then invalid_arg "Cache.config: negative hit latency";
   { size_bytes; ways; line_bytes; hit_latency }
 
-type outcome = Hit | Miss of { dirty_eviction : bool }
+type outcome = Hit | Miss_clean | Miss_dirty
 
 (* Each set's lines live in one block of [3 * ways] ints laid out
    [tags | meta | lru], where [meta] packs the valid (bit 0) and dirty
@@ -58,14 +58,13 @@ let create cfg =
 
 let geometry t = t.cfg
 
-(* First way of block [b] holding a valid line with this tag, or -1. *)
-let find_way ways b tag =
-  let rec go i =
-    if i = ways then -1
-    else if b.(ways + i) land 1 <> 0 && b.(i) = tag then i
-    else go (i + 1)
-  in
-  go 0
+(* First way from [i] of block [b] holding a valid line with this tag, or
+   -1. Every variable is a parameter: a local recursive closure over
+   [ways], [b] and [tag] would be allocated on every lookup. *)
+let rec find_way ways b tag i =
+  if i = ways then -1
+  else if b.(ways + i) land 1 <> 0 && b.(i) = tag then i
+  else find_way ways b tag (i + 1)
 
 let access t addr ~write =
   t.clock <- t.clock + 1;
@@ -81,7 +80,7 @@ let access t addr ~write =
       b
     end
   in
-  let i = find_way ways b tag in
+  let i = find_way ways b tag 0 in
   if i >= 0 then begin
     t.hits <- t.hits + 1;
     b.((2 * ways) + i) <- t.clock;
@@ -107,13 +106,13 @@ let access t addr ~write =
     b.(v) <- tag;
     b.(ways + v) <- (if write then 3 else 1);
     b.((2 * ways) + v) <- t.clock;
-    Miss { dirty_eviction }
+    if dirty_eviction then Miss_dirty else Miss_clean
   end
 
 let probe t addr =
   let tag = addr lsr t.line_shift in
   let b = t.sets.(tag land t.set_mask) in
-  Array.length b > 0 && find_way t.cfg.ways b tag >= 0
+  Array.length b > 0 && find_way t.cfg.ways b tag 0 >= 0
 
 let invalidate_all t = Array.fill t.sets 0 (Array.length t.sets) untouched
 

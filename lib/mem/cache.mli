@@ -23,7 +23,11 @@ val config :
 (** Validating constructor. Raises [Invalid_argument] on non-power-of-two
     geometry or a capacity not divisible by [ways * line_bytes]. *)
 
-type outcome = Hit | Miss of { dirty_eviction : bool }
+(** Constant constructors, so an access allocates nothing. *)
+type outcome =
+  | Hit
+  | Miss_clean  (** missed; the evicted line, if any, was clean *)
+  | Miss_dirty  (** missed and evicted a dirty line *)
 
 type t
 

@@ -38,15 +38,18 @@ let access t addr ~write =
   let l1_lat = (Cache.geometry t.l1).hit_latency in
   match Cache.access t.l1 addr ~write with
   | Cache.Hit -> l1_lat
-  | Cache.Miss { dirty_eviction = l1_dirty } ->
+  | (Cache.Miss_clean | Cache.Miss_dirty) as l1_miss ->
     let below =
       match Cache.access t.l2 addr ~write:false with
       | Cache.Hit -> l2_latency t
-      | Cache.Miss { dirty_eviction = l2_dirty } ->
-        l2_latency t + t.cfg.dram_latency + (if l2_dirty then t.cfg.dram_latency / 2 else 0)
+      | Cache.Miss_clean -> l2_latency t + t.cfg.dram_latency
+      | Cache.Miss_dirty -> l2_latency t + t.cfg.dram_latency + (t.cfg.dram_latency / 2)
     in
     (* A dirty L1 eviction writes through to L2; charge its hit latency. *)
-    l1_lat + below + (if l1_dirty then l2_latency t / 2 else 0)
+    let writeback =
+      match l1_miss with Cache.Miss_dirty -> l2_latency t / 2 | Cache.Hit | Cache.Miss_clean -> 0
+    in
+    l1_lat + below + writeback
 
 let load_latency t addr = access t addr ~write:false
 let store_latency t addr = access t addr ~write:true

@@ -9,6 +9,7 @@ type 'a future = {
   f_lock : Mutex.t;
   f_done : Condition.t;
   mutable state : 'a state;
+  mutable settled_at : float;  (* wall clock when [state] left [Pending] *)
 }
 
 type t = {
@@ -70,6 +71,7 @@ let create ?jobs () =
 
 let settle fut outcome =
   Mutex.protect fut.f_lock (fun () ->
+      fut.settled_at <- Unix.gettimeofday ();
       fut.state <- outcome;
       Condition.broadcast fut.f_done)
 
@@ -82,7 +84,14 @@ let run_task fut f =
   settle fut outcome
 
 let submit t f =
-  let fut = { f_lock = Mutex.create (); f_done = Condition.create (); state = Pending } in
+  let fut =
+    {
+      f_lock = Mutex.create ();
+      f_done = Condition.create ();
+      state = Pending;
+      settled_at = infinity;
+    }
+  in
   if t.jobs = 1 then begin
     if t.closed then invalid_arg "Pool.submit: pool is shut down";
     run_task fut f
@@ -106,26 +115,30 @@ let await fut =
       | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
       | Pending -> assert false)
 
-(* Non-blocking: [None] while pending; re-raises a failed task. *)
-let try_await fut =
+(* Non-blocking: [None] while pending or when the task settled after
+   [by]; re-raises a task that failed by then. *)
+let try_await ~by fut =
   Mutex.protect fut.f_lock (fun () ->
       match fut.state with
       | Pending -> None
+      | (Done _ | Failed _) when fut.settled_at > by -> None
       | Done v -> Some v
       | Failed (e, bt) -> Printexc.raise_with_backtrace e bt)
 
 let await_timeout fut secs =
-  match try_await fut with
+  match try_await ~by:infinity fut with
   | Some _ as r -> r
   | None ->
     if secs <= 0.0 then None
     else begin
       (* Condition.wait has no timed variant in the stdlib, so bounded
          waiting polls with exponentially growing sleeps: responsive at
-         millisecond deadlines, negligible load while parked at the cap. *)
+         millisecond deadlines, negligible load while parked at the cap. A
+         sleep can overrun the deadline on a loaded machine, so a task
+         counts as in time by when it settled, not by when a poll saw it. *)
       let deadline = Unix.gettimeofday () +. secs in
       let rec poll sleep =
-        match try_await fut with
+        match try_await ~by:deadline fut with
         | Some _ as r -> r
         | None ->
           let remaining = deadline -. Unix.gettimeofday () in

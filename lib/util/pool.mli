@@ -53,7 +53,9 @@ val await_timeout : 'a future -> float -> 'a option
     a task settling anywhere inside the window is picked up by the next
     poll step (within ~5ms, never lost to a missed wakeup), and a
     dispatcher enforcing deadlines never blocks forever on a wedged
-    worker. *)
+    worker. In time means settled by the deadline: a task that settles
+    after it yields [None] even when a sleep overran the deadline and
+    the next poll finds it settled. *)
 
 val shutdown : t -> unit
 (** Drain the queue, wait for in-flight tasks, and join the workers.

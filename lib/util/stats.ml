@@ -132,6 +132,15 @@ let[@inline] observe h x =
   if x < h.mn then h.mn <- x;
   if x > h.mx then h.mx <- x
 
+let observe_n h x k =
+  if k > 0 then begin
+    let k = float_of_int k in
+    h.n <- h.n +. k;
+    h.sum <- h.sum +. (k *. x);
+    if x < h.mn then h.mn <- x;
+    if x > h.mx then h.mx <- x
+  end
+
 let probe (g : group) name f = register g name (Probe f)
 let derived g name f = probe g name (fun () -> VFloat (f ()))
 let int_probe g name f = probe g name (fun () -> VInt (f ()))

@@ -70,6 +70,12 @@ val histogram : group -> string -> histogram
 
 val observe : histogram -> float -> unit
 
+val observe_n : histogram -> float -> int -> unit
+(** [observe_n h x k] charges [k >= 0] samples of [x] at once. It leaves
+    [h] exactly as [k] calls of [observe h x] would when every sample [h]
+    ever takes is an integer-valued float and every sum stays below 2^53:
+    such sums are exact, so their order cannot change a bit. *)
+
 val derived : group -> string -> (unit -> float) -> unit
 (** Float probe (ratios such as IPC or hit rates). *)
 

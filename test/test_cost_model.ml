@@ -412,6 +412,114 @@ let equal_keys_on_kmeans () =
   check Alcotest.bool "kmeans M-64: some distinct placements share a key" true
     (shared > 0)
 
+(* {2 Measured oracles resolve the snapshot once.}
+
+   The oracles of a measured snapshot answer from a table built when they
+   are made. The reference below is the per-call lookup they replaced,
+   written out: format the node's path, find its histogram, take its mean.
+   Draws mix well-formed node paths with ones [Printf.sprintf "%d"] never
+   prints, repeated paths (the first wins), empty histograms and scalar
+   entries, and the oracles must agree with the reference bit for bit. *)
+
+let reference_mean snapshot path =
+  match Stats.find_hist snapshot path with
+  | Some h when h.Stats.hcount > 0 -> Some (Stats.hist_mean h)
+  | Some _ | None -> None
+
+let reference_op_oracle snapshot j =
+  match reference_mean snapshot (Printf.sprintf "node.%d.latency" j) with
+  | Some m -> m
+  | None -> 1.0
+
+let reference_mem_oracle snapshot j =
+  let queue_mean =
+    Option.value ~default:0.0 (reference_mean snapshot "contention.port_queue_delay")
+  in
+  match reference_mean snapshot (Printf.sprintf "node.%d.amat" j) with
+  | Some amat -> Float.max 1.0 (amat -. queue_mean)
+  | None ->
+    float_of_int Hierarchy.default_config.Hierarchy.l1.Cache.hit_latency
+
+let gen_measured_snapshot =
+  let open QCheck2.Gen in
+  let index =
+    oneof
+      [
+        map string_of_int (int_range 0 9);
+        oneofl [ "00"; "01"; "+1"; "-1"; "1_0"; "0x2"; "x"; "" ];
+      ]
+  in
+  let entry =
+    oneof
+      [
+        map2
+          (fun count sum ->
+            Json.Assoc
+              [
+                ("count", Json.Int count);
+                ("sum", Json.Float sum);
+                ("min", Json.Float 0.0);
+                ("max", Json.Float sum);
+              ])
+          (int_range 0 3) (float_range 0.0 40.0);
+        map (fun v -> Json.Int v) (int_range 0 9);
+      ]
+  in
+  let node =
+    map3
+      (fun i leaf e -> ("node", Json.Assoc [ (i, Json.Assoc [ (leaf, e) ]) ]))
+      index (oneofl [ "latency"; "amat"; "other" ]) entry
+  in
+  let queue = map (fun e -> ("contention", Json.Assoc [ ("port_queue_delay", e) ])) entry in
+  map
+    (fun fields ->
+      match Stats.of_json (Json.Assoc fields) with
+      | Ok s -> s
+      | Error e -> failwith e)
+    (list_size (int_range 0 24) (oneof [ node; node; node; queue ]))
+
+let print_snapshot s = Json.to_string (Stats.to_json s)
+
+let measured_oracles_match_per_call_lookup =
+  QCheck2.Test.make ~count:300
+    ~name:"measured oracles match the per-call snapshot lookup" ~print:print_snapshot
+    gen_measured_snapshot (fun snapshot ->
+      let op = Cost_model.op_oracle_of_measured snapshot
+      and mem = Cost_model.mem_oracle_of_measured snapshot in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      List.for_all
+        (fun j ->
+          same (op j) (reference_op_oracle snapshot j)
+          && same (mem j) (reference_mem_oracle snapshot j))
+        (List.init 14 (fun j -> j - 2)))
+
+(* On engine windows' own snapshots, an estimate fed the measured oracles
+   equals one fed the per-call reference. *)
+let measured_estimates_match_per_call_lookup () =
+  List.iter
+    (fun name ->
+      let k = Workloads.find name in
+      let grid = Grid.m64 in
+      let dfg = Runner.dfg_of_kernel k in
+      let placement =
+        match Runner.placement_of ~grid k with Ok p -> p | Error e -> Alcotest.fail e
+      in
+      let config = Runner.optimized_config ~grid k dfg placement in
+      match Runner.execute_loop k dfg config with
+      | Error e -> Alcotest.fail e
+      | Ok (res, _) ->
+        let snapshot = res.Engine.measured in
+        let estimate op_latency mem_latency =
+          Cost_model.estimate ~op_latency ~mem_latency ~config ~dfg
+            ~iterations:res.Engine.iterations ()
+        in
+        check Alcotest.bool (name ^ ": same estimate") true
+          (estimate
+             (Cost_model.op_oracle_of_measured snapshot)
+             (Cost_model.mem_oracle_of_measured snapshot)
+          = estimate (reference_op_oracle snapshot) (reference_mem_oracle snapshot)))
+    [ "nn"; "kmeans"; "bfs" ]
+
 let suites =
   [
     ( "cost-model",
@@ -425,5 +533,8 @@ let suites =
           model_is_pure;
         Alcotest.test_case "model within 5% on reference kernels at M-64" `Slow
           model_tight_on_reference_kernels;
+        QCheck_alcotest.to_alcotest measured_oracles_match_per_call_lookup;
+        Alcotest.test_case "measured-oracle estimates match the per-call lookup" `Quick
+          measured_estimates_match_per_call_lookup;
       ] );
   ]

@@ -286,7 +286,7 @@ let cache_dirty_writeback () =
   ignore (Cache.access c 0 ~write:true);
   ignore (Cache.access c (8 * 64) ~write:false);
   (match Cache.access c (16 * 64) ~write:false with
-  | Cache.Miss { dirty_eviction = true } -> ()
+  | Cache.Miss_dirty -> ()
   | _ -> Alcotest.fail "expected a dirty eviction");
   check Alcotest.int "writeback counted" 1 (Cache.writebacks c)
 
@@ -392,7 +392,7 @@ module Flat_cache = struct
       t.tags.(v) <- line_addr;
       t.meta.(v) <- (if write then 3 else 1);
       t.lru.(v) <- t.clock;
-      Cache.Miss { dirty_eviction }
+      if dirty_eviction then Cache.Miss_dirty else Cache.Miss_clean
     end
 
   let probe t addr =
@@ -545,6 +545,35 @@ let hierarchy_independent () =
   Hierarchy.release a;
   check Alcotest.int "release resets the counters" 0 (accesses (Hierarchy.l2 a));
   check Alcotest.bool "release drops the lines" false (Cache.probe (Hierarchy.l1 a) 4096)
+
+(* Words allocated per access, on hits and on misses of both levels, clean
+   and dirty. Storage is set-lazy, so the first access to a set allocates
+   that set's block once; the sets are touched beforehand (1 MiB of
+   consecutive lines covers every L1 and L2 set) so the count is the
+   access itself. *)
+let hierarchy_accesses_allocate_nothing () =
+  let h = Hierarchy.create Hierarchy.default_config in
+  let mib = 1 lsl 20 in
+  for i = 0 to (mib / 64) - 1 do
+    ignore (Hierarchy.load_latency h (i * 64))
+  done;
+  let words name access =
+    let n = 4096 in
+    let before = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      ignore (Sys.opaque_identity (access i))
+    done;
+    let per_access = (Gc.minor_words () -. before) /. float_of_int n in
+    check (Alcotest.float 0.0) (name ^ ": words per access") 0.0 per_access
+  in
+  words "L1 hits" (fun i -> Hierarchy.load_latency h ((i land 63) * 64));
+  (* A fresh megabyte per pass misses in both levels; stores leave dirty
+     lines that the next pass evicts. *)
+  words "L2 misses" (fun i -> Hierarchy.load_latency h ((2 * mib) + (i * 64)));
+  words "dirtying store misses" (fun i -> Hierarchy.store_latency h ((4 * mib) + (i * 64)));
+  words "dirty evictions" (fun i -> Hierarchy.store_latency h ((6 * mib) + (i * 64)));
+  check Alcotest.bool "dirty lines were written back" true
+    (Cache.writebacks (Hierarchy.l1 h) > 0)
 
 let hierarchy_sharing_penalty () =
   let solo = Hierarchy.create Hierarchy.default_config in
@@ -782,6 +811,8 @@ let suites =
         Alcotest.test_case "shared L2" `Quick hierarchy_shared_l2;
         Alcotest.test_case "sharing penalty" `Quick hierarchy_sharing_penalty;
         Alcotest.test_case "independent instances" `Quick hierarchy_independent;
+        Alcotest.test_case "accesses allocate nothing" `Quick
+          hierarchy_accesses_allocate_nothing;
       ] );
     ( "contention",
       [

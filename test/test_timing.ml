@@ -9,7 +9,7 @@ let service = 7.0
 
 (* One iteration of instance 0 through the plane; returns the port claims
    taken and the iteration's slowest iterative-unit firing. *)
-let one_iteration t st =
+let one_iteration ~dfg t st =
   let claims = ref 0 and fu = ref 1.0 in
   for j = 0 to t.Timing.n - 1 do
     Timing.fold t st ~inst:0 j;
@@ -21,12 +21,16 @@ let one_iteration t st =
       else begin
         let before = st.Timing.nclaims in
         let port_claims = Contention.claimed st.Timing.ports in
-        let lat = Timing.mem_latency t st ~inst:0 ~service:(fun _ -> service) j in
-        let load = t.Timing.is_load.(j) in
+        let lat =
+          if t.Timing.claims_port.(j) then Timing.port_latency st ~inst:0 ~service j
+          else Timing.portless_latency t st j
+        in
+        let load = Isa.is_load dfg.Dfg.nodes.(j).Dfg.instr in
         if load && t.Timing.forwarded.(j) then check (Alcotest.float 0.) "forwarded" 2.0 lat
         else if load && t.Timing.vector_member.(j) then
           check (Alcotest.float 0.) "vector member" 1.0 lat
         else begin
+          check Alcotest.bool "claims a port" true t.Timing.claims_port.(j);
           incr claims;
           check Alcotest.int "one port claim" (before + 1) st.Timing.nclaims;
           check Alcotest.int "booked on the ports" (port_claims + 1)
@@ -52,7 +56,7 @@ let rules_hold () =
           (fun (config : Accel_config.t) ->
             let t = Timing.compile ~config ~dfg:r.Refine.dfg in
             let st = Timing.start t ~ports:2 in
-            let claims, fu = one_iteration t st in
+            let claims, fu = one_iteration ~dfg:r.Refine.dfg t st in
             let accesses = st.Timing.accesses in
             let latency = Array.fold_left Float.max 0.0 st.Timing.completes in
             Timing.initiate t st ~inst:0 ~fu;
