@@ -113,7 +113,7 @@ type report = {
   cpu_summary : Ooo_model.summary;
   activity : Activity.t;   (** accumulated fabric activity *)
   regions : region_report list;
-  hier : Hierarchy.t;      (** the shared memory hierarchy, for energy *)
+  hier : Hierarchy.t;      (** the run's memory hierarchy, for energy *)
   stats : Stats.snapshot;
       (** end-of-run readout of every counter group: [cpu] (OoO model),
           [cache] (per-level hits/misses), [engine] (fabric activity,
@@ -130,10 +130,12 @@ type report = {
           [accel_cycles + overhead_cycles] *)
 }
 
-val run : ?options:options -> ?hier:Hierarchy.t -> Program.t -> Machine.t -> report
+val run :
+  ?options:options -> ?hier:Hierarchy.config -> Program.t -> Machine.t -> report
 (** Execute the program to completion under MESA. The machine ends in the
     same architectural state the plain interpreter would produce — the
-    equivalence the test suite verifies.
+    equivalence the test suite verifies. The run builds and owns its cache
+    hierarchy ([hier], default {!Hierarchy.default_config}).
 
     The run is the paper's pipeline as a sequence of stages over one run
     state: at each instruction boundary a pending configuration is offloaded

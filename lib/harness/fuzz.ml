@@ -66,8 +66,9 @@ let run_case ?defect spec (f : fabric) =
     { (Controller.default_options ~grid:(Fabric.grid f.fabric) ~profile:f.profile ()) with
       Controller.kind = f.fabric.kind }
   in
-  let hier = Hierarchy.create (Fabric.hier_config f.fabric) in
-  let report = Controller.run ~options ~hier b.Tile_lower.program machine in
+  let report =
+    Controller.run ~options ~hier:(Fabric.hier_config f.fabric) b.Tile_lower.program machine
+  in
   let* () =
     if report.Controller.halt = Interp.Ecall_halt then Ok ()
     else Error "controller did not reach ecall"

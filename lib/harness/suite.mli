@@ -1,6 +1,6 @@
 (** The experiment registry: every table the harness regenerates, by name.
-    [bench/main.exe] and [mesa_cli bench] both run from it. Each entry
-    takes the [?jobs] of {!Experiments}. *)
+    [bench/main.exe] runs from it. Each entry takes the [?jobs] of
+    {!Experiments}. *)
 
 type experiment = ?jobs:int -> unit -> Experiments.outcome
 

@@ -8,8 +8,10 @@
 
     Storage is set-lazy: each set's lines are one block of [3 * ways] ints,
     laid out [[tags | meta | lru]], allocated on the set's first access.
-    Until then the set shares one empty block and reads as all-invalid, so
-    {!create} costs only the per-set pointer array. *)
+    Until then the set shares one empty block and reads as all-invalid.
+    The sets sit in chunks of up to 256, each allocated on the first access
+    to one of its sets, so {!create} allocates only the chunk table (64
+    slots for the 8 MiB L2) and nothing on the major heap. *)
 
 type config = {
   size_bytes : int;   (** total capacity *)
@@ -45,9 +47,8 @@ val probe : t -> int -> bool
     applies them. *)
 
 val invalidate_all : t -> unit
-(** Drop every line (e.g. at region boundaries in tests) by returning every
-    set to the shared empty block; statistics and the LRU clock are
-    kept. *)
+(** Drop every line (e.g. at region boundaries in tests) by dropping every
+    chunk of sets; statistics and the LRU clock are kept. *)
 
 (** {1 Statistics} *)
 

@@ -28,7 +28,8 @@ val create : ?sharers:int -> config -> t
 (** A fresh hierarchy with a private L1 and its own L2. [sharers] scales
     the L2 latency penalty (default 1 = no sharing; exposed for tests —
     {!create_shared} sets it for multicore runs). The caches are
-    set-lazy ({!Cache}), so building one per measurement is cheap. *)
+    set-lazy ({!Cache}) and allocate nothing on the major heap until
+    touched, so every run builds and owns its own. *)
 
 val release : t -> unit
 (** {!Cache.reset} both levels: every line invalid, statistics and LRU

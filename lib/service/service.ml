@@ -239,25 +239,6 @@ let tune_hook t kernel cfg =
   | Some p when compatible cfg p -> { cfg with Accel_config.placement = p }
   | _ -> cfg
 
-(* The cache hierarchy of a controller run, recycled per domain: reset, a
-   used hierarchy is indistinguishable from a fresh one, and a fresh one
-   costs a 128 KiB L2 set table that the major GC frees only at its own
-   pace, which set mesad's peak RSS. [f]'s result must not reach the
-   hierarchy (a report's [hier] field) after it returns. *)
-let hierarchies : Hierarchy.t Pool.free_list = Pool.free_list ()
-
-let with_hierarchy f =
-  let hier =
-    match Pool.take hierarchies with
-    | Some h -> h
-    | None -> Hierarchy.create Hierarchy.default_config
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Hierarchy.release hier;
-      Pool.give hierarchies [ hier ])
-    (fun () -> f hier)
-
 (* Controller-path cycles for [k] with [placement] forced into every
    compatible translation — acceptance runs the same pipeline a live
    request does, so a placement that wins at the engine level but loses
@@ -277,9 +258,7 @@ let controller_confirm t (k : Kernel.t) ~grid placement =
   in
   let mem = Main_memory.create () in
   let machine = Kernel.prepare k mem in
-  let report =
-    with_hierarchy (fun hier -> Controller.run ~options ~hier k.Kernel.program machine)
-  in
+  let report = Controller.run ~options k.Kernel.program machine in
   let cycles = report.Controller.total_cycles in
   match k.Kernel.check mem with Ok () -> Some cycles | Error _ -> None
 
@@ -455,9 +434,7 @@ let fabric_exec t (k : Kernel.t) shard inject ~rerouted ~retries ~profiled =
   in
   let mem = Main_memory.create () in
   let machine = Kernel.prepare k mem in
-  let report =
-    with_hierarchy (fun hier -> Controller.run ~options ~hier k.Kernel.program machine)
-  in
+  let report = Controller.run ~options k.Kernel.program machine in
   let quarantines = sum_regions (fun r -> r.Controller.quarantines) report in
   let body =
     {
@@ -819,8 +796,7 @@ let telemetry t = t.telemetry
 let set_on_window t f = Mutex.protect t.lock (fun () -> t.on_window <- f)
 
 let refine_backlog t =
-  Mutex.protect t.lock (fun () ->
-      Queue.length t.refine_jobs + Hashtbl.length t.refine_pending)
+  Mutex.protect t.lock (fun () -> Hashtbl.length t.refine_pending)
 
 (* Stop accepting jobs and join the refiner, letting an in-flight refine
    finish: its acceptance still lands in the final stats snapshot. *)

@@ -262,9 +262,16 @@ let oracle_fed_refine_never_regresses () =
     ~finally:(fun () -> Service.shutdown svc)
     (fun () ->
       let first = exec_ok svc 1 "kmeans" in
-      (* The profiled run queued a refine; wait for the refiner to drain. *)
+      (* The profiled run queued a refine; wait for the refiner to drain.
+         One kernel was enqueued, so the backlog never counts more than
+         one job, queued or running. *)
       let deadline = Unix.gettimeofday () +. 60.0 in
-      while Service.refine_backlog svc > 0 && Unix.gettimeofday () < deadline do
+      let backlog () =
+        let n = Service.refine_backlog svc in
+        if n > 1 then Alcotest.failf "backlog %d exceeds the 1 kernel enqueued" n;
+        n
+      in
+      while backlog () > 0 && Unix.gettimeofday () < deadline do
         Thread.delay 0.02
       done;
       check Alcotest.int "refiner drained" 0 (Service.refine_backlog svc);
