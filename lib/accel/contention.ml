@@ -21,7 +21,14 @@
      released), so a skip pointer only ever chases forward toward the first
      free cycle, and path compression makes repeated claims into the same
      full run O(inverse Ackermann) amortized — the "batched jump to the
-     next ready event" of the event-driven engine core;
+     next ready event" of the event-driven engine core. Invariant: a full
+     cycle [c]'s pointer is above [c] (it is set to [c + 1] when [c]
+     fills, and compression only moves it forward); the walk checks it on
+     every hop and raises on a pointer that does not advance, so a broken
+     chain fails fast instead of looping;
+   - many claims find their ready cycle itself free (45-77% of them in
+     the cost model's estimates of the refine kernels), so [claim_cycle]
+     books that case inline, with no walk and no call;
    - a caller that knows no later claim starts below some [floor] (the
      timing plane's frontier) passes it to [claim_cycle]; when the window
      would outgrow the ring, cycles below the floor are zeroed and the ring
@@ -76,9 +83,15 @@ let[@inline] count t c =
 (* First cycle >= [start] with spare capacity. Walks the skip chain of full
    cycles, then compresses the whole chain to the answer so the next claim
    lands in O(1). [walk] is top-level so that a claim allocates no
-   closure. *)
+   closure. A full cycle's pointer is set to [cycle + 1] and compression
+   only moves it forward, so a hop that does not advance is a corrupt
+   chain: raise rather than loop. *)
 let rec walk t c =
-  if count t c >= t.capacity then walk t (Array.unsafe_get t.nxt (c land t.mask))
+  if count t c >= t.capacity then begin
+    let n = Array.unsafe_get t.nxt (c land t.mask) in
+    if n <= c then invalid_arg "Contention: skip pointer does not advance";
+    walk t n
+  end
   else c
 
 let find_free t start =
@@ -155,9 +168,30 @@ let book t ~floor start =
   t.last_slot <- used;
   cycle
 
-let claim_cycle t ~floor start =
+(* The free-slot case inline: [start] lies in the ring span of a
+   non-empty window and has spare capacity. There [book] would do exactly
+   this: [find_free] returns [start] with no hop to compress, and [cover]
+   only raises [hi] when [start] is past it. Everything else (a full
+   start, an empty window, a start below [lo] or past the ring span) goes
+   through [book]. *)
+let[@inline] claim_cycle t ~floor start =
   if start < floor then invalid_arg "Contention.claim_cycle: start below floor";
-  book t ~floor start
+  let d = start - t.lo in
+  if d >= 0 && d <= t.mask && t.hi >= t.lo then begin
+    let i = start land t.mask in
+    let used = Array.unsafe_get t.cnt i in
+    if used < t.capacity then begin
+      if start > t.hi then t.hi <- start;
+      if used = 0 then t.occupied <- t.occupied + 1;
+      Array.unsafe_set t.cnt i (used + 1);
+      if used + 1 >= t.capacity then Array.unsafe_set t.nxt i (start + 1);
+      t.claimed <- t.claimed + 1;
+      t.last_slot <- used;
+      start
+    end
+    else book t ~floor start
+  end
+  else book t ~floor start
 
 let claim t ready =
   Cycle_time.max ready

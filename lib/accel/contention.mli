@@ -29,7 +29,9 @@ val claim_cycle : t -> floor:int -> int -> int
     cycles would outgrow the ring, cycles below [floor] are forgotten
     instead of the ring doubling: they no longer count for {!fold_from}.
     Raises [Invalid_argument] when [start < floor], or when [start] falls
-    below a floor an earlier call already retired. *)
+    below a floor an earlier call already retired, or rather than loop
+    when a skip pointer of a full cycle does not advance (a corrupt
+    table). *)
 
 val claim_slot : t -> float -> float * int
 (** Like {!claim}, additionally returning which of the [capacity] sub-slots

@@ -137,9 +137,15 @@ let run ~acquire ~snapshots:(a, b) ?op_latency ?mem_latency ~iterations ~extrapo
         ()
     in
     pending 0 st.Timing.ports;
-    Array.iteri (fun idx -> Option.iter (pending (1 + idx))) st.Timing.noc;
+    (* [pending] fully applied, so no slot allocates a partial
+       application. *)
+    Array.iteri
+      (fun idx -> function Some table -> pending (1 + idx) table | None -> ())
+      st.Timing.noc;
     s.deep <- s.len > max_pending;
-    Array.iteri (fun k next -> s.phases.(k) <- next -. frontier) inst_next
+    for k = 0 to tiling - 1 do
+      s.phases.(k) <- inst_next.(k) -. frontier
+    done
   in
   (* The last two snapshots: [cur] is filled and compared with [prev],
      then they swap. *)

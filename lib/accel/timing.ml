@@ -211,10 +211,59 @@ let router t st inst slice =
     st.noc.(idx) <- Some c;
     c
 
-(* Edge [i -> j] of Equation 2: the static transfer, plus the router queue
-   when it crosses the NoC (injected at the producer's absolute completion,
-   one transfer per slice per cycle). Raises [j]'s arrival. *)
-let[@inline] edge t st inst j i base slice =
+(* Equation 2 over [j]'s compiled in-edges: each edge's latency is its
+   static transfer, plus the router queue when it crosses the NoC
+   (injected at the producer's absolute completion, one transfer per
+   slice per cycle). The running maximum and its producer stay in locals
+   from an arrival of 0 with no producer, and each array is written once;
+   a strict [>] keeps the first maximal producer. A node whose in-edges
+   are all PE-local takes a loop with no router code, and every edge's
+   latency is its [base], so its arrival is also its uncontended
+   arrival. *)
+let fold t st ~inst j =
+  st.nclaims <- 0;
+  let deps = t.deps.(j) and base = t.base.(j) and completes = st.completes in
+  let arrival = ref 0.0 and argmax = ref (-1) in
+  if not t.has_noc.(j) then begin
+    for d = 0 to Array.length deps - 1 do
+      let i = deps.(d) in
+      let a = completes.(i) +. base.(d) in
+      if a > !arrival then begin
+        arrival := a;
+        argmax := i
+      end
+    done;
+    st.uncontended.(j) <- !arrival
+  end
+  else begin
+    let slice = t.slice.(j) and ready = st.next.(inst) in
+    let uncontended = ref 0.0 in
+    for d = 0 to Array.length deps - 1 do
+      let i = deps.(d) and b = base.(d) and s = slice.(d) in
+      let c = completes.(i) in
+      let lat =
+        if s < 0 then b
+        else begin
+          let l = b +. claim st (router t st inst s) (ready +. c) in
+          st.lat.(d) <- l;
+          l
+        end
+      in
+      if c +. lat > !arrival then begin
+        arrival := c +. lat;
+        argmax := i
+      end;
+      uncontended := Cycle_time.max !uncontended (c +. b)
+    done;
+    st.uncontended.(j) <- !uncontended
+  end;
+  st.arrival.(j) <- !arrival;
+  st.argmax.(j) <- !argmax
+
+(* One more edge after [fold] wrote [j]: the same rule, raising [j]'s
+   arrays in place. *)
+let[@inline] alias t st ~inst i j =
+  let base = transfer t.placement i j and slice = slice_of t.placement i j in
   let c = st.completes.(i) in
   let lat =
     if slice < 0 then base
@@ -227,19 +276,6 @@ let[@inline] edge t st inst j i base slice =
   st.uncontended.(j) <- Cycle_time.max st.uncontended.(j) (c +. base);
   lat
 
-let fold t st ~inst j =
-  st.arrival.(j) <- 0.0;
-  st.uncontended.(j) <- 0.0;
-  st.argmax.(j) <- -1;
-  st.nclaims <- 0;
-  let deps = t.deps.(j) and base = t.base.(j) and slice = t.slice.(j) in
-  for d = 0 to Array.length deps - 1 do
-    st.lat.(d) <- edge t st inst j deps.(d) base.(d) slice.(d)
-  done
-
-let[@inline] alias t st ~inst i j =
-  edge t st inst j i (transfer t.placement i j) (slice_of t.placement i j)
-
 let[@inline] portless_latency t st j =
   st.accesses <- st.accesses + 1;
   if t.forwarded.(j) then 2.0 else 1.0
@@ -250,15 +286,9 @@ let[@inline] port_latency st ~inst ~service j =
   st.firing.port_wait <- wait;
   wait +. service
 
-let[@inline] initiate t st ~inst ~fu =
+(* The II rule given the iteration latency, the largest completion. *)
+let[@inline] bound t st ~inst ~fu ~latency =
   let b = st.last in
-  (* A loop, not [Array.fold_left Cycle_time.max]: the closure would box
-     every partial maximum. *)
-  let latency = ref 0.0 in
-  for j = 0 to t.n - 1 do
-    latency := Cycle_time.max !latency st.completes.(j)
-  done;
-  let latency = !latency in
   b.latency <- latency;
   b.makespan <- Cycle_time.max b.makespan (st.next.(inst) +. latency);
   if t.pipelined then begin
@@ -281,6 +311,15 @@ let[@inline] initiate t st ~inst ~fu =
   st.accesses <- 0;
   st.next.(inst) <- st.next.(inst) +. b.ii
 
+let initiate t st ~inst ~fu =
+  (* A loop, not [Array.fold_left Cycle_time.max]: the closure would box
+     every partial maximum. *)
+  let latency = ref 0.0 in
+  for j = 0 to t.n - 1 do
+    latency := Cycle_time.max !latency st.completes.(j)
+  done;
+  bound t st ~inst ~fu ~latency:!latency
+
 (* Every claim of an iteration is ready at [next.(inst)] plus an arrival
    or a completion (both >= 0), and [next] only grows, so no claim from
    here on starts below the earliest initiation: the tables may forget the
@@ -301,16 +340,21 @@ let step t st ~inst ~fire =
     st.floor_due <- t.tiling
   end;
   st.floor_due <- st.floor_due - 1;
-  let fu = ref 1.0 in
+  (* The iteration latency is kept as a running maximum of the
+     completions, in node order as [initiate] scans them: each node's
+     completion is set once per step. *)
+  let fu = ref 1.0 and latency = ref 0.0 in
   for j = 0 to t.n - 1 do
     fold t st ~inst j;
     st.firing.port_wait <- 0.0;
     fire ~inst j;
     let oplat = st.firing.oplat in
     if t.long_op.(j) then fu := Cycle_time.max !fu oplat;
-    st.completes.(j) <- st.arrival.(j) +. oplat
+    let c = st.arrival.(j) +. oplat in
+    st.completes.(j) <- c;
+    latency := Cycle_time.max !latency c
   done;
-  initiate t st ~inst ~fu:!fu
+  bound t st ~inst ~fu:!fu ~latency:!latency
 
 let router_use t st =
   Array.to_list st.noc

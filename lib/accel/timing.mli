@@ -11,8 +11,8 @@
     in-edges, with router-slice claims), then the caller's [fire], which
     prices the operation ({!port_latency} or {!portless_latency} for
     memory nodes, its own oracle otherwise) into [firing], then the
-    iterative-unit bound and [completes]; it ends with {!initiate} (the II
-    rule). *)
+    iterative-unit bound and [completes]; it ends with the II rule of
+    {!initiate}. *)
 
 (** Activity class of a node's enabled firing. *)
 type kind = Int_op | Fp_op | Mem_op | Branch_op | Not_fabric
@@ -25,7 +25,9 @@ type t = {
   deps : int array array;      (** {!Dfg.arrival_deps}, fold order *)
   base : float array array;    (** static transfer latency per in-edge *)
   slice : int array array;     (** router slice per in-edge, -1 when PE-local *)
-  has_noc : bool array;        (** some in-edge crosses the NoC *)
+  has_noc : bool array;
+      (** some in-edge crosses the NoC; {!fold} takes its router-free loop
+          on the nodes where this is false *)
   carried : int array;         (** producers of loop-carried registers *)
   forwarded : bool array;      (** store-to-load forwarded loads *)
   vector_member : bool array;  (** non-leader members of a vector group *)
@@ -97,7 +99,10 @@ type state = {
   arrival : float array;      (** per-node Equation-2 arrival *)
   uncontended : float array;  (** the arrival had every router been free *)
   argmax : int array;         (** producer realizing [arrival], -1 if none *)
-  lat : float array;          (** per in-edge latency of the last {!fold} *)
+  lat : float array;
+      (** per NoC in-edge, its latency (router wait included) in the last
+          {!fold}; a PE-local edge's latency is its [base], and [fold] does
+          not write it here *)
   mutable accesses : int;     (** memory accesses this iteration *)
   mutable nclaims : int;      (** claims of the node firing in progress *)
   claim_wait : float array;   (** issue minus ready: the queueing delay *)
@@ -115,9 +120,13 @@ val fold : t -> state -> inst:int -> int -> unit
 (** [fold t st ~inst j] folds node [j]'s compiled in-edges (Equation 2) at
     instance [inst]: each NoC edge claims its router slice at the
     producer's absolute completion. Sets [arrival], [uncontended] and
-    [argmax] of [j], [lat] per edge, and restarts the claim log with the
-    NoC claims in edge order. Exposed for tests, which drive the plane one
-    stage at a time; {!step} is the only other caller. *)
+    [argmax] of [j] (the first producer realizing the arrival, -1 when it
+    is 0), [lat] per NoC edge, and restarts the claim log with the NoC
+    claims in edge order. A node with no NoC in-edge ([has_noc] false)
+    takes a loop with no router code, and its [uncontended] is its
+    [arrival]. Each of the three arrays is written once per call. Exposed
+    for tests, which drive the plane one stage at a time; {!step} is the
+    only other caller. *)
 
 val alias : t -> state -> inst:int -> int -> int -> float
 (** [alias t st ~inst i j] folds one more, uncompiled edge [i -> j] into
@@ -145,14 +154,18 @@ val initiate : t -> state -> inst:int -> fu:float -> unit
     Pipelined, the II is the largest of the loop-carried
     recurrence, the iteration's memory accesses over the port count, and
     [fu] (the slowest iterative-unit firing); otherwise it is the iteration
-    latency plus one. Exposed for tests, like {!fold}. *)
+    latency plus one. The iteration latency is the largest of
+    [completes]: this scans them, where {!step} keeps it as it sets them.
+    Exposed for tests, like {!fold}. *)
 
 val step : t -> state -> inst:int -> fire:(inst:int -> int -> unit) -> unit
 (** One iteration of instance [inst]: it rescans [floor] when due, then
     for each node [j] in order it runs {!fold} on it, calls [fire ~inst j]
     (which must set [firing.oplat]; [port_wait] starts at 0), bounds the
     II by [oplat] if [j] is an iterative unit and sets [completes.(j)] to
-    its arrival plus [oplat]; then {!initiate}. Beyond what [fire]
+    its arrival plus [oplat], keeping the largest completion as the
+    iteration latency; then the II rule of {!initiate} on that latency,
+    with no second pass over the nodes. Beyond what [fire]
     allocates, a step allocates only each router table on its first
     claim: nothing per node firing and nothing per iteration. *)
 
