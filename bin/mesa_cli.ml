@@ -611,7 +611,6 @@ let serve_cmd =
   let seed =
     opt_arg Arg.int dc.Service.seed "seed" ~docv:"S" ~doc:"Master seed for retry-backoff jitter."
   in
-  let no_warm = flag_arg "no-warm" ~doc:"Skip pre-translating the kernel registry at startup." in
   let stats_out =
     out_arg "stats-out"
       ~doc:
@@ -627,13 +626,12 @@ let serve_cmd =
          bit-identical) and feed the measured per-node oracles into a \
          background refine pass. A confirmed-faster placement becomes \
          the service's override for that kernel, which the controller's \
-         tune hook forces into every later translation (the warm \
-         translation memo is left untouched), so subsequent requests \
-         for that kernel can only get faster. Progress is counted in \
+         tune hook forces into every later translation, so subsequent \
+         requests for that kernel can only get faster. Progress is counted in \
          the telemetry stats group."
   in
   let run socket shards shard_pes jobs queue_depth max_retries trip_threshold cooldown
-      default_deadline_ms seed no_warm stats_out profile_window =
+      default_deadline_ms seed stats_out profile_window =
     let service_config =
       {
         dc with
@@ -645,7 +643,6 @@ let serve_cmd =
         breaker = { Breaker.default_config with Breaker.trip_threshold; cooldown };
         seed;
         default_deadline_ms;
-        warm = not no_warm;
         profile_window;
       }
     in
@@ -666,7 +663,7 @@ let serve_cmd =
       term_result
         (const run $ socket_arg $ shards $ shard_pes $ jobs $ queue_depth
        $ max_retries $ breaker_threshold $ breaker_cooldown
-       $ default_deadline $ seed $ no_warm $ stats_out $ profile_window))
+       $ default_deadline $ seed $ stats_out $ profile_window))
 
 let loadgen_cmd =
   let dc = Loadgen.default_config in

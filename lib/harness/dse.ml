@@ -121,11 +121,6 @@ let points_of_spec s =
 (* ------------------------------------------------------------------ *)
 (* Point measurement.                                                  *)
 
-(* Sweep grids are named "G<rows>x<cols>". The name is part of Runner's
-   placement-memo key, so it decides which memo entries a sweep shares. *)
-let grid_of_point { fabric = f; _ } =
-  { (Fabric.grid f) with Grid.name = Printf.sprintf "G%dx%d" f.rows f.cols }
-
 let rejected (p : point) reason =
   {
     point = p;
@@ -142,7 +137,7 @@ let rejected (p : point) reason =
 
 let evaluate (p : point) =
   let k = Workloads.find p.kernel in
-  let grid = grid_of_point p in
+  let grid = Fabric.grid p.fabric in
   let dfg = Runner.dfg_of_kernel k in
   match Runner.placement_of ~kind:p.fabric.kind ~grid k with
   | Error e -> rejected p e
@@ -325,7 +320,7 @@ let surrogate_horizon (k : Kernel.t) = min (max 1 k.Kernel.n) 128
    its energy. [Error] when the mapper rejects the point outright. *)
 let model_of_point (p : point) =
   let k = Workloads.find p.kernel in
-  let grid = grid_of_point p in
+  let grid = Fabric.grid p.fabric in
   let dfg = Runner.dfg_of_kernel k in
   match Runner.placement_of ~kind:p.fabric.kind ~grid k with
   | Error e -> Error e

@@ -12,9 +12,9 @@
     in submission order, and the checkpoint always holds a prefix of that
     order.
 
-    Each point runs the kernel's hot loop on the engine (translation shared
-    through {!Runner}'s memo: the LDFG once per kernel, the placement once
-    per (kernel, grid, interconnect)) and records cycles, the offload/reject
+    Each point translates the kernel on its fabric's grid
+    ({!Runner.dfg_of_kernel}, {!Runner.placement_of}), runs the hot loop on
+    the engine and records cycles, the offload/reject
     outcome, energy from {!Energy_model} and area from {!Area_model}. The
     result carries a 2D Pareto {!frontier} over (performance,
     performance-per-watt), a ranked table, a [dse] stats group

@@ -77,25 +77,17 @@ let fig11 ?jobs ?kernels () =
 (* ------------------------------------------------------------------ *)
 (* Figure 12: per-iteration IPC vs OpenCGRA.                           *)
 
-let engine_ipc (k : Kernel.t) ~grid ~optimized =
-  let dfg = Runner.dfg_of_kernel k in
-  match Runner.placement_of ~grid k with
-  | Error e -> Error e
-  | Ok placement ->
-    let config =
-      if optimized then Runner.optimized_config ~grid k dfg placement
-      else Accel_config.plain placement
-    in
-    Result.map
-      (fun ((res : Engine.result), _) ->
-        float_of_int (Dfg.node_count dfg * res.iterations)
-        /. float_of_int (max 1 res.cycles))
-      (Runner.execute_loop k dfg config)
+let engine_ipc (k : Kernel.t) dfg config =
+  Result.map
+    (fun ((res : Engine.result), _) ->
+      float_of_int (Dfg.node_count dfg * res.iterations) /. float_of_int (max 1 res.cycles))
+    (Runner.execute_loop k dfg config)
 
 let fig12 ?jobs ?kernels () =
   let kernels =
     match kernels with Some ks -> ks | None -> Workloads.opencgra_compatible ()
   in
+  let grid = Grid.m128 in
   let t =
     Tables.create ~title:"Figure 12: per-iteration IPC vs OpenCGRA (same grid, M-128)"
       [
@@ -106,22 +98,27 @@ let fig12 ?jobs ?kernels () =
       ]
   in
   let ratios_noopt = ref [] and ratios_opt = ref [] in
+  (* One translation per kernel, shared by its three columns. *)
   let measured =
     Pool.with_pool ?jobs (fun pool ->
         kernels
         |> List.map (fun k ->
+               let dfg = Runner.dfg_of_kernel k in
+               let placement = Runner.placement_of ~grid k in
+               let on_engine config_of =
+                 Pool.submit pool (fun () ->
+                     match placement with
+                     | Error _ -> 0.0
+                     | Ok p ->
+                       Result.value (engine_ipc k dfg (config_of p)) ~default:0.0)
+               in
                ( k,
                  Pool.submit pool (fun () ->
-                     let dfg = Runner.dfg_of_kernel k in
-                     match Opencgra.schedule dfg ~grid:Grid.m128 with
+                     match Opencgra.schedule dfg ~grid with
                      | Ok s -> Opencgra.ipc dfg s
                      | Error _ -> 0.0),
-                 Pool.submit pool (fun () ->
-                     Result.value (engine_ipc k ~grid:Grid.m128 ~optimized:false)
-                       ~default:0.0),
-                 Pool.submit pool (fun () ->
-                     Result.value (engine_ipc k ~grid:Grid.m128 ~optimized:true)
-                       ~default:0.0) ))
+                 on_engine Accel_config.plain,
+                 on_engine (Runner.optimized_config ~grid k dfg) ))
         |> List.map (fun (k, c, n, o) -> (k, Pool.await c, Pool.await n, Pool.await o)))
   in
   List.iter

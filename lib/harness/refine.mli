@@ -39,7 +39,8 @@ val run :
   Kernel.t ->
   (report, string) result
 (** Refine [kernel]'s placement on [grid] (default {!Grid.m64}), starting
-    from [baseline] (default: the memoized Algorithm-1 placement).
+    from [baseline] (default: {!Runner.placement_of}, the Algorithm-1
+    placement).
     Deterministic for fixed arguments: the model is pure, the engine is
     deterministic, and ranking ties break on [seed] (default 0). [jobs]
     (default 1) domains score each round's candidates; the report is the

@@ -97,77 +97,16 @@ let mesa ?(options = Controller.default_options ()) (k : Kernel.t) =
     report )
 
 (* ------------------------------------------------------------------ *)
-(* Translation memo. Building a kernel's hot-loop LDFG and running
-   Algorithm 1 over it are pure functions of (kernel, grid, interconnect),
-   yet every figure re-derives them — fig12 and table2 each re-translate
-   the whole suite, fig15 re-maps nn at every PE count. The results
-   (Dfg.t, Placement.t) are immutable, so one copy can be shared across
-   figures and across pool workers; the mutex makes concurrent misses
-   safe (and deduplicates the work: a miss computes inside the lock). *)
+(* Translation. Building a kernel's hot-loop LDFG and running Algorithm 1
+   over it are pure and cheap (tens of microseconds per kernel), so every
+   call translates afresh and no state is kept between calls. The two
+   cache readouts below remain only for perfbench, which still calls them. *)
 
-let memo_lock = Mutex.create ()
+let translation_cache_stats () = (0, 0, 0)
 
-let dfg_memo : (string * int, Dfg.t) Hashtbl.t = Hashtbl.create 32
+let clear_translation_cache () = ()
 
-(* Grid.t and Interconnect.kind are immutable scalar records, so structural
-   hashing of the whole key is sound. *)
-type placement_key = {
-  pk_kernel : string;
-  pk_n : int;
-  pk_grid : Grid.t;
-  pk_kind : Interconnect.kind;
-}
-
-let placement_memo : (placement_key, (Placement.t, string) result) Hashtbl.t =
-  Hashtbl.create 32
-
-let memo_hits = Atomic.make 0
-let memo_misses = Atomic.make 0
-let memo_evictions = Atomic.make 0
-
-(* Both tables share one capacity: a multi-hundred-point DSE sweep inserts a
-   placement per (kernel, grid, interconnect) and would otherwise grow
-   placement_memo without bound. Entries are cheap to recompute, so overflow
-   resets both tables wholesale rather than tracking recency. *)
-let memo_capacity = ref 512
-
-let translation_cache_capacity () = !memo_capacity
-
-let set_translation_cache_capacity n =
-  if n < 1 then
-    invalid_arg "Runner.set_translation_cache_capacity: capacity must be >= 1";
-  Mutex.protect memo_lock (fun () -> memo_capacity := n)
-
-let translation_cache_stats () =
-  (Atomic.get memo_hits, Atomic.get memo_misses, Atomic.get memo_evictions)
-
-let clear_translation_cache () =
-  Mutex.protect memo_lock (fun () ->
-      Hashtbl.reset dfg_memo;
-      Hashtbl.reset placement_memo;
-      Atomic.set memo_hits 0;
-      Atomic.set memo_misses 0;
-      Atomic.set memo_evictions 0)
-
-let memoized table key compute =
-  Mutex.protect memo_lock (fun () ->
-      match Hashtbl.find_opt table key with
-      | Some v ->
-        Atomic.incr memo_hits;
-        v
-      | None ->
-        Atomic.incr memo_misses;
-        let v = compute () in
-        if Hashtbl.length dfg_memo + Hashtbl.length placement_memo >= !memo_capacity
-        then begin
-          Hashtbl.reset dfg_memo;
-          Hashtbl.reset placement_memo;
-          Atomic.incr memo_evictions
-        end;
-        Hashtbl.add table key v;
-        v)
-
-let dfg_of_kernel_uncached (k : Kernel.t) =
+let dfg_of_kernel (k : Kernel.t) =
   let prog = k.Kernel.program in
   let code = Program.code prog in
   let backward =
@@ -195,9 +134,6 @@ let dfg_of_kernel_uncached (k : Kernel.t) =
   in
   Ldfg.build_exn region
 
-let dfg_of_kernel (k : Kernel.t) =
-  memoized dfg_memo (k.Kernel.name, k.Kernel.n) (fun () -> dfg_of_kernel_uncached k)
-
 let optimized_config ~grid (k : Kernel.t) (dfg : Dfg.t) placement =
   Controller.optimized_config ~grid ~dfg
     ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
@@ -212,10 +148,7 @@ let execute_loop ?attribution ?(hier = Hierarchy.default_config) (k : Kernel.t)
     (Engine.execute ?attribution ~config ~dfg ~machine ~hier:(Hierarchy.create hier) ())
 
 let placement_of ?(kind = Interconnect.Mesh_noc) ~grid (k : Kernel.t) =
-  let dfg = dfg_of_kernel k in
-  let key = { pk_kernel = k.Kernel.name; pk_n = k.Kernel.n; pk_grid = grid; pk_kind = kind } in
-  memoized placement_memo key (fun () ->
-      Mapper.map ~grid ~kind (Perf_model.create dfg))
+  Mapper.map ~grid ~kind (Perf_model.create (dfg_of_kernel k))
 
 let dynaspam ?(config = Dynaspam.default_config) (k : Kernel.t) =
   let base = single_core k in

@@ -41,10 +41,9 @@ val dfg_of_kernel : Kernel.t -> Dfg.t
     DynaSpAM) and inspection. Raises [Failure] on kernels whose loop cannot
     be translated.
 
-    Memoized on (kernel name, iteration count): translation is pure, the
-    returned graph is immutable and shared, and the memo table is
-    mutex-protected so pool workers can race on it safely. Failures are not
-    cached. *)
+    Translated afresh on every call: translation is pure, so two calls
+    return structurally equal graphs, and a caller that needs the graph
+    more than once keeps the one it got. *)
 
 val placement_of :
   ?kind:Interconnect.kind ->
@@ -52,11 +51,9 @@ val placement_of :
   Kernel.t ->
   (Placement.t, string) result
 (** The kernel's Algorithm-1 placement on [grid] (default backend
-    [Mesh_noc]), computed from a fresh performance model — the
-    translation the engine-level experiments (fig12, table2) repeat per
-    figure. Memoized like {!dfg_of_kernel}, keyed additionally by the grid
-    geometry and interconnect kind; mapping errors are cached too (they are
-    equally deterministic). *)
+    [Mesh_noc]), computed from a fresh {!dfg_of_kernel} and performance
+    model on every call — pure like {!dfg_of_kernel}, so equal arguments
+    give equal placements (or equal mapping errors). *)
 
 val optimized_config :
   grid:Grid.t -> Kernel.t -> Dfg.t -> Placement.t -> Accel_config.t
@@ -77,23 +74,13 @@ val execute_loop :
     output check on the memory it left. *)
 
 val translation_cache_stats : unit -> int * int * int
-(** [(hits, misses, evictions)] over both memo tables since start (or the
-    last {!clear_translation_cache}). An eviction is a wholesale reset of
-    both tables on reaching the capacity bound. *)
-
-val translation_cache_capacity : unit -> int
-(** The combined entry bound across both memo tables (default 512). *)
-
-val set_translation_cache_capacity : int -> unit
-(** Change the bound. When an insert would reach it, both tables reset and
-    the eviction counter increments — a sweep over hundreds of placements
-    stays bounded while single-figure workloads never evict. Raises
-    [Invalid_argument] on a capacity below 1. Exposed for tests: reaching
-    the default bound would take 512 translations. *)
+(** Always [(0, 0, 0)]: nothing is cached. Kept only because perfbench
+    still reads it (as its [memo.hits]/[memo.misses]); delete it with the
+    next benchmark revision. *)
 
 val clear_translation_cache : unit -> unit
-(** Drop every memoized LDFG and placement (tests use this to measure cold
-    paths). *)
+(** Does nothing: nothing is cached. Kept only because perfbench still
+    calls it; delete it with the next benchmark revision. *)
 
 val dynaspam : ?config:Dynaspam.config -> Kernel.t -> measurement
 (** DynaSpAM analytic model over the same dynamic iteration count; the

@@ -198,23 +198,7 @@ let register_probes t g telg =
           | Breaker.Closed -> 0
           | Breaker.Open -> 1
           | Breaker.Half_open -> 2))
-    t.shards;
-  let memo = Stats.subgroup g "memo" in
-  Stats.int_probe memo "translation_hits" (fun () ->
-      let h, _, _ = Runner.translation_cache_stats () in
-      h);
-  Stats.int_probe memo "translation_misses" (fun () ->
-      let _, m, _ = Runner.translation_cache_stats () in
-      m)
-
-let warm_translation_memo shard_grid =
-  List.iter
-    (fun k ->
-      try
-        ignore (Runner.dfg_of_kernel k);
-        ignore (Runner.placement_of ~grid:shard_grid k)
-      with Failure _ -> ())
-    (Workloads.all ())
+    t.shards
 
 (* ------------------------------------------------------------------ *)
 (* Profiling-window feedback: a profiled run's measured per-node snapshot
@@ -404,7 +388,6 @@ let create ?(config = default_config) () =
     }
   in
   register_probes t g telg;
-  if config.warm then warm_translation_memo grid;
   if config.profile_window <> None then
     t.refiner <- Some (Thread.create refiner_loop t);
   t

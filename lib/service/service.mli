@@ -6,10 +6,8 @@
     and a {!Pool} of worker domains. A request's life:
 
     + {b Validate} — unknown kernel or malformed inject spec is a
-      [bad_request]. The request's hot loop is translated by
-      {!Controller.run} in Execute; [warm] pre-translates the registry
-      into {!Runner}'s process-wide memo, whose hits and misses the
-      [service.memo] probes report, but no request reads that memo.
+      [bad_request]. Nothing is translated here or at {!create}: the
+      request's hot loop is translated by {!Controller.run} in Execute.
     + {b Admit} — at most [queue_depth] requests may be in flight;
       beyond that (or while draining) the request is shed with a
       structured [overloaded] error immediately — load shedding never
@@ -51,7 +49,9 @@ type config = {
   default_deadline_ms : float option;
       (** applied when a request carries no deadline; [None] = unbounded *)
   watchdog_window : int;   (** engine forward-progress watchdog, per run *)
-  warm : bool;             (** pre-translate the kernel registry at create *)
+  warm : bool;
+      (** Ignored: nothing is pre-translated. Kept only because perfbench
+          still sets it; delete it with the next benchmark revision. *)
   profile_window : int option;
       (** [Some n]: every [n]-th clean-environment run executes with the
           attribution collector armed (pure observation — cycles, memory
@@ -60,8 +60,8 @@ type config = {
           whose engine- and controller-confirmed placement becomes the
           service's override for that kernel: the controller's tune hook
           forces it into every later translation, so subsequent requests
-          for that kernel can only get faster. {!Runner}'s memo is left
-          alone.
+          for that kernel can only get faster. {!Runner.placement_of}
+          still returns the mapper's placement.
           Counted in the [telemetry] stats group. [None] (default): no
           profiling, no refiner thread. *)
 }
@@ -69,7 +69,7 @@ type config = {
 val default_config : config
 (** 4 shards of 64 PEs, jobs = {!Pool.default_jobs}, queue depth 64,
     2 retries, 1-20 ms backoff, default breaker, no default deadline,
-    watchdog 512, warm, no profiling windows. *)
+    watchdog 512, no profiling windows. *)
 
 type t
 
@@ -92,7 +92,7 @@ val bad_request : t -> string -> Proto.body
 
 val stats : t -> Stats.snapshot
 (** Point-in-time readout of the [service] group (outcomes, breaker
-    transitions, queue, execution mix, memo) and the [telemetry] group
+    transitions, queue, execution mix) and the [telemetry] group
     (profiling windows, oracle refreshes, refine accepts/rejects, spans
     emitted, overrides installed). *)
 

@@ -33,7 +33,9 @@
 type phase =
   | Admit            (** passed admission control *)
   | Queue            (** worker picked the request up *)
-  | Translate        (** warm-memo / translation step on a shard *)
+  | Translate
+      (** a shard was chosen; its controller translates the hot loop and
+          runs it next (nothing is pre-translated) *)
   | Execute          (** fabric or CPU execution finished *)
   | Retry            (** service-level retry after a quarantining run *)
   | Breaker          (** a shard breaker transition (detail: trip/...) *)

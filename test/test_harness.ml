@@ -63,51 +63,27 @@ let multicore_empty_high_slices () =
   check Alcotest.int "four summaries" 4 (List.length r.Multicore.summaries);
   check Alcotest.bool "correct" true (k.Kernel.check mem = Ok ())
 
-let translation_memo_shares_results () =
-  let k = Workloads.find "bfs" in
-  let d1 = Runner.dfg_of_kernel k in
-  let d2 = Runner.dfg_of_kernel k in
-  check Alcotest.bool "same LDFG object" true (d1 == d2);
-  let p1 = Runner.placement_of ~grid:Grid.m128 k in
-  let p2 = Runner.placement_of ~grid:Grid.m128 k in
-  check Alcotest.bool "same placement object" true (p1 == p2);
-  let hits, misses, _ = Runner.translation_cache_stats () in
-  check Alcotest.bool "cache hit recorded" true (hits >= 2);
-  check Alcotest.bool "cache miss recorded" true (misses >= 2);
-  (* Different geometry is a different key. *)
-  let p64 = Runner.placement_of ~grid:Grid.m64 k in
-  check Alcotest.bool "distinct grid, distinct entry" true (not (p64 == p1));
-  Runner.clear_translation_cache ();
-  let d3 = Runner.dfg_of_kernel k in
-  check Alcotest.bool "cleared cache rebuilds" true (not (d1 == d3))
-
-let translation_memo_eviction () =
-  let saved = Runner.translation_cache_capacity () in
-  Fun.protect
-    ~finally:(fun () ->
-      Runner.set_translation_cache_capacity saved;
-      Runner.clear_translation_cache ())
-    (fun () ->
-      Runner.clear_translation_cache ();
-      Runner.set_translation_cache_capacity 3;
-      check Alcotest.int "capacity readable" 3 (Runner.translation_cache_capacity ());
-      (* Each kernel costs one dfg_memo entry; four distinct grids per kernel
-         cost four placement_memo entries — far past a bound of 3. *)
-      let k = Workloads.find "bfs" in
-      let grids =
-        List.map (fun rows -> Grid.make ~rows ~cols:4 ()) [ 2; 4; 6; 8 ]
-      in
-      List.iter (fun grid -> ignore (Runner.placement_of ~grid k)) grids;
-      let _, _, evictions = Runner.translation_cache_stats () in
-      check Alcotest.bool "overflow resets the tables" true (evictions >= 1);
-      (* The memo still works after a reset: a repeated lookup hits. *)
-      let p1 = Runner.placement_of ~grid:(List.hd grids) k in
-      let p2 = Runner.placement_of ~grid:(List.hd grids) k in
-      check Alcotest.bool "recompute after eviction is shared" true (p1 == p2);
-      check Alcotest.bool "capacity below 1 rejected" true
-        (match Runner.set_translation_cache_capacity 0 with
-        | () -> false
-        | exception Invalid_argument _ -> true))
+(* Translation keeps no state between calls, so callers may translate as
+   often as they like and must always get the same answer: the LDFG of
+   every registry kernel, and its placement on two grids and on a
+   non-default backend. *)
+let translation_is_pure () =
+  List.iter
+    (fun (k : Kernel.t) ->
+      let name = k.Kernel.name in
+      check Alcotest.bool (name ^ ": LDFG") true
+        (Runner.dfg_of_kernel k = Runner.dfg_of_kernel k);
+      List.iter
+        (fun (label, place) ->
+          check Alcotest.bool (Printf.sprintf "%s: placement %s" name label) true
+            (place () = place ()))
+        [
+          ("M-64", fun () -> Runner.placement_of ~grid:Grid.m64 k);
+          ("M-128", fun () -> Runner.placement_of ~grid:Grid.m128 k);
+          ( "M-128 hier_rows",
+            fun () -> Runner.placement_of ~kind:Interconnect.Hierarchical_rows ~grid:Grid.m128 k );
+        ])
+    (Workloads.all ())
 
 let mesa_measurement_checked () =
   let k = Workloads.find "srad" in
@@ -213,8 +189,7 @@ let suites =
     ( "runner",
       [
         Alcotest.test_case "mesa measurement" `Quick mesa_measurement_checked;
-        Alcotest.test_case "translation memo" `Quick translation_memo_shares_results;
-        Alcotest.test_case "translation memo eviction" `Quick translation_memo_eviction;
+        Alcotest.test_case "translation is pure" `Quick translation_is_pure;
         Alcotest.test_case "mem ports override" `Quick mesa_mem_ports_override;
         Alcotest.test_case "dfg of every kernel" `Quick dfg_of_kernel_total;
         Alcotest.test_case "speedup/efficiency" `Quick speedup_and_efficiency_helpers;

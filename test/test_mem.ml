@@ -582,11 +582,14 @@ let hierarchy_accesses_allocate_nothing () =
    table is chunked and a chunk comes with the first access to one of its
    sets, so a hierarchy per run leaves the major GC nothing to free.
    Promoted words are subtracted, so a minor collection during the loop
-   does not count. *)
+   does not count. The counters are this domain's own ([Gc.counters]):
+   [Gc.quick_stat] adds every other domain's, and a pool domain of an
+   earlier test that retires during the loop would fold the words it
+   allocated since its last sample into the difference. *)
 let hierarchy_create_no_major_words () =
   let direct () =
-    let s = Gc.quick_stat () in
-    s.Gc.major_words -. s.Gc.promoted_words
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
   in
   let before = direct () in
   for _ = 1 to 100 do

@@ -260,7 +260,6 @@ let test_service_config =
     shard_pes = 64;
     jobs = 2;
     breaker = { Breaker.trip_threshold = 1; cooldown = 2; max_cooldown = 16 };
-    warm = false;
   }
 
 let with_service ?(config = test_service_config) f =

@@ -228,7 +228,6 @@ let base_config =
     Service.shards = 1;
     shard_pes = 64;
     jobs = 1;
-    warm = false;
   }
 
 (* Armed telemetry is pure observation: the first response of a profiling
@@ -251,11 +250,11 @@ let telemetry_on_off_bit_identical () =
    background refine whose accepted placement the service installs as its
    own override — and the re-executed kernel never got slower (kmeans on
    M-64 has known refinement headroom, so an accept must actually land).
-   The process-wide translation memo is left alone: the refinement is the
-   service's, not every later [Runner.placement_of] caller's. *)
+   The refinement is the service's: a later [Runner.placement_of] still
+   returns the mapper's placement. *)
 let oracle_fed_refine_never_regresses () =
-  let memo () = Runner.placement_of ~grid:(Grid.of_pe_count 64) (Workloads.find "kmeans") in
-  let before = memo () in
+  let mapped () = Runner.placement_of ~grid:(Grid.of_pe_count 64) (Workloads.find "kmeans") in
+  let before = mapped () in
   let config = { base_config with Service.profile_window = Some 1 } in
   let svc = Service.create ~config () in
   Fun.protect
@@ -291,7 +290,8 @@ let oracle_fed_refine_never_regresses () =
         (second.Proto.cycles <= first.Proto.cycles);
       check Alcotest.int "results unchanged by the override" first.Proto.mem_checksum
         second.Proto.mem_checksum;
-      check Alcotest.bool "the memo keeps the mapper's placement" true (memo () = before))
+      check Alcotest.bool "placement_of keeps the mapper's placement" true
+        (mapped () = before))
 
 (* ---------------- rendering and parsing ---------------- *)
 

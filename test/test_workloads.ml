@@ -186,6 +186,75 @@ let memopt_no_forwarding_across_unknown_store () =
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "no pair" []
     mo.Mem_opt.forwarding
 
+(* Store-to-load forwarding on the engine. No registry kernel stores and
+   then reloads one address, so this loop does: y[i] = 2 x[i] is stored
+   and reloaded off the same base register and offset, unguarded, and
+   z[i] = y[i] + x[i]. Mem_opt pairs the reload with the store, the engine
+   serves it from the store's broadcast (the forwarded-load cost in
+   [Timing.portless_latency]), and the loop's cycles are pinned. *)
+let forwarding_kernel =
+  let n = 256 and x_base = 0x100000 and y_base = 0x140000 and z_base = 0x180000 in
+  let xs = Array.init n (fun i -> (i * 37) + 5) in
+  let program =
+    let b = Asm.create () in
+    let open Reg in
+    Asm.label b "loop";
+    Asm.lw b t0 0 a0;
+    Asm.add b t1 t0 t0;
+    Asm.sw b t1 0 a1;
+    Asm.lw b t2 0 a1;
+    Asm.add b t3 t2 t0;
+    Asm.sw b t3 0 a2;
+    Asm.addi b a0 a0 4;
+    Asm.addi b a1 a1 4;
+    Asm.addi b a2 a2 4;
+    Asm.bltu b a0 a3 "loop";
+    Asm.ecall b;
+    Asm.assemble b
+  in
+  {
+    Kernel.name = "store_reload";
+    description = "store, reload and reuse of one word per iteration";
+    parallel = false;
+    fp = false;
+    n;
+    program;
+    setup = (fun mem -> Main_memory.blit_words mem x_base xs);
+    args =
+      (fun ~lo ~hi ->
+        [
+          (Reg.a0, x_base + (4 * lo));
+          (Reg.a1, y_base + (4 * lo));
+          (Reg.a2, z_base + (4 * lo));
+          (Reg.a3, x_base + (4 * hi));
+        ]);
+    fargs = [];
+    check =
+      (fun mem ->
+        Result.bind
+          (Kernel.check_words mem ~addr:y_base ~expected:(Array.map (fun x -> 2 * x) xs))
+          (fun () ->
+            Kernel.check_words mem ~addr:z_base ~expected:(Array.map (fun x -> 3 * x) xs)));
+  }
+
+let memopt_forwarding_on_engine () =
+  let k = forwarding_kernel in
+  let dfg = Runner.dfg_of_kernel k in
+  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "the reload (node 3) forwards from the store (node 2)" [ (3, 2) ]
+    (Mem_opt.analyze dfg).Mem_opt.forwarding;
+  let grid = Grid.m64 in
+  let placement =
+    match Runner.placement_of ~grid k with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  match Runner.execute_loop k dfg (Runner.optimized_config ~grid k dfg placement) with
+  | Error e -> Alcotest.fail e
+  | Ok (res, checked) ->
+    check Alcotest.bool "outputs" true (checked = Ok ());
+    check Alcotest.int "every iteration forwards once" k.Kernel.n
+      res.Engine.activity.Activity.forwarded_loads;
+    check Alcotest.int "cycles" 979 res.Engine.cycles
+
 let suites =
   [
     ( "workloads",
@@ -206,6 +275,7 @@ let suites =
         Alcotest.test_case "induction registers" `Quick memopt_induction_regs;
         Alcotest.test_case "prefetch via induction" `Quick memopt_prefetch_via_induction;
         Alcotest.test_case "forwarding pair" `Quick memopt_forwarding_pair;
+        Alcotest.test_case "forwarding on the engine" `Quick memopt_forwarding_on_engine;
         Alcotest.test_case "no forwarding across unknown store" `Quick
           memopt_no_forwarding_across_unknown_store;
       ] );
