@@ -44,40 +44,48 @@ let bucket_name = function
 let bucket_of_name name =
   List.find_opt (fun b -> bucket_name b = name) buckets
 
-(* One attributed interval, for the timeline ring. Times are absolute
-   (wall-clock) cycles; durations are positive. *)
-type interval = { i_start : float; i_dur : float; i_bucket : int }
-
-let no_interval = { i_start = 0.0; i_dur = 0.0; i_bucket = 0 }
-
-(* A bounded ring: [len] live entries ending at [head] (exclusive). *)
+(* A bounded ring of attributed intervals, for the timeline: [len] live
+   entries ending at [head] (exclusive). Times are absolute (wall-clock)
+   cycles; durations are positive. The fields sit in parallel arrays, so a
+   push stores unboxed floats and allocates nothing. *)
 type ring = {
-  slots : interval array;
+  starts : float array;
+  durs : float array;
+  kinds : int array;  (* bucket indices *)
   mutable head : int;
   mutable len : int;
 }
 
 let ring_create capacity =
-  { slots = Array.make capacity no_interval; head = 0; len = 0 }
+  {
+    starts = Array.make capacity 0.0;
+    durs = Array.make capacity 0.0;
+    kinds = Array.make capacity 0;
+    head = 0;
+    len = 0;
+  }
 
-let ring_push r iv =
-  let cap = Array.length r.slots in
-  r.slots.(r.head) <- iv;
-  r.head <- (r.head + 1) mod cap;
+let[@inline] ring_push r start dur kind =
+  let cap = Array.length r.starts in
+  r.starts.(r.head) <- start;
+  r.durs.(r.head) <- dur;
+  r.kinds.(r.head) <- kind;
+  r.head <- (if r.head + 1 = cap then 0 else r.head + 1);
   if r.len < cap then r.len <- r.len + 1
 
-let ring_to_list r =
-  let cap = Array.length r.slots in
+(* [f start dur kind] over the live entries, oldest first. *)
+let ring_to_list r f =
+  let cap = Array.length r.starts in
   let out = ref [] in
   for k = 0 to r.len - 1 do
     (* newest first, accumulate into oldest-first list *)
-    out := r.slots.((r.head - 1 - k + (2 * cap)) mod cap) :: !out
+    let i = (r.head - 1 - k + (2 * cap)) mod cap in
+    out := f r.starts.(i) r.durs.(i) r.kinds.(i) :: !out
   done;
   !out
 
 type lane = {
   sums : float array;        (* bucket_count float cycles *)
-  mutable cursor : float;    (* window-relative last attributed time *)
   mutable w_ops : int;       (* firings charged this window *)
   ring : ring;
 }
@@ -102,6 +110,9 @@ type snapshot = {
 type t = {
   grid : Grid.t;
   lanes : lane array;
+  cursors : float array;
+      (* per lane, the window-relative last attributed time: a float array,
+         so that advancing it stores unboxed *)
   port_rings : ring array;
   mutable w_at : float;             (* wall-clock start of current window *)
   mutable engine_cycles : int;
@@ -126,10 +137,10 @@ let create ?(ring = 256) ~(grid : Grid.t) () =
       Array.init nlanes (fun _ ->
           {
             sums = Array.make bucket_count 0.0;
-            cursor = 0.0;
             w_ops = 0;
             ring = ring_create ring;
           });
+    cursors = Array.make nlanes 0.0;
     port_rings = Array.init (max 1 grid.Grid.mem_ports) (fun _ -> ring_create ring);
     w_at = 0.0;
     engine_cycles = 0;
@@ -162,11 +173,8 @@ let lane_label t lane =
 
 let begin_window t ~at =
   t.w_at <- at;
-  Array.iter
-    (fun ln ->
-      ln.cursor <- 0.0;
-      ln.w_ops <- 0)
-    t.lanes;
+  Array.fill t.cursors 0 (Array.length t.cursors) 0.0;
+  Array.iter (fun ln -> ln.w_ops <- 0) t.lanes;
   t.snap <-
     Some
       {
@@ -195,9 +203,9 @@ let abort_window t =
         let head, len = s.s_ring.(i) in
         ln.ring.head <- head;
         ln.ring.len <- len;
-        ln.cursor <- 0.0;
         ln.w_ops <- 0)
       t.lanes;
+    Array.fill t.cursors 0 (Array.length t.cursors) 0.0;
     Array.iteri
       (fun i r ->
         let head, len = s.s_port_ring.(i) in
@@ -217,12 +225,13 @@ let abort_window t =
     t.snap <- None
 
 (* Charge [dur] cycles of [bucket] on [ln] starting at window-relative
-   [from], advancing the cursor. *)
-let seg t ln ~from bucket dur =
+   [from]. Inlined, like every function below that takes a float: a call
+   that is not inlined boxes each float argument. *)
+let[@inline] seg t ln ~from bucket dur =
   if dur > 0.0 then begin
-    ln.sums.(bucket_index bucket) <- ln.sums.(bucket_index bucket) +. dur;
-    ring_push ln.ring
-      { i_start = t.w_at +. from; i_dur = dur; i_bucket = bucket_index bucket }
+    let b = bucket_index bucket in
+    ln.sums.(b) <- ln.sums.(b) +. dur;
+    ring_push ln.ring (t.w_at +. from) dur b
   end
 
 let charge_config t cycles =
@@ -237,34 +246,41 @@ let charge_config t cycles =
 (* ------------------------------------------------------------------ *)
 (* Engine-side recording. *)
 
-let charge_op t ~lane ~start ~noc_wait ~port_wait ~service ~long_op =
-  let ln = t.lanes.(lane) in
+(* [Float.max 0.0 x] and [Float.min a b] for the values charged here,
+   which are never NaN, without [Stdlib.Float]'s calls. *)
+let[@inline] nonneg x = if x > 0.0 then x else 0.0
+let[@inline] fmin (a : float) b = if b < a then b else a
+
+let[@inline] charge_op t ~lane ~start ~noc_wait ~port_wait ~service ~long_op =
+  let ln = t.lanes.(lane) and cursors = t.cursors in
   ln.w_ops <- ln.w_ops + 1;
-  (if start > ln.cursor then begin
+  (if start > cursors.(lane) then begin
      (* Waiting for inputs: the portion attributable to NoC queueing on the
         critical input sits immediately before [start]; anything earlier is
         dependence (recurrence) wait. *)
-     let gap = start -. ln.cursor in
-     let noc = Float.min gap (Float.max 0.0 noc_wait) in
+     let cursor = cursors.(lane) in
+     let gap = start -. cursor in
+     let noc = fmin gap (nonneg noc_wait) in
      let rec_wait = gap -. noc in
-     seg t ln ~from:ln.cursor Recurrence_wait rec_wait;
-     seg t ln ~from:(ln.cursor +. rec_wait) Noc_stall noc;
-     ln.cursor <- start
+     seg t ln ~from:cursor Recurrence_wait rec_wait;
+     seg t ln ~from:(cursor +. rec_wait) Noc_stall noc;
+     cursors.(lane) <- start
    end);
   (* The op itself: port queue, then service. Overlap with time already
      attributed (pipelined or tiled firings out of order) is clipped. *)
-  let p_end = start +. Float.max 0.0 port_wait in
-  if p_end > ln.cursor then begin
-    seg t ln ~from:ln.cursor Mem_port_stall (p_end -. ln.cursor);
-    ln.cursor <- p_end
+  let p_end = start +. nonneg port_wait in
+  if p_end > cursors.(lane) then begin
+    seg t ln ~from:cursors.(lane) Mem_port_stall (p_end -. cursors.(lane));
+    cursors.(lane) <- p_end
   end;
-  let s_end = start +. Float.max 0.0 port_wait +. Float.max 0.0 service in
-  if s_end > ln.cursor then begin
-    seg t ln ~from:ln.cursor (if long_op then Long_op else Busy) (s_end -. ln.cursor);
-    ln.cursor <- s_end
+  let s_end = start +. nonneg port_wait +. nonneg service in
+  if s_end > cursors.(lane) then begin
+    seg t ln ~from:cursors.(lane) (if long_op then Long_op else Busy)
+      (s_end -. cursors.(lane));
+    cursors.(lane) <- s_end
   end
 
-let observe_ii t ~rec_ ~mem ~fu ~achieved =
+let[@inline] observe_ii t ~rec_ ~mem ~fu ~achieved =
   t.ii_sums.(0) <- t.ii_sums.(0) +. rec_;
   t.ii_sums.(1) <- t.ii_sums.(1) +. mem;
   t.ii_sums.(2) <- t.ii_sums.(2) +. fu;
@@ -281,10 +297,9 @@ let note_noc_slice t ~slice ~claims ~busy =
     t.noc_busy_a.(slice) <- t.noc_busy_a.(slice) + busy
   end
 
-let note_port_access t ~port ~issue ~service =
+let[@inline] note_port_access t ~port ~issue ~service =
   if port >= 0 && port < Array.length t.port_rings then
-    ring_push t.port_rings.(port)
-      { i_start = t.w_at +. issue; i_dur = service; i_bucket = 0 }
+    ring_push t.port_rings.(port) (t.w_at +. issue) service 0
 
 let note_port_totals t ~claims ~busy =
   t.port_claims_n <- t.port_claims_n + claims;
@@ -294,7 +309,7 @@ let end_window t ~(grid : Grid.t) ~cycles ~iterations =
   let cf = float_of_int cycles in
   Array.iteri
     (fun i ln ->
-      let tail = cf -. ln.cursor in
+      let tail = cf -. t.cursors.(i) in
       let bucket =
         if lane_is_pe t i then begin
           let c = Grid.coord (i / t.grid.Grid.cols) (i mod t.grid.Grid.cols) in
@@ -305,8 +320,8 @@ let end_window t ~(grid : Grid.t) ~cycles ~iterations =
         else if ln.w_ops = 0 then Idle
         else Drain
       in
-      seg t ln ~from:ln.cursor bucket tail;
-      ln.cursor <- cf)
+      seg t ln ~from:t.cursors.(i) bucket tail;
+      t.cursors.(i) <- cf)
     t.lanes;
   t.engine_cycles <- t.engine_cycles + cycles;
   t.windows <- t.windows + 1;
@@ -370,12 +385,11 @@ let totals t =
   acc
 
 let lane_intervals t lane =
-  List.map
-    (fun iv -> (iv.i_start, iv.i_dur, bucket_of_index.(iv.i_bucket)))
-    (ring_to_list t.lanes.(lane).ring)
+  ring_to_list t.lanes.(lane).ring (fun start dur kind ->
+      (start, dur, bucket_of_index.(kind)))
 
 let port_intervals t port =
-  List.map (fun iv -> (iv.i_start, iv.i_dur)) (ring_to_list t.port_rings.(port))
+  ring_to_list t.port_rings.(port) (fun start dur _ -> (start, dur))
 
 let port_count t = Array.length t.port_rings
 let noc_claims t = Array.copy t.noc_claims_a

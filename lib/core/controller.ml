@@ -145,9 +145,13 @@ type run_state = {
   prog : Program.t;
   machine : Machine.t;
   hier : Hierarchy.t;
-  cpu_model : Ooo_model.t;
+  core : Cpu_run.t;  (* the machine stepped on the OoO model *)
+  cpu_model : Ooo_model.t;  (* [core]'s *)
   detector : Loop_detector.t;
   cache : (int, cached) Hashtbl.t;  (* the configuration cache *)
+  cached_slot : Bytes.t;
+      (* per code slot, non-zero when the cache holds a region entered
+         there: the one test made at every instruction boundary *)
   activity : Activity.t;
   injector : Fault.t option;
   att : Attribution.t option;
@@ -178,7 +182,7 @@ type in_flight = {
 
 let rname entry = Printf.sprintf "r%x" entry
 
-let cpu_cycles cpu_model = (Ooo_model.summary cpu_model).Ooo_model.cycles
+let cpu_cycles = Ooo_model.cycles
 
 let wall_clock cpu_model (ctl : ctl_counters) =
   cpu_cycles cpu_model + Stats.get ctl.accel_cycles + Stats.get ctl.overhead_cycles
@@ -200,7 +204,8 @@ let charge_stall st stall =
    subsystem registers a named group, and the whole tree is snapshotted into
    the report in registration order. *)
 let create_state opts ~hier prog machine =
-  let cpu_model = Ooo_model.create Ooo_model.default_config hier in
+  let core = Cpu_run.create Ooo_model.default_config hier prog machine in
+  let cpu_model = Cpu_run.model core in
   let activity = Activity.create () in
   let reg = Stats.registry () in
   Ooo_model.register_stats cpu_model (Stats.group reg "cpu");
@@ -247,9 +252,11 @@ let create_state opts ~hier prog machine =
     prog;
     machine;
     hier;
+    core;
     cpu_model;
     detector = Loop_detector.create ~capacity:(capacity opts.grid) prog;
     cache = Hashtbl.create 8;
+    cached_slot = Bytes.make (Array.length (Program.code prog)) '\000';
     activity;
     injector;
     att;
@@ -401,12 +408,13 @@ let admit st (c : cached) =
        ~args:[ ("region_size", Json.Int (Region.size c.region)) ]
        ("translate " ^ rname entry));
   Hashtbl.replace st.cache entry c;
+  Bytes.set st.cached_slot (Program.index_of_addr st.prog entry) '\001';
   st.pending <- Some (c, cpu_cycles st.cpu_model + tcycles)
 
-(* Present one retired instruction to the loop detector and act on its
-   verdict: translate an accepted region, or record the rejection. *)
-let detect st ev =
-  match Loop_detector.feed st.detector ev with
+(* Present a retired taken backward branch to the loop detector and act on
+   its verdict: translate an accepted region, or record the rejection. *)
+let detect st ~pc ~off =
+  match Loop_detector.feed st.detector ~pc ~off with
   | None -> ()
   | Some (Loop_detector.Accepted region) -> (
     match translate st.opts ~grid:st.fabric st.prog region with
@@ -417,9 +425,9 @@ let detect st ev =
   | Some (Loop_detector.Rejected { entry; reason }) ->
     reject st ~entry ~size:0 ~pragma:None reason
 
-(* With no configuration pending, look the PC up in the configuration cache.
-   A cached region's entry is either quarantined — the CPU runs the loop, and
-   each encounter burns down the exponential backoff — or re-armed, its
+(* With no configuration pending and the PC at a cached region's entry: the
+   region is either quarantined — the CPU runs the loop, and each arrival
+   at the entry burns down the exponential backoff — or re-armed, its
    bitstream rewritten while the CPU keeps iterating. *)
 let arm st =
   match Hashtbl.find_opt st.cache st.machine.Machine.pc with
@@ -725,34 +733,39 @@ let finish st halt : report =
     attribution = st.att;
   }
 
-(* The instruction-boundary loop: the CPU interprets the program and feeds
-   the OoO model and the loop detector, while offloads and re-arms happen
-   at instruction boundaries, i.e. when the PC sits at a loop entry. *)
+(* The instruction-boundary loop: the CPU steps the program on the OoO
+   model, and the loop detector sees only the taken backward branches.
+   Offloads and re-arms happen at instruction boundaries, when the PC sits
+   at a loop entry; the configuration cache is consulted only where it
+   holds an entry. *)
 let run ?options ?(hier = Hierarchy.default_config) prog machine =
   let opts = match options with Some o -> o | None -> default_options () in
   let st = create_state opts ~hier:(Hierarchy.create hier) prog machine in
-  let halt = ref None in
-  let steps = ref 0 in
-  while !halt = None do
-    if !steps >= opts.max_steps then halt := Some Interp.Step_limit
+  let code = Program.code prog and base = Program.base prog in
+  let rec go steps =
+    if steps >= opts.max_steps then Interp.Step_limit
     else begin
+      let pc = machine.Machine.pc in
       (match st.pending with
-      | Some (c, ready_at)
-        when machine.Machine.pc = c.region.Region.entry
-             && cpu_cycles st.cpu_model >= ready_at ->
-        st.pending <- None;
-        offload st c
-      | Some _ -> ()
-      | None -> arm st);
-      match Interp.step prog machine with
-      | Error h -> halt := Some h
-      | Ok ev ->
-        incr steps;
-        Ooo_model.feed st.cpu_model ev;
-        detect st ev
+      | Some (c, ready_at) ->
+        if pc = c.region.Region.entry && cpu_cycles st.cpu_model >= ready_at then begin
+          st.pending <- None;
+          offload st c
+        end
+      | None ->
+        let i = Interp.slot code base pc in
+        if i >= 0 && Bytes.unsafe_get st.cached_slot i <> '\000' then arm st);
+      (* An offload hands the CPU the loop's exit PC. *)
+      let pc = machine.Machine.pc in
+      match Cpu_run.step st.core with
+      | Cpu_run.Retired -> go (steps + 1)
+      | Cpu_run.Backward_taken ->
+        detect st ~pc ~off:(machine.Machine.pc - pc);
+        go (steps + 1)
+      | Cpu_run.Halted -> Cpu_run.halt st.core
     end
-  done;
-  finish st (Option.get !halt)
+  in
+  finish st (go 0)
 
 let speedup ~baseline_cycles report =
   if report.total_cycles = 0 then 0.0

@@ -75,23 +75,19 @@ let vet t ~entry ~last ~observed =
       else Ok region
   end
 
-let feed t (ev : Interp.event) =
-  match (ev.instr, ev.taken) with
-  | Isa.Branch (_, _, _, off), Some true when off < 0 -> begin
-    let entry = ev.addr + off and last = ev.addr in
-    if Hashtbl.mem t.decided entry then None
-    else begin
-      (match t.candidate with
-      | Some c when c.entry = entry && c.last = last -> c.consecutive <- c.consecutive + 1
-      | Some _ | None -> t.candidate <- Some { entry; last; consecutive = 1 });
-      match t.candidate with
-      | Some c when c.consecutive >= confirm_iterations ->
-        Hashtbl.replace t.decided entry ();
-        t.candidate <- None;
-        (match vet t ~entry ~last ~observed:c.consecutive with
-        | Ok region -> Some (Accepted region)
-        | Error reason -> Some (Rejected { entry; reason }))
-      | Some _ | None -> None
-    end
+let feed t ~pc ~off =
+  let entry = pc + off and last = pc in
+  if Hashtbl.mem t.decided entry then None
+  else begin
+    (match t.candidate with
+    | Some c when c.entry = entry && c.last = last -> c.consecutive <- c.consecutive + 1
+    | Some _ | None -> t.candidate <- Some { entry; last; consecutive = 1 });
+    match t.candidate with
+    | Some c when c.consecutive >= confirm_iterations ->
+      Hashtbl.replace t.decided entry ();
+      t.candidate <- None;
+      (match vet t ~entry ~last ~observed:c.consecutive with
+      | Ok region -> Some (Accepted region)
+      | Error reason -> Some (Rejected { entry; reason }))
+    | Some _ | None -> None
   end
-  | _ -> None

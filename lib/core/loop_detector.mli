@@ -1,7 +1,8 @@
 (** Loop-stream detection and the C1-C3 acceptance criteria (§4.1).
 
     The detector watches the retired-instruction stream for backward taken
-    branches. A stable innermost loop — the same backward branch firing for
+    branches, and sees nothing else: its caller ({!Controller.run}, on
+    {!Cpu_run.step}'s [Backward_taken] verdict) presents only those. A stable innermost loop — the same backward branch firing for
     8 consecutive iterations — becomes a candidate and is then vetted:
 
     - C1 (valid loop): body fits the trace cache / accelerator capacity;
@@ -25,6 +26,7 @@ val create : capacity:int -> Program.t -> t
 (** A detector whose C1 bound is [capacity] instructions (the trace-cache
     size). *)
 
-val feed : t -> Interp.event -> verdict option
-(** Present one retired instruction. A verdict is produced only at an
-    iteration boundary (the confirming backward branch). *)
+val feed : t -> pc:int -> off:int -> verdict option
+(** Present one retired taken conditional branch at [pc] whose offset [off]
+    is negative: the end of an iteration of the loop [pc + off .. pc]. A
+    verdict is produced only by the confirming branch. *)

@@ -5,10 +5,11 @@
     interpreter: same program, same initial state, same final registers and
     memory.
 
-    The interpreter reports each retired instruction through an optional
-    callback carrying its dynamic facts (effective address, branch
-    direction), which is exactly the information MESA's monitoring hardware
-    taps at the decode/commit stages. *)
+    {!run} executes a whole program untimed. The building blocks below it
+    ({!slot}, {!dynamic_fact}, {!exec}) are what {!Cpu_run.step} composes
+    into the timed step: the dynamic facts it reads before executing are
+    exactly the information MESA's monitoring hardware taps at the
+    decode/commit stages. *)
 
 (** Why execution stopped. *)
 type halt =
@@ -17,27 +18,29 @@ type halt =
   | Step_limit       (** the [max_steps] budget ran out *)
   | Fault of string  (** decode or memory fault *)
 
-(** One retired dynamic instruction. *)
-type event = {
-  addr : int;             (** instruction address *)
-  instr : Isa.t;
-  mem_addr : int option;  (** effective address for memory ops *)
-  taken : bool option;    (** direction for conditional branches *)
-  next_pc : int;
-}
-
-val step : Program.t -> Machine.t -> (event, halt) result
-(** Execute the instruction at [Machine.pc], updating state. *)
-
-val run :
-  ?max_steps:int ->
-  ?on_event:(event -> unit) ->
-  Program.t ->
-  Machine.t ->
-  halt * int
+val run : ?max_steps:int -> Program.t -> Machine.t -> halt * int
 (** [run prog m] steps until a halt condition, returning the reason and the
     number of instructions retired. [max_steps] defaults to 100 million
-    and is exposed for tests. Without [on_event] no event is built. *)
+    and is exposed for tests. *)
+
+(** {1 Stepping} *)
+
+val slot : Isa.t array -> int -> int -> int
+(** [slot code base pc]: the index in [code] ({!Program.code}, loaded at
+    [base]) of the instruction at [pc], or -1 when [pc] is outside the
+    program or off a word boundary — where execution exits. *)
+
+val dynamic_fact : Machine.t -> Isa.t -> int
+(** The one dynamic fact an instruction has, in the current register state:
+    a load's or store's effective address, a conditional branch's direction
+    (1 taken, 0 not), 0 for every other instruction. Read it before {!exec}:
+    a load may overwrite its own base. *)
+
+val exec : Machine.t -> int -> Isa.t -> int
+(** [exec m pc instr] executes [instr], fetched at [pc], on [m]'s registers
+    and memory and returns the next PC; [m.pc] is left to the caller.
+    [ecall] and [ebreak] execute as no-ops: halting on them is the caller's
+    decision. A memory fault raises [Invalid_argument]. *)
 
 (** {1 32-bit arithmetic semantics}
 

@@ -14,8 +14,8 @@ let[@inline] round32 f = Int32.float_of_bits (Int32.bits_of_float f)
 
 let get_x t r = if r = 0 then 0 else t.xregs.(r)
 let set_x t r v = if r <> 0 then t.xregs.(r) <- to_s32 v
-let get_f t r = t.fregs.(r)
-let set_f t r v = t.fregs.(r) <- round32 v
+let[@inline] get_f t r = t.fregs.(r)
+let[@inline] set_f t r v = t.fregs.(r) <- round32 v
 
 let set_args t args = List.iter (fun (r, v) -> set_x t r v) args
 let set_fargs t args = List.iter (fun (r, v) -> set_f t r v) args

@@ -38,15 +38,23 @@ let trace_cache_capacity () =
 
 (* -------------------- loop detector -------------------- *)
 
+(* Step [prog] on a timed core and present every taken backward branch to
+   the detector, as [Controller.run] does. *)
 let feed_program prog machine detector max_steps =
+  let core =
+    Cpu_run.create Ooo_model.default_config
+      (Hierarchy.create Hierarchy.default_config) prog machine
+  in
   let verdicts = ref [] in
   let rec go n =
     if n = 0 then ()
     else
-      match Interp.step prog machine with
-      | Error _ -> ()
-      | Ok ev ->
-        (match Loop_detector.feed detector ev with
+      let pc = machine.Machine.pc in
+      match Cpu_run.step core with
+      | Cpu_run.Halted -> ()
+      | Cpu_run.Retired -> go (n - 1)
+      | Cpu_run.Backward_taken ->
+        (match Loop_detector.feed detector ~pc ~off:(machine.Machine.pc - pc) with
         | Some v -> verdicts := v :: !verdicts
         | None -> ());
         go (n - 1)

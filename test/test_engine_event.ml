@@ -237,12 +237,14 @@ let fault_crosses_batched_jump () =
 
 (* {2 A steady-state firing allocates nothing.}
 
-   Words allocated per node firing of an unprofiled window, the path every
-   [Controller.run] takes, at M-64: the difference between windows of 2048
-   and 1024 iterations, so the per-window setup cancels. A cache allocates
-   each set's storage on the set's first access, so a first window touches
-   every set the measured ones use. *)
-let steady_firing_allocation () =
+   Words allocated per node firing at M-64: the difference between windows
+   of 2048 and 1024 iterations, so the per-window setup cancels. A cache
+   allocates each set's storage on the set's first access, so a first
+   window touches every set the measured ones use. Unprofiled is the path
+   every [Controller.run] takes; profiled, with the attribution collector
+   armed, is [mesa_cli profile]'s, mesad's [--profile-window] runs' and
+   the fuzz fabrics drawn with [profile]'s. *)
+let firing_allocation ~profiled () =
   List.iter
     (fun name ->
       let k = Workloads.find name in
@@ -253,10 +255,14 @@ let steady_firing_allocation () =
       in
       let config = Runner.optimized_config ~grid k dfg placement in
       let hier = Hierarchy.create Hierarchy.default_config in
+      let attribution = if profiled then Some (Attribution.create ~grid ()) else None in
       let window stop_after =
         let machine = Kernel.prepare k (Main_memory.create ()) in
+        Option.iter (fun a -> Attribution.begin_window a ~at:0.0) attribution;
         let before = Gc.minor_words () in
-        let res = Engine.execute ~stop_after ~config ~dfg ~machine ~hier () in
+        let res =
+          Engine.execute ~stop_after ?attribution ~config ~dfg ~machine ~hier ()
+        in
         let words = Gc.minor_words () -. before in
         (match res with
         | Ok r -> check Alcotest.int (name ^ ": iterations") stop_after r.Engine.iterations
@@ -267,7 +273,8 @@ let steady_firing_allocation () =
       let short = window 1024 and long = window 2048 in
       let per_firing = (long -. short) /. float_of_int (1024 * Dfg.node_count dfg) in
       if per_firing >= 0.05 then
-        Alcotest.failf "%s: %.3f words per steady-state firing" name per_firing)
+        Alcotest.failf "%s: %.3f words per steady-state%s firing" name per_firing
+          (if profiled then " profiled" else ""))
     [ "nn"; "kmeans"; "bfs" ]
 
 let suites =
@@ -278,6 +285,8 @@ let suites =
         Alcotest.test_case "fault crosses a batched time jump" `Quick
           fault_crosses_batched_jump;
         Alcotest.test_case "a steady-state firing allocates nothing" `Quick
-          steady_firing_allocation;
+          (firing_allocation ~profiled:false);
+        Alcotest.test_case "a steady-state profiled firing allocates nothing" `Quick
+          (firing_allocation ~profiled:true);
       ] );
   ]
