@@ -1,9 +1,9 @@
 (** The MESA controller (Figures 1, 7): transparent acceleration of a
     program running on one CPU core.
 
-    The controller interprets the program (architectural reference) while
-    feeding two consumers: the OoO timing model, which accounts CPU cycles,
-    and the loop detector. When a region passes C1-C3, MESA translates it
+    The controller steps the program on the CPU ({!Cpu_run.step}: the
+    interpreter's semantics charged to the OoO timing model, which accounts
+    CPU cycles) and shows the loop detector every taken backward branch. When a region passes C1-C3, MESA translates it
     (LDFG, mapping, configuration) *while the CPU keeps executing* — the
     translation latency only delays the offload point, it does not stall
     the core. At the first iteration boundary after the configuration is
@@ -139,9 +139,11 @@ val run :
 
     The run is the paper's pipeline as a sequence of stages over one run
     state: at each instruction boundary a pending configuration is offloaded
-    once written, or a cached region is armed (config-cache hit, quarantine
-    countdown); each retired instruction feeds the OoO model and the loop
-    detector, whose accepted regions are translated. An offload runs engine
+    once written and the PC is at its entry, or, when the PC is a cached
+    region's entry, that region is armed (config-cache hit, or one step of
+    its quarantine countdown per arrival); then one {!Cpu_run.step}
+    executes the instruction on the OoO model, and a taken backward branch
+    goes to the loop detector, whose accepted regions are translated. An offload runs engine
     windows, recovering from faulted ones (retry, remap, quarantine) and
     re-optimising after profiling ones, until the loop completes. *)
 
