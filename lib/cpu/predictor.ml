@@ -26,20 +26,15 @@ let index t addr =
   | Gshare bits ->
     ((addr lsr 2) lxor (t.history land ((1 lsl bits) - 1))) land t.mask
 
-let predict t addr = t.counters.(index t addr) >= 2
-
-let update t addr actual =
+let predict_and_update t addr actual =
   let i = index t addr in
   let c = t.counters.(i) in
-  t.counters.(i) <- (if actual then Int.min 3 (c + 1) else Int.max 0 (c - 1));
-  match t.kind with
-  | Bimodal -> ()
-  | Gshare _ -> t.history <- (t.history lsl 1) lor (if actual then 1 else 0)
-
-let predict_and_update t addr actual =
-  let correct = predict t addr = actual in
+  let correct = (c >= 2) = actual in
   if not correct then t.mispredicts <- t.mispredicts + 1;
-  update t addr actual;
+  t.counters.(i) <- (if actual then Int.min 3 (c + 1) else Int.max 0 (c - 1));
+  (match t.kind with
+  | Bimodal -> ()
+  | Gshare _ -> t.history <- (t.history lsl 1) lor (if actual then 1 else 0));
   correct
 
 let mispredicts t = t.mispredicts
