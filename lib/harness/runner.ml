@@ -150,29 +150,30 @@ let execute_loop ?attribution ?(hier = Hierarchy.default_config) (k : Kernel.t)
 let placement_of ?(kind = Interconnect.Mesh_noc) ~grid (k : Kernel.t) =
   Mapper.map ~grid ~kind (Perf_model.create (dfg_of_kernel k))
 
+(* Empirical model: the trace executes on the in-core fabric with the
+   frontend out of the way — wide issue, predication instead of branch
+   recovery — but the core's own functional units, memory ports, cache
+   behaviour and a window bounded by the fabric size. We reuse the OoO
+   dataflow scheduler with that configuration over the real dynamic
+   stream. *)
+let dynaspam_core (config : Dynaspam.config) =
+  {
+    Ooo_model.default_config with
+    Ooo_model.width = 8;
+    rob_size = Ooo_model.default_config.Ooo_model.rob_size;
+    mispredict_penalty = 0;
+    alu_units = config.Dynaspam.alu_throughput;
+    fp_units = config.Dynaspam.fp_throughput;
+    mem_ports = config.Dynaspam.mem_ports;
+  }
+
 let dynaspam ?(config = Dynaspam.default_config) (k : Kernel.t) =
   let base = single_core k in
   let dfg = dfg_of_kernel k in
   if Dfg.node_count dfg > config.Dynaspam.window then
     { base with label = "DynaSpAM (not qualified)" }
   else begin
-    (* Empirical model: the trace executes on the in-core fabric with the
-       frontend out of the way — wide issue, predication instead of branch
-       recovery — but the core's own functional units, memory ports, cache
-       behaviour and a window bounded by the fabric size. We reuse the OoO
-       dataflow scheduler with that configuration over the real dynamic
-       stream. *)
-    let fabric_cpu =
-      {
-        Ooo_model.default_config with
-        Ooo_model.width = 8;
-        rob_size = Ooo_model.default_config.Ooo_model.rob_size;
-        mispredict_penalty = 0;
-        alu_units = config.Dynaspam.alu_throughput;
-        fp_units = config.Dynaspam.fp_throughput;
-        mem_ports = config.Dynaspam.mem_ports;
-      }
-    in
+    let fabric_cpu = dynaspam_core config in
     let mem = Main_memory.create () in
     k.Kernel.setup mem;
     let machine = Kernel.prepare_slice k mem ~lo:0 ~hi:k.Kernel.n in

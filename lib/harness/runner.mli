@@ -82,6 +82,11 @@ val clear_translation_cache : unit -> unit
 (** Does nothing: nothing is cached. Kept only because perfbench still
     calls it; delete it with the next benchmark revision. *)
 
+val dynaspam_core : Dynaspam.config -> Ooo_model.config
+(** The core {!dynaspam} re-times the dynamic stream on: the in-core
+    fabric's width, units and ports, with predication in place of branch
+    recovery. *)
+
 val dynaspam : ?config:Dynaspam.config -> Kernel.t -> measurement
 (** DynaSpAM analytic model over the same dynamic iteration count; the
     non-loop remainder is charged at single-core cost. Unqualified kernels
